@@ -183,6 +183,10 @@ def parse_integration(spec: dict) -> IntegrationConfig:
     unknown = set(spec) - allowed
     if unknown:
         raise SchemaError(f"unknown integration keys {sorted(unknown)}")
+    # values key the weight-mass memo, so they must be hashable numbers
+    bad = sorted(k for k, v in spec.items() if not isinstance(v, (int, float)))
+    if bad:
+        raise SchemaError(f"integration values must be numbers: {bad}")
     try:
         return IntegrationConfig(**spec)
     except (WinferError, TypeError) as exc:

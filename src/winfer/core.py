@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .errors import (
     DomainMismatchError,
@@ -365,6 +366,9 @@ class Distribution:
     tail: str = "gaussian"        # "gaussian" | "exponential" | "bounded"
     window: Optional[tuple] = None  # explicit (lo, hi) truncation override
     logpdf: Optional[Callable] = None  # analytic log-density (underflow-safe)
+    # (wf, cfg) -> E_phi(p); filled by divergence.weight_mass
+    weight_masses: dict = field(default_factory=dict, init=False, compare=False,
+                                repr=False)
 
     def density(self, x):
         if self.finite is not None:
@@ -459,28 +463,63 @@ class Distribution:
         """Gamma with shape lam > 0 and rate beta > 0."""
         if lam <= 0 or beta <= 0:
             raise IllegalParameterError("shape and rate must be > 0")
-        from scipy.stats import gamma as _gamma
-        fr = _gamma(a=lam, scale=1.0 / beta)
+        s = 1.0 / beta
+        shape_m1, log_norm = lam - 1.0, gammaln(lam)
+
+        def on_support(y):
+            # scipy.stats.gamma(lam, scale=s).pdf, operation for operation
+            return np.exp(xlogy(shape_m1, y) - y - log_norm) / s
+
+        def _pdf(x):
+            y = np.asarray(x, dtype=float) / s
+            on = y >= 0
+            if np.all(on):
+                return on_support(y)
+            out = np.where(np.isnan(y), np.nan, 0.0)
+            out[on] = on_support(y[on])
+            return out
 
         return Distribution(
-            support=Support.half_line(0.0), pdf=lambda x: fr.pdf(x),
-            sampler=lambda rng, size: rng.gamma(lam, 1.0 / beta, size=size),
+            support=Support.half_line(0.0), pdf=_pdf,
+            sampler=lambda rng, size: rng.gamma(lam, s, size=size),
             family="gamma", params={"lam": lam, "beta": beta},
-            center=0.0, scale=1.0 / beta, tail="exponential")
+            center=0.0, scale=s, tail="exponential")
 
     @staticmethod
     def poisson(lam: float) -> "Distribution":
         if lam <= 0:
             raise IllegalParameterError("lam must be > 0")
-        from scipy.stats import poisson as _poisson
-        fr = _poisson(mu=lam)
 
         return Distribution(
-            support=Support.counting(), pdf=lambda x: fr.pmf(np.asarray(x)),
-            logpdf=lambda x: fr.logpmf(np.asarray(x)),
+            support=Support.counting(), pdf=lambda x: poisson_pmf(x, lam),
+            logpdf=lambda x: poisson_logpmf(x, lam),
             sampler=lambda rng, size: rng.poisson(lam, size=size),
             family="poisson", params={"lam": lam},
             center=lam, scale=math.sqrt(lam), tail="exponential")
+
+
+def poisson_logpmf(k, mu: float):
+    """log Poisson(mu) pmf at k; -inf off the nonnegative integers, NaN at NaN.
+
+    Follows scipy.stats.poisson's arithmetic operation for operation, so the
+    values agree bit for bit, without its per-call argument handling.
+    """
+    def on_support(k):
+        return xlogy(k, mu) - gammaln(k + 1) - mu
+
+    k = np.asarray(k)
+    with np.errstate(invalid="ignore"):
+        on = (k >= 0) & (np.floor(k) == k)
+    if np.all(on):
+        return on_support(k)
+    out = np.where(np.isnan(k), np.nan, -np.inf)
+    out[on] = on_support(k[on])
+    return out
+
+
+def poisson_pmf(k, mu: float):
+    """Poisson(mu) pmf at k, clipped to [0, 1] as scipy.stats.poisson does."""
+    return np.clip(np.exp(poisson_logpmf(k, mu)), 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +600,8 @@ def integrate(f: Callable, support: Support, cfg: IntegrationConfig,
         return _sum_series(f, cfg, min_terms=min_terms)
 
     if support.kind == "real-vector":
-        raise DomainMismatchError("vector integrands go through gauss_hermite_expectation")
+        raise DomainMismatchError(
+            "integrate handles scalar supports; vector integrands use gauss_hermite_nodes")
 
     lo, hi = _window_for(support, cfg, dists, wf)
     hints = tuple(points) + (wf.kink_points if wf is not None else ())
@@ -711,13 +751,6 @@ def gauss_hermite_nodes(center, cov, level: int = 40) -> tuple:
         wts = wts * g.reshape(-1)
     chol = np.linalg.cholesky(cov)
     return center + pts @ chol.T, wts
-
-
-def gauss_hermite_expectation(f: Callable, center, cov, level: int = 48) -> float:
-    """E_{N(center,cov)}[f] by tensor Gauss-Hermite (exact envelope assumed)."""
-    nodes, wts = gauss_hermite_nodes(center, cov, level)
-    vals = np.asarray(f(nodes), dtype=float)
-    return float(np.sum(wts * vals))
 
 
 # ---------------------------------------------------------------------------

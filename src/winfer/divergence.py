@@ -166,7 +166,10 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
     from .core import _window_for
     lo, hi = _window_for(prob.support, cfg, (prob.p, prob.q), prob.wf)
     xs = np.linspace(lo, hi, n_grid)
-    diff = prob.p.density(xs) - prob.q.density(xs)
+    # inf - inf (both densities infinite at a half-line endpoint when the
+    # shape is below 1) is NaN, whose sign is never counted as a crossing
+    with np.errstate(invalid="ignore"):
+        diff = prob.p.density(xs) - prob.q.density(xs)
     sign = np.sign(diff)
     idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     g = lambda x: float(prob.p.density(x) - prob.q.density(x))
@@ -180,16 +183,31 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
 
 
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
-    """E_phi(p), the mean weight under the density."""
+    """E_phi(p), the mean weight under the density.
+
+    On infinite supports the value is memoized on ``dist`` (its
+    ``weight_masses`` field), keyed by ``(wf, cfg)``, so it lives exactly as
+    long as that Distribution instance: equal distributions built separately
+    do not share it, and nothing carries over from one report to the next.
+    Finite supports are not memoized (the exact sum is cheaper than hashing a
+    long weight table), and neither are failures, so a
+    ``NonConvergentIntegralError`` is raised again on every call.
+    """
     sup = dist.support
     if sup.kind == "finite":
         return float(np.sum(wf.table_on(sup) * dist.finite.pmf))
+    key = (wf, cfg)
+    val = dist.weight_masses.get(key)
+    if val is not None:
+        return val
     if sup.kind == "real-vector":
         prob = HypothesisProblem(dist, dist, wf)
         wv = _weight_eval(wf, sup)
-        return _mv_integral(prob, lambda x: wv(x) * dist.density(x))
-    val, _ = integrate(lambda x: wf(x) * dist.density(x), sup, cfg,
-                       dists=(dist,), wf=wf)
+        val = _mv_integral(prob, lambda x: wv(x) * dist.density(x))
+    else:
+        val, _ = integrate(lambda x: wf(x) * dist.density(x), sup, cfg,
+                           dists=(dist,), wf=wf)
+    dist.weight_masses[key] = val
     return val
 
 
@@ -439,9 +457,9 @@ def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: f
         val, _ = integrate(f, sup, cfg, dists=(p,), wf=wf)
         return val
 
-    ep = mass(1.0)
+    ep = weight_mass(p, wf, cfg)
     num = mass(alpha + beta - 1.0)
-    den = mass(beta)
+    den = ep if beta == 1.0 else mass(beta)
     if num <= 0 or den <= 0:
         raise ZeroWeightMassError("degenerate weighted masses in Renyi entropy")
     return ep / (1.0 - alpha) * math.log(num / den)

@@ -31,6 +31,7 @@ from .core import (
     WeightFunction,
     finite_difference_gradient,
     integrate,
+    poisson_pmf,
 )
 from .divergence import HypothesisProblem, kl, weight_mass
 from .errors import (
@@ -134,9 +135,7 @@ def poisson_log_mean_model() -> ParametricModel:
     """Poisson(e^theta); d ln p / d theta = l - e^theta."""
 
     def density(x, th):
-        lam = math.exp(th)
-        from scipy.stats import poisson as _poisson
-        return _poisson(mu=lam).pmf(np.asarray(x))
+        return poisson_pmf(x, math.exp(th))
 
     def grad_density(x, th):
         lam = math.exp(th)

@@ -19,7 +19,6 @@ __all__ = [
     "random_finite_problem",
     "random_interior_finite_problem",
     "random_continuous_problem",
-    "random_rule_vector",
 ]
 
 
@@ -100,7 +99,3 @@ def random_continuous_problem(rng: np.random.Generator) -> HypothesisProblem:
         kind = rng.choice(["constant", "exponential", "quadratic", "absolute"])
         wf = _random_weight(rng, str(kind), max_rate=0.4 * min(b1, b2))
     return HypothesisProblem(p, q, wf)
-
-
-def random_rule_vector(rng: np.random.Generator, m: int) -> np.ndarray:
-    return rng.uniform(0.0, 1.0, size=m)

@@ -79,6 +79,9 @@ class TestSchema:
         spec["integration"] = {"bogus": 1}
         with pytest.raises(SchemaError):
             parse_problem_spec(spec)
+        spec["integration"] = {"mc_seed": [1]}  # unhashable: cannot key a memo
+        with pytest.raises(SchemaError):
+            parse_problem_spec(spec)
 
 
 class TestComputeReport:
@@ -255,3 +258,71 @@ class TestSubprocessContracts:
                             "--suite", "tv-oracle", "--instances", "2"],
                            capture_output=True, text=True, env=env)
         assert r.returncode == 1
+
+
+def spec_gamma_pair_all_quantities():
+    return {
+        "schema": 1,
+        "seed": 0,
+        "distributions": [{"family": "gamma", "params": {"lam": 2.0, "beta": 1.0}},
+                          {"family": "gamma", "params": {"lam": 3.0, "beta": 1.5}}],
+        "weight": {"kind": "absolute"},
+        "quantities": ["tv", "delta", "hellinger", "bhattacharyya-coeff",
+                       "bhattacharyya-div", "kl", "chernoff-coeff", "chernoff-div",
+                       "renyi-div", "tsallis-div", "shannon-entropy", "renyi-entropy",
+                       "min-total-error", "stein-sanov-limit", "error-bounds"],
+        "alpha_grid": [0.3, 0.5, 0.8],
+    }
+
+
+class TestEvaluationCost:
+    def test_gamma_report_integrations(self, tmp_path, monkeypatch):
+        """One weight mass per distribution: 29 integrations for the full report,
+        the same count on a second run (nothing is kept between reports)."""
+        import winfer.cli
+        import winfer.core
+        real = winfer.core.integrate
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("winfer") and mod is not None \
+                    and getattr(mod, "integrate", None) is real:
+                monkeypatch.setattr(mod, "integrate", counted)
+        spec = tmp_path / "gamma.json"
+        spec.write_text(json.dumps(spec_gamma_pair_all_quantities()))
+        counts, reports = [], []
+        for run in range(2):
+            out = tmp_path / f"report{run}.json"
+            calls.clear()
+            assert winfer.cli.main(["compute", str(spec), "--reproducible",
+                                    "--out", str(out)]) == 0
+            counts.append(len(calls))
+            reports.append(out.read_text())
+        assert counts[0] <= 29
+        assert counts[0] == counts[1]
+        assert reports[0] == reports[1]
+
+    def test_commands_do_not_import_scipy_stats(self, tmp_path):
+        """scipy.stats costs set-up time on every start; nothing may pull it in."""
+        gamma = tmp_path / "gamma.json"
+        gamma.write_text(json.dumps(spec_gamma_pair_all_quantities()))
+        poisson = dict(spec_gamma_pair_all_quantities(), distributions=[
+            {"family": "poisson", "params": {"lam": 2.0}},
+            {"family": "poisson", "params": {"lam": 3.5}}])
+        poisson_path = tmp_path / "poisson.json"
+        poisson_path.write_text(json.dumps(poisson))
+        script = f"""
+import sys
+import winfer.cli
+for argv in (["compute", {str(gamma)!r}, "--reproducible"],
+             ["compute", {str(poisson_path)!r}, "--reproducible"],
+             ["verify", "--suite", "kl-expansion", "--instances", "2", "--reproducible"]):
+    winfer.cli.main(argv + ["--out", {str(tmp_path / "out.json")!r}])
+print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
+"""
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"

@@ -91,6 +91,50 @@ class TestWeightFunction:
             assert wf.laplace_prime(2.0) == pytest.approx(fd, rel=1e-6)
 
 
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+# x = +-0, negatives, NaN, +-inf, the smallest subnormal, non-integers
+_EDGE_INPUTS = np.array([0.0, -0.0, -1.0, -1e-300, np.nan, np.inf, -np.inf, 5e-324,
+                         1e-300, 0.5, 1.0, 2.5, 3.0, 100.0, 1e300])
+
+
+class TestCatalogDensities:
+    """Gamma and Poisson densities equal scipy.stats bit for bit."""
+
+    def test_gamma_pdf_matches_scipy_stats(self):
+        from scipy import stats
+        rng = np.random.default_rng(20)
+        for _ in range(60):
+            lam, beta = np.exp(rng.uniform(np.log(0.05), np.log(40.0), size=2))
+            d = Distribution.gamma(float(lam), float(beta))
+            oracle = stats.gamma(a=float(lam), scale=1.0 / float(beta))
+            inputs = [_EDGE_INPUTS, np.linspace(0.0, 30.0, 240),
+                      rng.normal(scale=4.0, size=(3, 7)), rng.exponential(2.0, 40)[::3],
+                      *(float(v) for v in _EDGE_INPUTS)]
+            with np.errstate(invalid="ignore"):
+                for x in inputs:
+                    assert _same_bits(d.pdf(x), oracle.pdf(x)), (lam, beta, x)
+
+    def test_poisson_pmf_and_logpmf_match_scipy_stats(self):
+        from scipy import stats
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            mu = float(np.exp(rng.uniform(np.log(0.01), np.log(300.0))))
+            d = Distribution.poisson(mu)
+            oracle = stats.poisson(mu=mu)
+            inputs = [np.arange(64), np.arange(5000, 5064), rng.integers(-5, 400, (4, 6)),
+                      _EDGE_INPUTS, np.array([0.5, 1.0, 2.0, 2.5]), 0, 7, -2,
+                      *(float(v) for v in _EDGE_INPUTS)]
+            with np.errstate(invalid="ignore"):
+                for k in inputs:
+                    assert _same_bits(d.pdf(k), oracle.pmf(np.asarray(k))), (mu, k)
+                    assert _same_bits(d.logpdf(k), oracle.logpmf(np.asarray(k))), (mu, k)
+
+
 class TestIntegrate:
     def test_standard_normal_mass(self):
         d = Distribution.gaussian(0.0, 1.0)

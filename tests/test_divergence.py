@@ -370,3 +370,93 @@ class TestEntropies:
         d = Distribution.gaussian(-0.3, s2)
         assert shannon_entropy(d, WeightFunction.constant(1.0), CFG) == \
             pytest.approx(0.5 * math.log(2 * math.pi * math.e * s2), rel=1e-10)
+
+
+class TestWeightMassMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts every adaptive integration run from the divergence module."""
+        import winfer.divergence as div
+        counter = []
+        real = div.integrate
+
+        def counted(*args, **kwargs):
+            counter.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(div, "integrate", counted)
+        return counter
+
+    def test_repeat_is_memoized_on_the_instance(self, calls):
+        d = Distribution.gamma(2.0, 1.0)
+        wf = WeightFunction.absolute()
+        first = weight_mass(d, wf, CFG)
+        assert weight_mass(d, wf, CFG) == first == pytest.approx(2.0, rel=1e-12)
+        assert len(calls) == 1
+        assert d.weight_masses == {(wf, CFG): first}
+
+    def test_equal_instances_do_not_share(self, calls):
+        wf = WeightFunction.absolute()
+        a, b = Distribution.gamma(2.0, 1.0), Distribution.gamma(2.0, 1.0)
+        assert weight_mass(a, wf, CFG) == weight_mass(b, wf, CFG)
+        assert len(calls) == 2
+        assert a.weight_masses is not b.weight_masses
+
+    def test_other_cfg_or_weight_misses(self, calls):
+        d = Distribution.poisson(3.0)
+        weight_mass(d, WeightFunction.absolute(), CFG)
+        weight_mass(d, WeightFunction.absolute(), IntegrationConfig(rel_tol=1e-8))
+        weight_mass(d, WeightFunction.exponential(0.1), CFG)
+        assert len(calls) == 3
+
+    def test_finite_support_is_not_memoized(self):
+        d = Distribution.from_pmf([0.2, 0.8])
+        weight_mass(d, WeightFunction.table([1.0, 3.0]), CFG)
+        assert d.weight_masses == {}
+
+    def test_failure_raises_on_every_call(self, calls):
+        from winfer.errors import NonConvergentIntegralError
+        d = Distribution.exponential(1.0)
+        wf = WeightFunction.exponential(1.5)  # weight outgrows the density
+        for _ in range(2):
+            with pytest.raises(NonConvergentIntegralError):
+                weight_mass(d, wf, CFG)
+        assert len(calls) == 2
+        assert d.weight_masses == {}
+
+    def test_renyi_entropy_reuses_the_mass_bit_for_bit(self, calls):
+        from winfer.core import integrate
+        d = Distribution.gamma(2.5, 1.3)
+        wf = WeightFunction.quadratic(0.2, 1.0)
+        got = renyi_entropy(d, wf, 0.4, CFG)
+        assert len(calls) == 2  # E_phi(p) once, E_phi(p^0.4) once
+
+        def mass(expo):
+            return integrate(lambda x: wf(x) * d.density(x) ** expo, d.support, CFG,
+                             dists=(d,), wf=wf)[0]
+        a, b = 0.4, 1.0  # renyi_entropy is the extended entropy at beta = 1
+        assert got == mass(1.0) / (1.0 - a) * math.log(mass(a + b - 1.0) / mass(b))
+
+
+class TestCrossingPoints:
+    def test_infinite_densities_at_the_endpoint_are_silent(self):
+        import warnings
+
+        from winfer.core import _window_for
+        from winfer.divergence import _crossing_points
+        # both shapes below 1: p and q are +inf at x = 0, the window's left edge
+        prob = HypothesisProblem(Distribution.gamma(0.5, 1.0), Distribution.gamma(0.7, 2.0),
+                                 WeightFunction.absolute())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = _crossing_points(prob, CFG)
+        lo, hi = _window_for(prob.support, CFG, (prob.p, prob.q), prob.wf)
+        xs = np.linspace(lo, hi, 1024)
+        with np.errstate(invalid="ignore"):
+            diff = prob.p.density(xs) - prob.q.density(xs)
+        assert np.isnan(diff[0]) and np.all(np.isfinite(diff[1:]))
+        # the NaN at x = 0 adds no crossing: the brackets are the finite sign changes
+        sign = np.sign(diff[1:])
+        brackets = np.nonzero(sign[:-1] * sign[1:] < 0)[0] + 1
+        assert len(pts) == len(brackets) >= 1
+        for x, i in zip(pts, brackets):
+            assert xs[i] <= x <= xs[i + 1]
