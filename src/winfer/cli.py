@@ -11,9 +11,7 @@ cramer-rao ...             weighted Cramer-Rao / van Trees experiment -> JSON
 Exit codes: 0 success, 1 usage/schema error, 2 numerical failure (partial
 report still emitted).  Reports are deterministic for a fixed seed; pass
 ``--reproducible`` to omit the wall-clock timestamp so reruns are
-byte-identical.  The environment variable WINFER_THREADS caps worker
-parallelism (the reference implementation evaluates serially, so any value
-just pins the cap).
+byte-identical.
 
 Problem-spec JSON schema (version 1):
 
@@ -52,7 +50,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -115,16 +112,6 @@ _ALPHA_QUANTITIES = ("chernoff-coeff", "chernoff-div", "renyi-div",
                      "tsallis-div", "renyi-entropy")
 _FAMILIES = ("exponential", "poisson", "gaussian-scalar",
              "gaussian-multivariate", "gamma")
-
-
-def max_threads() -> int:
-    """Parallelism cap from WINFER_THREADS (>= 1); evaluation is serial."""
-    raw = os.environ.get("WINFER_THREADS", "1")
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"WINFER_THREADS={raw!r} is not an integer") from exc
-    return max(1, val)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +260,8 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     bound_checks = []
     exit_code = 0
     closed = _catalog_adjoint(p, q, wf, cfg)
+    # one problem for the whole report, so quantities share its memoized integrals
+    prob = HypothesisProblem(p, q, wf) if q is not None and quantities else None
 
     def cross_check(name, alpha=None):
         if closed is None:
@@ -297,7 +286,6 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     for name in quantities:
         if name in pair_needed and q is None:
             raise SchemaError(f"{name} needs two distributions")
-        prob = HypothesisProblem(p, q, wf) if q is not None else None
         try:
             if name in _ALPHA_QUANTITIES:
                 for a in alphas:
@@ -644,7 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    max_threads()  # validate the env var early
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

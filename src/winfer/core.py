@@ -743,14 +743,21 @@ def gauss_hermite_nodes(center, cov, level: int = 40) -> tuple:
         cov = np.eye(d) * float(cov)
     x, w = np.polynomial.hermite_e.hermegauss(level)
     w = w / math.sqrt(2 * math.pi)
-    xg = np.meshgrid(*([x] * d), indexing="ij")
-    wg = np.meshgrid(*([w] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in xg], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for g in wg:
-        wts = wts * g.reshape(-1)
+    # row-major tensor grid: coordinate k of node i is x[i_k], its weight
+    # (w[i_0] * w[i_1]) * ... in axis order
+    wts = w
+    for _ in range(d - 1):
+        wts = np.multiply.outer(wts, w)
+    wts = wts.reshape(-1)
+    pts = np.empty((level,) * d + (d,))
+    for k in range(d):
+        pts[..., k] = x.reshape((level,) + (1,) * (d - 1 - k))
+    pts = pts.reshape(-1, d)
     chol = np.linalg.cholesky(cov)
-    return center + pts @ chol.T, wts
+    nodes = pts @ chol.T
+    del pts
+    nodes += center
+    return nodes, wts
 
 
 # ---------------------------------------------------------------------------

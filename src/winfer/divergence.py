@@ -17,8 +17,9 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,11 +63,22 @@ _ORACLE_MAX_M = 20
 
 @dataclass(frozen=True)
 class HypothesisProblem:
-    """Simple hypothesis p versus simple alternative q under weight phi."""
+    """Simple hypothesis p versus simple alternative q under weight phi.
+
+    On infinite supports ``memo`` holds what the quantities below compute:
+    ``weighted_tv``, ``hellinger``, ``bhattacharyya_coeff`` and ``kl`` keyed by
+    ``(name, cfg)``, ``chernoff_coeff`` by ``(name, alpha, cfg)``, and on
+    vector supports the Gauss-Hermite mesh of each level.  It lives exactly as
+    long as this instance: equal problems built separately do not share it,
+    and nothing carries over from one report to the next.  Finite supports
+    store nothing (the exact sums are cheaper than a lookup), and neither do
+    failures, so an error is raised again on every call.
+    """
 
     p: Distribution
     q: Distribution
     wf: WeightFunction
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.p.support.same_space(self.q.support):
@@ -112,17 +124,34 @@ def _method_for(support: Support) -> str:
     return "quadrature"
 
 
-def _weight_eval(wf: WeightFunction, support: Support):
-    """Pointwise weight evaluator appropriate for the support."""
-    if support.kind == "real-vector":
-        return wf.vector_values
-    return wf
+def _per_problem(fn):
+    """Memoize ``fn(prob, [alpha,] cfg)`` in ``prob.memo`` on infinite supports."""
+    @functools.wraps(fn)
+    def memoized(prob: HypothesisProblem, *args):
+        if prob.support.kind == "finite":
+            return fn(prob, *args)
+        key = (fn.__name__, *args)
+        if key not in prob.memo:
+            prob.memo[key] = fn(prob, *args)
+        return prob.memo[key]
+    return memoized
 
 
-def _integral(prob: HypothesisProblem, f, cfg: IntegrationConfig, points=()):
-    """integral of f(x) over the shared support with both envelopes in play."""
-    return integrate(f, prob.support, cfg, dists=(prob.p, prob.q), wf=prob.wf,
-                     points=points)
+def _integral(prob: HypothesisProblem, g, cfg: IntegrationConfig, points=()):
+    """integral of g(p, q, phi) over a scalar support with both envelopes in play."""
+    p, q, wf = prob.p, prob.q, prob.wf
+    return integrate(lambda x: g(p.density(x), q.density(x), wf(x)), prob.support,
+                     cfg, dists=(p, q), wf=wf, points=points)
+
+
+def _single_integral(dist: Distribution, wf: WeightFunction, g,
+                     cfg: IntegrationConfig) -> float:
+    """integral of g(p, phi) for one distribution."""
+    if dist.support.kind == "real-vector":
+        return _mv_integral(HypothesisProblem(dist, dist, wf), lambda p, q, w: g(p, w))
+    val, _ = integrate(lambda x: g(dist.density(x), wf(x)), dist.support, cfg,
+                       dists=(dist,), wf=wf)
+    return val
 
 
 def _mv_reference(prob: HypothesisProblem):
@@ -139,19 +168,32 @@ def _mv_reference(prob: HypothesisProblem):
     return mean, cov
 
 
-def _mv_integral(prob: HypothesisProblem, f, level: int = 60) -> float:
-    """integral f dx = E_ref[f/ref] under a covering Gaussian reference."""
-    mean, cov = _mv_reference(prob)
-    ref = Distribution.gaussian_mv(mean, cov)
-    nodes, wts = gauss_hermite_nodes(mean, cov, level)
-    vals = np.asarray(f(nodes), dtype=float) / ref.density(nodes)
+def _mv_mesh(prob: HypothesisProblem, level: int) -> tuple:
+    """(weights, reference density, p, q, phi) at the Gauss-Hermite nodes of one
+    level, kept in ``prob.memo``; the nodes themselves are dropped."""
+    key = ("gauss-hermite", level)
+    mesh = prob.memo.get(key)
+    if mesh is None:
+        mean, cov = _mv_reference(prob)
+        nodes, wts = gauss_hermite_nodes(mean, cov, level)
+        ref = Distribution.gaussian_mv(mean, cov).density(nodes)
+        p = prob.p.density(nodes)
+        q = p if prob.q is prob.p else prob.q.density(nodes)
+        mesh = prob.memo[key] = (wts, ref, p, q, prob.wf.vector_values(nodes))
+    return mesh
+
+
+def _mv_integral(prob: HypothesisProblem, g, level: int = 60) -> float:
+    """integral g(p, q, phi) dx = E_ref[g/ref] under a covering Gaussian reference."""
+    wts, ref, p, q, w = _mv_mesh(prob, level)
+    vals = np.asarray(g(p, q, w), dtype=float) / ref
     return float(np.sum(wts * vals))
 
 
-def _mv_integral_with_error(prob: HypothesisProblem, f, level: int = 60) -> tuple:
+def _mv_integral_with_error(prob: HypothesisProblem, g, level: int = 60) -> tuple:
     """Two-level tensor rule: value at `level`, error from the level gap."""
-    hi = _mv_integral(prob, f, level)
-    lo = _mv_integral(prob, f, level - 12)
+    hi = _mv_integral(prob, g, level)
+    lo = _mv_integral(prob, g, level - 12)
     return hi, abs(hi - lo)
 
 
@@ -198,16 +240,8 @@ def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) 
         return float(np.sum(wf.table_on(sup) * dist.finite.pmf))
     key = (wf, cfg)
     val = dist.weight_masses.get(key)
-    if val is not None:
-        return val
-    if sup.kind == "real-vector":
-        prob = HypothesisProblem(dist, dist, wf)
-        wv = _weight_eval(wf, sup)
-        val = _mv_integral(prob, lambda x: wv(x) * dist.density(x))
-    else:
-        val, _ = integrate(lambda x: wf(x) * dist.density(x), sup, cfg,
-                           dists=(dist,), wf=wf)
-    dist.weight_masses[key] = val
+    if val is None:
+        val = dist.weight_masses[key] = _single_integral(dist, wf, lambda p, w: w * p, cfg)
     return val
 
 
@@ -215,14 +249,14 @@ def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) 
 # distances
 # ---------------------------------------------------------------------------
 
+@_per_problem
 def weighted_tv(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     """Weighted total variation (1/2) E_phi(|p - q|)."""
     sup = prob.support
     if sup.kind == "finite":
         p, q, w = prob.tables()
         return DivergenceValue(0.5 * float(np.sum(w * np.abs(p - q))), 0.0, "exact-sum")
-    wv = _weight_eval(prob.wf, sup)
-    f = lambda x: wv(x) * np.abs(prob.p.density(x) - prob.q.density(x))
+    f = lambda p, q, w: w * np.abs(p - q)
     if sup.kind == "real-vector":
         val, err = _mv_integral_with_error(prob, f)
         return DivergenceValue(0.5 * val, 0.5 * err, "quadrature")
@@ -259,6 +293,7 @@ def delta(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     return 0.5 * (weight_mass(prob.p, prob.wf, cfg) + weight_mass(prob.q, prob.wf, cfg))
 
 
+@_per_problem
 def hellinger(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Weighted Hellinger distance ((1/2) E_phi((sqrt p - sqrt q)^2))^{1/2}."""
     sup = prob.support
@@ -266,22 +301,21 @@ def hellinger(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
         p, q, w = prob.tables()
         sq = float(np.sum(w * (np.sqrt(p) - np.sqrt(q)) ** 2))
         return math.sqrt(max(0.5 * sq, 0.0))
-    wv = _weight_eval(prob.wf, sup)
-    f = lambda x: wv(x) * (np.sqrt(prob.p.density(x)) - np.sqrt(prob.q.density(x))) ** 2
+    f = lambda p, q, w: w * (np.sqrt(p) - np.sqrt(q)) ** 2
     if sup.kind == "real-vector":
         return math.sqrt(max(0.5 * _mv_integral(prob, f), 0.0))
     val, _ = _integral(prob, f, cfg)
     return math.sqrt(max(0.5 * val, 0.0))
 
 
+@_per_problem
 def bhattacharyya_coeff(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Weighted affinity rho = E_phi(sqrt(p q)); satisfies rho = Delta - eta^2."""
     sup = prob.support
     if sup.kind == "finite":
         p, q, w = prob.tables()
         return float(np.sum(w * np.sqrt(p * q)))
-    wv = _weight_eval(prob.wf, sup)
-    f = lambda x: wv(x) * np.sqrt(prob.p.density(x) * prob.q.density(x))
+    f = lambda p, q, w: w * np.sqrt(p * q)
     if sup.kind == "real-vector":
         return _mv_integral(prob, f)
     val, _ = _integral(prob, f, cfg)
@@ -302,6 +336,7 @@ def _kl_terms(p, q, w):
     return out
 
 
+@_per_problem
 def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     """Weighted Kullback-Leibler divergence E(phi p 1(p>0) ln(p/q))."""
     sup = prob.support
@@ -312,12 +347,7 @@ def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
             return DivergenceValue(math.inf, 0.0, "exact-sum")
         return DivergenceValue(float(np.sum(terms)), 0.0, "exact-sum")
 
-    wv = _weight_eval(prob.wf, prob.support)
-
-    def f(x):
-        p = prob.p.density(x)
-        q = prob.q.density(x)
-        w = wv(x)
+    def f(p, q, w):
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.where((p > 0) & (w > 0), np.log(np.where(p > 0, p, 1.0))
                          - np.log(np.where(q > 0, q, np.finfo(float).tiny)), 0.0)
@@ -333,6 +363,7 @@ def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     return DivergenceValue(val, err, "quadrature")
 
 
+@_per_problem
 def chernoff_coeff(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> float:
     """Weighted Chernoff coefficient E_phi(p^a q^(1-a)) / E_phi(p), 0 < a < 1."""
     if not 0 < alpha < 1:
@@ -345,8 +376,7 @@ def chernoff_coeff(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig
         p, q, w = prob.tables()
         num = float(np.sum(w * p ** alpha * q ** (1 - alpha)))
         return num / ep
-    wv = _weight_eval(prob.wf, sup)
-    f = lambda x: wv(x) * prob.p.density(x) ** alpha * prob.q.density(x) ** (1 - alpha)
+    f = lambda p, q, w: w * p ** alpha * q ** (1 - alpha)
     if sup.kind == "real-vector":
         return _mv_integral(prob, f) / ep
     val, _ = _integral(prob, f, cfg)
@@ -411,19 +441,12 @@ def shannon_entropy(p: Distribution, wf: WeightFunction, cfg: IntegrationConfig)
         active = pm > 0
         return float(-np.sum(w[active] * pm[active] * np.log(pm[active])))
 
-    wv = _weight_eval(wf, sup)
-
-    def f(x):
-        d = p.density(x)
+    def f(d, w):
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(d > 0, d * np.log(np.where(d > 0, d, 1.0)), 0.0)
-        return -wv(x) * term
+        return -w * term
 
-    if sup.kind == "real-vector":
-        prob = HypothesisProblem(p, p, wf)
-        return _mv_integral(prob, f)
-    val, _ = integrate(f, sup, cfg, dists=(p,), wf=wf)
-    return val
+    return _single_integral(p, wf, f, cfg)
 
 
 def renyi_entropy(p: Distribution, wf: WeightFunction, alpha: float,
@@ -450,12 +473,7 @@ def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: f
             pm = p.finite.pmf
             w = wf.table_on(sup)
             return float(np.sum(w * pm ** expo))
-        wv = _weight_eval(wf, sup)
-        f = lambda x: wv(x) * p.density(x) ** expo
-        if sup.kind == "real-vector":
-            return _mv_integral(HypothesisProblem(p, p, wf), f)
-        val, _ = integrate(f, sup, cfg, dists=(p,), wf=wf)
-        return val
+        return _single_integral(p, wf, lambda d, w: w * d ** expo, cfg)
 
     ep = weight_mass(p, wf, cfg)
     num = mass(alpha + beta - 1.0)

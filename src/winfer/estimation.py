@@ -174,7 +174,12 @@ class EstimatorSpec:
 
 def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
     """Sample mean; analytic weighted bias under the Gaussian shift family
-    with an exponential weight (the equality case of version A)."""
+    with an exponential weight (the equality case of version A) or a constant
+    one (unbiased: every bias term is 0)."""
+    if model.name == "gaussian-shift" and wf.kind == "constant":
+        zero = lambda th, n: 0.0
+        return EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1), bias=zero,
+                             bias_prime=zero, c=zero, c_prime=zero)
     if model.name == "gaussian-shift" and wf.kind == "exponential" \
             and np.ndim(wf.gamma) == 0:
         g = float(wf.gamma)
@@ -626,6 +631,12 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
         raise IllegalParameterError("version must be A, B, or C")
     if model.d != 1:
         raise IllegalParameterError("deviation bounds implemented for scalar theta")
+    if version == "A" and est.bias_prime is None:
+        raise IllegalParameterError(
+            "van Trees version A needs the analytic weighted-bias derivative")
+    if version == "B" and est.c_prime is None:
+        raise IllegalParameterError(
+            "van Trees version B needs the analytic square-root-weight bias derivative")
     nodes, weights = prior.quadrature(level)
     check_regularity(model, wf, float(nodes[len(nodes) // 2]), cfg)
 
@@ -682,7 +693,7 @@ def _shift_samples(model, theta, zs, rng):
 def _pointwise_rhs_A(model, wf, theta, n, est, cfg) -> float:
     aux = weighted_fisher_aux(model, wf, theta, cfg)
     info = weighted_fisher(model, wf, theta, cfg)
-    bp = est.bias_prime(theta, n) if est.bias_prime is not None else 0.0
+    bp = est.bias_prime(theta, n)
     denom = n * info * aux.E ** (n - 1) \
         + n * (n - 1) * aux.scalar_grad_E ** 2 * aux.E ** (n - 2)
     return (aux.E ** n + bp) ** 2 / denom
@@ -692,5 +703,5 @@ def _pointwise_rhs_B(model, wf, theta, n, est, cfg) -> float:
     one = WeightFunction.constant(1.0)
     info = weighted_fisher(model, one, theta, cfg)
     s = _sqrt_weight_mass(model, wf, theta, cfg)
-    cp = est.c_prime(theta, n) if est.c_prime is not None else 0.0
+    cp = est.c_prime(theta, n)
     return (s ** n + cp) ** 2 / (n * info)

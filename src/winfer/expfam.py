@@ -646,10 +646,6 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
 # Gaussian weighted-TV closed forms (unit variance, shift a >= 0)
 # ---------------------------------------------------------------------------
 
-def _phi_std(x: float) -> float:
-    return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi)
-
-
 def _Phi_std(x: float) -> float:
     return 0.5 * (1.0 + erf(x / _SQRT2))
 

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from winfer.cli import compute_report, parse_problem_spec
@@ -251,13 +252,14 @@ class TestSubprocessContracts:
         assert row["version"] == "A"
         assert row["lhs"] > 0 and row["rhs"] > 0
 
-    def test_threads_env_validated(self, tmp_path):
-        import os
-        env = dict(os.environ, WINFER_THREADS="three")
-        r = subprocess.run([sys.executable, "-m", "winfer.cli", "verify",
-                            "--suite", "tv-oracle", "--instances", "2"],
-                           capture_output=True, text=True, env=env)
-        assert r.returncode == 1
+    def test_van_trees_without_bias_derivative_exits_2(self):
+        r = run_cli(["cramer-rao", "--family", "gaussian-scale", "--phi-gamma",
+                     "0.4", "--estimator", "scale-abs-mean", "--theta", "1.0",
+                     "--n", "4", "--trials", "20000", "--van-trees",
+                     "--reproducible"])
+        assert r.returncode == 2
+        assert "bias derivative" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def spec_gamma_pair_all_quantities():
@@ -275,22 +277,29 @@ def spec_gamma_pair_all_quantities():
     }
 
 
+def _count_calls(monkeypatch, module_name, fn_name) -> list:
+    """Count calls of a core function from every winfer module that imported it."""
+    real = getattr(sys.modules[module_name], fn_name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("winfer") and mod is not None \
+                and getattr(mod, fn_name, None) is real:
+            monkeypatch.setattr(mod, fn_name, counted)
+    return calls
+
+
 class TestEvaluationCost:
     def test_gamma_report_integrations(self, tmp_path, monkeypatch):
-        """One weight mass per distribution: 29 integrations for the full report,
-        the same count on a second run (nothing is kept between reports)."""
+        """Each distinct integral once: 13 integrations for the full report
+        (2 weight masses, tv, hellinger, rho, kl, 3 Chernoff numerators, the
+        Shannon entropy and 3 Renyi-entropy numerators), the same count on a
+        second run (nothing is kept between reports)."""
         import winfer.cli
-        import winfer.core
-        real = winfer.core.integrate
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("winfer") and mod is not None \
-                    and getattr(mod, "integrate", None) is real:
-                monkeypatch.setattr(mod, "integrate", counted)
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate")
         spec = tmp_path / "gamma.json"
         spec.write_text(json.dumps(spec_gamma_pair_all_quantities()))
         counts, reports = [], []
@@ -301,9 +310,29 @@ class TestEvaluationCost:
                                     "--out", str(out)]) == 0
             counts.append(len(calls))
             reports.append(out.read_text())
-        assert counts[0] <= 29
+        assert counts[0] <= 13
         assert counts[0] == counts[1]
         assert reports[0] == reports[1]
+
+    def test_vector_report_shares_the_mesh(self, monkeypatch):
+        """tv and kl share the problem's meshes at levels 60 and 48, rho reuses
+        level 60, and E_phi(p) builds its own: 3 tensor rules instead of 6."""
+        calls = _count_calls(monkeypatch, "winfer.core", "gauss_hermite_nodes")
+        spec = {"schema": 1,
+                "distributions": [
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.0, 0.0, 0.0], "cov": np.eye(3).tolist()}},
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.5, -0.2, 0.1],
+                                "cov": [[1.2, 0.1, 0.0], [0.1, 0.9, 0.0],
+                                        [0.0, 0.0, 1.1]]}}],
+                "weight": {"kind": "exponential", "gamma": [0.1, -0.2, 0.05]},
+                "quantities": ["tv", "kl", "bhattacharyya-div"]}
+        report, code = compute_report(spec)
+        assert code == 0
+        assert [r["name"] for r in report["quantities"]] == \
+            ["tv", "kl", "bhattacharyya-div"]
+        assert len(calls) == 3
 
     def test_commands_do_not_import_scipy_stats(self, tmp_path):
         """scipy.stats costs set-up time on every start; nothing may pull it in."""

@@ -13,6 +13,7 @@ from winfer.core import (
     Support,
     WeightFunction,
     finite_difference_gradient,
+    gauss_hermite_nodes,
     integrate,
     sample,
     spawn_rngs,
@@ -183,6 +184,44 @@ class TestIntegrate:
                              tail="bounded", window=(-60.0, 60.0))
         v, _ = integrate(boxed.density, Support.real_line(), CFG, dists=(boxed,))
         assert v == pytest.approx(1.0, abs=1e-10)
+
+
+
+def _gauss_hermite_meshgrid(center, cov, level):
+    """Tensor rule built from full meshgrids, the construction the lean
+    ``gauss_hermite_nodes`` must reproduce bit for bit."""
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    d = center.size
+    x, w = np.polynomial.hermite_e.hermegauss(level)
+    w = w / math.sqrt(2 * math.pi)
+    xg = np.meshgrid(*([x] * d), indexing="ij")
+    wg = np.meshgrid(*([w] * d), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in xg], axis=-1)
+    wts = np.ones(pts.shape[0])
+    for g in wg:
+        wts = wts * g.reshape(-1)
+    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    return center + pts @ chol.T, wts
+
+
+class TestGaussHermiteNodes:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("level", [12, 48, 60])
+    def test_bit_identical_to_the_meshgrid_rule(self, d, level):
+        rng = np.random.default_rng(100 * d + level)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+        center = rng.normal(size=d)
+        nodes, wts = gauss_hermite_nodes(center, cov, level)
+        want_nodes, want_wts = _gauss_hermite_meshgrid(center, cov, level)
+        assert np.array_equal(nodes, want_nodes)
+        assert np.array_equal(wts, want_wts)
+
+    def test_scalar_covariance_is_isotropic(self):
+        nodes, wts = gauss_hermite_nodes([0.5, -1.0], 2.0, 10)
+        want_nodes, want_wts = _gauss_hermite_meshgrid([0.5, -1.0], 2.0 * np.eye(2), 10)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(wts, want_wts)
+        assert wts.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 class TestWeightedExpectation:

@@ -372,20 +372,21 @@ class TestEntropies:
             pytest.approx(0.5 * math.log(2 * math.pi * math.e * s2), rel=1e-10)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts every adaptive integration run from the divergence module."""
+    import winfer.divergence as div
+    counter = []
+    real = div.integrate
+
+    def counted(*args, **kwargs):
+        counter.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(div, "integrate", counted)
+    return counter
+
+
 class TestWeightMassMemo:
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts every adaptive integration run from the divergence module."""
-        import winfer.divergence as div
-        counter = []
-        real = div.integrate
-
-        def counted(*args, **kwargs):
-            counter.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(div, "integrate", counted)
-        return counter
-
     def test_repeat_is_memoized_on_the_instance(self, calls):
         d = Distribution.gamma(2.0, 1.0)
         wf = WeightFunction.absolute()
@@ -435,6 +436,111 @@ class TestWeightMassMemo:
                              dists=(d,), wf=wf)[0]
         a, b = 0.4, 1.0  # renyi_entropy is the extended entropy at beta = 1
         assert got == mass(1.0) / (1.0 - a) * math.log(mass(a + b - 1.0) / mass(b))
+
+
+class TestProblemMemo:
+    @staticmethod
+    def gamma_problem():
+        return HypothesisProblem(Distribution.gamma(2.0, 1.0), Distribution.gamma(3.0, 1.5),
+                                 WeightFunction.absolute())
+
+    @staticmethod
+    def vector_problem():
+        return HypothesisProblem(Distribution.gaussian_mv([0.0, 0.0], np.eye(2)),
+                                 Distribution.gaussian_mv([0.4, -0.3], [[1.2, 0.2], [0.2, 0.8]]),
+                                 WeightFunction.exponential([0.2, 0.1]))
+
+    def test_memo_belongs_to_one_instance(self, calls):
+        a, b = self.gamma_problem(), self.gamma_problem()
+        assert a.memo is not b.memo
+        first = weighted_tv(a, CFG)
+        assert len(calls) == 1
+        assert weighted_tv(a, CFG) is first
+        assert len(calls) == 1
+        assert weighted_tv(b, CFG) == first
+        assert len(calls) == 2
+        assert a.memo == {("weighted_tv", CFG): first}
+
+    def test_other_cfg_or_alpha_misses(self, calls):
+        prob = self.gamma_problem()
+        chernoff_coeff(prob, 0.3, CFG)  # E_phi(p) and the numerator
+        chernoff_coeff(prob, 0.3, CFG)
+        assert len(calls) == 2
+        chernoff_coeff(prob, 0.5, CFG)
+        assert len(calls) == 3
+        other = IntegrationConfig(rel_tol=1e-8)
+        chernoff_coeff(prob, 0.3, other)  # a new weight mass too
+        assert len(calls) == 5
+        kl(prob, CFG)
+        kl(prob, other)
+        assert len(calls) == 7
+
+    def test_quantities_share_the_problem(self, calls):
+        from winfer.testing import error_bound_report, min_total_error
+        prob = self.gamma_problem()
+        error_bound_report(prob, CFG)  # masses, rho, tau, eta, kl
+        assert len(calls) == 6
+        min_total_error(prob, CFG)
+        bhattacharyya_div(prob, CFG)
+        renyi_div(prob, 1.0, CFG)
+        chernoff_div(prob, 0.5, CFG)
+        tsallis_div(prob, 0.5, CFG)
+        renyi_div(prob, 0.5, CFG)
+        assert len(calls) == 7
+
+    def test_finite_support_stores_nothing(self):
+        prob = binary_problem()
+        weighted_tv(prob, CFG)
+        hellinger(prob, CFG)
+        bhattacharyya_coeff(prob, CFG)
+        kl(prob, CFG)
+        chernoff_coeff(prob, 0.4, CFG)
+        assert prob.memo == {}
+
+    def test_failure_raises_on_every_call(self, calls):
+        from winfer.errors import NonConvergentIntegralError
+        prob = HypothesisProblem(Distribution.exponential(1.0), Distribution.exponential(2.0),
+                                 WeightFunction.exponential(1.5))  # weight outgrows p
+        for _ in range(2):
+            with pytest.raises(NonConvergentIntegralError):
+                kl(prob, CFG)
+        assert len(calls) == 2
+        assert prob.memo == {}
+
+    def test_memoized_values_equal_fresh_ones(self):
+        def report(prob):
+            return (weighted_tv(prob, CFG), hellinger(prob, CFG),
+                    bhattacharyya_coeff(prob, CFG), kl(prob, CFG),
+                    chernoff_coeff(prob, 0.3, CFG))
+        for make in (self.gamma_problem, self.vector_problem):
+            prob = make()
+            first = report(prob)
+            assert report(prob) == first == report(make())
+
+    def test_vector_mesh_matches_the_direct_rule(self):
+        from winfer.core import gauss_hermite_nodes
+        from winfer.divergence import _mv_reference
+        prob = self.vector_problem()
+        got = weighted_tv(prob, CFG)
+        assert set(prob.memo) == {("gauss-hermite", 60), ("gauss-hermite", 48),
+                                  ("weighted_tv", CFG)}
+
+        def direct(level):
+            mean, cov = _mv_reference(prob)
+            nodes, wts = gauss_hermite_nodes(mean, cov, level)
+            f = prob.wf.vector_values(nodes) \
+                * np.abs(prob.p.density(nodes) - prob.q.density(nodes))
+            ref = Distribution.gaussian_mv(mean, cov).density(nodes)
+            return float(np.sum(wts * (f / ref)))
+        hi, lo = direct(60), direct(48)
+        assert got.value == 0.5 * hi
+        assert got.error == 0.5 * abs(hi - lo)
+
+    def test_same_pair_evaluates_the_density_once(self):
+        from winfer.divergence import _mv_mesh
+        d = Distribution.gaussian_mv([0.1, 0.2], np.eye(2))
+        _, _, p, q, _ = _mv_mesh(HypothesisProblem(d, d, WeightFunction.constant(1.0)), 12)
+        assert q is p
 
 
 class TestCrossingPoints:

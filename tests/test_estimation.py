@@ -366,6 +366,26 @@ class TestVanTrees:
         mass = np.trapezoid(prior.pdf(grid), grid)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
+    def test_missing_bias_derivative_is_refused_before_sampling(self, monkeypatch):
+        import winfer.estimation as estimation
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("Monte Carlo work started")
+        monkeypatch.setattr(estimation, "_shift_samples", no_sampling)
+        m = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
+        for version in ("A", "B"):
+            with pytest.raises(IllegalParameterError, match="bias derivative"):
+                van_trees(m, wf, 4, scale_abs_mean_estimator(), prior, version, CFG,
+                          trials=20_000, seed=3)
+
+    def test_unweighted_mean_has_zero_bias_terms(self):
+        m = gaussian_shift_model(sigma=1.5)
+        est = mean_estimator(m, WeightFunction.constant(2.0))
+        for term in (est.bias, est.bias_prime, est.c, est.c_prime):
+            assert term(0.7, 5) == 0.0
+
     def test_version_validation(self):
         m = gaussian_shift_model()
         with pytest.raises(IllegalParameterError):
