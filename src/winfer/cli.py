@@ -473,16 +473,23 @@ def cmd_steinsanov(args) -> int:
         raise SchemaError("steinsanov needs two distributions")
     prob = HypothesisProblem(dists[0], dists[1], wf)
     etas = (0.2, 0.1, 0.05, 0.02) if args.eta_sweep else (args.eta,)
+
+    def sweep(etas):
+        return [stein_sanov_empirical(ProductProblem(prob, n), etas, args.method, cfg,
+                                      mc_samples=args.mc_samples, mc_seed=seed)
+                for n in args.n_list]
+
     try:
         limit = stein_sanov_limit(prob, cfg)
-        rows = []
-        for eta in etas:
-            for n in args.n_list:
-                est = stein_sanov_empirical(
-                    ProductProblem(prob, n), eta, args.method, cfg,
-                    mc_samples=args.mc_samples, mc_seed=seed)
-                rows.append((eta, n, est.rate_estimate, limit,
-                             abs(est.rate_estimate - limit)))
+        try:
+            by_n = sweep(etas)
+        except WinferError:
+            # report the failure an eta-major sweep meets first
+            for eta in etas:
+                sweep((eta,))
+            raise
+        rows = [(est.eta, est.n, est.rate_estimate, limit, abs(est.rate_estimate - limit))
+                for per_eta in zip(*by_n) for est in per_eta]
     except WinferError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -545,7 +552,7 @@ def cmd_cramer_rao(args) -> int:
                              "passed_3sigma": vt.holds_3sigma, "details": vt.details})
     except WinferError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        code = 2
     if any(math.isnan(r["lhs"]) or math.isnan(r["rhs"]) for r in rows):
         code = 2
     report = {

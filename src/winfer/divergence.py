@@ -476,7 +476,8 @@ def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: f
         return _single_integral(p, wf, lambda d, w: w * d ** expo, cfg)
 
     ep = weight_mass(p, wf, cfg)
-    num = mass(alpha + beta - 1.0)
+    # at beta = 1 the exponent is alpha itself: alpha + 1.0 - 1.0 can miss it by 1 ulp
+    num = mass(alpha if beta == 1.0 else alpha + beta - 1.0)
     den = ep if beta == 1.0 else mass(beta)
     if num <= 0 or den <= 0:
         raise ZeroWeightMassError("degenerate weighted masses in Renyi entropy")

@@ -22,7 +22,7 @@ class AlphabetTooLargeError(WinferError):
 
 
 class EnumerationTooLargeError(WinferError):
-    """Exact product-space or composition enumeration exceeds the configured cap."""
+    """Exact enumeration over types exceeds the configured cap."""
 
 
 class InfiniteKLError(WinferError):

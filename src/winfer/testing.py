@@ -6,7 +6,8 @@ The central exact identity is
     inf_D [ alpha_phi(D) + beta_phi(D) ] = Delta_phi(p,q) - tau_phi(p,q),
 
 attained by the indicator of {q > p} (ties resolved to D = 0, which is
-value-neutral).  n-fold problems use the product weight prod_i phi(x_i).
+value-neutral).  n-fold problems use the product weight prod_i phi(x_i); their
+exact values come from exact enumeration over types (method of types).
 
 A caution on the large-KL refinement of the Pinsker bound: the inequality
 tau^2 + exp(-K) <= Delta^2 as commonly printed silently assumes unit weight
@@ -21,6 +22,7 @@ only asserted under the weight-mass condition making its proof sound
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -28,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import Distribution, IntegrationConfig, WeightFunction, integrate
+from .core import IntegrationConfig, integrate
 from .divergence import (
     HypothesisProblem,
     bhattacharyya_coeff,
@@ -56,13 +58,12 @@ __all__ = [
     "error_bound_report",
     "NfoldBounds",
     "nfold_error_bounds",
-    "product_problem_explicit",
     "stein_sanov_limit",
     "stein_sanov_empirical",
 ]
 
-_PRODUCT_SPACE_CAP = 10_000_000
 _COMPOSITION_CAP = 1_000_000
+_TYPE_CELL_CAP = 10_000_000
 _EXACT_M_CAP = 6
 _EXACT_N_CAP = 200
 
@@ -228,25 +229,34 @@ def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
 # n-fold products
 # ---------------------------------------------------------------------------
 
-def product_problem_explicit(pp: ProductProblem) -> HypothesisProblem:
-    """Materialize the n-fold product problem over the m^n product alphabet."""
-    base = pp.base
-    if base.support.kind != "finite":
-        raise DomainMismatchError("explicit products need a finite base alphabet")
-    m = base.support.m
-    if m ** pp.n > _PRODUCT_SPACE_CAP:
-        raise EnumerationTooLargeError(
-            f"product space {m}^{pp.n} exceeds {_PRODUCT_SPACE_CAP}")
-    p, q, w = base.tables()
-    pn, qn, wn = p.copy(), q.copy(), w.copy()
-    for _ in range(pp.n - 1):
-        pn = np.kron(pn, p)
-        qn = np.kron(qn, q)
-        wn = np.kron(wn, w)
-    pn = pn / pn.sum()
-    qn = qn / qn.sum()
-    return HypothesisProblem(Distribution.from_pmf(pn), Distribution.from_pmf(qn),
-                             WeightFunction.table(wn))
+def _types(n: int, m: int) -> tuple:
+    """The (C, m) float table of the types (counts k >= 0, sum k = n) in
+    lexicographic order, C = comb(n+m-1, m-1), and ln n! - sum ln k_i! per type.
+    Stars and bars: m-1 bars take m-1 of n+m-1 slots; the gaps are the counts."""
+    size = math.comb(n + m - 1, m - 1)
+    if size > _COMPOSITION_CAP or size * m > _TYPE_CELL_CAP:
+        raise EnumerationTooLargeError("too many symbol-count compositions")
+    if m == 1:
+        counts = np.full((1, 1), float(n))
+    else:
+        bars = np.full((size, m + 1), n + m - 1, dtype=np.intp)
+        bars[:, 0] = -1
+        bars[:, 1:m] = np.fromiter(itertools.combinations(range(n + m - 1), m - 1),
+                                   dtype=np.dtype((np.intp, m - 1)), count=size)
+        counts = (np.diff(bars, axis=1) - 1).astype(float)
+    return counts, gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+
+
+def _count_loglik(counts: np.ndarray, log_coef: np.ndarray, masses) -> np.ndarray:
+    """ln(multinom(k) prod masses^k) per row k; a count on a zero-mass letter
+    gives -inf, and 0 * ln 0 is masked to 0."""
+    with np.errstate(divide="ignore"):
+        lm = np.log(masses)
+    dead = ~np.isfinite(lm)
+    ll = log_coef + counts @ np.where(dead, 0.0, lm)
+    if np.any(dead):
+        ll = np.where(counts[:, dead].sum(axis=1) > 0, -np.inf, ll)
+    return ll
 
 
 @dataclass(frozen=True)
@@ -262,8 +272,8 @@ class NfoldBounds:
     upper_eta: Optional[float]   # exp(-n eta^2), only when Delta <= 1
     asymptotic_lower: float      # (1-eps)/(2 Delta) exp(-n E_p^{n-1} K)
     asymptotic_eps: float
-    exact_inf: Optional[float]   # Delta_n - tau_n on the explicit product
-    exact_error: str = ""
+    exact_inf: Optional[float]   # Delta_n - tau_n, summed over the types
+    exact_error: str = ""        # "too-many-types" when exact_inf is None
 
 
 def nfold_error_bounds(pp: ProductProblem, cfg: IntegrationConfig,
@@ -271,6 +281,8 @@ def nfold_error_bounds(pp: ProductProblem, cfg: IntegrationConfig,
     """Finite-n sandwich bounds on the minimal combined n-fold error-loss."""
     base = pp.base
     n = pp.n
+    if base.support.kind != "finite":
+        raise DomainMismatchError("n-fold bounds need a finite base alphabet")
     ep = weight_mass(base.p, base.wf, cfg)
     eq = weight_mass(base.q, base.wf, cfg)
     dl = 0.5 * (ep + eq)
@@ -289,13 +301,18 @@ def nfold_error_bounds(pp: ProductProblem, cfg: IntegrationConfig,
     else:
         asym = 0.0
 
-    exact = None
-    err = ""
+    # Delta_n - tau_n = sum over types k of min(A_k, B_k), A_k = multinom(k)
+    # prod (phi p / sum p)^k (as the product pmf is normalised); summing the
+    # minimum avoids the cancellation in Delta_n - tau_n
+    p, q, w = base.tables()
     try:
-        full = product_problem_explicit(pp)
-        exact = min_total_error(full, cfg)
+        counts, log_coef = _types(n, base.support.m)
     except EnumerationTooLargeError:
-        err = "product-too-large"
+        exact, err = None, "too-many-types"
+    else:
+        ll_p = _count_loglik(counts, log_coef, w * p / p.sum())
+        ll_q = _count_loglik(counts, log_coef, w * q / q.sum())
+        exact, err = float(np.exp(np.minimum(ll_p, ll_q)).sum()), ""
 
     return NfoldBounds(n=n, ep=ep, eq=eq, rho=rho, kl=kv, lower=lower,
                        upper=upper, upper_sq=upper_sq, upper_eta=upper_eta,
@@ -352,20 +369,6 @@ def stein_sanov_limit(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     return math.log(ep) - kv / ep
 
 
-def _compositions(n: int, m: int):
-    """Yield all count vectors k >= 0 with sum k = n (stars and bars)."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
-def _composition_count(n: int, m: int) -> int:
-    return math.comb(n + m - 1, m - 1)
-
-
 @dataclass(frozen=True)
 class SteinSanovEstimate:
     n: int
@@ -376,20 +379,22 @@ class SteinSanovEstimate:
     method: str
 
 
-def stein_sanov_empirical(pp: ProductProblem, eta: float, method: str,
+def stein_sanov_empirical(pp: ProductProblem, etas, method: str,
                           cfg: IntegrationConfig, mc_samples: int = 200_000,
-                          mc_seed: int = 0) -> SteinSanovEstimate:
-    """Achieved exponent of the window rule D_n = 1 - 1{ |z_bar - K/E| <= eta }.
+                          mc_seed: int = 0) -> tuple:
+    """Achieved exponent of the window rule D_n = 1 - 1{ |z_bar - K/E| <= eta }
+    for each eta in ``etas``; one estimate per eta, in order.
 
     The weighted type-II loss of the rule equals
     E_phi(p)^n E_{pi^n}[ 1_window exp(-sum z_i) ]; the exact branch sums it by
     multinomial enumeration over symbol counts, the Monte Carlo branch samples
-    from the tilted pmf.  The attained type-I level is reported relative to
-    E_phi(p)^n.
+    from the tilted pmf.  One enumeration or one draw serves every eta, and
+    each estimate equals the one a call with that eta alone returns.  The
+    attained type-I level is reported relative to E_phi(p)^n.
     """
     base = pp.base
     n = pp.n
-    if eta <= 0:
+    if any(eta <= 0 for eta in etas):
         raise IllegalParameterError("eta must be > 0")
     if base.support.kind != "finite":
         raise DomainMismatchError("empirical rate implemented for finite alphabets")
@@ -398,54 +403,41 @@ def stein_sanov_empirical(pp: ProductProblem, eta: float, method: str,
     target = tp.mean_pi  # = K(p||q)/E_phi(p)
     z = tp.z
     m = base.support.m
-    p, q, w = base.tables()
+    _, q, w = base.tables()
 
     if method == "exact":
         if m > _EXACT_M_CAP or n > _EXACT_N_CAP:
             raise EnumerationTooLargeError(
                 f"exact enumeration capped at m <= {_EXACT_M_CAP}, n <= {_EXACT_N_CAP}")
-        if _composition_count(n, m) > _COMPOSITION_CAP:
-            raise EnumerationTooLargeError("too many symbol-count compositions")
-        counts = np.array(list(_compositions(n, m)), dtype=float)
+        counts, log_coef = _types(n, m)
         zbar = counts @ z / n
-        inside = np.abs(zbar - target) <= eta
-        log_coef = gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
+        ll_q = _count_loglik(counts, log_coef, w * q)
+        ll_pi = _count_loglik(counts, log_coef, tp.pi)
+        empty, label = "empty LLN window; increase eta or n", "exact-enumeration"
 
-        def count_loglik(masses):
-            # counts on zero-mass symbols kill the term; 0 * (-inf) is masked
-            with np.errstate(divide="ignore"):
-                lm = np.log(masses)
-            dead = ~np.isfinite(lm)
-            ll = log_coef + counts @ np.where(dead, 0.0, lm)
-            if np.any(dead):
-                ll = np.where(counts[:, dead].sum(axis=1) > 0, -np.inf, ll)
-            return ll
-
-        ll_q = count_loglik(w * q)
-        ll_pi = count_loglik(tp.pi)
-        if not np.any(inside):
-            raise IllegalParameterError("empty LLN window; increase eta or n")
-        log_t2 = float(logsumexp(ll_q[inside]))
-        pi_window = float(np.exp(logsumexp(ll_pi[inside])))
-        rate = log_t2 / n
-        alpha_att = 1.0 - pi_window
-        return SteinSanovEstimate(n=n, eta=eta, rate_estimate=rate,
-                                  alpha_attained=alpha_att, limit=limit,
-                                  method="exact-enumeration")
-
-    if method == "mc":
+        def rate_alpha(inside):
+            return (float(logsumexp(ll_q[inside])) / n,
+                    1.0 - float(np.exp(logsumexp(ll_pi[inside]))))
+    elif method == "mc":
         rng = np.random.default_rng(np.random.SeedSequence(mc_seed))
-        counts = rng.multinomial(n, tp.pi, size=mc_samples).astype(float)
-        zsum = counts @ z
-        inside = np.abs(zsum / n - target) <= eta
-        if not np.any(inside):
-            raise IllegalParameterError("no Monte Carlo mass in the LLN window")
-        # E_{pi^n}[1_window e^{-sum z}] in log space
-        log_mean = float(logsumexp(-zsum[inside])) - math.log(mc_samples)
-        rate = math.log(tp.ep) + log_mean / n
-        alpha_att = 1.0 - float(np.mean(inside))
-        return SteinSanovEstimate(n=n, eta=eta, rate_estimate=rate,
-                                  alpha_attained=alpha_att, limit=limit,
-                                  method="monte-carlo")
+        zsum = rng.multinomial(n, tp.pi, size=mc_samples).astype(float) @ z
+        zbar = zsum / n
+        empty, label = "no Monte Carlo mass in the LLN window", "monte-carlo"
 
-    raise IllegalParameterError(f"unknown method {method!r}")
+        def rate_alpha(inside):
+            # E_{pi^n}[1_window e^{-sum z}] in log space
+            log_mean = float(logsumexp(-zsum[inside])) - math.log(mc_samples)
+            return math.log(tp.ep) + log_mean / n, 1.0 - float(np.mean(inside))
+    else:
+        raise IllegalParameterError(f"unknown method {method!r}")
+
+    estimates = []
+    for eta in etas:
+        inside = np.abs(zbar - target) <= eta
+        if not np.any(inside):
+            raise IllegalParameterError(empty)
+        rate, alpha_att = rate_alpha(inside)
+        estimates.append(SteinSanovEstimate(n=n, eta=eta, rate_estimate=rate,
+                                            alpha_attained=alpha_att, limit=limit,
+                                            method=label))
+    return tuple(estimates)

@@ -141,7 +141,7 @@ def test_criterion_05_type2_exponent():
         limit = stein_sanov_limit(prob, CFG)
         gaps = []
         for n in (25, 50, 100, 200):
-            est = stein_sanov_empirical(ProductProblem(prob, n), eta, "exact", CFG)
+            est, = stein_sanov_empirical(ProductProblem(prob, n), (eta,), "exact", CFG)
             gaps.append(abs(est.rate_estimate - limit))
         assert gaps[-1] <= eta + 0.05, (i, gaps)
         worst200 = max(worst200, gaps[-1])

@@ -231,6 +231,17 @@ class TestSubprocessContracts:
         r = run_cli(["steinsanov", "--spec", "SPEC"], spec=spec, tmp_path=tmp_path)
         assert r.returncode == 2
 
+    def test_steinsanov_empty_window_exit_two(self, tmp_path):
+        # eta = 0.02 holds no type at n = 10; at n = 300 exact enumeration is
+        # refused, and the eta-major sweep meets that refusal first
+        spec = spec_binary(["stein-sanov-limit"])
+        for n_list, message in (("10", "empty LLN window; increase eta or n"),
+                                ("10,300", "exact enumeration capped at m <= 6, n <= 200")):
+            r = run_cli(["steinsanov", "--spec", "SPEC", "--n-list", n_list, "--eta-sweep"],
+                        spec=spec, tmp_path=tmp_path)
+            assert r.returncode == 2
+            assert r.stdout == "" and r.stderr == f"error: {message}\n"
+
     def test_cramer_rao_smoke(self):
         r = run_cli(["cramer-rao", "--family", "gaussian-shift", "--phi-gamma",
                      "0.5", "--estimator", "mean", "--n", "5", "--trials",
@@ -260,6 +271,8 @@ class TestSubprocessContracts:
         assert r.returncode == 2
         assert "bias derivative" in r.stderr
         assert "Traceback" not in r.stderr
+        # the rows computed before the refusal are still reported
+        assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
 
 
 def spec_gamma_pair_all_quantities():
@@ -355,3 +368,38 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
         r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_steinsanov_sweep_one_enumeration_or_draw_per_n(self, tmp_path, monkeypatch,
+                                                            method):
+        """An eta sweep enumerates the types (exact) or draws the multinomial
+        sample (mc) once per n, and each row equals the single-eta run bit for bit."""
+        import winfer.cli
+        from winfer import testing
+        calls = []
+        real_types, real_rng = testing._types, np.random.default_rng
+
+        def types(*args):
+            calls.append("types")
+            return real_types(*args)
+
+        def rng(*args):
+            calls.append("rng")
+            return real_rng(*args)
+        monkeypatch.setattr(testing, "_types", types)
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_binary(["stein-sanov-limit"])))
+        base = ["steinsanov", "--spec", str(spec), "--n-list", "50,100,200",
+                "--method", method, "--mc-samples", "20000"]
+
+        def rows(extra):
+            out = tmp_path / "out.csv"
+            assert winfer.cli.main(base + extra + ["--out", str(out)]) == 0
+            return out.read_text().splitlines()[1:]
+        sweep = rows(["--eta-sweep"])
+        assert calls == ["types" if method == "exact" else "rng"] * 3
+        single = [row for eta in ("0.2", "0.1", "0.05", "0.02") for row in rows(["--eta", eta])]
+        assert [row.split(",", 1)[1] for row in sweep] == single
+        assert [row.split(",", 1)[0] for row in sweep] == \
+            [eta for eta in ("0.2", "0.1", "0.05", "0.02") for _ in range(3)]

@@ -434,8 +434,8 @@ class TestWeightMassMemo:
         def mass(expo):
             return integrate(lambda x: wf(x) * d.density(x) ** expo, d.support, CFG,
                              dists=(d,), wf=wf)[0]
-        a, b = 0.4, 1.0  # renyi_entropy is the extended entropy at beta = 1
-        assert got == mass(1.0) / (1.0 - a) * math.log(mass(a + b - 1.0) / mass(b))
+        a = 0.4  # the direct formula E_phi(p)/(1-a) ln(E_phi(p^a)/E_phi(p))
+        assert got == mass(1.0) / (1.0 - a) * math.log(mass(a) / mass(1.0))
 
 
 class TestProblemMemo:

@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from winfer import testing
 from winfer.core import Distribution, IntegrationConfig, WeightFunction
 from winfer.divergence import HypothesisProblem, kl, weight_mass
-from winfer.errors import EnumerationTooLargeError, InfiniteKLError
+from winfer.errors import DomainMismatchError, EnumerationTooLargeError, InfiniteKLError
 from winfer.randinst import random_finite_problem, random_interior_finite_problem
 from winfer.testing import (
     DecisionRule,
@@ -18,12 +20,77 @@ from winfer.testing import (
     min_total_error,
     nfold_error_bounds,
     optimal_rule,
-    product_problem_explicit,
     stein_sanov_empirical,
     stein_sanov_limit,
 )
 
 CFG = IntegrationConfig()
+
+
+# ---------------------------------------------------------------------------
+# oracles for the enumeration over types
+# ---------------------------------------------------------------------------
+
+def compositions(n, m):
+    """All count vectors k >= 0 with sum k = n, recursively, in lexicographic order."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, m - 1):
+            yield (first,) + rest
+
+
+def product_problem_explicit(pp):
+    """The n-fold product problem over the m^n product alphabet (Kronecker tables)."""
+    p, q, w = pp.base.tables()
+    pn, qn, wn = p.copy(), q.copy(), w.copy()
+    for _ in range(pp.n - 1):
+        pn = np.kron(pn, p)
+        qn = np.kron(qn, q)
+        wn = np.kron(wn, w)
+    return HypothesisProblem(Distribution.from_pmf(pn / pn.sum()),
+                             Distribution.from_pmf(qn / qn.sum()),
+                             WeightFunction.table(wn))
+
+
+def mp_exact_inf(prob, n, dps=40):
+    """sum over types of min(A_k, B_k) in mpmath at ``dps`` digits."""
+    p, q, w = prob.tables()
+    with mpmath.workdps(dps):
+        sp = mpmath.fsum(mpmath.mpf(float(v)) for v in p)
+        sq = mpmath.fsum(mpmath.mpf(float(v)) for v in q)
+        a_letter = [mpmath.mpf(float(wi)) * mpmath.mpf(float(pi)) / sp for wi, pi in zip(w, p)]
+        b_letter = [mpmath.mpf(float(wi)) * mpmath.mpf(float(qi)) / sq for wi, qi in zip(w, q)]
+        total = mpmath.mpf(0)
+        for k in compositions(n, len(p)):
+            coef = mpmath.factorial(n)
+            a = b = mpmath.mpf(1)
+            for ki, al, bl in zip(k, a_letter, b_letter):
+                coef /= mpmath.factorial(ki)
+                a *= al ** ki
+                b *= bl ** ki
+            total += coef * min(a, b)
+        return total
+
+
+class TestTypes:
+    @pytest.mark.parametrize("n, m", [(0, 1), (5, 1), (0, 2), (0, 4), (1, 3), (7, 2),
+                                      (13, 3), (30, 4), (200, 3), (10, 6)])
+    def test_matches_the_recursion_row_for_row(self, n, m):
+        counts, log_coef = testing._types(n, m)
+        want = np.array(list(compositions(n, m)), dtype=float).reshape(-1, m)
+        assert counts.shape == (math.comb(n + m - 1, m - 1), m)
+        assert np.array_equal(counts, want)
+        log_sizes = [math.log(math.factorial(n) // math.prod(math.factorial(int(v)) for v in k))
+                     for k in want]
+        assert log_coef == pytest.approx(log_sizes, rel=1e-13, abs=1e-13)
+
+    def test_zero_mass_letter(self):
+        counts, log_coef = testing._types(3, 2)
+        ll = testing._count_loglik(counts, log_coef, np.array([0.5, 0.0]))
+        assert np.all(ll[:-1] == -np.inf)
+        assert ll[-1] == pytest.approx(3 * math.log(0.5))
 
 
 def binary_problem():
@@ -188,13 +255,71 @@ class TestNfoldBounds:
         assert checked > 0
 
     def test_product_cap(self):
+        # types, not sequences, are enumerated: 10^12 sequences are 293,930 types
         prob = HypothesisProblem(Distribution.from_pmf(np.full(10, 0.1)),
                                  Distribution.from_pmf(np.full(10, 0.1)),
                                  WeightFunction.constant(1.0))
-        with pytest.raises(EnumerationTooLargeError):
-            product_problem_explicit(ProductProblem(prob, 12))
         b = nfold_error_bounds(ProductProblem(prob, 12), CFG)
-        assert b.exact_inf is None and b.exact_error == "product-too-large"
+        assert b.exact_error == ""
+        assert b.exact_inf == pytest.approx(1.0, rel=1e-12)  # p == q
+        b = nfold_error_bounds(ProductProblem(prob, 40), CFG)
+        assert b.exact_inf is None and b.exact_error == "too-many-types"
+        # the (types, m) count table is capped too: 4000 types of 4000 letters
+        wide = HypothesisProblem(Distribution.from_pmf(np.full(4000, 1 / 4000)),
+                                 Distribution.from_pmf(np.full(4000, 1 / 4000)),
+                                 WeightFunction.constant(1.0))
+        b = nfold_error_bounds(ProductProblem(wide, 1), CFG)
+        assert b.exact_inf is None and b.exact_error == "too-many-types"
+
+    def test_types_equal_the_kronecker_oracle(self):
+        rng = np.random.default_rng(606)
+        problems = [random_finite_problem(rng, int(rng.integers(2, 5))) for _ in range(12)]
+        problems.append(HypothesisProblem(Distribution.from_pmf([0.5, 0.0, 0.5]),
+                                          Distribution.from_pmf([0.2, 0.3, 0.5]),
+                                          WeightFunction.table([1.5, 2.0, 0.7])))
+        problems.append(HypothesisProblem(Distribution.from_pmf([0.3, 0.3, 0.4]),
+                                          Distribution.from_pmf([0.5, 0.1, 0.4]),
+                                          WeightFunction.table([1.5, 0.0, 0.7])))
+        checked = 0
+        for prob in problems:
+            m = prob.support.m
+            for n in range(1, 10):
+                if m ** n > 10_000:
+                    break
+                pp = ProductProblem(prob, n)
+                full = product_problem_explicit(pp)
+                pn, qn, wn = full.tables()
+                got = nfold_error_bounds(pp, CFG).exact_inf
+                assert got == pytest.approx(np.minimum(wn * pn, wn * qn).sum(), rel=1e-12)
+                # Delta_n - tau_n on the Kronecker tables loses digits to cancellation
+                assert got == pytest.approx(min_total_error(full, CFG), rel=1e-9)
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("m, n", [(2, 400), (3, 60)])
+    def test_types_equal_mpmath_beyond_kronecker(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        p = rng.dirichlet(np.ones(m))
+        q = 0.9 * p + 0.1 * rng.dirichlet(np.ones(m))
+        w = np.exp(rng.uniform(-0.1, 0.1, m))
+        prob = HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
+                                 WeightFunction.table(w))
+        got = nfold_error_bounds(ProductProblem(prob, n), CFG).exact_inf
+        want = mp_exact_inf(prob, n)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_sandwich_at_m3_n200(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            b = nfold_error_bounds(ProductProblem(random_finite_problem(rng, 3), 200), CFG)
+            assert b.exact_inf is not None
+            assert b.lower <= b.exact_inf <= b.upper
+
+    def test_non_finite_base_is_refused(self):
+        prob = HypothesisProblem(Distribution.exponential(1.0), Distribution.exponential(2.0),
+                                 WeightFunction.constant(1.0))
+        with pytest.raises(DomainMismatchError):
+            nfold_error_bounds(ProductProblem(prob, 3), CFG)
 
     def test_product_tables_are_consistent(self):
         prob = binary_problem()
@@ -260,7 +385,7 @@ class TestSteinSanov:
     def test_identical_rate_is_log_mass_exactly(self):
         p = Distribution.from_pmf([0.5, 0.5])
         prob = HypothesisProblem(p, p, WeightFunction.table([2.0, 1.0]))
-        est = stein_sanov_empirical(ProductProblem(prob, 60), 0.05, "exact", CFG)
+        est, = stein_sanov_empirical(ProductProblem(prob, 60), (0.05,), "exact", CFG)
         assert est.rate_estimate == pytest.approx(math.log(1.5), abs=1e-12)
         assert est.alpha_attained == pytest.approx(0.0, abs=1e-12)
 
@@ -268,20 +393,20 @@ class TestSteinSanov:
         prob = HypothesisProblem(Distribution.from_pmf([0.5, 0.5]),
                                  Distribution.from_pmf([0.25, 0.75]),
                                  WeightFunction.constant(1.0))
-        est = stein_sanov_empirical(ProductProblem(prob, 100), 0.05, "exact", CFG)
+        est, = stein_sanov_empirical(ProductProblem(prob, 100), (0.05,), "exact", CFG)
         assert abs(est.rate_estimate - est.limit) <= 0.05 + 0.05
 
     def test_binary_weighted_rate_near_limit(self):
         prob = binary_problem()
-        est = stein_sanov_empirical(ProductProblem(prob, 100), 0.05, "exact", CFG)
+        est, = stein_sanov_empirical(ProductProblem(prob, 100), (0.05,), "exact", CFG)
         assert est.limit == pytest.approx(stein_sanov_limit(prob, CFG), abs=1e-12)
         assert abs(est.rate_estimate - est.limit) <= 0.05 + 0.05
 
     def test_monte_carlo_tracks_exact(self):
         prob = binary_problem()
         pp = ProductProblem(prob, 80)
-        exact = stein_sanov_empirical(pp, 0.1, "exact", CFG)
-        mc = stein_sanov_empirical(pp, 0.1, "mc", CFG, mc_samples=150_000, mc_seed=5)
+        exact, = stein_sanov_empirical(pp, (0.1,), "exact", CFG)
+        mc, = stein_sanov_empirical(pp, (0.1,), "mc", CFG, mc_samples=150_000, mc_seed=5)
         assert mc.rate_estimate == pytest.approx(exact.rate_estimate, abs=5e-3)
         assert mc.alpha_attained == pytest.approx(exact.alpha_attained, abs=5e-3)
 
@@ -290,16 +415,16 @@ class TestSteinSanov:
         prob = HypothesisProblem(Distribution.from_pmf([0.4, 0.3, 0.3]),
                                  Distribution.from_pmf([0.3, 0.4, 0.3]),
                                  WeightFunction.table([1.0, 2.0, 0.0]))
-        est = stein_sanov_empirical(ProductProblem(prob, 40), 0.1, "exact", CFG)
+        est, = stein_sanov_empirical(ProductProblem(prob, 40), (0.1,), "exact", CFG)
         assert math.isfinite(est.rate_estimate)
-        mc = stein_sanov_empirical(ProductProblem(prob, 40), 0.1, "mc", CFG,
-                                   mc_samples=120_000, mc_seed=8)
+        mc, = stein_sanov_empirical(ProductProblem(prob, 40), (0.1,), "mc", CFG,
+                                    mc_samples=120_000, mc_seed=8)
         assert mc.rate_estimate == pytest.approx(est.rate_estimate, abs=1e-2)
 
     def test_enumeration_caps(self):
         prob = random_interior_finite_problem(np.random.default_rng(0), 3)
         with pytest.raises(EnumerationTooLargeError):
-            stein_sanov_empirical(ProductProblem(prob, 300), 0.05, "exact", CFG)
+            stein_sanov_empirical(ProductProblem(prob, 300), (0.05,), "exact", CFG)
         big = random_interior_finite_problem(np.random.default_rng(0), 7)
         with pytest.raises(EnumerationTooLargeError):
-            stein_sanov_empirical(ProductProblem(big, 50), 0.05, "exact", CFG)
+            stein_sanov_empirical(ProductProblem(big, 50), (0.05,), "exact", CFG)
