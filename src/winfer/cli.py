@@ -544,10 +544,9 @@ def cmd_cramer_rao(args) -> int:
                          "passed_3sigma": rb.holds_3sigma, "details": rb.details})
         if args.van_trees:
             prior = PriorSpec(kind="gaussian", mean=args.theta, var=args.prior_var)
-            for version in ("A", "C"):
-                vt = van_trees(model, wf, args.n, est, prior, version, cfg,
-                               trials=max(args.trials // 5, 20_000), seed=args.seed + 2)
-                rows.append({"version": f"van-trees-{version}", "lhs": vt.lhs,
+            for vt in van_trees(model, wf, args.n, est, prior, ("A", "C"), cfg,
+                                trials=max(args.trials // 5, 20_000), seed=args.seed + 2):
+                rows.append({"version": f"van-trees-{vt.version}", "lhs": vt.lhs,
                              "lhs_stderr": vt.lhs_stderr, "rhs": vt.rhs,
                              "passed_3sigma": vt.holds_3sigma, "details": vt.details})
     except WinferError as exc:
@@ -581,6 +580,17 @@ def _int_list(text: str) -> list:
         return [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected comma-separated integers") from exc
+
+
+def _checked(kind, ok, what: str):
+    """argparse type: ``kind(text)``, refused unless ``ok`` holds."""
+    def parse(text: str):
+        v = kind(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return v
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -625,13 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--phi-gamma", dest="gamma", type=float, default=0.5)
     r.add_argument("--estimator", choices=("mean", "shifted-mean", "scale-abs-mean"),
                    default="mean")
-    r.add_argument("--n", type=int, default=5)
-    r.add_argument("--trials", type=int, default=1_000_000)
+    r.add_argument("--n", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
+    r.add_argument("--trials", type=_checked(int, lambda v: v >= 2, ">= 2"),
+                   default=1_000_000)
     r.add_argument("--theta", type=float, default=0.0)
     r.add_argument("--sigma", type=float, default=1.0)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--van-trees", action="store_true")
-    r.add_argument("--prior-var", type=float, default=1.0)
+    r.add_argument("--prior-var", default=1.0,
+                   type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"))
     r.add_argument("--out")
     r.add_argument("--reproducible", action="store_true")
     r.set_defaults(fn=cmd_cramer_rao)

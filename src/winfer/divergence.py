@@ -35,6 +35,7 @@ from .errors import (
     AlphabetTooLargeError,
     DomainMismatchError,
     IllegalParameterError,
+    NonConvergentIntegralError,
     ZeroWeightMassError,
 )
 
@@ -71,8 +72,9 @@ class HypothesisProblem:
     vector supports the Gauss-Hermite mesh of each level.  It lives exactly as
     long as this instance: equal problems built separately do not share it,
     and nothing carries over from one report to the next.  Finite supports
-    store nothing (the exact sums are cheaper than a lookup), and neither do
-    failures, so an error is raised again on every call.
+    store nothing (the exact sums are cheaper than a lookup).  A
+    ``NonConvergentIntegralError`` is stored too and raised again on every
+    later call, without integrating again.
     """
 
     p: Distribution
@@ -124,16 +126,28 @@ def _method_for(support: Support) -> str:
     return "quadrature"
 
 
+def _memo(store: dict, key, compute):
+    """``store[key]``, computed once.  A ``NonConvergentIntegralError`` is
+    stored as well and raised again on every later lookup."""
+    if key not in store:
+        try:
+            store[key] = compute()
+        except NonConvergentIntegralError as exc:
+            store[key] = exc
+            raise
+    val = store[key]
+    if isinstance(val, NonConvergentIntegralError):
+        raise val.with_traceback(None)
+    return val
+
+
 def _per_problem(fn):
     """Memoize ``fn(prob, [alpha,] cfg)`` in ``prob.memo`` on infinite supports."""
     @functools.wraps(fn)
     def memoized(prob: HypothesisProblem, *args):
         if prob.support.kind == "finite":
             return fn(prob, *args)
-        key = (fn.__name__, *args)
-        if key not in prob.memo:
-            prob.memo[key] = fn(prob, *args)
-        return prob.memo[key]
+        return _memo(prob.memo, (fn.__name__, *args), lambda: fn(prob, *args))
     return memoized
 
 
@@ -232,17 +246,14 @@ def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) 
     long as that Distribution instance: equal distributions built separately
     do not share it, and nothing carries over from one report to the next.
     Finite supports are not memoized (the exact sum is cheaper than hashing a
-    long weight table), and neither are failures, so a
-    ``NonConvergentIntegralError`` is raised again on every call.
+    long weight table).  A ``NonConvergentIntegralError`` is stored too and
+    raised again on every later call, without integrating again.
     """
     sup = dist.support
     if sup.kind == "finite":
         return float(np.sum(wf.table_on(sup) * dist.finite.pmf))
-    key = (wf, cfg)
-    val = dist.weight_masses.get(key)
-    if val is None:
-        val = dist.weight_masses[key] = _single_integral(dist, wf, lambda p, w: w * p, cfg)
-    return val
+    return _memo(dist.weight_masses, (wf, cfg),
+                 lambda: _single_integral(dist, wf, lambda p, w: w * p, cfg))
 
 
 # ---------------------------------------------------------------------------

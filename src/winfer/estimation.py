@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +65,18 @@ __all__ = [
 ]
 
 _MC_CHUNK = 250_000
+
+
+def _is_scalar_exponential(wf: WeightFunction) -> bool:
+    """phi(x) = e^{gamma x} with scalar gamma: log prod_i phi(x_i) = gamma * sum_i x_i."""
+    return wf.kind == "exponential" and np.ndim(wf.gamma) == 0
+
+
+def _check_sample_sizes(n: int, trials: int) -> None:
+    if n < 1:
+        raise IllegalParameterError("n must be >= 1")
+    if trials < 2:
+        raise IllegalParameterError("trials must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,13 @@ def poisson_log_mean_model() -> ParametricModel:
 class EstimatorSpec:
     """Estimator over n-tuples with optional analytic weighted-bias data.
 
+    ``fn`` maps a (T, n) block of samples to the T estimates.  ``of_sum``,
+    when given, computes the same estimates from the row sums
+    S = sum_i x_i and n, bit for bit equal to ``fn``: the Monte Carlo loops
+    then sum each row once, and the van Trees lhs on the Gaussian shift
+    family with a scalar exponential weight, whose log product weight is
+    gamma * S, runs on S alone.
+
     ``bias``/``bias_prime`` refer to the plain-weight decomposition
     W = E(theta)^n theta + b(theta); ``c``/``c_prime`` to the square-root
     weight decomposition Z = s(theta)^n theta + c(theta).  Each callable takes
@@ -170,6 +189,15 @@ class EstimatorSpec:
     bias_prime: Optional[Callable] = None
     c: Optional[Callable] = None
     c_prime: Optional[Callable] = None
+    of_sum: Optional[Callable] = None       # (S, n) row sums -> (T,) estimates
+
+
+def _sample_mean(xs):
+    return xs.mean(axis=1)
+
+
+def _sum_over_n(s, n):
+    return s / n  # == xs.mean(axis=1): numpy's mean is the sum divided by n
 
 
 def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
@@ -178,10 +206,9 @@ def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
     one (unbiased: every bias term is 0)."""
     if model.name == "gaussian-shift" and wf.kind == "constant":
         zero = lambda th, n: 0.0
-        return EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1), bias=zero,
-                             bias_prime=zero, c=zero, c_prime=zero)
-    if model.name == "gaussian-shift" and wf.kind == "exponential" \
-            and np.ndim(wf.gamma) == 0:
+        return EstimatorSpec(name="mean", fn=_sample_mean, of_sum=_sum_over_n,
+                             bias=zero, bias_prime=zero, c=zero, c_prime=zero)
+    if model.name == "gaussian-shift" and _is_scalar_exponential(wf):
         g = float(wf.gamma)
         # sigma^2 backed out of the model's distribution at theta = 0
         s2 = model.make_distribution(0.0).params["sigma2"]
@@ -193,19 +220,18 @@ def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
             return math.exp(n * (th * g / 2.0 + s2 * g * g / 8.0))
 
         return EstimatorSpec(
-            name="mean", fn=lambda xs: xs.mean(axis=1),
+            name="mean", fn=_sample_mean, of_sum=_sum_over_n,
             bias=lambda th, n: g * s2 * _mass(th, n),
             bias_prime=lambda th, n: n * g * g * s2 * _mass(th, n),
             c=lambda th, n: 0.5 * s2 * g * _smass(th, n),
             c_prime=lambda th, n: 0.25 * n * s2 * g * g * _smass(th, n))
-    return EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1))
+    return EstimatorSpec(name="mean", fn=_sample_mean, of_sum=_sum_over_n)
 
 
 def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
     """Sample mean minus sigma^2 gamma: zero weighted bias under the Gaussian
     shift family with the exponential weight."""
-    if model.name != "gaussian-shift" or wf.kind != "exponential" \
-            or np.ndim(wf.gamma) != 0:
+    if model.name != "gaussian-shift" or not _is_scalar_exponential(wf):
         raise IllegalParameterError(
             "shifted mean is specific to the Gaussian shift family with e^{gamma x}")
     g = float(wf.gamma)
@@ -216,6 +242,7 @@ def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> Estima
 
     return EstimatorSpec(
         name="shifted-mean", fn=lambda xs: xs.mean(axis=1) - s2 * g,
+        of_sum=lambda s, n: s / n - s2 * g,
         bias=lambda th, n: 0.0,
         bias_prime=lambda th, n: 0.0,
         c=lambda th, n: -0.5 * s2 * g * _smass(th, n),
@@ -320,8 +347,9 @@ def nfold_weighted_fisher(model: ParametricModel, wf: WeightFunction, theta,
 
 
 def check_regularity(model: ParametricModel, wf: WeightFunction, theta,
-                     cfg: IntegrationConfig, tol: float = 1e-6) -> None:
-    """Abort (RegularityError) unless the interchange identities hold."""
+                     cfg: IntegrationConfig, tol: float = 1e-6) -> FisherAux:
+    """Abort (RegularityError) unless the interchange identities hold; return
+    the ``weighted_fisher_aux`` at theta that the check built."""
     aux = weighted_fisher_aux(model, wf, theta, cfg)
     scale = max(1.0, abs(aux.E))
     if aux.interchange_gap > tol * scale:
@@ -335,6 +363,7 @@ def check_regularity(model: ParametricModel, wf: WeightFunction, theta,
         total, _ = integrate(f, model.support, cfg, dists=(dist,), wf=None)
         if abs(total) > tol:
             raise RegularityError(f"int grad p = {total:.2e} != 0")
+    return aux
 
 
 # ---------------------------------------------------------------------------
@@ -402,42 +431,35 @@ def kl_expansion_check(model: ParametricModel, wf: WeightFunction, theta: float,
 # Monte Carlo weighted quadratic deviation
 # ---------------------------------------------------------------------------
 
-def _product_log_weight(wf: WeightFunction, xs: np.ndarray) -> np.ndarray:
-    """log prod_i phi(x_ij) along axis 1, stable for exponential weights."""
-    if wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-        return float(wf.gamma) * xs.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        return np.log(wf(xs)).sum(axis=1)
+def _weighted_values(wf: WeightFunction, est: EstimatorSpec, xs: np.ndarray,
+                     theta: float, deviation: bool = True) -> np.ndarray:
+    """Per row of the (T, n) block xs: phi^{(n)}(x) (theta*(x) - theta)^2, or
+    phi^{(n)}(x) theta*(x) with ``deviation=False``.
+
+    Each row is summed once, for the exponential weight (log phi^{(n)} =
+    gamma * sum, no phi evaluated) and for an estimator that declares
+    ``of_sum``.
+    """
+    exponential = _is_scalar_exponential(wf)
+    s = xs.sum(axis=1) if exponential or est.of_sum is not None else None
+    if exponential:
+        lw = float(wf.gamma) * s
+    else:
+        with np.errstate(divide="ignore"):
+            lw = np.log(wf(xs)).sum(axis=1)
+    estimate = est.fn(xs) if est.of_sum is None else est.of_sum(s, xs.shape[1])
+    return np.exp(lw) * ((estimate - theta) ** 2 if deviation else estimate)
 
 
-def _mc_weighted_deviation(model, wf, theta, n, est, trials, rng,
-                           power: float = 1.0):
-    """Mean and stderr of phi^{(n)}(X)^power * |theta*(X) - theta|^2."""
+def _mc_weighted(model, wf, theta, n, est, trials, rng, deviation: bool = True):
+    """Mean and stderr of phi^{(n)}(X) |theta*(X) - theta|^2, or with
+    ``deviation=False`` of phi^{(n)}(X) theta*(X), i.e. W(theta)."""
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
-        xs = model.sampler(rng, theta, (t, n))
-        lw = _product_log_weight(wf, xs) * power
-        v = np.exp(lw) * (est.fn(xs) - theta) ** 2
-        total += float(v.sum())
-        total_sq += float((v * v).sum())
-        done += t
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return mean, math.sqrt(var / trials)
-
-
-def _mc_weighted_mean_estimate(model, wf, theta, n, est, trials, rng):
-    """Monte Carlo W(theta) = E[phi^{(n)} theta*] with stderr."""
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        t = min(_MC_CHUNK, trials - done)
-        xs = model.sampler(rng, theta, (t, n))
-        v = np.exp(_product_log_weight(wf, xs)) * est.fn(xs)
+        v = _weighted_values(wf, est, model.sampler(rng, theta, (t, n)), theta, deviation)
         total += float(v.sum())
         total_sq += float((v * v).sum())
         done += t
@@ -453,7 +475,7 @@ def _bias_prime_mc(model, wf, theta, n, est, cfg, trials, seed) -> tuple:
     out = []
     for th in (theta + h, theta - h):
         rng = np.random.default_rng(np.random.SeedSequence(seed))  # CRN
-        w, se = _mc_weighted_mean_estimate(model, wf, th, n, est, trials, rng)
+        w, se = _mc_weighted(model, wf, th, n, est, trials, rng, deviation=False)
         e = _mean_weight(model, wf, th, cfg)
         out.append((w - e ** n * th, se))
     bp = (out[0][0] - out[1][0]) / (2 * h)
@@ -489,8 +511,8 @@ def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: in
     if model.d != 1:
         raise IllegalParameterError("deviation bounds implemented for scalar theta")
     model.check(theta)
-    check_regularity(model, wf, theta, cfg)
-    aux = weighted_fisher_aux(model, wf, theta, cfg)
+    _check_sample_sizes(n, trials)
+    aux = check_regularity(model, wf, theta, cfg)
     info = weighted_fisher(model, wf, theta, cfg)
     e, ep = aux.E, aux.scalar_grad_E
 
@@ -505,7 +527,7 @@ def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: in
     rhs_se = 2.0 * abs(e ** n + bp) * bp_se / denom
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lhs, lhs_se = _mc_weighted_deviation(model, wf, theta, n, est, trials, rng)
+    lhs, lhs_se = _mc_weighted(model, wf, theta, n, est, trials, rng)
     return CramerRaoResult(
         version="A", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
         rhs=rhs, rhs_stderr=rhs_se,
@@ -517,7 +539,7 @@ def _sqrt_weight_mass(model, wf, theta, cfg) -> float:
     dist = model.make_distribution(theta)
     f = lambda x: np.sqrt(wf(x)) * dist.density(x)
     half_wf = WeightFunction.exponential(wf.gamma / 2.0) \
-        if wf.kind == "exponential" and np.ndim(wf.gamma) == 0 else None
+        if _is_scalar_exponential(wf) else None
     val, _ = integrate(f, model.support, cfg, dists=(dist,), wf=half_wf)
     return val
 
@@ -530,6 +552,7 @@ def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: in
     if model.d != 1:
         raise IllegalParameterError("deviation bounds implemented for scalar theta")
     model.check(theta)
+    _check_sample_sizes(n, trials)
     check_regularity(model, wf, theta, cfg)
     one = WeightFunction.constant(1.0)
     info_plain = weighted_fisher(model, one, theta, cfg)
@@ -544,7 +567,7 @@ def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: in
 
     rhs = (s ** n + cp) ** 2 / (n * info_plain)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lhs, lhs_se = _mc_weighted_deviation(model, wf, theta, n, est, trials, rng)
+    lhs, lhs_se = _mc_weighted(model, wf, theta, n, est, trials, rng)
     return CramerRaoResult(
         version="B", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
         rhs=rhs, rhs_stderr=cp_se,
@@ -618,65 +641,95 @@ class VanTreesResult:
 
 
 def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
-              est: EstimatorSpec, prior: PriorSpec, version: str,
+              est: EstimatorSpec, prior: PriorSpec, versions: Sequence[str],
               cfg: IntegrationConfig, trials: int = 200_000, seed: int = 0,
-              level: int = 32) -> VanTreesResult:
-    """Prior-averaged weighted quadratic deviation against versions A/B/C.
+              level: int = 32) -> tuple:
+    """Prior-averaged weighted quadratic deviation against versions A/B/C:
+    one ``VanTreesResult`` per entry of ``versions``, all sharing one lhs.
 
     lhs integrates the per-theta Monte Carlo deviation over the prior with
     common random numbers across prior nodes; version C uses the weighted
-    Fisher information density of the prior.
+    Fisher information density of the prior.  Each node's
+    ``weighted_fisher_aux`` and ``weighted_fisher`` are computed once, for
+    versions A and C together, and the regularity check's aux serves its node.
     """
-    if version not in ("A", "B", "C"):
+    versions = tuple(versions)
+    if not versions or any(v not in ("A", "B", "C") for v in versions):
         raise IllegalParameterError("version must be A, B, or C")
     if model.d != 1:
         raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    if version == "A" and est.bias_prime is None:
+    if "A" in versions and est.bias_prime is None:
         raise IllegalParameterError(
             "van Trees version A needs the analytic weighted-bias derivative")
-    if version == "B" and est.c_prime is None:
+    if "B" in versions and est.c_prime is None:
         raise IllegalParameterError(
             "van Trees version B needs the analytic square-root-weight bias derivative")
+    _check_sample_sizes(n, trials)
     nodes, weights = prior.quadrature(level)
-    check_regularity(model, wf, float(nodes[len(nodes) // 2]), cfg)
+    mid = len(nodes) // 2
+    mid_aux = check_regularity(model, wf, float(nodes[mid]), cfg)
+    lhs, lhs_se = _prior_averaged_deviation(model, wf, n, est, nodes, weights,
+                                            trials, seed)
 
-    # common random numbers: one standard-normal block reused on every node
+    if "A" in versions or "C" in versions:
+        auxs = [mid_aux if k == mid else weighted_fisher_aux(model, wf, float(t), cfg)
+                for k, t in enumerate(nodes)]
+        infos = [weighted_fisher(model, wf, float(t), cfg) for t in nodes]
+    results = []
+    for version in versions:
+        details: dict = {}
+        if version == "A":
+            rhs = 0.0
+            for th, w, aux, info in zip(nodes, weights, auxs, infos):
+                rhs += w * _pointwise_rhs_A(aux, info, float(th), n, est)
+        elif version == "B":
+            rhs = 0.0
+            for th, w in zip(nodes, weights):
+                rhs += w * _pointwise_rhs_B(model, wf, float(th), n, est, cfg)
+        else:
+            e_pow = np.array([aux.E ** n for aux in auxs])
+            numer = float(np.sum(weights * e_pow)) ** 2
+            j_term = float(np.sum(weights * e_pow * prior.grad_log_pdf(nodes) ** 2))
+            tr_iw = np.array(infos)
+            grad_e = np.array([aux.scalar_grad_E for aux in auxs])
+            t_val = j_term + n * float(np.sum(weights * tr_iw)) \
+                + n * (n - 1) * float(np.sum(weights * grad_e ** 2))
+            rhs = numer / t_val
+            details = {"T": t_val, "prior_information": j_term}
+        results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
+                                      rhs=rhs, details=details))
+    return tuple(results)
+
+
+def _prior_averaged_deviation(model, wf, n, est, nodes, weights, trials, seed) -> tuple:
+    """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] and its stderr.
+
+    Common random numbers: one (trials, n) standard-normal block serves every
+    node.  On the Gaussian shift family with a scalar exponential weight and
+    an estimator of the sum, a node sees the block only through its row sums
+    S0, as S = n theta + sigma S0, so each node costs O(trials).
+    """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     zs = rng.standard_normal((trials, n))
+    on_sum = model.name == "gaussian-shift" and est.of_sum is not None \
+        and _is_scalar_exponential(wf)
+    if on_sum:
+        sigma = math.sqrt(model.make_distribution(0.0).params["sigma2"])
+        s0 = zs.sum(axis=1)
+        g = float(wf.gamma)
     lhs = 0.0
     lhs_se = 0.0
     for th, w in zip(nodes, weights):
-        xs = _shift_samples(model, float(th), zs, rng)
-        lw = _product_log_weight(wf, xs)
-        v = np.exp(lw) * (est.fn(xs) - float(th)) ** 2
-        m = float(v.mean())
+        th = float(th)
+        if on_sum:
+            s = n * th + sigma * s0
+            v = np.exp(g * s) * (est.of_sum(s, n) - th) ** 2
+        else:
+            v = _weighted_values(wf, est, _shift_samples(model, th, zs, rng), th)
         se = float(v.std(ddof=1) / math.sqrt(trials))
-        lhs += float(w) * m
+        lhs += float(w) * float(v.mean())
         lhs_se += float(w) * se  # CRN couples the nodes; sum is a safe upper bound
-
-    details: dict = {}
-    if version in ("A", "B"):
-        rhs = 0.0
-        for th, w in zip(nodes, weights):
-            if version == "A":
-                res = _pointwise_rhs_A(model, wf, float(th), n, est, cfg)
-            else:
-                res = _pointwise_rhs_B(model, wf, float(th), n, est, cfg)
-            rhs += w * res
-    else:
-        e_pow = np.array([_mean_weight(model, wf, float(t), cfg) ** n for t in nodes])
-        numer = float(np.sum(weights * e_pow)) ** 2
-        j_term = float(np.sum(weights * e_pow * prior.grad_log_pdf(nodes) ** 2))
-        tr_iw = np.array([weighted_fisher(model, wf, float(t), cfg) for t in nodes])
-        grad_e = np.array([weighted_fisher_aux(model, wf, float(t), cfg).scalar_grad_E
-                           for t in nodes])
-        t_val = j_term + n * float(np.sum(weights * tr_iw)) \
-            + n * (n - 1) * float(np.sum(weights * grad_e ** 2))
-        rhs = numer / t_val
-        details = {"T": t_val, "prior_information": j_term}
-
-    return VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
-                          rhs=rhs, details=details)
+    return lhs, lhs_se
 
 
 def _shift_samples(model, theta, zs, rng):
@@ -690,9 +743,7 @@ def _shift_samples(model, theta, zs, rng):
     return model.sampler(rng, theta, zs.shape)
 
 
-def _pointwise_rhs_A(model, wf, theta, n, est, cfg) -> float:
-    aux = weighted_fisher_aux(model, wf, theta, cfg)
-    info = weighted_fisher(model, wf, theta, cfg)
+def _pointwise_rhs_A(aux, info, theta, n, est) -> float:
     bp = est.bias_prime(theta, n)
     denom = n * info * aux.E ** (n - 1) \
         + n * (n - 1) * aux.scalar_grad_E ** 2 * aux.E ** (n - 2)

@@ -282,15 +282,15 @@ def test_criterion_10_van_trees():
     one = WeightFunction.constant(1.0)
     n, tau2 = 10, 0.5
     prior = PriorSpec(kind="gaussian", mean=0.0, var=tau2)
-    vt = van_trees(model, one, n, mean_estimator(model, one), prior, "C", CFG,
-                   trials=50_000, seed=1001)
+    (vt,) = van_trees(model, one, n, mean_estimator(model, one), prior, ("C",), CFG,
+                       trials=50_000, seed=1001)
     classic = 1.0 / (n + 1.0 / tau2)
     assert vt.rhs == pytest.approx(classic, abs=1e-6)
 
     wf = WeightFunction.exponential(0.25)
-    vtw = van_trees(model, wf, n, mean_estimator(model, wf),
-                    PriorSpec(kind="gaussian", mean=0.0, var=1.0), "C", CFG,
-                    trials=150_000, seed=1002)
+    (vtw,) = van_trees(model, wf, n, mean_estimator(model, wf),
+                        PriorSpec(kind="gaussian", mean=0.0, var=1.0), ("C",), CFG,
+                        trials=150_000, seed=1002)
     assert vtw.lhs >= vtw.rhs - 3 * vtw.lhs_stderr
     margin = vtw.lhs - vtw.rhs
 

@@ -274,6 +274,21 @@ class TestSubprocessContracts:
         # the rows computed before the refusal are still reported
         assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
 
+    @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "-1"], ["--trials", "0"],
+                                     ["--trials", "1"], ["--trials", "-5"],
+                                     ["--prior-var", "0", "--van-trees"],
+                                     ["--prior-var", "-1", "--van-trees"],
+                                     ["--prior-var", "nan", "--van-trees"],
+                                     ["--n", "two"]])
+    def test_cramer_rao_refuses_bad_inputs(self, bad, capsys):
+        """Refused while parsing: exit 1, a usage message, no report."""
+        import winfer.cli
+        assert winfer.cli.main(["cramer-rao", "--reproducible"] + bad) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {bad[0]}" in err
+        assert "Traceback" not in err
+
 
 def spec_gamma_pair_all_quantities():
     return {
@@ -346,6 +361,23 @@ class TestEvaluationCost:
         assert [r["name"] for r in report["quantities"]] == \
             ["tv", "kl", "bhattacharyya-div"]
         assert len(calls) == 3
+
+    def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
+        """A shift-family run with van Trees makes 174 integrations: 6 for
+        version A (the regularity check's 5, whose aux it reuses, and I_phi),
+        7 for version B, and for van Trees the regularity check's 5 plus one
+        weighted_fisher_aux (4) and one weighted_fisher (1) per prior node,
+        less the aux the regularity node already has: 5 + 32 * 5 - 4."""
+        import winfer.cli
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate")
+        out = tmp_path / "report.json"
+        assert winfer.cli.main(["cramer-rao", "--phi-gamma", "0.5", "--n", "5",
+                                "--trials", "20000", "--van-trees", "--reproducible",
+                                "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["bounds"]
+        assert [row["version"] for row in rows] == ["A", "B", "van-trees-A", "van-trees-C"]
+        assert rows[2]["lhs"] == rows[3]["lhs"]
+        assert len(calls) <= 174
 
     def test_commands_do_not_import_scipy_stats(self, tmp_path):
         """scipy.stats costs set-up time on every start; nothing may pull it in."""

@@ -316,16 +316,16 @@ class TestVanTrees:
     def test_version_c_classical_value(self):
         m = gaussian_shift_model()
         prior = PriorSpec(kind="gaussian", mean=0.0, var=0.5)
-        vt = van_trees(m, ONE, 10, mean_estimator(m, ONE), prior, "C", CFG,
-                       trials=40_000, seed=7)
+        (vt,) = van_trees(m, ONE, 10, mean_estimator(m, ONE), prior, ("C",), CFG,
+                           trials=40_000, seed=7)
         assert vt.rhs == pytest.approx(1.0 / (10 + 1.0 / 0.5), abs=1e-6)
         assert vt.holds_3sigma
 
     def test_version_a_classical_average(self):
         m = gaussian_shift_model()
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
-        vt = van_trees(m, ONE, 8, mean_estimator(m, ONE), prior, "A", CFG,
-                       trials=40_000, seed=8)
+        (vt,) = van_trees(m, ONE, 8, mean_estimator(m, ONE), prior, ("A",), CFG,
+                           trials=40_000, seed=8)
         assert vt.rhs == pytest.approx(1.0 / 8, rel=1e-7)
         assert abs(vt.lhs - 1.0 / 8) <= 3 * vt.lhs_stderr
 
@@ -333,8 +333,8 @@ class TestVanTrees:
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(0.25)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
-        vt = van_trees(m, wf, 10, mean_estimator(m, wf), prior, "C", CFG,
-                       trials=60_000, seed=9)
+        (vt,) = van_trees(m, wf, 10, mean_estimator(m, wf), prior, ("C",), CFG,
+                           trials=60_000, seed=9)
         assert vt.holds_3sigma
         assert vt.rhs > 0
 
@@ -344,8 +344,8 @@ class TestVanTrees:
         g, n, tau2 = 0.25, 10, 1.0
         wf = WeightFunction.exponential(g)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=tau2)
-        vt = van_trees(m, wf, n, mean_estimator(m, wf), prior, "C", CFG,
-                       trials=120_000, seed=10)
+        (vt,) = van_trees(m, wf, n, mean_estimator(m, wf), prior, ("C",), CFG,
+                           trials=120_000, seed=10)
         want = (1.0 / n) * (1 + n * g * g) * math.exp(n * g * g / 2.0) \
             * math.exp(n * n * g * g * tau2 / 2.0)
         assert abs(vt.lhs - want) <= 4 * vt.lhs_stderr
@@ -353,8 +353,8 @@ class TestVanTrees:
     def test_bump_prior_version_a(self):
         m = gaussian_shift_model()
         prior = PriorSpec(kind="bump", center=0.0, width=1.0)
-        vt = van_trees(m, ONE, 6, mean_estimator(m, ONE), prior, "A", CFG,
-                       trials=40_000, seed=11)
+        (vt,) = van_trees(m, ONE, 6, mean_estimator(m, ONE), prior, ("A",), CFG,
+                           trials=40_000, seed=11)
         assert vt.rhs == pytest.approx(1.0 / 6, rel=1e-6)
         assert abs(vt.lhs - 1.0 / 6) <= 3 * vt.lhs_stderr
 
@@ -377,7 +377,7 @@ class TestVanTrees:
         prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
         for version in ("A", "B"):
             with pytest.raises(IllegalParameterError, match="bias derivative"):
-                van_trees(m, wf, 4, scale_abs_mean_estimator(), prior, version, CFG,
+                van_trees(m, wf, 4, scale_abs_mean_estimator(), prior, (version,), CFG,
                           trials=20_000, seed=3)
 
     def test_unweighted_mean_has_zero_bias_terms(self):
@@ -390,4 +390,118 @@ class TestVanTrees:
         m = gaussian_shift_model()
         with pytest.raises(IllegalParameterError):
             van_trees(m, ONE, 3, mean_estimator(m, ONE),
-                      PriorSpec(kind="gaussian"), "D", CFG, trials=10)
+                      PriorSpec(kind="gaussian"), ("D",), CFG, trials=10)
+
+
+def tilted_deviation(g, n, theta, s2, shifted):
+    """E_theta[e^{g S} (theta* - theta)^2] for the Gaussian shift with weight
+    e^{g x}: under the tilt, mean(X) - theta ~ N(g s2, s2 / n)."""
+    mass = np.exp(n * g * theta + n * g * g * s2 / 2.0)
+    return mass * (s2 / n if shifted else g * g * s2 * s2 + s2 / n)
+
+
+class TestSumStatistic:
+    @staticmethod
+    def estimators():
+        shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        return [mean_estimator(shift, wf), mean_estimator(shift, ONE),
+                mean_estimator(scale, wf), shifted_mean_estimator(shift, wf)]
+
+    def test_sum_path_equals_fn_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for est in self.estimators():
+            assert est.of_sum is not None
+            for shape in ((1000, 1), (1000, 5), (777, 13)):
+                xs = rng.normal(0.3, 1.7, size=shape)
+                assert np.array_equal(est.of_sum(xs.sum(axis=1), shape[1]), est.fn(xs))
+
+    def test_monte_carlo_values_equal_the_generic_path(self):
+        import dataclasses
+
+        from winfer.estimation import _weighted_values
+        xs = np.random.default_rng(4).normal(0.1, 1.0, size=(5000, 6))
+        for wf in (WeightFunction.exponential(0.4), WeightFunction.absolute(), ONE):
+            for est in self.estimators():
+                bare = dataclasses.replace(est, of_sum=None)
+                for deviation in (True, False):
+                    assert np.array_equal(_weighted_values(wf, est, xs, 0.3, deviation),
+                                          _weighted_values(wf, bare, xs, 0.3, deviation))
+
+    def test_statistic_path_never_builds_samples(self, monkeypatch):
+        import winfer.estimation as estimation
+        real = estimation._shift_samples
+        calls = []
+
+        def no_samples(*args):
+            raise AssertionError("per-node sample block built")
+        monkeypatch.setattr(estimation, "_shift_samples", no_samples)
+        m = gaussian_shift_model()
+        wf = WeightFunction.exponential(0.5)
+        prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
+        for est in (mean_estimator(m, wf), shifted_mean_estimator(m, wf)):
+            van_trees(m, wf, 5, est, prior, ("A", "C"), CFG, trials=5_000, seed=1)
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(estimation, "_shift_samples", counted)
+        scale = gaussian_scale_model()
+        van_trees(scale, WeightFunction.exponential(0.4), 4, scale_abs_mean_estimator(),
+                  PriorSpec(kind="gaussian", mean=1.0, var=0.005), ("C",), CFG,
+                  trials=5_000, seed=1)
+        assert len(calls) == 32
+
+    def test_versions_share_one_lhs(self):
+        m = gaussian_shift_model(0.8)
+        wf = WeightFunction.exponential(0.3)
+        prior = PriorSpec(kind="gaussian", mean=0.2, var=0.5)
+        est = mean_estimator(m, wf)
+        joint = van_trees(m, wf, 4, est, prior, ("A", "B", "C"), CFG, trials=20_000, seed=5)
+        assert [r.version for r in joint] == ["A", "B", "C"]
+        for r in joint:
+            (alone,) = van_trees(m, wf, 4, est, prior, (r.version,), CFG,
+                                 trials=20_000, seed=5)
+            assert (alone.lhs, alone.lhs_stderr) == (joint[0].lhs, joint[0].lhs_stderr)
+            assert alone.rhs == r.rhs
+            assert alone.details == r.details
+
+    @pytest.mark.parametrize("g,n,theta,sigma,seed", [
+        (0.5, 5, 0.0, 1.0, 7), (0.25, 3, 0.4, 1.3, 8), (-0.4, 8, -0.3, 0.7, 9),
+        (0.8, 2, 1.1, 1.0, 10)])
+    def test_lhs_matches_the_exact_tilted_deviation(self, g, n, theta, sigma, seed):
+        m = gaussian_shift_model(sigma)
+        s2 = sigma * sigma
+        wf = WeightFunction.exponential(g)
+        prior = PriorSpec(kind="gaussian", mean=theta, var=1.0)
+        nodes, weights = prior.quadrature(32)
+        for shifted, est in ((False, mean_estimator(m, wf)),
+                             (True, shifted_mean_estimator(m, wf))):
+            ra = cramer_rao_A(m, wf, theta, n, est, CFG, trials=200_000, seed=seed)
+            exact = tilted_deviation(g, n, theta, s2, shifted)
+            assert abs(ra.lhs - exact) <= 3 * ra.lhs_stderr
+            (vt,) = van_trees(m, wf, n, est, prior, ("C",), CFG, trials=100_000, seed=seed)
+            exact = float(np.sum(weights * tilted_deviation(g, n, nodes, s2, shifted)))
+            assert abs(vt.lhs - exact) <= 3 * vt.lhs_stderr
+
+
+class TestSampleSizes:
+    @pytest.mark.parametrize("n,trials", [(0, 1000), (-1, 1000), (3, 1), (3, 0), (3, -5)])
+    def test_refused_before_any_work(self, n, trials, monkeypatch):
+        import dataclasses
+
+        import winfer.estimation as estimation
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+        monkeypatch.setattr(estimation, "check_regularity", no_work)
+        m = dataclasses.replace(gaussian_shift_model(), sampler=no_work)
+        wf = WeightFunction.exponential(0.5)
+        est = mean_estimator(gaussian_shift_model(), wf)
+        prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
+        for call in (lambda: cramer_rao_A(m, wf, 0.0, n, est, CFG, trials=trials),
+                     lambda: cramer_rao_B(m, wf, 0.0, n, est, CFG, trials=trials),
+                     lambda: van_trees(m, wf, n, est, prior, ("A", "C"), CFG,
+                                       trials=trials)):
+            with pytest.raises(IllegalParameterError, match="must be >="):
+                call()
