@@ -593,6 +593,10 @@ def _checked(kind, ok, what: str):
     return parse
 
 
+_finite = _checked(float, math.isfinite, "finite")
+_positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="winfer",
                                  description="weighted information-theoretic "
@@ -632,18 +636,17 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("cramer-rao", help="weighted Cramer-Rao / van Trees experiment")
     r.add_argument("--family", choices=("gaussian-shift", "gaussian-scale"),
                    default="gaussian-shift")
-    r.add_argument("--phi-gamma", dest="gamma", type=float, default=0.5)
+    r.add_argument("--phi-gamma", dest="gamma", type=_finite, default=0.5)
     r.add_argument("--estimator", choices=("mean", "shifted-mean", "scale-abs-mean"),
                    default="mean")
     r.add_argument("--n", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
     r.add_argument("--trials", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=1_000_000)
-    r.add_argument("--theta", type=float, default=0.0)
-    r.add_argument("--sigma", type=float, default=1.0)
+    r.add_argument("--theta", type=_finite, default=0.0)
+    r.add_argument("--sigma", type=_positive_finite, default=1.0)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--van-trees", action="store_true")
-    r.add_argument("--prior-var", default=1.0,
-                   type=_checked(float, lambda v: 0.0 < v < math.inf, "positive and finite"))
+    r.add_argument("--prior-var", type=_positive_finite, default=1.0)
     r.add_argument("--out")
     r.add_argument("--reproducible", action="store_true")
     r.set_defaults(fn=cmd_cramer_rao)

@@ -20,6 +20,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -366,7 +367,10 @@ class Distribution:
     tail: str = "gaussian"        # "gaussian" | "exponential" | "bounded"
     window: Optional[tuple] = None  # explicit (lo, hi) truncation override
     logpdf: Optional[Callable] = None  # analytic log-density (underflow-safe)
-    # (wf, cfg) -> E_phi(p); filled by divergence.weight_mass
+    # (wf, cfg) -> E_phi(p), filled by divergence.weight_mass; on vector
+    # supports also (wf, level) -> the (p, p) Gauss-Hermite mesh that the
+    # single-distribution integrals share.  Holds arrays only, never an
+    # object that refers back to this instance.
     weight_masses: dict = field(default_factory=dict, init=False, compare=False,
                                 repr=False)
 
@@ -424,14 +428,14 @@ class Distribution:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise IllegalParameterError("covariance must be positive-definite") from exc
-        inv = np.linalg.inv(cov)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        # whitening map: cov^-1 = W W^T, so the Mahalanobis form is |(x - m) W|^2
+        white = np.linalg.inv(chol).T
+        log_norm = -0.5 * (d * math.log(2 * math.pi)) - float(np.sum(np.log(np.diag(chol))))
 
-        def _pdf(x, _m=mean, _inv=inv, _ld=logdet, _d=d):
+        def _pdf(x, _m=mean, _w=white, _c=log_norm):
             x = np.atleast_2d(np.asarray(x, dtype=float))
-            dx = x - _m
-            q = np.einsum("ni,ij,nj->n", dx, _inv, dx)
-            out = np.exp(-0.5 * q - 0.5 * (_d * math.log(2 * math.pi) + _ld))
+            y = (x - _m) @ _w
+            out = np.exp(_c - 0.5 * np.einsum("ni,ni->n", y, y))
             return out if x.shape[0] > 1 else out[0]
 
         def _sampler(rng, size, _m=mean, _chol=chol, _d=d):
@@ -731,29 +735,51 @@ def weighted_expectation(wf: WeightFunction, g: Callable, support: Support,
     return val
 
 
-def gauss_hermite_nodes(center, cov, level: int = 40) -> tuple:
+@functools.lru_cache(maxsize=None)
+def _hermegauss(level: int) -> tuple:
+    """Read-only 1-D probabilists' Gauss-Hermite rule: nodes, weights against
+    exp(-x^2/2) (they sum to sqrt(2 pi)), and those weights times exp(x^2/2)."""
+    x, w = np.polynomial.hermite_e.hermegauss(level)
+    out = (x, w, w * np.exp(0.5 * x * x))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _tensor(w: np.ndarray, d: int) -> np.ndarray:
+    """Row-major tensor product: entry i is (w[i_0] * w[i_1]) * ... in axis order."""
+    wts = w
+    for _ in range(d - 1):
+        wts = np.multiply.outer(wts, w)
+    return wts.reshape(-1)
+
+
+def gauss_hermite_nodes(center, cov, level: int = 40, lebesgue: bool = False) -> tuple:
     """Affinely mapped tensor Gauss-Hermite rule for integrals against N(center, cov).
 
     Returns ``(nodes, weights)`` with ``sum(w_i f(x_i)) ~= E_{N(center,cov)}[f]``.
+    With ``lebesgue=True`` the weights are ``w_i / N(x_i; center, cov)`` instead,
+    so ``sum(w_i f(x_i)) ~= integral f dx``.  For nodes ``center + L z`` they
+    are the closed form ``sqrt(det cov) * prod_k (w_k exp(z_k^2 / 2))`` with the
+    1-D weights ``w_k`` against exp(-z^2/2), and the Gaussian density is never
+    evaluated (Jaeckel, "A note on multivariate Gauss-Hermite quadrature",
+    2005).
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.size
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
         cov = np.eye(d) * float(cov)
-    x, w = np.polynomial.hermite_e.hermegauss(level)
-    w = w / math.sqrt(2 * math.pi)
-    # row-major tensor grid: coordinate k of node i is x[i_k], its weight
-    # (w[i_0] * w[i_1]) * ... in axis order
-    wts = w
-    for _ in range(d - 1):
-        wts = np.multiply.outer(wts, w)
-    wts = wts.reshape(-1)
+    x, w, w_folded = _hermegauss(level)
+    chol = np.linalg.cholesky(cov)
+    if lebesgue:
+        wts = _tensor(w_folded, d) * float(np.prod(np.diag(chol)))
+    else:
+        wts = _tensor(w / math.sqrt(2 * math.pi), d)
     pts = np.empty((level,) * d + (d,))
     for k in range(d):
         pts[..., k] = x.reshape((level,) + (1,) * (d - 1 - k))
     pts = pts.reshape(-1, d)
-    chol = np.linalg.cholesky(cov)
     nodes = pts @ chol.T
     del pts
     nodes += center

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _ORACLE_MAX_M = 20
+_MV_LEVEL = 60  # tensor Gauss-Hermite level; the error comes from the gap to level 48
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,9 @@ class HypothesisProblem:
     On infinite supports ``memo`` holds what the quantities below compute:
     ``weighted_tv``, ``hellinger``, ``bhattacharyya_coeff`` and ``kl`` keyed by
     ``(name, cfg)``, ``chernoff_coeff`` by ``(name, alpha, cfg)``, and on
-    vector supports the Gauss-Hermite mesh of each level.  It lives exactly as
+    vector supports the Gauss-Hermite mesh of each level, keyed by
+    ``("gauss-hermite", level)``: the arrays (p, q, phi * wr) at its nodes,
+    with the rule's Lebesgue weights wr folded into phi.  It lives exactly as
     long as this instance: equal problems built separately do not share it,
     and nothing carries over from one report to the next.  Finite supports
     store nothing (the exact sums are cheaper than a lookup).  A
@@ -162,52 +165,50 @@ def _single_integral(dist: Distribution, wf: WeightFunction, g,
                      cfg: IntegrationConfig) -> float:
     """integral of g(p, phi) for one distribution."""
     if dist.support.kind == "real-vector":
-        return _mv_integral(HypothesisProblem(dist, dist, wf), lambda p, q, w: g(p, w))
+        p, _, w = _mv_mesh(dist.weight_masses, (wf, _MV_LEVEL), dist, dist, wf, _MV_LEVEL)
+        return float(np.sum(g(p, w)))
     val, _ = integrate(lambda x: g(dist.density(x), wf(x)), dist.support, cfg,
                        dists=(dist,), wf=wf)
     return val
 
 
-def _mv_reference(prob: HypothesisProblem):
+def _mv_reference(p: Distribution, q: Distribution, wf: WeightFunction):
     """Covering Gaussian (mean, cov) for vector-support quadrature."""
-    ms, cs = [], []
-    for d in (prob.p, prob.q):
-        ms.append(np.asarray(d.center, dtype=float))
-        cs.append(np.asarray(d.scale, dtype=float))
-    cov = cs[0] + cs[1]
-    mean = 0.5 * (ms[0] + ms[1])
-    g = prob.wf.exp_rate_vector
+    cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
+    mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
+    g = wf.exp_rate_vector
     if g is not None:
         mean = mean + cov @ g  # follow the exponential tilt of the mass
     return mean, cov
 
 
-def _mv_mesh(prob: HypothesisProblem, level: int) -> tuple:
-    """(weights, reference density, p, q, phi) at the Gauss-Hermite nodes of one
-    level, kept in ``prob.memo``; the nodes themselves are dropped."""
-    key = ("gauss-hermite", level)
-    mesh = prob.memo.get(key)
+def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunction,
+             level: int) -> tuple:
+    """(p, q, phi * wr) at the Gauss-Hermite nodes of one level, kept in
+    ``store[key]``.  ``wr`` are the rule's Lebesgue weights, so the integral of
+    g(p, q, phi) is ``sum(g(p, q, phi * wr))`` for every g linear in phi; as
+    ``wr > 0``, masks on ``phi > 0`` still hold.  The nodes are dropped, and
+    nothing in the mesh refers back to p or q."""
+    mesh = store.get(key)
     if mesh is None:
-        mean, cov = _mv_reference(prob)
-        nodes, wts = gauss_hermite_nodes(mean, cov, level)
-        ref = Distribution.gaussian_mv(mean, cov).density(nodes)
-        p = prob.p.density(nodes)
-        q = p if prob.q is prob.p else prob.q.density(nodes)
-        mesh = prob.memo[key] = (wts, ref, p, q, prob.wf.vector_values(nodes))
+        mean, cov = _mv_reference(p, q, wf)
+        nodes, wr = gauss_hermite_nodes(mean, cov, level, lebesgue=True)
+        dp = p.density(nodes)
+        dq = dp if q is p else q.density(nodes)
+        mesh = store[key] = (dp, dq, wf.vector_values(nodes) * wr)
     return mesh
 
 
-def _mv_integral(prob: HypothesisProblem, g, level: int = 60) -> float:
-    """integral g(p, q, phi) dx = E_ref[g/ref] under a covering Gaussian reference."""
-    wts, ref, p, q, w = _mv_mesh(prob, level)
-    vals = np.asarray(g(p, q, w), dtype=float) / ref
-    return float(np.sum(wts * vals))
+def _mv_integral(prob: HypothesisProblem, g, level: int = _MV_LEVEL) -> float:
+    """integral g(p, q, phi) dx on the problem's mesh of one level."""
+    mesh = _mv_mesh(prob.memo, ("gauss-hermite", level), prob.p, prob.q, prob.wf, level)
+    return float(np.sum(g(*mesh)))
 
 
-def _mv_integral_with_error(prob: HypothesisProblem, g, level: int = 60) -> tuple:
-    """Two-level tensor rule: value at `level`, error from the level gap."""
-    hi = _mv_integral(prob, g, level)
-    lo = _mv_integral(prob, g, level - 12)
+def _mv_integral_with_error(prob: HypothesisProblem, g) -> tuple:
+    """Two-level tensor rule: value at level 60, error from the gap to level 48."""
+    hi = _mv_integral(prob, g)
+    lo = _mv_integral(prob, g, _MV_LEVEL - 12)
     return hi, abs(hi - lo)
 
 
@@ -245,6 +246,9 @@ def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) 
     ``weight_masses`` field), keyed by ``(wf, cfg)``, so it lives exactly as
     long as that Distribution instance: equal distributions built separately
     do not share it, and nothing carries over from one report to the next.
+    On vector supports the same field keeps, keyed by ``(wf, level)``, the
+    one (p, p) Gauss-Hermite mesh that this mass, ``shannon_entropy`` and the
+    Renyi-entropy masses all sum over.
     Finite supports are not memoized (the exact sum is cheaper than hashing a
     long weight table).  A ``NonConvergentIntegralError`` is stored too and
     raised again on every later call, without integrating again.

@@ -25,6 +25,7 @@ the exponential weight.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -100,8 +101,10 @@ class ExpFamilyMember:
     theta: np.ndarray
     params: dict
 
-    @property
+    @functools.cached_property
     def dist(self) -> Distribution:
+        """One Distribution per member, so its memoized masses and meshes are
+        shared by every quantity computed from this member."""
         return self.family.make_distribution(self.theta)
 
 
@@ -577,15 +580,6 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
     dist = fam.make_distribution(theta)
 
     def moment(g):
-        if fam.support.kind == "real-vector":
-            mean, cov = dist.center, dist.scale
-            rate = adj.wf.exp_rate_vector
-            shift = cov @ rate if rate is not None else 0.0
-            nodes, wts = gauss_hermite_nodes(np.asarray(mean) + shift, 2.0 * np.asarray(cov), 48)
-            ref = Distribution.gaussian_mv(np.asarray(mean) + shift, 2.0 * np.asarray(cov))
-            vals = adj.wf.vector_values(nodes) * dist.density(nodes) * g(nodes) \
-                / ref.density(nodes)
-            return float(np.sum(wts * vals))
         val, _ = integrate(lambda x: adj.wf(x) * dist.density(x) * g(x),
                            fam.support, adj.cfg, dists=(dist,), wf=adj.wf)
         return val
@@ -617,10 +611,11 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
             out["E1"] = adj.wf.c * mean
             out["E2"] = adj.wf.c * (cov + np.outer(mean, mean))
         else:
-            d = mean.size
-            out["E1"] = np.array([moment(lambda x, i=i: x[:, i]) for i in range(d)])
-            out["E2"] = np.array([[moment(lambda x, i=i, j=j: x[:, i] * x[:, j])
-                                   for j in range(d)] for i in range(d)])
+            # every moment on one level-48 rule: E1 = sum v x, E2 = sum v x x^T
+            nodes, wr = gauss_hermite_nodes(mean, 2.0 * cov, 48, lebesgue=True)
+            vals = adj.wf.vector_values(nodes) * dist.density(nodes) * wr
+            out["E1"] = vals @ nodes
+            out["E2"] = (nodes * vals[:, None]).T @ nodes
     elif fam.name == "gamma":
         p = fam.from_natural(theta)
         lam, beta = p["lam"], p["beta"]

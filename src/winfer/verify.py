@@ -45,6 +45,7 @@ from .expfam import (
 )
 from .randinst import random_continuous_problem, random_finite_problem
 from .testing import (
+    NfoldBounds,
     ProductProblem,
     error_bound_report,
     nfold_error_bounds,
@@ -171,6 +172,14 @@ def suite_bretagnolle_huber(instances: int, seed: int, cfg: IntegrationConfig) -
     return rep
 
 
+def _asymptotic_lower_applies(b: NfoldBounds) -> bool:
+    """Hypotheses under which the asymptotic lower bound is asserted:
+    E_phi(p) >= 1, n >= 20 and a weighted KL K >= 0.  With K < 0 the factor
+    exp(-n E_p^{n-1} K) grows without bound and the bound fails."""
+    return (b.ep >= 1.0 and b.kl >= 0.0 and b.n >= 20
+            and math.isfinite(b.asymptotic_lower))
+
+
 def suite_nfold(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteReport:
     """Product-problem sandwich, the exp(-n eta^2) bound, and the asymptotic
     lower bound under its weight-mass hypothesis."""
@@ -193,7 +202,7 @@ def suite_nfold(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteRepor
         if b.upper_eta is not None and b.exact_inf > b.upper_eta + tol:
             rep.violations.append({"kind": "exp(-n eta^2)", "n": n,
                                    "exact": b.exact_inf, "bound": b.upper_eta})
-        if b.ep >= 1.0 and math.isfinite(b.asymptotic_lower) and n >= 20:
+        if _asymptotic_lower_applies(b):
             if b.exact_inf < b.asymptotic_lower - tol:
                 rep.violations.append({"kind": "asymptotic-lower", "n": n})
         else:
@@ -209,10 +218,12 @@ def suite_nfold(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteRepor
         prob = HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
                                  WeightFunction.table(w))
         b = nfold_error_bounds(ProductProblem(prob, 20), cfg)
-        if b.ep >= 1.0 and math.isfinite(b.kl) and b.exact_inf is not None:
-            asym_checked += 1
-            if b.exact_inf < b.asymptotic_lower - tol:
-                rep.violations.append({"kind": "asymptotic-lower", "n": 20})
+        if b.exact_inf is None or not _asymptotic_lower_applies(b):
+            rep.hypothesis_failures += 1
+            continue
+        asym_checked += 1
+        if b.exact_inf < b.asymptotic_lower - tol:
+            rep.violations.append({"kind": "asymptotic-lower", "n": 20})
     rep.margins["asymptotic_lower_checked"] = asym_checked
     return rep
 

@@ -279,7 +279,11 @@ class TestSubprocessContracts:
                                      ["--prior-var", "0", "--van-trees"],
                                      ["--prior-var", "-1", "--van-trees"],
                                      ["--prior-var", "nan", "--van-trees"],
-                                     ["--n", "two"]])
+                                     ["--n", "two"],
+                                     ["--theta", "nan"], ["--theta", "inf"],
+                                     ["--phi-gamma", "nan"], ["--phi-gamma", "inf"],
+                                     ["--sigma", "nan"], ["--sigma", "inf"],
+                                     ["--sigma", "0"], ["--sigma", "-1"]])
     def test_cramer_rao_refuses_bad_inputs(self, bad, capsys):
         """Refused while parsing: exit 1, a usage message, no report."""
         import winfer.cli
@@ -311,7 +315,7 @@ def _count_calls(monkeypatch, module_name, fn_name) -> list:
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return real(*args, **kwargs)
     for name, mod in list(sys.modules.items()):
         if name.startswith("winfer") and mod is not None \
@@ -361,6 +365,26 @@ class TestEvaluationCost:
         assert [r["name"] for r in report["quantities"]] == \
             ["tv", "kl", "bhattacharyya-div"]
         assert len(calls) == 3
+
+    def test_full_vector_report_builds_each_mesh_once(self, monkeypatch):
+        """Every quantity of a d = 3 report: the pair's meshes at levels 60 and
+        48, and one (p, p) mesh per distribution that its weight mass, Shannon
+        entropy and Renyi-entropy masses share."""
+        calls = _count_calls(monkeypatch, "winfer.core", "gauss_hermite_nodes")
+        spec = spec_gamma_pair_all_quantities()
+        spec["distributions"] = [
+            {"family": "gaussian-multivariate",
+             "params": {"mean": [0.0, 0.1, 0.0], "cov": np.eye(3).tolist()}},
+            {"family": "gaussian-multivariate",
+             "params": {"mean": [0.5, -0.2, 0.1],
+                        "cov": [[1.2, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.0, 1.1]]}}]
+        spec["weight"] = {"kind": "exponential", "gamma": [0.1, -0.2, 0.05]}
+        report, code = compute_report(spec)
+        assert code == 0
+        assert len(report["quantities"]) > len(spec["quantities"])  # alpha rows
+        meshes = {(tuple(center), level) for center, _, level in calls}
+        assert len(calls) == len(meshes) == 4
+        assert sorted(level for _, level in meshes) == [48, 60, 60, 60]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
         """A shift-family run with van Trees makes 174 integrations: 6 for

@@ -223,6 +223,45 @@ class TestGaussHermiteNodes:
         assert np.array_equal(nodes, want_nodes) and np.array_equal(wts, want_wts)
         assert wts.sum() == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lebesgue_weights_are_the_rule_over_the_density(self, d):
+        rng = np.random.default_rng(7 * d)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.2 * np.eye(d)
+        center = rng.normal(size=d)
+        nodes, wts = gauss_hermite_nodes(center, cov, 24)
+        got_nodes, wr = gauss_hermite_nodes(center, cov, 24, lebesgue=True)
+        assert np.array_equal(got_nodes, nodes)
+        ref = Distribution.gaussian_mv(center, cov).density(nodes)
+        np.testing.assert_allclose(wr, wts / ref, rtol=1e-12, atol=0)
+        # a unit-mass density other than the reference integrates to 1
+        other = Distribution.gaussian_mv(center + 0.3, 0.8 * cov)
+        assert np.sum(wr * other.density(nodes)) == pytest.approx(1.0, rel=1e-13)
+
+
+class TestMultivariateGaussianDensity:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_matches_scipy_out_to_the_far_tail(self, d):
+        """Against scipy.stats.multivariate_normal at Mahalanobis radii 0 to 30.
+        exp(-q/2) turns a relative rounding error e of the quadratic form q
+        into a relative error e q / 2 of the density, in either
+        implementation, so the bound is 1e-13 (1 + q / 2)."""
+        from scipy.stats import multivariate_normal
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.3 * np.eye(d)
+        mean = rng.normal(size=d)
+        u = rng.normal(size=(400, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        r = np.repeat([0.0, 1.0, 4.0, 9.0, 14.0, 20.0, 25.0, 30.0], 50)
+        x = mean + (u * r[:, None]) @ np.linalg.cholesky(cov).T
+        got = Distribution.gaussian_mv(mean, cov).density(x)
+        want = multivariate_normal(mean, cov).pdf(x)
+        assert np.all(want > 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + r * r / 2.0) * want)
+        single = Distribution.gaussian_mv(mean, cov).density(x[1])
+        assert np.ndim(single) == 0 and single == got[1]
+
 
 class TestWeightedExpectation:
     def test_total_mass_of_pmf(self):

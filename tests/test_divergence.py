@@ -440,6 +440,25 @@ class TestWeightMassMemo:
         a = 0.4  # the direct formula E_phi(p)/(1-a) ln(E_phi(p^a)/E_phi(p))
         assert got == mass(1.0) / (1.0 - a) * math.log(mass(a) / mass(1.0))
 
+    def test_vector_mesh_leaves_no_cycle(self):
+        """The (p, p) mesh kept on a vector Distribution holds arrays only: with
+        the cyclic collector off, the Distribution dies with its last
+        reference."""
+        import gc
+        import weakref
+        wf = WeightFunction.exponential([0.2, -0.1])
+        gc.disable()
+        try:
+            d = Distribution.gaussian_mv([0.1, 0.2], [[1.0, 0.2], [0.2, 0.8]])
+            weight_mass(d, wf, CFG)
+            shannon_entropy(d, wf, CFG)
+            assert set(d.weight_masses) == {(wf, CFG), (wf, 60)}
+            ref = weakref.ref(d)
+            del d
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestProblemMemo:
     @staticmethod
@@ -524,28 +543,31 @@ class TestProblemMemo:
             assert report(prob) == first == report(make())
 
     def test_vector_mesh_matches_the_direct_rule(self):
+        """The folded mesh sums phi f wr with the closed-form Lebesgue weights
+        wr; the oracle is the plain rule sum(wts * f / ref), which evaluates
+        the covering Gaussian's density at every node."""
         from winfer.core import gauss_hermite_nodes
-        from winfer.divergence import _mv_reference
         prob = self.vector_problem()
         got = weighted_tv(prob, CFG)
         assert set(prob.memo) == {("gauss-hermite", 60), ("gauss-hermite", 48),
                                   ("weighted_tv", CFG)}
 
         def direct(level):
-            mean, cov = _mv_reference(prob)
+            cov = np.asarray(prob.p.scale) + np.asarray(prob.q.scale)
+            mean = 0.5 * (prob.p.center + prob.q.center) + cov @ prob.wf.exp_rate_vector
             nodes, wts = gauss_hermite_nodes(mean, cov, level)
             f = prob.wf.vector_values(nodes) \
                 * np.abs(prob.p.density(nodes) - prob.q.density(nodes))
             ref = Distribution.gaussian_mv(mean, cov).density(nodes)
             return float(np.sum(wts * (f / ref)))
         hi, lo = direct(60), direct(48)
-        assert got.value == 0.5 * hi
-        assert got.error == 0.5 * abs(hi - lo)
+        assert got.value == pytest.approx(0.5 * hi, rel=1e-13, abs=0)
+        assert got.error == pytest.approx(0.5 * abs(hi - lo), rel=0, abs=1e-13 * hi)
 
     def test_same_pair_evaluates_the_density_once(self):
         from winfer.divergence import _mv_mesh
         d = Distribution.gaussian_mv([0.1, 0.2], np.eye(2))
-        _, _, p, q, _ = _mv_mesh(HypothesisProblem(d, d, WeightFunction.constant(1.0)), 12)
+        p, q, _ = _mv_mesh({}, "key", d, d, WeightFunction.constant(1.0), 12)
         assert q is p
 
 

@@ -99,6 +99,36 @@ class TestCatalog:
         fd = finite_difference_gradient(m.family.F, m.theta, h=1e-6)
         np.testing.assert_allclose(m.family.grad_F(m.theta), fd, rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("name,params", MEMBERS)
+    def test_member_keeps_one_distribution(self, name, params):
+        m = catalog_family(name, **params)
+        assert m.dist is m.dist
+
+    def test_golden_pair_builds_each_mesh_once(self, monkeypatch):
+        """One vector pair of the expfam-golden suite: the pair's meshes at
+        levels 60 and 48, and one (p, p) mesh that E_phi(p), the Shannon
+        entropy and the Renyi-entropy masses of p share."""
+        import sys
+
+        import winfer.core
+        from winfer import verify
+        real = winfer.core.gauss_hermite_nodes
+        meshes = []
+
+        def recorded(center, cov, level=40, lebesgue=False):
+            meshes.append((tuple(center), level))
+            return real(center, cov, level, lebesgue)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("winfer") \
+                    and getattr(mod, "gauss_hermite_nodes", None) is real:
+                monkeypatch.setattr(mod, "gauss_hermite_nodes", recorded)
+        pair = verify._golden_pairs_mv()[-1:]  # d = 3
+        monkeypatch.setattr(verify, "_golden_pairs", lambda: [])
+        monkeypatch.setattr(verify, "_golden_pairs_mv", lambda: pair)
+        assert verify.suite_expfam_golden(0, 0, CFG).passed
+        assert len(meshes) == len(set(meshes)) == 3
+        assert sorted(level for _, level in meshes) == [48, 60, 60]
+
     def test_round_trip_parameter_maps(self):
         for name, params in MEMBERS:
             m = catalog_family(name, **params)
@@ -321,6 +351,30 @@ class TestAdjointCoefficients:
         assert c["phi_hat"] == pytest.approx(1.0 / 1.5)
         assert c["phi_hat_prime"] == pytest.approx(-1.0 / 1.5 ** 2)
         assert c["E0"] == pytest.approx(2.0 / 1.5)
+
+    def test_mv_moments_share_one_mesh(self, monkeypatch):
+        """A product of scalar exponential weights is exp(g . x) but has no
+        closed form here: E0 sums over the distribution's level-60 mesh, and
+        all d + d^2 moments over one level-48 mesh."""
+        import winfer.expfam
+        mean = np.array([0.2, -0.1])
+        cov = np.array([[1.1, 0.3], [0.3, 0.9]])
+        g = np.array([0.3, -0.2])
+        m = catalog_family("gaussian-multivariate", mean=mean, cov=cov)
+        wf = WeightFunction.product([WeightFunction.exponential(float(v)) for v in g])
+        adj = AdjointFamily(m.family, wf, CFG)
+        calls = []
+        real = winfer.expfam.gauss_hermite_nodes
+        monkeypatch.setattr(winfer.expfam, "gauss_hermite_nodes",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        c = adjoint_coefficients(adj, m.theta)
+        assert len(calls) == 1
+        e0 = math.exp(mean @ g + 0.5 * g @ cov @ g)
+        shift = cov @ g + mean
+        assert c["E0"] == pytest.approx(e0, rel=1e-12)
+        np.testing.assert_allclose(c["E1"], shift * e0, rtol=1e-10)
+        np.testing.assert_allclose(c["E2"], (cov + np.outer(shift, shift)) * e0,
+                                   rtol=1e-10)
 
     def test_mv_gaussian_exponential_weight(self):
         mean = np.array([0.2, -0.1])

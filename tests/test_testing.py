@@ -254,6 +254,25 @@ class TestNfoldBounds:
                 assert b.exact_inf <= b.upper_eta + 1e-12
         assert checked > 0
 
+    def test_asymptotic_lower_gate_excludes_negative_kl(self):
+        """A weighted KL K < 0 makes exp(-n E_p^{n-1} K) explode, so the
+        asymptotic lower bound exceeds the exact value; the nfold suite's gate
+        must leave such a draw out although E_phi(p) >= 1 and n >= 20."""
+        from winfer.verify import _asymptotic_lower_applies
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            prob = HypothesisProblem(Distribution.from_pmf(rng.dirichlet(np.ones(2))),
+                                     Distribution.from_pmf(rng.dirichlet(np.ones(2))),
+                                     WeightFunction.table(np.exp(rng.uniform(-1, 1, 2))))
+            b = nfold_error_bounds(ProductProblem(prob, int(rng.integers(20, 60))), CFG)
+            if (b.ep >= 1.0 and b.kl < 0 and math.isfinite(b.asymptotic_lower)
+                    and b.asymptotic_lower > b.exact_inf):
+                break
+        else:
+            pytest.fail("no seeded draw with K < 0 violates the bound")
+        assert b.n >= 20
+        assert not _asymptotic_lower_applies(b)
+
     def test_product_cap(self):
         # types, not sequences, are enumerated: 10^12 sequences are 293,930 types
         prob = HypothesisProblem(Distribution.from_pmf(np.full(10, 0.1)),
