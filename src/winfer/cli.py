@@ -26,13 +26,18 @@ Problem-spec JSON schema (version 1):
     }
 
     DIST   = {"pmf": [..]} | {"family": NAME, "params": {..}, "window": [lo, hi]?}
-    NAME   = exponential | poisson | gaussian-scalar | gaussian-multivariate | gamma
+    NAME   = exponential(lam) | poisson(lam) | gaussian-scalar(mu, sigma2)
+           | gaussian-multivariate(mean, cov) | gamma(lam, beta)   (expfam.CATALOG)
     WEIGHT = {"kind": "constant", "c": 1.0}
            | {"kind": "exponential", "gamma": g | [g..]}
            | {"kind": "quadratic", "b": b, "c": c}
            | {"kind": "polynomial", "coeffs": [c0, c1, ..]}
            | {"kind": "absolute"}
            | {"kind": "table", "values": [..]}
+
+Integration keys: rel_tol, abs_tol, max_subdivisions, tail_mass_bound.  A spec
+with a non-finite number, a param the family's ``Distribution`` constructor
+refuses, or a weight its distributions cannot take exits 1.
 
 Quantities: tv, delta, hellinger, bhattacharyya-coeff, bhattacharyya-div, kl,
 chernoff-coeff, chernoff-div, renyi-div, tsallis-div, shannon-entropy,
@@ -57,9 +62,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .core import Distribution, IntegrationConfig, WeightFunction
+from .core import Distribution, IntegrationConfig, WeightFunction, _finite
 from .divergence import (
     HypothesisProblem,
+    _method_for,
     bhattacharyya_coeff,
     bhattacharyya_div,
     chernoff_coeff,
@@ -110,8 +116,6 @@ _QUANTITIES = ("tv", "delta", "hellinger", "bhattacharyya-coeff",
                "min-total-error", "stein-sanov-limit", "error-bounds")
 _ALPHA_QUANTITIES = ("chernoff-coeff", "chernoff-div", "renyi-div",
                      "tsallis-div", "renyi-entropy")
-_FAMILIES = ("exponential", "poisson", "gaussian-scalar",
-             "gaussian-multivariate", "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,8 @@ _FAMILIES = ("exponential", "poisson", "gaussian-scalar",
 # ---------------------------------------------------------------------------
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
     if key not in obj:
         raise SchemaError(f"missing {key!r} in {where}")
     return obj[key]
@@ -128,12 +134,12 @@ def parse_weight(spec: dict) -> WeightFunction:
     kind = _need(spec, "kind", "weight")
     try:
         if kind == "constant":
-            return WeightFunction.constant(float(spec.get("c", 1.0)))
+            return WeightFunction.constant(spec.get("c", 1.0))
         if kind == "exponential":
             return WeightFunction.exponential(_need(spec, "gamma", "weight"))
         if kind == "quadratic":
-            return WeightFunction.quadratic(float(_need(spec, "b", "weight")),
-                                            float(_need(spec, "c", "weight")))
+            return WeightFunction.quadratic(_need(spec, "b", "weight"),
+                                            _need(spec, "c", "weight"))
         if kind == "polynomial":
             return WeightFunction.polynomial(_need(spec, "coeffs", "weight"))
         if kind == "absolute":
@@ -145,35 +151,44 @@ def parse_weight(spec: dict) -> WeightFunction:
     raise SchemaError(f"unknown weight kind {kind!r}")
 
 
-def parse_distribution(spec: dict) -> Distribution:
-    if "pmf" in spec:
+def parse_distribution(spec: dict) -> tuple:
+    """(distribution, catalog member or None for a pmf)."""
+    if isinstance(spec, dict) and "pmf" in spec:
+        if not isinstance(spec.get("labels", []), list):
+            raise SchemaError("labels must be a list")
         try:
-            return Distribution.from_pmf(spec["pmf"], spec.get("labels", ()))
+            return Distribution.from_pmf(spec["pmf"], spec.get("labels", ())), None
         except WinferError as exc:
             raise SchemaError(f"invalid pmf: {exc}") from exc
     name = _need(spec, "family", "distribution")
-    if name not in _FAMILIES:
-        raise SchemaError(f"unknown family {name!r}; catalog: {_FAMILIES}")
     params = _need(spec, "params", "distribution")
+    if not isinstance(params, dict):
+        raise SchemaError(f"params of {name!r} must be an object")
     try:
-        dist = catalog_family(name, **params).dist
-    except (WinferError, TypeError, KeyError) as exc:
-        raise SchemaError(f"invalid {name} params: {exc}") from exc
-    if "window" in spec:
-        lo, hi = spec["window"]
-        dist = dataclasses.replace(dist, window=(float(lo), float(hi)))
-    return dist
+        member = catalog_family(name, **params)
+        window = _finite("window", spec["window"], 1).tolist() if "window" in spec else None
+    except WinferError as exc:
+        raise SchemaError(f"invalid {name!r} distribution: {exc}") from exc
+    dist = member.dist
+    if window is not None:
+        if len(window) != 2 or not window[0] < window[1]:
+            raise SchemaError(f"window must be [lo, hi] with lo < hi, got {window}")
+        dist = dataclasses.replace(dist, window=tuple(window))
+    return dist, member
 
 
 def parse_integration(spec: dict) -> IntegrationConfig:
+    if not isinstance(spec, dict):
+        raise SchemaError("integration must be an object")
     allowed = {f.name for f in dataclasses.fields(IntegrationConfig)}
     unknown = set(spec) - allowed
     if unknown:
         raise SchemaError(f"unknown integration keys {sorted(unknown)}")
     # values key the weight-mass memo, so they must be hashable numbers
-    bad = sorted(k for k, v in spec.items() if not isinstance(v, (int, float)))
+    bad = sorted(k for k, v in spec.items() if isinstance(v, bool)
+                 or not isinstance(v, (int, float)) or not math.isfinite(v))
     if bad:
-        raise SchemaError(f"integration values must be numbers: {bad}")
+        raise SchemaError(f"integration values must be finite numbers: {bad}")
     try:
         return IntegrationConfig(**spec)
     except (WinferError, TypeError) as exc:
@@ -190,46 +205,56 @@ def parse_problem_spec(spec: dict):
         raise SchemaError("distributions must list one or two entries")
     parsed = [parse_distribution(d) for d in dists]
     wf = parse_weight(_need(spec, "weight", "spec"))
+    for dist, _ in parsed:
+        _check_weight_fits(wf, dist)
     quantities = _need(spec, "quantities", "spec")
+    if not isinstance(quantities, list):
+        raise SchemaError("quantities must be a list")
     for qn in quantities:
         if qn not in _QUANTITIES:
             raise SchemaError(f"unknown quantity {qn!r}")
-    alphas = [float(a) for a in spec.get("alpha_grid", [0.5])]
-    for a in alphas:
-        if not 0 < a <= 1:
-            raise SchemaError("alpha_grid entries must lie in (0, 1]")
+    try:
+        alphas = _finite("alpha_grid", spec.get("alpha_grid", [0.5]), 1).tolist()
+        seed = _finite("seed", spec.get("seed", 0))
+    except WinferError as exc:
+        raise SchemaError(str(exc)) from exc
+    if not all(0 < a <= 1 for a in alphas):
+        raise SchemaError("alpha_grid entries must lie in (0, 1]")
+    if seed < 0 or seed != int(seed):
+        raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
     cfg = parse_integration(spec.get("integration", {}))
-    seed = int(spec.get("seed", 0))
-    return parsed, wf, list(quantities), alphas, cfg, seed
+    return parsed, wf, list(quantities), alphas, cfg, int(seed)
+
+
+def _check_weight_fits(wf: WeightFunction, dist: Distribution) -> None:
+    """Refuse a weight that cannot be evaluated on the distribution's outcomes."""
+    sup = dist.support
+    g = wf.exp_rate_vector
+    if g is not None and (sup.kind != "real-vector" or g.size != sup.d):
+        raise SchemaError(f"a length-{g.size} exponential weight needs "
+                          f"{g.size}-vector distributions, not {dist.family!r}")
+    if wf.kind == "table" and sup.kind != "finite":
+        raise SchemaError(f"a table weight needs pmf distributions, not {dist.family!r}")
 
 
 # ---------------------------------------------------------------------------
 # closed-form cross-checks
 # ---------------------------------------------------------------------------
 
-def _catalog_adjoint(p: Distribution, q: Optional[Distribution],
-                     wf: WeightFunction, cfg: IntegrationConfig):
-    """(adjoint, theta_p, theta_q) when the pair lives in one catalog family."""
-    if p.family not in _FAMILIES or p.family == "pmf":
+def _catalog_adjoint(members: list, wf: WeightFunction, cfg: IntegrationConfig):
+    """(adjoint, theta_p, theta_q) when the parsed pair lives in one catalog
+    family; theta_q is None for a single distribution."""
+    m1, m2 = members[0], (members[1] if len(members) > 1 else None)
+    if m1 is None or (len(members) > 1 and (m2 is None or m2.family is not m1.family)):
         return None
-    if q is not None and q.family != p.family:
-        return None
-    try:
-        m1 = catalog_family(p.family, **p.params)
-        m2 = catalog_family(q.family, **q.params) if q is not None else None
-        adj = AdjointFamily(m1.family, wf, cfg)
-        return adj, m1.theta, (m2.theta if m2 is not None else None)
-    except WinferError:
-        return None
+    return AdjointFamily(m1.family, wf, cfg), m1.theta, (m2.theta if m2 is not None else None)
 
 
 def _tv_closed_form(p: Distribution, q: Distribution, wf: WeightFunction,
                     as_printed: bool) -> Optional[float]:
-    if p.family != "gaussian-scalar" or q.family != "gaussian-scalar":
-        return None
-    if abs(p.params.get("sigma2", 0) - 1.0) > 0 or abs(q.params.get("sigma2", 0) - 1.0) > 0:
-        return None
-    if p.params.get("mu", 1) != 0 or q.params.get("mu", -1) < 0:
+    if not (p.family == q.family == "gaussian-scalar"
+            and p.params["sigma2"] == q.params["sigma2"] == 1.0
+            and p.params["mu"] == 0 and q.params["mu"] >= 0):
         return None
     try:
         return gaussian_tv_closed_form(float(q.params["mu"]), wf, as_printed=as_printed)
@@ -249,17 +274,14 @@ def _record(name: str, value: float, err: float, method: str, **extra) -> dict:
 
 def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     """Evaluate every requested quantity; returns (report, exit_code)."""
-    dists, wf, quantities, alphas, cfg, seed = parse_problem_spec(spec)
-    p = dists[0]
-    q = dists[1] if len(dists) > 1 else None
-    pair_needed = {"tv", "delta", "hellinger", "bhattacharyya-coeff",
-                   "bhattacharyya-div", "kl", "chernoff-coeff", "chernoff-div",
-                   "renyi-div", "tsallis-div", "min-total-error",
-                   "stein-sanov-limit", "error-bounds"}
+    parsed, wf, quantities, alphas, cfg, seed = parse_problem_spec(spec)
+    p = parsed[0][0]
+    q = parsed[1][0] if len(parsed) > 1 else None
+    pair_needed = set(_QUANTITIES) - {"shannon-entropy", "renyi-entropy"}
     records = []
     bound_checks = []
     exit_code = 0
-    closed = _catalog_adjoint(p, q, wf, cfg)
+    closed = _catalog_adjoint([member for _, member in parsed], wf, cfg)
     # one problem for the whole report, so quantities share its memoized integrals
     prob = HypothesisProblem(p, q, wf) if q is not None and quantities else None
 
@@ -347,17 +369,13 @@ def _compute_alpha_quantity(name, prob, p, wf, a, cfg) -> dict:
     if name == "renyi-entropy":
         if a >= 1:
             raise SchemaError("renyi-entropy needs alpha in (0, 1)")
-        val = renyi_entropy(p, wf, a, cfg)
-        method = "exact-sum" if p.support.kind == "finite" else (
-            "series" if p.support.kind == "counting" else "quadrature")
-        return _record(label, val, 0.0, method, alpha=a)
+        return _record(label, renyi_entropy(p, wf, a, cfg), 0.0, _method_for(p.support),
+                       alpha=a)
     raise AssertionError(name)
 
 
 def _compute_plain_quantity(name, prob, p, q, wf, cfg, bound_checks) -> Optional[dict]:
-    discrete = p.support.kind in ("finite", "counting")
-    plain_method = "exact-sum" if p.support.kind == "finite" else (
-        "series" if p.support.kind == "counting" else "quadrature")
+    plain_method = _method_for(p.support)
     if name == "tv":
         dv = weighted_tv(prob, cfg)
         return _record(name, dv.value, dv.error, dv.method)
@@ -468,10 +486,10 @@ def cmd_verify(args) -> int:
 
 def cmd_steinsanov(args) -> int:
     spec = _load_spec(args.spec)
-    dists, wf, _, _, cfg, seed = parse_problem_spec(spec)
-    if len(dists) != 2:
+    parsed, wf, _, _, cfg, seed = parse_problem_spec(spec)
+    if len(parsed) != 2:
         raise SchemaError("steinsanov needs two distributions")
-    prob = HypothesisProblem(dists[0], dists[1], wf)
+    prob = HypothesisProblem(parsed[0][0], parsed[1][0], wf)
     etas = (0.2, 0.1, 0.05, 0.02) if args.eta_sweep else (args.eta,)
 
     def sweep(etas):
@@ -593,7 +611,7 @@ def _checked(kind, ok, what: str):
     return parse
 
 
-_finite = _checked(float, math.isfinite, "finite")
+_finite_arg = _checked(float, math.isfinite, "finite")
 _positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
@@ -636,13 +654,13 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("cramer-rao", help="weighted Cramer-Rao / van Trees experiment")
     r.add_argument("--family", choices=("gaussian-shift", "gaussian-scale"),
                    default="gaussian-shift")
-    r.add_argument("--phi-gamma", dest="gamma", type=_finite, default=0.5)
+    r.add_argument("--phi-gamma", dest="gamma", type=_finite_arg, default=0.5)
     r.add_argument("--estimator", choices=("mean", "shifted-mean", "scale-abs-mean"),
                    default="mean")
     r.add_argument("--n", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
     r.add_argument("--trials", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=1_000_000)
-    r.add_argument("--theta", type=_finite, default=0.0)
+    r.add_argument("--theta", type=_finite_arg, default=0.0)
     r.add_argument("--sigma", type=_positive_finite, default=1.0)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--van-trees", action="store_true")

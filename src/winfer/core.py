@@ -14,15 +14,18 @@ Conventions
   from distribution envelope hints (center/scale/tail kind) widened by the
   weight function's exponential growth rate.
 * Everything is immutable after construction and pure, so callers may use any
-  parallelism they like.  Monte Carlo uses numpy ``SeedSequence`` spawning so
-  parallel and serial runs with one master seed agree.
+  parallelism they like.  Each Monte Carlo run draws from one generator seeded
+  with ``SeedSequence(seed)``, so a fixed seed reproduces its draws.
+* The ``Distribution`` catalog constructors are the one place where a family's
+  density, sampler, envelope, support and parameter checks are written;
+  ``expfam`` and ``estimation`` build their members from them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +47,6 @@ __all__ = [
     "integrate",
     "weighted_expectation",
     "sample",
-    "spawn_rngs",
     "finite_difference_gradient",
     "gauss_hermite_nodes",
 ]
@@ -52,6 +54,20 @@ __all__ = [
 _GAUSSIAN_TAIL_SIGMAS = 14.0  # one-sided Gaussian tail beyond 14 sigma < 1e-43
 _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
+
+
+def _finite(name: str, value, ndim: int = 0):
+    """``value`` as a float (``ndim`` 0) or a float array with ``ndim`` axes;
+    ``IllegalParameterError`` unless every entry is a finite int or float."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf" \
+            or not np.all(np.isfinite(arr)):
+        what = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
+        raise IllegalParameterError(f"{name} must be {what}, got {value!r}")
+    return float(arr) if ndim == 0 else arr.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +99,6 @@ class Support:
     @property
     def reference_measure(self) -> str:
         return "counting" if self.kind in ("finite", "counting") else "lebesgue"
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.reference_measure == "counting"
 
     def same_space(self, other: "Support") -> bool:
         if self.kind != other.kind:
@@ -280,17 +292,19 @@ class WeightFunction:
 
     @staticmethod
     def constant(c: float = 1.0) -> "WeightFunction":
-        return WeightFunction(kind="constant", c=float(c))
+        return WeightFunction(kind="constant", c=_finite("c", c))
 
     @staticmethod
     def exponential(gamma) -> "WeightFunction":
-        if np.ndim(gamma) == 0:
-            return WeightFunction(kind="exponential", gamma=float(gamma))
-        return WeightFunction(kind="exponential", gamma=tuple(float(g) for g in gamma))
+        if not isinstance(gamma, (list, tuple)) and np.ndim(gamma) == 0:
+            return WeightFunction(kind="exponential", gamma=_finite("gamma", gamma))
+        return WeightFunction(kind="exponential",
+                              gamma=tuple(_finite("gamma", gamma, 1).tolist()))
 
     @staticmethod
     def polynomial(coeffs: Sequence[float]) -> "WeightFunction":
-        return WeightFunction(kind="polynomial", coeffs=tuple(float(v) for v in coeffs))
+        return WeightFunction(kind="polynomial",
+                              coeffs=tuple(_finite("coeffs", coeffs, 1).tolist()))
 
     @staticmethod
     def quadratic(b: float, c: float) -> "WeightFunction":
@@ -303,7 +317,7 @@ class WeightFunction:
 
     @staticmethod
     def table(values: Sequence[float]) -> "WeightFunction":
-        return WeightFunction(kind="table", values=tuple(float(v) for v in values))
+        return WeightFunction(kind="table", values=tuple(_finite("values", values, 1).tolist()))
 
     @staticmethod
     def product(factors: Sequence["WeightFunction"]) -> "WeightFunction":
@@ -394,7 +408,7 @@ class Distribution:
 
     @staticmethod
     def from_pmf(pmf, labels: Sequence = ()) -> "Distribution":
-        fin = FiniteDistribution(np.asarray(pmf, dtype=float))
+        fin = FiniteDistribution(_finite("pmf", pmf, 1))
         sup = Support.finite(fin.m, labels)
 
         def _sampler(rng, size, _p=fin.pmf):
@@ -405,6 +419,7 @@ class Distribution:
 
     @staticmethod
     def gaussian(mu: float, sigma2: float) -> "Distribution":
+        mu, sigma2 = _finite("mu", mu), _finite("sigma2", sigma2)
         if sigma2 <= 0:
             raise IllegalParameterError("sigma2 must be > 0")
         sd = math.sqrt(sigma2)
@@ -421,9 +436,10 @@ class Distribution:
 
     @staticmethod
     def gaussian_mv(mean, cov) -> "Distribution":
-        mean = np.asarray(mean, dtype=float)
-        cov = np.asarray(cov, dtype=float)
+        mean, cov = _finite("mean", mean, 1), _finite("cov", cov, 2)
         d = mean.size
+        if cov.shape != (d, d):
+            raise IllegalParameterError(f"cov must be {d} x {d} to match the mean")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -449,6 +465,7 @@ class Distribution:
 
     @staticmethod
     def exponential(lam: float) -> "Distribution":
+        lam = _finite("lam", lam)
         if lam <= 0:
             raise IllegalParameterError("lam must be > 0")
 
@@ -465,6 +482,7 @@ class Distribution:
     @staticmethod
     def gamma(lam: float, beta: float) -> "Distribution":
         """Gamma with shape lam > 0 and rate beta > 0."""
+        lam, beta = _finite("lam", lam), _finite("beta", beta)
         if lam <= 0 or beta <= 0:
             raise IllegalParameterError("shape and rate must be > 0")
         s = 1.0 / beta
@@ -491,6 +509,7 @@ class Distribution:
 
     @staticmethod
     def poisson(lam: float) -> "Distribution":
+        lam = _finite("lam", lam)
         if lam <= 0:
             raise IllegalParameterError("lam must be > 0")
 
@@ -536,17 +555,10 @@ class IntegrationConfig:
     abs_tol: float = 1e-12
     max_subdivisions: int = 2000
     tail_mass_bound: float = 1e-14
-    mc_samples: int = 100_000
-    mc_seed: int = 0
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.tail_mass_bound) <= 0:
             raise IllegalParameterError("tolerances must be strictly positive")
-        if self.mc_samples < 1:
-            raise IllegalParameterError("mc_samples must be >= 1")
-
-    def with_seed(self, seed: int) -> "IntegrationConfig":
-        return replace(self, mc_seed=int(seed))
 
 
 def _window_for(support: Support, cfg: IntegrationConfig, dists: Sequence[Distribution],
@@ -797,11 +809,6 @@ def sample(dist: Distribution, n: int, seed: int):
         first = dist.draw(rng, 1)
         return np.asarray(first)[:0]
     return np.asarray(dist.draw(rng, n))
-
-
-def spawn_rngs(master_seed: int, k: int) -> list:
-    """k independent child generators; stable under the master seed."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(master_seed).spawn(k)]
 
 
 def finite_difference_gradient(f: Callable, theta, h: float = 1e-5) -> np.ndarray:

@@ -112,10 +112,6 @@ class DivergenceValue:
         if self.error < 0:
             raise IllegalParameterError("error estimate must be >= 0")
 
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
 
 # ---------------------------------------------------------------------------
 # shared plumbing

@@ -1,10 +1,11 @@
 """Weighted Fisher information, weighted Cramer-Rao bounds (versions A and B),
 and weighted van Trees bounds (versions A, B, C).
 
-Smooth parametric models expose the density and its theta-gradient; n i.i.d.
-observations carry the product weight prod_i phi(x_i).  Monte Carlo estimates
-of the weighted quadratic deviation report their standard error, and every
-bound assertion in the test-suites is made at 3 standard errors.
+A smooth parametric model is a map theta -> Distribution, built by the
+``Distribution`` catalog constructors, plus the theta-gradient of its density;
+n i.i.d. observations carry the product weight prod_i phi(x_i).  Monte Carlo
+estimates of the weighted quadratic deviation report their standard error, and
+every bound assertion in the test-suites is made at 3 standard errors.
 
 Regularity is not assumed silently: ``check_regularity`` verifies the two
 interchange identities (grad E = int phi grad p and int grad p = 0) and the
@@ -27,11 +28,10 @@ import numpy as np
 from .core import (
     Distribution,
     IntegrationConfig,
-    Support,
     WeightFunction,
+    _hermegauss,
     finite_difference_gradient,
     integrate,
-    poisson_pmf,
 )
 from .divergence import HypothesisProblem, kl, weight_mass
 from .errors import (
@@ -83,18 +83,16 @@ def _check_sample_sizes(n: int, trials: int) -> None:
 class ParametricModel:
     """Family theta -> p_theta with analytic gradient access.
 
-    ``density(x, theta)`` and ``grad_density(x, theta)`` are vectorized in x;
-    the gradient returns shape (N,) for d = 1.  ``make_distribution`` attaches
-    the envelope metadata the quadrature engine needs.
+    ``make_distribution(theta)`` supplies the density, sampler, support and
+    envelope.  ``grad_density(x, theta, p)`` is the theta-gradient of the
+    density at x, given the density values p there (so an integrand
+    evaluates p once); it is vectorized in x and has shape (N,) for d = 1.
     """
 
     name: str
     d: int
-    support: Support
-    density: Callable
-    grad_density: Callable
-    make_distribution: Callable
-    sampler: Callable                      # (rng, theta, size) -> draws
+    grad_density: Callable                 # (x, theta, p(x)) -> gradient
+    make_distribution: Callable            # theta -> Distribution
     theta_domain: Callable = lambda th: True
 
     def check(self, theta) -> float:
@@ -109,56 +107,39 @@ def gaussian_shift_model(sigma: float = 1.0) -> ParametricModel:
         raise IllegalParameterError("sigma must be > 0")
     s2 = sigma * sigma
 
-    def density(x, th):
+    def grad_density(x, th, p):
         x = np.asarray(x, dtype=float)
-        return np.exp(-((x - th) ** 2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
-
-    def grad_density(x, th):
-        x = np.asarray(x, dtype=float)
-        return density(x, th) * (x - th) / s2
+        return p * (x - th) / s2
 
     return ParametricModel(
-        name="gaussian-shift", d=1, support=Support.real_line(),
-        density=density, grad_density=grad_density,
-        make_distribution=lambda th: Distribution.gaussian(th, s2),
-        sampler=lambda rng, th, size: rng.normal(th, sigma, size=size))
+        name="gaussian-shift", d=1, grad_density=grad_density,
+        make_distribution=lambda th: Distribution.gaussian(th, s2))
 
 
 def gaussian_scale_model() -> ParametricModel:
     """p_theta(x) = (1/theta) g(x/theta) with standard normal g (theta > 0)."""
 
-    def density(x, th):
+    def grad_density(x, th, p):
         x = np.asarray(x, dtype=float)
-        return np.exp(-x * x / (2 * th * th)) / (math.sqrt(2 * math.pi) * th)
-
-    def grad_density(x, th):
-        x = np.asarray(x, dtype=float)
-        return density(x, th) * (x * x / th ** 3 - 1.0 / th)
+        return p * (x * x / th ** 3 - 1.0 / th)
 
     return ParametricModel(
-        name="gaussian-scale", d=1, support=Support.real_line(),
-        density=density, grad_density=grad_density,
+        name="gaussian-scale", d=1, grad_density=grad_density,
         make_distribution=lambda th: Distribution.gaussian(0.0, th * th),
-        sampler=lambda rng, th, size: rng.normal(0.0, th, size=size),
         theta_domain=lambda th: th > 0)
 
 
 def poisson_log_mean_model() -> ParametricModel:
     """Poisson(e^theta); d ln p / d theta = l - e^theta."""
 
-    def density(x, th):
-        return poisson_pmf(x, math.exp(th))
-
-    def grad_density(x, th):
+    def grad_density(x, th, p):
         lam = math.exp(th)
         x = np.asarray(x, dtype=float)
-        return density(x, th) * (x - lam)
+        return p * (x - lam)
 
     return ParametricModel(
-        name="poisson-log-mean", d=1, support=Support.counting(),
-        density=density, grad_density=grad_density,
-        make_distribution=lambda th: Distribution.poisson(math.exp(th)),
-        sampler=lambda rng, th, size: rng.poisson(math.exp(th), size=size))
+        name="poisson-log-mean", d=1, grad_density=grad_density,
+        make_distribution=lambda th: Distribution.poisson(math.exp(th)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +246,17 @@ def _fisher_entry(model, wf, theta, l, m_, cfg) -> float:
     dist = model.make_distribution(theta)
 
     def f(x):
-        p = model.density(x, theta)
+        p = dist.density(x)
         if model.d == 1:
-            gl = gm = model.grad_density(x, theta)
+            gl = gm = model.grad_density(x, theta, p)
         else:
-            grads = model.grad_density(x, theta)
+            grads = model.grad_density(x, theta, p)
             gl, gm = grads[..., l], grads[..., m_]
         with np.errstate(divide="ignore", invalid="ignore"):
             val = np.where(p > 0, gl * gm / np.where(p > 0, p, 1.0), 0.0)
         return wf(x) * val
 
-    val, _ = integrate(f, model.support, cfg, dists=(dist,), wf=wf)
+    val, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=wf)
     return val
 
 
@@ -324,10 +305,10 @@ def weighted_fisher_aux(model: ParametricModel, wf: WeightFunction, theta,
     v = np.empty(model.d)
     for l in range(model.d):
         def f(x, _l=l):
-            g = model.grad_density(x, theta)
+            g = model.grad_density(x, theta, dist.density(x))
             g = g if model.d == 1 else g[..., _l]
             return wf(x) * g
-        v[l], _ = integrate(f, model.support, cfg, dists=(dist,), wf=wf)
+        v[l], _ = integrate(f, dist.support, cfg, dists=(dist,), wf=wf)
     gap = float(np.max(np.abs(grad_e - v)))
     return FisherAux(E=e, grad_E=grad_e, V=v, interchange_gap=gap)
 
@@ -358,9 +339,9 @@ def check_regularity(model: ParametricModel, wf: WeightFunction, theta,
     dist = model.make_distribution(theta)
     for l in range(model.d):
         def f(x, _l=l):
-            g = model.grad_density(x, theta)
+            g = model.grad_density(x, theta, dist.density(x))
             return g if model.d == 1 else g[..., _l]
-        total, _ = integrate(f, model.support, cfg, dists=(dist,), wf=None)
+        total, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=None)
         if abs(total) > tol:
             raise RegularityError(f"int grad p = {total:.2e} != 0")
     return aux
@@ -454,12 +435,13 @@ def _weighted_values(wf: WeightFunction, est: EstimatorSpec, xs: np.ndarray,
 def _mc_weighted(model, wf, theta, n, est, trials, rng, deviation: bool = True):
     """Mean and stderr of phi^{(n)}(X) |theta*(X) - theta|^2, or with
     ``deviation=False`` of phi^{(n)}(X) theta*(X), i.e. W(theta)."""
+    dist = model.make_distribution(theta)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
-        v = _weighted_values(wf, est, model.sampler(rng, theta, (t, n)), theta, deviation)
+        v = _weighted_values(wf, est, dist.draw(rng, (t, n)), theta, deviation)
         total += float(v.sum())
         total_sq += float((v * v).sum())
         done += t
@@ -540,7 +522,7 @@ def _sqrt_weight_mass(model, wf, theta, cfg) -> float:
     f = lambda x: np.sqrt(wf(x)) * dist.density(x)
     half_wf = WeightFunction.exponential(wf.gamma / 2.0) \
         if _is_scalar_exponential(wf) else None
-    val, _ = integrate(f, model.support, cfg, dists=(dist,), wf=half_wf)
+    val, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=half_wf)
     return val
 
 
@@ -589,10 +571,9 @@ class PriorSpec:
     width: float = 1.0
 
     def pdf(self, th):
-        th = np.asarray(th, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-((th - self.mean) ** 2) / (2 * self.var)) \
-                / math.sqrt(2 * math.pi * self.var)
+            return Distribution.gaussian(self.mean, self.var).density(th)
+        th = np.asarray(th, dtype=float)
         u = (th - self.center) / self.width
         inside = np.abs(u) < 1.0
         out = np.zeros_like(th, dtype=float)
@@ -611,7 +592,7 @@ class PriorSpec:
     def quadrature(self, level: int = 32):
         """Nodes/weights approximating integrals against the prior."""
         if self.kind == "gaussian":
-            x, w = np.polynomial.hermite_e.hermegauss(level)
+            x, w, _ = _hermegauss(level)
             nodes = self.mean + math.sqrt(self.var) * x
             return nodes, w / math.sqrt(2 * math.pi)
         xs = np.linspace(self.center - self.width, self.center + self.width,
@@ -740,7 +721,7 @@ def _shift_samples(model, theta, zs, rng):
         return theta + sigma * zs
     if model.name == "gaussian-scale":
         return theta * zs
-    return model.sampler(rng, theta, zs.shape)
+    return model.make_distribution(theta).draw(rng, zs.shape)
 
 
 def _pointwise_rhs_A(aux, info, theta, n, est) -> float:

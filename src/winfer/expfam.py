@@ -36,7 +36,6 @@ from scipy.special import digamma, erf, gammaln
 from .core import (
     Distribution,
     IntegrationConfig,
-    Support,
     WeightFunction,
     finite_difference_gradient,
     gauss_hermite_nodes,
@@ -49,6 +48,7 @@ from .errors import (
 )
 
 __all__ = [
+    "CATALOG",
     "ExponentialFamily",
     "ExpFamilyMember",
     "AdjointFamily",
@@ -66,17 +66,19 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_CATALOG_NAMES = ("exponential", "poisson", "gaussian-scalar",
-                  "gaussian-multivariate", "gamma")
 
 
 @dataclass(frozen=True)
 class ExponentialFamily:
-    """Sufficient statistic, carrier, log-normalizer, and parameter maps."""
+    """Sufficient statistic, carrier, log-normalizer, and parameter maps.
+
+    Members are built by ``constructor``, the family's ``Distribution``
+    catalog constructor, which owns the density, sampler, support, envelope
+    and parameter checks.  ``contains`` also checks the size of theta.
+    """
 
     name: str
-    dim: int                          # length of the flat natural parameter
-    support: Support
+    constructor: Callable             # conventional params -> Distribution
     t: Callable                       # x -> (N, dim) sufficient statistics
     k: Callable                       # x -> (N,) carrier values
     F: Callable                       # theta -> float log-normalizer
@@ -84,15 +86,17 @@ class ExponentialFamily:
     contains: Callable                # theta -> bool natural-domain test
     to_natural: Callable              # conventional params dict -> theta
     from_natural: Callable            # theta -> conventional params dict
-    make_distribution: Callable       # theta -> Distribution
     zero_carrier: bool = True
 
     def check(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.size != self.dim or not self.contains(theta):
+        if not self.contains(theta):
             raise ParameterOutOfDomainError(
                 f"{self.name}: natural parameter outside the domain")
         return theta
+
+    def distribution(self, theta) -> Distribution:
+        return self.constructor(**self.from_natural(theta))
 
 
 @dataclass(frozen=True)
@@ -105,12 +109,16 @@ class ExpFamilyMember:
     def dist(self) -> Distribution:
         """One Distribution per member, so its memoized masses and meshes are
         shared by every quantity computed from this member."""
-        return self.family.make_distribution(self.theta)
+        return self.family.distribution(self.theta)
 
 
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
+
+def _zero_carrier(x):
+    return np.zeros(np.atleast_1d(x).shape[0])
+
 
 def _exponential_family() -> ExponentialFamily:
     # p_lam(x) = lam e^{-lam x}: theta = lam, t(x) = -x, k = 0, F = -ln lam
@@ -118,14 +126,13 @@ def _exponential_family() -> ExponentialFamily:
         return -np.atleast_1d(np.asarray(x, dtype=float))[:, None]
 
     return ExponentialFamily(
-        name="exponential", dim=1, support=Support.half_line(0.0),
-        t=t, k=lambda x: np.zeros(np.atleast_1d(x).shape[0]),
+        name="exponential", constructor=Distribution.exponential,
+        t=t, k=_zero_carrier,
         F=lambda th: -math.log(th[0]),
         grad_F=lambda th: np.array([-1.0 / th[0]]),
-        contains=lambda th: th[0] > 0,
+        contains=lambda th: th.size == 1 and th[0] > 0,
         to_natural=lambda p: np.array([float(p["lam"])]),
-        from_natural=lambda th: {"lam": float(th[0])},
-        make_distribution=lambda th: Distribution.exponential(float(th[0])))
+        from_natural=lambda th: {"lam": float(th[0])})
 
 
 def _poisson_family() -> ExponentialFamily:
@@ -137,14 +144,13 @@ def _poisson_family() -> ExponentialFamily:
         return -gammaln(np.atleast_1d(np.asarray(x, dtype=float)) + 1.0)
 
     return ExponentialFamily(
-        name="poisson", dim=1, support=Support.counting(),
+        name="poisson", constructor=Distribution.poisson,
         t=t, k=k,
         F=lambda th: math.exp(th[0]),
         grad_F=lambda th: np.array([math.exp(th[0])]),
-        contains=lambda th: np.isfinite(th[0]),
+        contains=lambda th: th.size == 1 and np.isfinite(th[0]),
         to_natural=lambda p: np.array([math.log(float(p["lam"]))]),
         from_natural=lambda th: {"lam": math.exp(float(th[0]))},
-        make_distribution=lambda th: Distribution.poisson(math.exp(float(th[0]))),
         zero_carrier=False)
 
 
@@ -167,59 +173,62 @@ def _gaussian_scalar_family() -> ExponentialFamily:
         return {"mu": float(-th[0] / (2.0 * th[1])), "sigma2": float(s2)}
 
     return ExponentialFamily(
-        name="gaussian-scalar", dim=2, support=Support.real_line(),
-        t=t, k=lambda x: np.zeros(np.atleast_1d(x).shape[0]),
+        name="gaussian-scalar", constructor=Distribution.gaussian,
+        t=t, k=_zero_carrier,
         F=F, grad_F=grad_F,
-        contains=lambda th: th[1] < 0,
+        contains=lambda th: th.size == 2 and th[1] < 0,
         to_natural=lambda p: np.array([float(p["mu"]) / float(p["sigma2"]),
                                        -0.5 / float(p["sigma2"])]),
-        from_natural=from_nat,
-        make_distribution=lambda th: Distribution.gaussian(**from_nat(th)))
+        from_natural=from_nat)
 
 
 def _pack_mv(eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return np.concatenate([eta, lam.reshape(-1)])
 
 
-def _unpack_mv(theta: np.ndarray, d: int):
+def _unpack_mv(theta: np.ndarray):
+    """(eta, precision block) of a flat theta of size d + d^2 (the reshape
+    raises ValueError when no d fits)."""
+    d = (math.isqrt(4 * theta.size + 1) - 1) // 2
     return theta[:d], theta[d:].reshape(d, d)
 
 
-def _gaussian_mv_family(d: int) -> ExponentialFamily:
-    # theta = (Sigma^{-1} mu, vec(-Sigma^{-1}/2)), t = (x, vec(x x^T)), k = 0
+def _gaussian_mv_family() -> ExponentialFamily:
+    # theta = (Sigma^{-1} mu, vec(-Sigma^{-1}/2)), t = (x, vec(x x^T)), k = 0;
+    # d is read off the size of x or theta
     def t(x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        outer = np.einsum("ni,nj->nij", x, x).reshape(x.shape[0], d * d)
+        n, d = x.shape
+        outer = np.einsum("ni,nj->nij", x, x).reshape(n, d * d)
         return np.concatenate([x, outer], axis=1)
 
     def contains(th):
-        _, lam = _unpack_mv(th, d)
-        sym = 0.5 * (lam + lam.T)
         try:
-            np.linalg.cholesky(-2.0 * sym)
-        except np.linalg.LinAlgError:
+            _, lam = _unpack_mv(th)
+            np.linalg.cholesky(-2.0 * (0.5 * (lam + lam.T)))
+        except (ValueError, np.linalg.LinAlgError):
             return False
         return True
 
     def F(th):
-        eta, lam = _unpack_mv(th, d)
+        eta, lam = _unpack_mv(th)
         lam = 0.5 * (lam + lam.T)
         lam_inv = np.linalg.inv(lam)
         sign, logdet = np.linalg.slogdet(-lam)
         if sign <= 0:
             raise ParameterOutOfDomainError("precision block not negative-definite")
-        return float(-0.25 * eta @ lam_inv @ eta + 0.5 * d * math.log(math.pi)
+        return float(-0.25 * eta @ lam_inv @ eta + 0.5 * eta.size * math.log(math.pi)
                      - 0.5 * logdet)
 
     def grad_F(th):
-        eta, lam = _unpack_mv(th, d)
+        eta, lam = _unpack_mv(th)
         lam = 0.5 * (lam + lam.T)
         sigma = -0.5 * np.linalg.inv(lam)
         mu = sigma @ eta
         return _pack_mv(mu, sigma + np.outer(mu, mu))
 
     def from_nat(th):
-        eta, lam = _unpack_mv(th, d)
+        eta, lam = _unpack_mv(th)
         lam = 0.5 * (lam + lam.T)
         sigma = -0.5 * np.linalg.inv(lam)
         return {"mean": sigma @ eta, "cov": sigma}
@@ -231,11 +240,10 @@ def _gaussian_mv_family(d: int) -> ExponentialFamily:
         return _pack_mv(prec @ mean, -0.5 * prec)
 
     return ExponentialFamily(
-        name="gaussian-multivariate", dim=d + d * d, support=Support.real_vector(d),
+        name="gaussian-multivariate", constructor=Distribution.gaussian_mv,
         t=t, k=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
         F=F, grad_F=grad_F, contains=contains,
-        to_natural=to_nat, from_natural=from_nat,
-        make_distribution=lambda th: Distribution.gaussian_mv(**from_nat(th)))
+        to_natural=to_nat, from_natural=from_nat)
 
 
 def _gamma_family() -> ExponentialFamily:
@@ -254,50 +262,36 @@ def _gamma_family() -> ExponentialFamily:
         return np.array([lam / beta, digamma(lam) - math.log(beta)])
 
     return ExponentialFamily(
-        name="gamma", dim=2, support=Support.half_line(0.0),
-        t=t, k=lambda x: np.zeros(np.atleast_1d(x).shape[0]),
+        name="gamma", constructor=Distribution.gamma,
+        t=t, k=_zero_carrier,
         F=F, grad_F=grad_F,
-        contains=lambda th: th[0] < 0 and th[1] > -1,
+        contains=lambda th: th.size == 2 and th[0] < 0 and th[1] > -1,
         to_natural=lambda p: np.array([-float(p["beta"]), float(p["lam"]) - 1.0]),
-        from_natural=lambda th: {"lam": float(th[1] + 1.0), "beta": float(-th[0])},
-        make_distribution=lambda th: Distribution.gamma(float(th[1] + 1.0), float(-th[0])))
+        from_natural=lambda th: {"lam": float(th[1] + 1.0), "beta": float(-th[0])})
+
+
+# The exponential-family catalog: every name a spec may use, and its family.
+CATALOG = {fam.name: fam for fam in (
+    _exponential_family(), _poisson_family(), _gaussian_scalar_family(),
+    _gaussian_mv_family(), _gamma_family())}
 
 
 def catalog_family(name: str, **params) -> ExpFamilyMember:
     """Instantiate a catalog family member from conventional parameters.
 
     Names: exponential(lam), poisson(lam), gaussian-scalar(mu, sigma2),
-    gaussian-multivariate(mean, cov), gamma(lam, beta).
+    gaussian-multivariate(mean, cov), gamma(lam, beta).  The family's
+    ``Distribution`` constructor checks the parameters; a missing or unknown
+    parameter name is an ``IllegalParameterError`` too.
     """
-    if name == "exponential":
-        if params.get("lam", 0) <= 0:
-            raise IllegalParameterError("lam must be > 0")
-        fam = _exponential_family()
-    elif name == "poisson":
-        if params.get("lam", 0) <= 0:
-            raise IllegalParameterError("lam must be > 0")
-        fam = _poisson_family()
-    elif name == "gaussian-scalar":
-        if params.get("sigma2", 0) <= 0:
-            raise IllegalParameterError("sigma2 must be > 0")
-        fam = _gaussian_scalar_family()
-    elif name == "gaussian-multivariate":
-        mean = np.asarray(params["mean"], dtype=float)
-        cov = np.asarray(params["cov"], dtype=float)
-        try:
-            np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise IllegalParameterError("covariance must be positive-definite") from exc
-        fam = _gaussian_mv_family(mean.size)
-    elif name == "gamma":
-        if params.get("lam", 0) <= 0 or params.get("beta", 0) <= 0:
-            raise IllegalParameterError("lam and beta must be > 0")
-        fam = _gamma_family()
-    else:
-        raise IllegalParameterError(
-            f"unknown family {name!r}; catalog: {_CATALOG_NAMES}")
-    theta = fam.to_natural(params)
-    theta = fam.check(theta)
+    fam = CATALOG.get(name) if isinstance(name, str) else None
+    if fam is None:
+        raise IllegalParameterError(f"unknown family {name!r}; catalog: {tuple(CATALOG)}")
+    try:
+        checked = fam.constructor(**params)
+    except TypeError as exc:  # a missing or unknown parameter name
+        raise IllegalParameterError(f"{name}: {exc}") from None
+    theta = fam.check(fam.to_natural(checked.params))
     return ExpFamilyMember(family=fam, theta=theta, params=dict(params))
 
 
@@ -404,7 +398,7 @@ class AdjointFamily:
         closed = _weight_mass_closed(self.base, self.wf, theta)
         if closed is not None:
             return closed
-        dist = self.base.make_distribution(theta)
+        dist = self.base.distribution(theta)
         return _numeric_weight_mass(dist, self.wf, self.cfg)
 
     def log_weight_mass(self, theta) -> float:
@@ -421,7 +415,7 @@ class AdjointFamily:
     def _grad_log_weight_mass_closed(self, theta) -> Optional[np.ndarray]:
         wf, fam = self.wf, self.base
         if wf.kind == "constant":
-            return np.zeros(fam.dim)
+            return np.zeros(theta.size)
         if fam.name == "exponential" and wf.laplace(theta[0]) is not None:
             lam = theta[0]
             return np.array([1.0 / lam + wf.laplace_prime(lam) / wf.laplace(lam)])
@@ -444,8 +438,7 @@ class AdjointFamily:
         if fam.name == "gaussian-multivariate":
             g = wf.exp_rate_vector
             if g is not None:
-                d = int(round((math.isqrt(4 * fam.dim + 1) - 1) / 2))
-                eta, lam = _unpack_mv(theta, d)
+                eta, lam = _unpack_mv(theta)
                 lam = 0.5 * (lam + lam.T)
                 sigma = -0.5 * np.linalg.inv(lam)
                 mu = sigma @ eta
@@ -500,10 +493,10 @@ def expfam_shannon(adj: AdjointFamily, theta) -> float:
     theta = fam.check(theta)
     val = adj.weight_mass(theta) * (fam.F(theta) - theta @ adj.grad_F_star(theta))
     if not fam.zero_carrier:
-        dist = fam.make_distribution(theta)
+        dist = fam.distribution(theta)
         corr, _ = integrate(
             lambda x: adj.wf(x) * dist.density(x) * (-fam.k(x)),
-            fam.support, adj.cfg, dists=(dist,), wf=adj.wf)
+            dist.support, adj.cfg, dists=(dist,), wf=adj.wf)
         val += corr
     return float(val)
 
@@ -527,7 +520,7 @@ def expfam_renyi(adj: AdjointFamily, theta, alpha: float) -> float:
         e_alpha = adj.weight_mass(a_theta)
         val = math.log(e_alpha) + fam.F(a_theta) - alpha * fam.F(theta) - math.log(ep)
         return ep / (1.0 - alpha) * val
-    tilted = fam.make_distribution(a_theta)
+    tilted = fam.distribution(a_theta)
 
     def corr_term(x):
         # assembled in log space: the (alpha-1) k factor can overflow on its
@@ -535,7 +528,7 @@ def expfam_renyi(adj: AdjointFamily, theta, alpha: float) -> float:
         log_t = adj.wf.log_value(x) + tilted.log_density(x) + (alpha - 1.0) * fam.k(x)
         return np.exp(log_t)
 
-    corr, _ = integrate(corr_term, fam.support, adj.cfg, dists=(tilted,), wf=adj.wf)
+    corr, _ = integrate(corr_term, tilted.support, adj.cfg, dists=(tilted,), wf=adj.wf)
     log_j = fam.F(a_theta) - alpha * fam.F(theta) + math.log(corr)
     return ep / (1.0 - alpha) * (log_j - math.log(ep))
 
@@ -577,11 +570,11 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
     fam = adj.base
     theta = fam.check(theta)
     out = {"E0": adj.weight_mass(theta)}
-    dist = fam.make_distribution(theta)
+    dist = fam.distribution(theta)
 
     def moment(g):
         val, _ = integrate(lambda x: adj.wf(x) * dist.density(x) * g(x),
-                           fam.support, adj.cfg, dists=(dist,), wf=adj.wf)
+                           dist.support, adj.cfg, dists=(dist,), wf=adj.wf)
         return val
 
     if fam.name == "gaussian-scalar":

@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from winfer.cli import compute_report, parse_problem_spec
+from winfer.cli import compute_report, main, parse_distribution, parse_problem_spec
 from winfer.errors import SchemaError
+from winfer.expfam import CATALOG
 
 
 def spec_binary(quantities, weight=None, alpha_grid=None):
@@ -60,8 +61,19 @@ class TestSchema:
     def test_unknown_family(self):
         spec = spec_binary(["tv"])
         spec["distributions"][0] = {"family": "cauchy", "params": {}}
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as info:
             parse_problem_spec(spec)
+        assert str(tuple(CATALOG)) in str(info.value)  # the error lists the registry
+
+    def test_distribution_round_trips_the_spec_params(self):
+        """The evaluated dist is built from from_natural(to_natural(params)),
+        and the member that carries theta is the one parsing built."""
+        params = {"lam": 1.3931487737707235, "beta": 1.1973262435457488}
+        dist, member = parse_distribution({"family": "gamma", "params": params})
+        fam = member.family
+        assert dist.params == fam.from_natural(fam.to_natural(params))
+        np.testing.assert_array_equal(member.theta, fam.to_natural(params))
+        assert dist is member.dist
 
     def test_denormalized_pmf(self):
         spec = spec_binary(["tv"])
@@ -80,9 +92,75 @@ class TestSchema:
         spec["integration"] = {"bogus": 1}
         with pytest.raises(SchemaError):
             parse_problem_spec(spec)
-        spec["integration"] = {"mc_seed": [1]}  # unhashable: cannot key a memo
+        spec["integration"] = {"max_subdivisions": [1]}  # unhashable: cannot key a memo
         with pytest.raises(SchemaError):
             parse_problem_spec(spec)
+
+
+def _spec_with(**changes):
+    spec = {"schema": 1,
+            "distributions": [{"family": "exponential", "params": {"lam": 2.0}},
+                              {"family": "exponential", "params": {"lam": 3.0}}],
+            "weight": {"kind": "absolute"}, "quantities": ["kl"]}
+    spec.update(changes)
+    return spec
+
+
+def _two(family, params, other):
+    return [{"family": family, "params": params}, {"family": family, "params": other}]
+
+
+_MV = {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+MALFORMED_SPECS = {
+    "non-numeric param": _spec_with(distributions=_two(
+        "gaussian-scalar", {"mu": "a", "sigma2": 1.0}, {"mu": 0.0, "sigma2": 1.0})),
+    "mean length != cov": _spec_with(distributions=_two(
+        "gaussian-multivariate", {"mean": [0.0, 0.0, 0.0], "cov": _MV["cov"]}, _MV)),
+    "unknown param key": _spec_with(distributions=_two(
+        "exponential", {"lam": 1, "extra": 2}, {"lam": 3.0})),
+    "poisson lam 0": _spec_with(distributions=_two("poisson", {"lam": 0}, {"lam": 1.0})),
+    "poisson lam < 0": _spec_with(distributions=_two("poisson", {"lam": -2.0}, {"lam": 1.0})),
+    "gamma lam 0": _spec_with(distributions=_two(
+        "gamma", {"lam": 0.0, "beta": 1.0}, {"lam": 2.0, "beta": 1.0})),
+    "gamma beta < 0": _spec_with(distributions=_two(
+        "gamma", {"lam": 2.0, "beta": -1.0}, {"lam": 2.0, "beta": 1.0})),
+    "window of one": _spec_with(distributions=[
+        {"family": "exponential", "params": {"lam": 2.0}, "window": [0]},
+        {"family": "exponential", "params": {"lam": 3.0}}]),
+    "non-numeric window": _spec_with(distributions=[
+        {"family": "exponential", "params": {"lam": 2.0}, "window": [0, "x"]},
+        {"family": "exponential", "params": {"lam": 3.0}}]),
+    "non-numeric gamma": _spec_with(weight={"kind": "exponential", "gamma": "x"}),
+    "ragged gamma": _spec_with(weight={"kind": "exponential", "gamma": [[1.0, 2.0], [3.0]]}),
+    "non-numeric b": _spec_with(weight={"kind": "quadratic", "b": "x", "c": 1.0}),
+    "non-numeric c": _spec_with(weight={"kind": "constant", "c": "x"}),
+    "non-numeric coeffs": _spec_with(weight={"kind": "polynomial", "coeffs": ["x"]}),
+    "non-numeric values": _spec_with(
+        distributions=[{"pmf": [0.5, 0.5]}, {"pmf": [0.3, 0.7]}],
+        weight={"kind": "table", "values": ["x", 1.0]}),
+    "non-numeric alpha": _spec_with(alpha_grid=["x"]),
+    "quantities not a list": _spec_with(quantities=5),
+    "integration not an object": _spec_with(integration=5),
+    "nan tolerance": _spec_with(integration={"rel_tol": math.nan}),
+    "labels not a list": _spec_with(
+        distributions=[{"pmf": [0.5, 0.5], "labels": 5}, {"pmf": [0.5, 0.5]}],
+        weight={"kind": "table", "values": [1.0, 2.0]}),
+    "non-numeric seed": _spec_with(seed="x"),
+    "vector gamma, scalar support": _spec_with(
+        weight={"kind": "exponential", "gamma": [0.1, 0.2]}),
+    "vector gamma of wrong length": _spec_with(
+        distributions=_two("gaussian-multivariate", _MV, _MV),
+        weight={"kind": "exponential", "gamma": [0.1, 0.2, 0.3]}),
+}
+
+
+@pytest.mark.parametrize("spec", list(MALFORMED_SPECS.values()), ids=list(MALFORMED_SPECS))
+def test_malformed_spec_exits_one(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["compute", str(path), "--reproducible"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("schema error:")
 
 
 class TestComputeReport:

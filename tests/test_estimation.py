@@ -42,15 +42,59 @@ class TestModels:
         (poisson_log_mean_model(), 0.5),
     ])
     def test_gradient_matches_finite_differences(self, model, theta):
-        xs = model.sampler(np.random.default_rng(0), theta, 16)
+        dist = model.make_distribution(theta)
+        xs = dist.draw(np.random.default_rng(0), 16)
         h = 1e-6
-        fd = (model.density(xs, theta + h) - model.density(xs, theta - h)) / (2 * h)
-        np.testing.assert_allclose(model.grad_density(xs, theta), fd,
+        fd = (model.make_distribution(theta + h).density(xs)
+              - model.make_distribution(theta - h).density(xs)) / (2 * h)
+        np.testing.assert_allclose(model.grad_density(xs, theta, dist.density(xs)), fd,
                                    rtol=1e-5, atol=1e-8)
 
     def test_theta_domain(self):
         with pytest.raises(Exception):
             gaussian_scale_model().check(-1.0)
+
+
+# The models' densities, gradients and samplers as they were written out before
+# the models were derived from the Distribution constructors; the derived
+# models must reproduce them bit for bit (shift model at sigma = 1).
+def _shift_written_out(x, th):
+    s2 = 1.0 * 1.0
+    p = np.exp(-((x - th) ** 2) / (2 * s2)) / math.sqrt(2 * math.pi * s2)
+    return p, p * (x - th) / s2, lambda rng, size: rng.normal(th, 1.0, size=size)
+
+
+def _scale_written_out(x, th):
+    p = np.exp(-x * x / (2 * th * th)) / (math.sqrt(2 * math.pi) * th)
+    return p, p * (x * x / th ** 3 - 1.0 / th), \
+        lambda rng, size: rng.normal(0.0, th, size=size)
+
+
+def _poisson_written_out(x, th):
+    from scipy.special import gammaln, xlogy
+    lam = math.exp(th)
+    p = np.clip(np.exp(xlogy(x, lam) - gammaln(x + 1) - lam), 0, 1)
+    return p, p * (x - lam), lambda rng, size: rng.poisson(lam, size=size)
+
+
+class TestDerivedModels:
+    @pytest.mark.parametrize("model,oracle,thetas,xs", [
+        (gaussian_shift_model(), _shift_written_out, (-1.3, 0.0, 0.37, 2.5),
+         np.linspace(-9.0, 9.0, 401)),
+        (gaussian_scale_model(), _scale_written_out, (0.3, 1.0, 1.7, 4.2),
+         np.linspace(-12.0, 12.0, 401)),
+        (poisson_log_mean_model(), _poisson_written_out, (-0.7, 0.0, 1.2, 2.9),
+         np.arange(0.0, 80.0)),
+    ], ids=["shift", "scale", "poisson"])
+    def test_equal_to_written_out_formulas(self, model, oracle, thetas, xs):
+        for th in thetas:
+            dist = model.make_distribution(th)
+            p_want, grad_want, draw_want = oracle(xs, th)
+            p = dist.density(xs)
+            np.testing.assert_array_equal(p, p_want)
+            np.testing.assert_array_equal(model.grad_density(xs, th, p), grad_want)
+            np.testing.assert_array_equal(dist.draw(np.random.default_rng(7), (50, 4)),
+                                          draw_want(np.random.default_rng(7), (50, 4)))
 
 
 class TestWeightedFisher:
@@ -101,26 +145,17 @@ class TestWeightedFisher:
 def two_parameter_gaussian_model() -> ParametricModel:
     """N(mu, e^{2s}) with theta = (mu, s); exercises the matrix Fisher path."""
 
-    def density(x, th):
+    def grad_density(x, th, p):
         mu, s = th
         sd = math.exp(s)
         x = np.asarray(x, dtype=float)
-        return np.exp(-((x - mu) ** 2) / (2 * sd * sd)) / (math.sqrt(2 * math.pi) * sd)
-
-    def grad_density(x, th):
-        mu, s = th
-        sd = math.exp(s)
-        x = np.asarray(x, dtype=float)
-        p = density(x, th)
         return np.stack([p * (x - mu) / sd ** 2,
                          p * ((x - mu) ** 2 / sd ** 2 - 1.0)], axis=-1)
 
-    from winfer.core import Distribution, Support
+    from winfer.core import Distribution
     return ParametricModel(
-        name="gaussian-mean-logsd", d=2, support=Support.real_line(),
-        density=density, grad_density=grad_density,
-        make_distribution=lambda th: Distribution.gaussian(th[0], math.exp(2 * th[1])),
-        sampler=lambda rng, th, size: rng.normal(th[0], math.exp(th[1]), size=size))
+        name="gaussian-mean-logsd", d=2, grad_density=grad_density,
+        make_distribution=lambda th: Distribution.gaussian(th[0], math.exp(2 * th[1])))
 
 
 class TestMatrixFisher:
@@ -205,10 +240,9 @@ class TestRegularity:
     def test_broken_gradient_aborts(self):
         base = gaussian_shift_model()
         broken = ParametricModel(
-            name="broken", d=1, support=base.support,
-            density=base.density,
-            grad_density=lambda x, th: 1.1 * base.grad_density(x, th),
-            make_distribution=base.make_distribution, sampler=base.sampler)
+            name="broken", d=1,
+            grad_density=lambda x, th, p: 1.1 * base.grad_density(x, th, p),
+            make_distribution=base.make_distribution)
         with pytest.raises(RegularityError):
             check_regularity(broken, WeightFunction.exponential(0.4), 0.3, CFG)
 
@@ -495,7 +529,7 @@ class TestSampleSizes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
         monkeypatch.setattr(estimation, "check_regularity", no_work)
-        m = dataclasses.replace(gaussian_shift_model(), sampler=no_work)
+        m = dataclasses.replace(gaussian_shift_model(), make_distribution=no_work)
         wf = WeightFunction.exponential(0.5)
         est = mean_estimator(gaussian_shift_model(), wf)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)

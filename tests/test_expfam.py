@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma, erf
@@ -20,6 +21,7 @@ from winfer.divergence import (
 from winfer.errors import IllegalParameterError, ParameterOutOfDomainError
 from winfer.estimation import finite_difference_gradient
 from winfer.expfam import (
+    CATALOG,
     AdjointFamily,
     adjoint_coefficients,
     bregman,
@@ -47,8 +49,27 @@ MEMBERS = [
 
 class TestCatalog:
     def test_unknown_name(self):
-        with pytest.raises(IllegalParameterError):
+        with pytest.raises(IllegalParameterError) as info:
             catalog_family("beta", a=1, b=1)
+        assert str(tuple(CATALOG)) in str(info.value)  # the error lists the registry
+
+    def test_registry_names_its_constructors(self):
+        assert sorted(CATALOG) == sorted(name for name, _ in MEMBERS)
+        for name, params in MEMBERS:
+            fam = CATALOG[name]
+            assert fam.name == name
+            assert fam.constructor(**params).family == name
+            assert catalog_family(name, **params).family is fam
+
+    @pytest.mark.parametrize("name,params", MEMBERS)
+    def test_member_distribution_round_trips_the_parameters(self, name, params):
+        """The member's Distribution is built from from_natural(to_natural(params)),
+        not from params directly; the two can differ in the last bits."""
+        m = catalog_family(name, **params)
+        want = m.family.from_natural(m.family.to_natural(params))
+        assert m.dist.params.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(m.dist.params[key], want[key])
 
     def test_illegal_parameters(self):
         with pytest.raises(IllegalParameterError):
@@ -58,6 +79,16 @@ class TestCatalog:
         with pytest.raises(IllegalParameterError):
             catalog_family("gaussian-multivariate",
                            mean=[0.0, 0.0], cov=[[1.0, 2.0], [2.0, 1.0]])
+        for name, params in [
+                ("poisson", {"lam": 0.0}), ("poisson", {"lam": -1.5}),
+                ("gamma", {"lam": 0.0, "beta": 1.0}), ("gamma", {"lam": -1.0, "beta": 1.0}),
+                ("gamma", {"lam": 2.0, "beta": 0.0}), ("gamma", {"lam": 2.0, "beta": -0.5}),
+                ("exponential", {"lam": 1.0, "extra": 2.0}), ("exponential", {}),
+                ("gaussian-scalar", {"mu": "a", "sigma2": 1.0}),
+                ("gaussian-scalar", {"mu": math.inf, "sigma2": 1.0}),
+                ("gaussian-multivariate", {"mean": [0.0, 0.0, 0.0], "cov": np.eye(2)})]:
+            with pytest.raises(IllegalParameterError):
+                catalog_family(name, **params)
 
     def test_gaussian_log_normalizer_at_standard(self):
         m = catalog_family("gaussian-scalar", mu=0.0, sigma2=1.0)
@@ -135,6 +166,49 @@ class TestCatalog:
             back = m.family.from_natural(m.theta)
             for key, val in params.items():
                 np.testing.assert_allclose(back[key], val, rtol=1e-12)
+
+
+def _renyi_oracle(pdf, g: float, alpha: float):
+    """E_phi(p)/(1-a) ln(int phi p^a / E_phi(p)) for phi = e^{g x} on the half
+    line, by tanh-sinh quadrature at 30 digits."""
+    with mpmath.workdps(30):
+        phi_p = lambda x, a: mpmath.exp(g * x) * pdf(x) ** a
+        ep = mpmath.quad(lambda x: phi_p(x, 1), [0, 1, 10, mpmath.inf])
+        num = mpmath.quad(lambda x: phi_p(x, alpha), [0, 1, 10, mpmath.inf])
+        return float(ep / (1 - alpha) * mpmath.log(num / ep))
+
+
+# Two compute-benchmark cells where the integrand phi p^alpha decays at
+# alpha * rate - gamma, far slower than p's own envelope: exponential lam =
+# 2.36745, gamma = 0.680434 (decay 0.0298), and gamma(1.39315, 1.19733) with
+# gamma = 0.281888 (decay 0.0774); alpha = 0.3.
+_SLOW_RENYI = [
+    ("exponential", {"lam": 2.3674500989891967}, 0.6804343409780668,
+     lambda x: 2.3674500989891967 * mpmath.exp(-2.3674500989891967 * x)),
+    ("gamma", {"lam": 1.3931487737707235, "beta": 1.1973262435457488},
+     0.28188804935347905,
+     lambda x: (1.1973262435457488 ** 1.3931487737707235 * x ** 0.3931487737707235
+                * mpmath.exp(-1.1973262435457488 * x) / mpmath.gamma(1.3931487737707235))),
+]
+
+
+class TestRenyiMpmathOracle:
+    @pytest.mark.parametrize("name,params,g,pdf", _SLOW_RENYI)
+    def test_closed_form_matches_mpmath(self, name, params, g, pdf):
+        m = catalog_family(name, **params)
+        adj = AdjointFamily(m.family, WeightFunction.exponential(g), CFG)
+        assert expfam_renyi(adj, m.theta, 0.3) == pytest.approx(
+            _renyi_oracle(pdf, g, 0.3), rel=1e-10)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "_single_integral truncates the Renyi mass int phi p^alpha with the "
+        "window of p's envelope, which decays at rate - gamma; the integrand "
+        "decays at alpha * rate - gamma, so the window cuts off most of its mass"))
+    @pytest.mark.parametrize("name,params,g,pdf", _SLOW_RENYI)
+    def test_quadrature_matches_mpmath(self, name, params, g, pdf):
+        m = catalog_family(name, **params)
+        got = renyi_entropy(m.dist, WeightFunction.exponential(g), 0.3, CFG)
+        assert got == pytest.approx(_renyi_oracle(pdf, g, 0.3), rel=1e-8)
 
 
 class TestAdjoint:
