@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Write the compute report of every compute-mix pool spec, or compare two sets.
+
+    PYTHONPATH=src python3 scripts/pool_reports.py OUT_DIR [--against REF_DIR]
+
+Every variant of every cell of the benchmark's compute-mix pool
+(``perfbench.workloads.compute_spec``, read only) goes through the
+``compute`` report, and ``OUT_DIR/<cell>_v<variant>.json`` receives its exit
+code and report.  With ``--against``, each report is compared with the one of
+the same name in REF_DIR:
+
+* an outcome flip is a record that is a value on one side and an error on the
+  other, a changed exit code or record list, or a bound check whose verdict
+  changed; each is printed, and any makes the exit code 1;
+* a changed method label or error message is printed, but is not a flip;
+* over every number in matching records (values, closed forms, details,
+  bound-check sides) the largest move is printed, scaled by max(1, |v|), and
+  for the values by the larger reported ``numerical_error`` of the two sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+
+from perfbench.workloads import COMPUTE_CELLS, compute_spec  # noqa: E402
+from winfer.cli import _json_default, compute_report  # noqa: E402
+from winfer.errors import SchemaError  # noqa: E402
+
+
+def write_reports(out_dir: str) -> int:
+    os.makedirs(out_dir, exist_ok=True)
+    n = 0
+    for cell, (size, _) in COMPUTE_CELLS.items():
+        for v in range(size):
+            try:
+                report, code = compute_report(compute_spec(cell, v))
+            except SchemaError as exc:
+                report, code = {"schema_error": str(exc)}, 1
+            path = os.path.join(out_dir, f"{cell.replace('/', '_')}_v{v}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"exit_code": code, "report": report}, fh, sort_keys=True,
+                          indent=1, allow_nan=True, default=_json_default)
+            n += 1
+    return n
+
+
+def _numbers(obj, path=""):
+    """(path, number) for every numeric leaf of a JSON object."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            yield from _numbers(obj[k], f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, x in enumerate(obj):
+            yield from _numbers(x, f"{path}[{i}]")
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield path, float(obj)
+
+
+def _moved(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
+
+
+def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
+    """(flips, [(scaled move, where)], [(move over error, where)]) of one report."""
+    flips, moves, err_moves = [], [], []
+    if new["exit_code"] != ref["exit_code"]:
+        flips.append(f"exit {ref['exit_code']} -> {new['exit_code']}")
+    rn, rr = new["report"].get("quantities", []), ref["report"].get("quantities", [])
+    if [r["name"] for r in rn] != [r["name"] for r in rr] \
+            or ("schema_error" in new["report"]) != ("schema_error" in ref["report"]):
+        return flips + ["record list changed"], moves, err_moves
+    for a, b in zip(rn, rr):
+        where = f"{name} {a['name']}"
+        if ("error" in a) != ("error" in b):
+            flips.append(f"{a['name']}: {'error' if 'error' in b else 'value'} -> "
+                         f"{'error' if 'error' in a else 'value'}")
+            continue
+        if a.get("error") != b.get("error"):
+            notes.append(f"{where}: message {b['error']!r} -> {a['error']!r}")
+        if a.get("method") != b.get("method"):
+            notes.append(f"{where}: method {b.get('method')} -> {a.get('method')}")
+        if "value" in a:
+            d = _moved(a["value"], b["value"])
+            e = max(a.get("numerical_error", 0.0), b.get("numerical_error", 0.0))
+            if d > 0:
+                err_moves.append((d / e if e > 0 else math.inf, where))
+        for (pa, va), (pb, vb) in zip(_numbers(a), _numbers(b)):
+            if pa != pb:
+                flips.append(f"{a['name']}: fields changed")
+                break
+            moves.append((_moved(va, vb) / max(1.0, abs(vb)), where + pa))
+    ba, bb = new["report"].get("bound_checks", []), ref["report"].get("bound_checks", [])
+    if [(c["check"], c["passed"]) for c in ba] != [(c["check"], c["passed"]) for c in bb]:
+        flips.append("bound checks changed")
+    else:
+        for ca, cb in zip(ba, bb):
+            for side in ("lhs", "rhs"):
+                moves.append((_moved(ca[side], cb[side]) / max(1.0, abs(cb[side])),
+                              f"{name} bound {ca['check']} {side}"))
+    return flips, moves, err_moves
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out_dir")
+    ap.add_argument("--against", metavar="REF_DIR")
+    args = ap.parse_args()
+    n = write_reports(args.out_dir)
+    print(f"{n} reports written to {args.out_dir}")
+    if not args.against:
+        return 0
+    n_flips, notes, moves, err_moves = 0, [], [], []
+    for fname in sorted(os.listdir(args.out_dir)):
+        with open(os.path.join(args.out_dir, fname), encoding="utf-8") as fh:
+            new = json.load(fh)
+        with open(os.path.join(args.against, fname), encoding="utf-8") as fh:
+            ref = json.load(fh)
+        flips, m, em = compare(new, ref, fname[:-len(".json")], notes)
+        for f in flips:
+            print(f"FLIP {fname}: {f}")
+        n_flips += len(flips)
+        moves += m
+        err_moves += em
+    for note in notes:
+        print(f"note {note}")
+    moved = [m for m in moves if m[0] > 0]
+    print(f"outcome flips: {n_flips}")
+    print(f"numbers compared: {len(moves)}, moved: {len(moved)}")
+    if moved:
+        print("largest move / max(1, |v|): %.3g at %s" % max(moved))
+    finite = [m for m in err_moves if math.isfinite(m[0])]
+    if finite:
+        print("largest value move / reported error: %.3g at %s" % max(finite))
+    unscaled = len(err_moves) - len(finite)
+    if unscaled:
+        print(f"values that moved with a reported error of 0: {unscaled}")
+    return 1 if n_flips else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

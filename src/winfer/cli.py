@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -64,6 +65,7 @@ import numpy as np
 from . import __version__
 from .core import Distribution, IntegrationConfig, WeightFunction, _finite
 from .divergence import (
+    DivergenceValue,
     HypothesisProblem,
     _method_for,
     bhattacharyya_coeff,
@@ -73,6 +75,7 @@ from .divergence import (
     delta,
     hellinger,
     kl,
+    plan_integrals,
     renyi_div,
     renyi_entropy,
     shannon_entropy,
@@ -102,6 +105,7 @@ from .expfam import (
     gaussian_tv_closed_form,
 )
 from .testing import (
+    BOUND_INTEGRALS,
     ProductProblem,
     error_bound_report,
     min_total_error,
@@ -110,12 +114,30 @@ from .testing import (
 )
 from .verify import SUITES, run_suite
 
-_QUANTITIES = ("tv", "delta", "hellinger", "bhattacharyya-coeff",
-               "bhattacharyya-div", "kl", "chernoff-coeff", "chernoff-div",
-               "renyi-div", "tsallis-div", "shannon-entropy", "renyi-entropy",
-               "min-total-error", "stein-sanov-limit", "error-bounds")
-_ALPHA_QUANTITIES = ("chernoff-coeff", "chernoff-div", "renyi-div",
-                     "tsallis-div", "renyi-entropy")
+# quantity -> (the integrals it reads, its value for (prob, cfg)); the integral
+# names are those of divergence.plan_integrals
+_MASSES = (("mass", "p"), ("mass", "q"))
+_PLAIN_QUANTITIES = {
+    "tv": (("tv",), weighted_tv),
+    "delta": (_MASSES, delta),
+    "hellinger": (("hellinger",), hellinger),
+    "bhattacharyya-coeff": (("rho",), bhattacharyya_coeff),
+    "bhattacharyya-div": (("rho", ("mass", "p")), bhattacharyya_div),
+    "kl": (("kl",), kl),
+    "shannon-entropy": ((("shannon", "p"),),
+                        lambda prob, cfg: shannon_entropy(prob.p, prob.wf, cfg)),
+    "min-total-error": (_MASSES + ("tv",), min_total_error),
+    "stein-sanov-limit": (("kl", ("mass", "p")), stein_sanov_limit),
+    "error-bounds": (BOUND_INTEGRALS, error_bound_report),
+}
+# quantity -> its value for (prob, alpha, cfg); below alpha = 1 each reads
+# E_phi(p) and one integral of its own
+_ALPHA_QUANTITIES = {
+    "chernoff-coeff": chernoff_coeff, "chernoff-div": chernoff_div,
+    "renyi-div": renyi_div, "tsallis-div": tsallis_div,
+    "renyi-entropy": lambda prob, a, cfg: renyi_entropy(prob.p, prob.wf, a, cfg),
+}
+_QUANTITIES = (*_PLAIN_QUANTITIES, *_ALPHA_QUANTITIES)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +226,9 @@ def parse_problem_spec(spec: dict):
     if not isinstance(dists, list) or not 1 <= len(dists) <= 2:
         raise SchemaError("distributions must list one or two entries")
     parsed = [parse_distribution(d) for d in dists]
+    if len(parsed) == 2 and not parsed[0][0].support.same_space(parsed[1][0].support):
+        raise SchemaError(f"{parsed[0][0].family!r} and {parsed[1][0].family!r} "
+                          "live on different outcome spaces")
     wf = parse_weight(_need(spec, "weight", "spec"))
     for dist, _ in parsed:
         _check_weight_fits(wf, dist)
@@ -266,10 +291,29 @@ def _tv_closed_form(p: Distribution, q: Distribution, wf: WeightFunction,
 # compute
 # ---------------------------------------------------------------------------
 
-def _record(name: str, value: float, err: float, method: str, **extra) -> dict:
-    rec = {"name": name, "value": value, "numerical_error": err, "method": method}
-    rec.update(extra)
-    return rec
+def _record(name: str, result, method: str, **extra) -> dict:
+    """A report record; a DivergenceValue brings its own error and method."""
+    if isinstance(result, DivergenceValue):
+        result, err, method = result.value, result.error, result.method
+    else:
+        err = 0.0
+    return {"name": name, "value": result, "numerical_error": err, "method": method, **extra}
+
+
+def _report_integrals(quantities: list, alphas: list, pair: bool) -> list:
+    """Every integral that a report of these quantities reads."""
+    out = []
+    for name in quantities:
+        if name in _PLAIN_QUANTITIES and (pair or name == "shannon-entropy"):
+            out += _PLAIN_QUANTITIES[name][0]
+        for a in alphas if name in _ALPHA_QUANTITIES else ():
+            if name == "renyi-entropy":
+                out += [("mass", "p"), ("renyi-mass", "p", a)] if a < 1 else []
+            elif pair and a < 1:
+                out += [("mass", "p"), ("chernoff", a)]
+            elif pair and name in ("renyi-div", "tsallis-div"):  # kl at alpha = 1
+                out.append("kl")
+    return out
 
 
 def compute_report(spec: dict, as_printed: bool = False) -> tuple:
@@ -282,8 +326,10 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     bound_checks = []
     exit_code = 0
     closed = _catalog_adjoint([member for _, member in parsed], wf, cfg)
-    # one problem for the whole report, so quantities share its memoized integrals
-    prob = HypothesisProblem(p, q, wf) if q is not None and quantities else None
+    # one problem for the whole report, whose integrals are computed together
+    # up front; with one distribution, q = p serves its single integrals
+    prob = HypothesisProblem(p, p if q is None else q, wf)
+    plan_integrals(prob, cfg, _report_integrals(quantities, alphas, q is not None))
 
     def cross_check(name, alpha=None):
         if closed is None:
@@ -311,23 +357,33 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
         try:
             if name in _ALPHA_QUANTITIES:
                 for a in alphas:
-                    rec = _compute_alpha_quantity(name, prob, p, wf, a, cfg)
+                    if name == "renyi-entropy" and a >= 1:
+                        raise SchemaError("renyi-entropy needs alpha in (0, 1)")
+                    rec = _record(f"{name}@{a:g}", _ALPHA_QUANTITIES[name](prob, a, cfg),
+                                  _method_for(prob.support), alpha=a)
                     cc = cross_check(name, a)
                     if cc is not None:
                         rec["closed_form"] = {"value": cc, "method": "closed-form"}
                     records.append(rec)
                 continue
-            rec = _compute_plain_quantity(name, prob, p, q, wf, cfg, bound_checks)
-            if rec is not None:
-                cc = cross_check(name)
-                if name == "tv" and q is not None:
-                    tvcc = _tv_closed_form(p, q, wf, as_printed)
-                    if tvcc is not None:
-                        rec["closed_form"] = {"value": tvcc, "method": "closed-form",
-                                              "as_printed": as_printed}
-                elif cc is not None:
-                    rec["closed_form"] = {"value": cc, "method": "closed-form"}
-                records.append(rec)
+            result = _PLAIN_QUANTITIES[name][1](prob, cfg)
+            if name == "error-bounds":
+                bound_checks += _bound_checks(result)
+                rec = _record(name, result.min_total, _method_for(p.support), details={
+                    "delta": result.delta, "rho": result.rho, "tau": result.tau,
+                    "kl": result.kl if math.isfinite(result.kl) else "inf",
+                    "ep": result.ep, "eq": result.eq})
+            else:
+                rec = _record(name, result, _method_for(p.support))
+            cc = cross_check(name)
+            if name == "tv" and q is not None:
+                tvcc = _tv_closed_form(p, q, wf, as_printed)
+                if tvcc is not None:
+                    rec["closed_form"] = {"value": tvcc, "method": "closed-form",
+                                          "as_printed": as_printed}
+            elif cc is not None:
+                rec["closed_form"] = {"value": cc, "method": "closed-form"}
+            records.append(rec)
         except WinferError as exc:
             records.append({"name": name, "error": str(exc)})
             exit_code = 2
@@ -351,72 +407,18 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     return report, exit_code
 
 
-def _compute_alpha_quantity(name, prob, p, wf, a, cfg) -> dict:
-    label = f"{name}@{a:g}"
-    if name == "chernoff-coeff":
-        return _record(label, chernoff_coeff(prob, a, cfg), 0.0,
-                       "exact-sum" if prob.support.kind == "finite" else "quadrature",
-                       alpha=a)
-    if name == "chernoff-div":
-        dv = chernoff_div(prob, a, cfg)
-        return _record(label, dv.value, dv.error, dv.method, alpha=a)
-    if name == "renyi-div":
-        dv = renyi_div(prob, a, cfg)
-        return _record(label, dv.value, dv.error, dv.method, alpha=a)
-    if name == "tsallis-div":
-        dv = tsallis_div(prob, a, cfg)
-        return _record(label, dv.value, dv.error, dv.method, alpha=a)
-    if name == "renyi-entropy":
-        if a >= 1:
-            raise SchemaError("renyi-entropy needs alpha in (0, 1)")
-        return _record(label, renyi_entropy(p, wf, a, cfg), 0.0, _method_for(p.support),
-                       alpha=a)
-    raise AssertionError(name)
-
-
-def _compute_plain_quantity(name, prob, p, q, wf, cfg, bound_checks) -> Optional[dict]:
-    plain_method = _method_for(p.support)
-    if name == "tv":
-        dv = weighted_tv(prob, cfg)
-        return _record(name, dv.value, dv.error, dv.method)
-    if name == "delta":
-        return _record(name, delta(prob, cfg), 0.0, plain_method)
-    if name == "hellinger":
-        return _record(name, hellinger(prob, cfg), 0.0, plain_method)
-    if name == "bhattacharyya-coeff":
-        return _record(name, bhattacharyya_coeff(prob, cfg), 0.0, plain_method)
-    if name == "bhattacharyya-div":
-        dv = bhattacharyya_div(prob, cfg)
-        return _record(name, dv.value, dv.error, dv.method)
-    if name == "kl":
-        dv = kl(prob, cfg)
-        return _record(name, dv.value, dv.error, dv.method)
-    if name == "shannon-entropy":
-        return _record(name, shannon_entropy(p, wf, cfg), 0.0, plain_method)
-    if name == "min-total-error":
-        return _record(name, min_total_error(prob, cfg), 0.0, plain_method)
-    if name == "stein-sanov-limit":
-        return _record(name, stein_sanov_limit(prob, cfg), 0.0, plain_method)
-    if name == "error-bounds":
-        rep = error_bound_report(prob, cfg)
-        for label, lhs, rhs in (
-                ("rho^2/(2Delta) <= Delta - sqrt(Delta^2-rho^2)",
-                 rep.lower_affinity, rep.lower_sqrt),
-                ("Delta - sqrt(Delta^2-rho^2) <= min-total-error",
-                 rep.lower_sqrt, rep.min_total),
-                ("min-total-error <= rho", rep.min_total, rep.upper_affinity),
-                ("tau <= corrected bretagnolle-huber", rep.tau, rep.bh_corrected_bound)):
-            bound_checks.append({"check": label, "lhs": lhs, "rhs": rhs,
-                                 "passed": bool(lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))})
-        if rep.pinsker_applicable and math.isfinite(rep.kl):
-            bound_checks.append({"check": "tau <= pinsker", "lhs": rep.tau,
-                                 "rhs": rep.pinsker_bound,
-                                 "passed": bool(rep.tau <= rep.pinsker_bound + 1e-9)})
-        return _record(name, rep.min_total, 0.0, plain_method,
-                       details={"delta": rep.delta, "rho": rep.rho, "tau": rep.tau,
-                                "kl": rep.kl if math.isfinite(rep.kl) else "inf",
-                                "ep": rep.ep, "eq": rep.eq})
-    raise AssertionError(name)
+def _bound_checks(rep) -> list:
+    """The checks of the bound chain that an error-bounds record reports."""
+    checks = [{"check": label, "lhs": lhs, "rhs": rhs,
+               "passed": bool(lhs <= rhs + 1e-9 * max(1.0, abs(rhs)))} for label, lhs, rhs in (
+        ("rho^2/(2Delta) <= Delta - sqrt(Delta^2-rho^2)", rep.lower_affinity, rep.lower_sqrt),
+        ("Delta - sqrt(Delta^2-rho^2) <= min-total-error", rep.lower_sqrt, rep.min_total),
+        ("min-total-error <= rho", rep.min_total, rep.upper_affinity),
+        ("tau <= corrected bretagnolle-huber", rep.tau, rep.bh_corrected_bound))]
+    if rep.pinsker_applicable and math.isfinite(rep.kl):
+        checks.append({"check": "tau <= pinsker", "lhs": rep.tau, "rhs": rep.pinsker_bound,
+                       "passed": bool(rep.tau <= rep.pinsker_bound + 1e-9)})
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +617,10 @@ _finite_arg = _checked(float, math.isfinite, "finite")
 _positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args keeps no
+    state in it between calls)."""
     ap = argparse.ArgumentParser(prog="winfer",
                                  description="weighted information-theoretic "
                                              "distances, bounds, and experiments")

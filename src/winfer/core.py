@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -44,6 +44,7 @@ __all__ = [
     "Distribution",
     "FiniteDistribution",
     "IntegrationConfig",
+    "Integrand",
     "integrate",
     "weighted_expectation",
     "sample",
@@ -54,6 +55,7 @@ __all__ = [
 _GAUSSIAN_TAIL_SIGMAS = 14.0  # one-sided Gaussian tail beyond 14 sigma < 1e-43
 _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
+_MAX_ROUNDS = 64  # bisection rounds per adaptive integral
 
 
 def _finite(name: str, value, ndim: int = 0):
@@ -440,6 +442,9 @@ class Distribution:
         d = mean.size
         if cov.shape != (d, d):
             raise IllegalParameterError(f"cov must be {d} x {d} to match the mean")
+        # the Cholesky factor below reads the lower triangle only
+        if np.max(np.abs(cov - cov.T)) > 1e-12 * np.max(np.abs(cov)):
+            raise IllegalParameterError("covariance must be symmetric")
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
@@ -593,43 +598,53 @@ def _window_for(support: Support, cfg: IntegrationConfig, dists: Sequence[Distri
     return lo, hi
 
 
+class Integrand(NamedTuple):
+    """One component of a lockstep ``integrate`` call: ``g`` maps the shared
+    evaluator's arrays to the integrand, elementwise; ``dists``, ``wf`` and
+    ``points`` set its own window (or series length) and breakpoints."""
+
+    g: Callable
+    dists: tuple = ()
+    wf: Optional[WeightFunction] = None
+    points: tuple = ()
+
+
 def integrate(f: Callable, support: Support, cfg: IntegrationConfig,
               dists: Sequence[Distribution] = (), wf: Optional[WeightFunction] = None,
-              points: Sequence[float] = ()) -> tuple:
+              points: Sequence[float] = (), components: Optional[Sequence[Integrand]] = None):
     """Integrate f against the support's reference measure.
 
     Returns ``(value, error_estimate)``.  ``dists`` supply envelope hints for
     truncating unbounded domains, ``wf`` contributes its growth rate, and
     ``points`` marks known kinks (e.g. density crossing points) passed to the
     adaptive subdivision.
+
+    With ``components``, f returns a tuple of shared arrays and each
+    ``Integrand`` integrates ``g(*f(x))`` as a lone call would, in lockstep:
+    each round calls f once, on the distinct new panels (or the next block of
+    terms) of every active component.  The result is a list of
+    ``(value, error_estimate)`` or the ``NonConvergentIntegralError`` met.
     """
-    if support.kind == "finite":
-        vals = np.asarray(f(np.arange(support.m)), dtype=float)
-        return float(np.sum(vals)), 0.0
-
-    if support.kind == "counting":
-        min_terms = 0
-        for d in dists:
-            c = float(np.asarray(d.center).reshape(-1)[0])
-            s = float(d.scale) if np.ndim(d.scale) == 0 else 1.0
-            min_terms = max(min_terms, int(c + 12.0 * s) + 1)
-        return _sum_series(f, cfg, min_terms=min_terms)
-
+    single = components is None
+    if single:
+        lone = f
+        f = lambda x: (lone(x),)
+        components = (Integrand(lambda v: v, tuple(dists), wf, tuple(points)),)
     if support.kind == "real-vector":
         raise DomainMismatchError(
             "integrate handles scalar supports; vector integrands use gauss_hermite_nodes")
-
-    lo, hi = _window_for(support, cfg, dists, wf)
-    hints = tuple(points) + (wf.kink_points if wf is not None else ())
-    inner = sorted(p for p in hints if lo < p < hi)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val, err = _adaptive_gk(f, lo, hi, cfg, inner)
-    if not math.isfinite(val):
-        raise NonConvergentIntegralError("integrand produced a non-finite value")
-    if err > max(cfg.abs_tol * 100.0, cfg.rel_tol * 100.0 * abs(val), 1e-9 * max(1.0, abs(val))):
-        raise NonConvergentIntegralError(
-            f"quadrature error estimate {err:.3e} too large for value {val:.6e}")
-    return float(val), float(err)
+    if support.kind == "finite":
+        shared = f(np.arange(support.m))
+        out = [(float(np.sum(np.asarray(c.g(*shared), dtype=float))), 0.0)
+               for c in components]
+    elif support.kind == "counting":
+        out = _lockstep_series(f, components, cfg)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = _lockstep_gk(f, support, components, cfg)
+    if single and isinstance(out[0], NonConvergentIntegralError):
+        raise out[0]
+    return out[0] if single else out
 
 
 # Gauss-Kronrod 7/15 pair on [-1, 1]: Kronrod nodes, Kronrod weights, and the
@@ -650,88 +665,155 @@ _GK_WG = np.array([
     0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
     0.381830050505119, 0.0, 0.417959183673469, 0.0, 0.381830050505119,
     0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0])
+_BASE_EDGES = np.arange(17.0)  # 16 equal starting panels per window
 
 
-def _gk_panels(f, los: np.ndarray, his: np.ndarray):
-    """Vectorized G7/K15 evaluation on a batch of panels."""
+def _gk_panels(f, gs: list, counts: np.ndarray, los: np.ndarray, his: np.ndarray):
+    """G7/K15 on a batch of panels, ``counts[i]`` of ``gs[i]`` in a row: f runs
+    once, on the nodes of the distinct panels, then each g on its own rows."""
+    if len(gs) > 1:
+        _, first, rows = np.unique(los + 1j * his, return_index=True, return_inverse=True)
+        los, his = los[first], his[first]
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
-    xs = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    vals = np.asarray(f(xs.reshape(-1)), dtype=float).reshape(xs.shape)
-    ik = half * (vals @ _GK_WK)
-    ig = half * (vals @ _GK_WG)
-    diff = np.abs(ik - ig)
+    xs = mid[:, None] + half[:, None] * _GK_NODES
+    shared = [np.asarray(a, dtype=float).reshape(xs.shape) for a in f(xs.reshape(-1))]
+    if len(gs) == 1:
+        vals = np.asarray(gs[0](*shared), dtype=float)
+    else:
+        half, vals, start = half[rows], np.empty((rows.size, _GK_NODES.size)), 0
+        for g, n in zip(gs, counts.tolist()):
+            vals[start:start + n] = g(*(a[rows[start:start + n]] for a in shared))
+            start += n
+    # einsum, not matmul: BLAS rounds a row differently by its place in the batch
+    ik = half * np.einsum("ij,j->i", vals, _GK_WK)
+    diff = np.abs(ik - half * np.einsum("ij,j->i", vals, _GK_WG))
     # QUADPACK-style error heuristic for the embedded pair
     err = np.where(diff > 0, (200.0 * diff) ** 1.5, 0.0)
-    err = np.minimum(err, np.maximum(diff * 200.0, np.finfo(float).tiny))
-    return ik, err
+    return ik, np.minimum(err, np.maximum(diff * 200.0, np.finfo(float).tiny))
 
 
-def _adaptive_gk(f, lo: float, hi: float, cfg: IntegrationConfig,
-                 inner_points: Sequence[float], n_base: int = 16) -> tuple:
-    """Adaptive interval bisection with the embedded G7/K15 pair.
-
-    Panels are evaluated in vectorized batches; each round splits every panel
-    whose error exceeds its share of the budget, until the summed estimate
-    meets max(abs_tol, rel_tol * |integral|) or the subdivision budget is hit.
-    """
-    edges = np.unique(np.concatenate([
-        np.linspace(lo, hi, n_base + 1), np.asarray(inner_points, dtype=float)]))
-    los, his = edges[:-1], edges[1:]
-    vals, errs = _gk_panels(f, los, his)
-    for _ in range(64):
-        if not np.all(np.isfinite(vals)):
-            raise NonConvergentIntegralError("integrand produced a non-finite value")
-        total = float(np.sum(vals))
-        tot_err = float(np.sum(errs))
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        if tot_err <= tol or los.size >= cfg.max_subdivisions:
-            return total, tot_err
-        split = errs > 0.25 * tol / max(los.size, 1)
-        if not np.any(split):
-            split = errs >= np.max(errs)
-        keep_lo, keep_hi = los[~split], his[~split]
-        keep_v, keep_e = vals[~split], errs[~split]
-        mids = 0.5 * (los[split] + his[split])
-        new_lo = np.concatenate([los[split], mids])
-        new_hi = np.concatenate([mids, his[split]])
-        new_v, new_e = _gk_panels(f, new_lo, new_hi)
-        los = np.concatenate([keep_lo, new_lo])
-        his = np.concatenate([keep_hi, new_hi])
-        vals = np.concatenate([keep_v, new_v])
-        errs = np.concatenate([keep_e, new_e])
-    return float(np.sum(vals)), float(np.sum(errs))
+def _accepted(val: float, err: float, cfg: IntegrationConfig):
+    """``(val, err)``, or the error that refuses them."""
+    if not math.isfinite(val):
+        return NonConvergentIntegralError("integrand produced a non-finite value")
+    if err > max(cfg.abs_tol * 100.0, cfg.rel_tol * 100.0 * abs(val), 1e-9 * max(1.0, abs(val))):
+        return NonConvergentIntegralError(
+            f"quadrature error estimate {err:.3e} too large for value {val:.6e}")
+    return val, err
 
 
-def _sum_series(f: Callable, cfg: IntegrationConfig, block: int = 64,
-                min_terms: int = 0) -> tuple:
-    """Adaptive block summation over l = 0, 1, 2, ... for counting supports.
+def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
+                 cfg: IntegrationConfig) -> list:
+    """Adaptive bisection with the embedded G7/K15 pair, per component: from
+    16 equal panels of its window, cut at its breakpoints, each round splits
+    every panel whose error exceeds a quarter of its share of the budget,
+    until the summed error meets max(abs_tol, rel_tol * |integral|) or
+    ``max_subdivisions`` panels.  The live panels sit in flat
+    arrays grouped by component, each group in a lone run's order (kept,
+    left halves, right halves), so every sum is that of a lone run."""
+    out: list = [None] * len(comps)
+    ids, edges = [], []
+    for i, c in enumerate(comps):
+        try:
+            lo, hi = _window_for(support, cfg, c.dists, c.wf)
+        except NonConvergentIntegralError as exc:
+            out[i] = exc
+            continue
+        inner = [p for p in tuple(c.points) + (c.wf.kink_points if c.wf else ()) if lo < p < hi]
+        step = (hi - lo) / (_BASE_EDGES.size - 1)
+        e = _BASE_EDGES * step + lo  # np.linspace(lo, hi, 17), bit for bit
+        e[-1] = hi
+        # a step above 4 ulps keeps the rounded edges distinct and increasing
+        if inner or not step > 4.0 * math.ulp(max(abs(lo), abs(hi))):
+            e = np.unique(np.concatenate([e, inner]))
+        ids.append(i)
+        edges.append(e)
+    if not ids:
+        return out
+    gs = [comps[i].g for i in ids]
+    los, his = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    counts = np.array([e.size - 1 for e in edges])
+    starts = counts.cumsum() - counts
+    vals, errs = _gk_panels(f, gs, counts, los, his)
+    for rnd in range(_MAX_ROUNDS + 1):
+        total, tot_err = np.add.reduceat(vals, starts), np.add.reduceat(errs, starts)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        go = np.isfinite(total) & (tot_err > tol) & (counts < cfg.max_subdivisions)
+        if rnd == _MAX_ROUNDS:
+            go[:] = False
+        if not go.all():
+            for j in np.flatnonzero(~go).tolist():
+                out[ids[j]] = _accepted(float(total[j]), float(tot_err[j]), cfg)
+            if not go.any():
+                break
+            live = np.repeat(go, counts)
+            los, his, vals, errs = los[live], his[live], vals[live], errs[live]
+            ids = [i for i, a in zip(ids, go.tolist()) if a]
+            gs = [g for g, a in zip(gs, go.tolist()) if a]
+            counts, tol = counts[go], tol[go]
+            starts = counts.cumsum() - counts
+        many = len(ids) > 1
+        spread = (lambda a: np.repeat(a, counts)) if many else (lambda a: a)  # onto the panels
+        # every live component has such a panel: n panels at or below tol / (4 n) sum below tol
+        split = errs > spread(0.25 * tol / counts)
+        nsplit = np.add.reduceat(split, starts, dtype=np.intp)
+        keep = ~split
+        lo, hi = los[split], his[split]
+        mid = 0.5 * (lo + hi)
+        new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        if many:  # regroup the new panels, then all panels, by component
+            group = np.repeat(np.arange(len(ids)), counts)
+            order = np.argsort(np.tile(group[split], 2), kind="stable")
+            new_lo, new_hi = new_lo[order], new_hi[order]
+        new_v, new_e = _gk_panels(f, gs, 2 * nsplit, new_lo, new_hi)
+        los, his = np.concatenate([los[keep], new_lo]), np.concatenate([his[keep], new_hi])
+        vals, errs = np.concatenate([vals[keep], new_v]), np.concatenate([errs[keep], new_e])
+        counts = counts + nsplit
+        if many:
+            order = np.argsort(np.concatenate([group[keep], np.repeat(
+                np.arange(len(ids)), 2 * nsplit)]), kind="stable")
+            los, his, vals, errs = los[order], his[order], vals[order], errs[order]
+            starts = counts.cumsum() - counts
+    return out
 
-    ``min_terms`` forces summation past the envelope's mass peak so quiet
-    leading blocks (e.g. a Poisson with a large mean) cannot truncate early.
-    """
-    total = 0.0
-    peak = 0.0
+
+def _lockstep_series(f, comps: Sequence[Integrand], cfg: IntegrationConfig,
+                     block: int = 64) -> list:
+    """Block summation over l = 0, 1, 2, ..., one block for all components a
+    round; each stops after two quiet blocks past its envelopes' mass peak
+    plus 12 scales (quiet leading blocks of a Poisson of large mean do not
+    count)."""
+    out: list = [None] * len(comps)
+    min_terms = np.array([max([int(float(np.ravel(d.center)[0]) + 12.0 * (
+        float(d.scale) if np.ndim(d.scale) == 0 else 1.0)) + 1 for d in c.dists], default=0)
+        for c in comps])
+    ids = list(range(len(comps)))
+    total, peak, quiet = np.zeros(len(comps)), np.zeros(len(comps)), np.zeros(len(comps), int)
     start = 0
-    quiet = 0
     while start < _MAX_SERIES_TERMS:
-        ls = np.arange(start, start + block)
-        vals = np.asarray(f(ls), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise NonConvergentIntegralError("series term not finite")
-        bsum = float(np.sum(vals))
-        babs = float(np.sum(np.abs(vals)))
-        total += bsum
-        peak = max(peak, babs)
+        shared = f(np.arange(start, start + block))
+        vals = np.array([np.asarray(comps[i].g(*shared), dtype=float) for i in ids])
+        finite = np.isfinite(vals).all(axis=1)
+        babs = np.abs(vals).sum(axis=1)
+        total += vals.sum(axis=1)
+        np.maximum(peak, babs, out=peak)
         start += block
-        if start >= min_terms \
-                and babs <= cfg.tail_mass_bound * max(1.0, abs(total), peak):
-            quiet += 1
-            if quiet >= 2:  # two quiet blocks guard against slow starts
-                return total, cfg.tail_mass_bound * max(1.0, abs(total))
-        else:
-            quiet = 0
-    raise NonConvergentIntegralError("series did not converge within the term budget")
+        quiet = (quiet + 1) * ((start >= min_terms) & (babs <= cfg.tail_mass_bound * np.maximum(
+            np.maximum(1.0, np.abs(total)), peak)))
+        go = finite & (quiet < 2)
+        if not go.all():
+            for j in np.flatnonzero(~go).tolist():
+                t = float(total[j])
+                out[ids[j]] = (t, cfg.tail_mass_bound * max(1.0, abs(t))) if finite[j] \
+                    else NonConvergentIntegralError("series term not finite")
+            if not go.any():
+                return out
+            ids = [i for i, a in zip(ids, go.tolist()) if a]
+            total, peak, quiet, min_terms = total[go], peak[go], quiet[go], min_terms[go]
+    for i in ids:
+        out[i] = NonConvergentIntegralError("series did not converge within the term budget")
+    return out
 
 
 def weighted_expectation(wf: WeightFunction, g: Callable, support: Support,

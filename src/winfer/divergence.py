@@ -17,7 +17,6 @@ Conventions
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ import numpy as np
 
 from .core import (
     Distribution,
+    Integrand,
     IntegrationConfig,
     Support,
     WeightFunction,
@@ -42,6 +42,7 @@ from .errors import (
 __all__ = [
     "HypothesisProblem",
     "DivergenceValue",
+    "plan_integrals",
     "weight_mass",
     "weighted_tv",
     "weighted_tv_sup_oracle",
@@ -67,17 +68,14 @@ _MV_LEVEL = 60  # tensor Gauss-Hermite level; the error comes from the gap to le
 class HypothesisProblem:
     """Simple hypothesis p versus simple alternative q under weight phi.
 
-    On infinite supports ``memo`` holds what the quantities below compute:
-    ``weighted_tv``, ``hellinger``, ``bhattacharyya_coeff`` and ``kl`` keyed by
-    ``(name, cfg)``, ``chernoff_coeff`` by ``(name, alpha, cfg)``, and on
-    vector supports the Gauss-Hermite mesh of each level, keyed by
+    On infinite supports ``memo`` holds the pair integrals of this problem
+    that ``plan_integrals`` computed, keyed by ``(name, cfg)`` (see there),
+    and on vector supports the Gauss-Hermite mesh of each level, keyed by
     ``("gauss-hermite", level)``: the arrays (p, q, phi * wr) at its nodes,
     with the rule's Lebesgue weights wr folded into phi.  It lives exactly as
     long as this instance: equal problems built separately do not share it,
     and nothing carries over from one report to the next.  Finite supports
-    store nothing (the exact sums are cheaper than a lookup).  A
-    ``NonConvergentIntegralError`` is stored too and raised again on every
-    later call, without integrating again.
+    store nothing (the exact sums are cheaper than a lookup).
     """
 
     p: Distribution
@@ -125,47 +123,109 @@ def _method_for(support: Support) -> str:
     return "quadrature"
 
 
-def _memo(store: dict, key, compute):
-    """``store[key]``, computed once.  A ``NonConvergentIntegralError`` is
-    stored as well and raised again on every later lookup."""
-    if key not in store:
+# ---------------------------------------------------------------------------
+# the per-problem evaluation plan
+# ---------------------------------------------------------------------------
+# A pair integral of (p, q, phi) is named "tv", "hellinger", "rho", "kl" or
+# ("chernoff", alpha); a single-distribution one ("mass", role),
+# ("shannon", role) or ("renyi-mass", role, exponent), the role "p" or "q".
+
+def _kl_terms(p, q, w):
+    """phi p 1(p>0) ln(p/q), with a floor on q where p > 0 = q."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where((p > 0) & (w > 0), np.log(np.where(p > 0, p, 1.0))
+                     - np.log(np.where(q > 0, q, np.finfo(float).tiny)), 0.0)
+    return np.where((p > 0) & (w > 0), w * p * r, 0.0)
+
+
+def _entropy_terms(d, w):
+    """-phi d ln d with 0 ln 0 := 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -w * np.where(d > 0, d * np.log(np.where(d > 0, d, 1.0)), 0.0)
+
+
+_PAIR_TERMS = {"tv": lambda p, q, w: w * np.abs(p - q),
+               "hellinger": lambda p, q, w: w * (np.sqrt(p) - np.sqrt(q)) ** 2,
+               "rho": lambda p, q, w: w * np.sqrt(p * q),
+               "kl": _kl_terms,
+               "chernoff": lambda p, q, w, a: w * p ** a * q ** (1 - a)}
+_SINGLE_TERMS = {"mass": lambda d, w: w * d, "shannon": _entropy_terms,
+                 "renyi-mass": lambda d, w, e: w * d ** e}
+
+
+def _terms(name) -> tuple:
+    """(g(p, q, w), role) of one named integral; the role is None for a pair."""
+    kind, *args = (name,) if isinstance(name, str) else name
+    if kind in _PAIR_TERMS:
+        return (lambda p, q, w: _PAIR_TERMS[kind](p, q, w, *args)), None
+    h, role, args = _SINGLE_TERMS[kind], args[0], args[1:]
+    return (lambda p, q, w: h(p if role == "p" else q, w, *args)), role
+
+
+def _slot(prob: "HypothesisProblem", name, cfg: IntegrationConfig) -> tuple:
+    """(memo, key) of one named integral: ``prob.memo[(name, cfg)]`` for a pair
+    integral, else its distribution's ``weight_masses[(kind, *args, wf, cfg)]``."""
+    if isinstance(name, str) or name[0] in _PAIR_TERMS:
+        return prob.memo, (name, cfg)
+    kind, role, *args = name
+    return (prob.p if role == "p" else prob.q).weight_masses, (kind, *args, prob.wf, cfg)
+
+
+def plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> None:
+    """Compute each named integral that no memo holds yet, all in one pass.
+
+    On a scalar support the missing integrals are the components of one
+    lockstep ``integrate`` call, each with its own window (from p and q, or
+    from its distribution alone), breakpoints and stopping rule; on a vector
+    support each is a sum over a Gauss-Hermite mesh (``_mv_value``).  Each
+    result, ``(value, error)`` or the ``NonConvergentIntegralError`` it met,
+    goes to the memo of that integral (``_slot``), where every quantity
+    reads it.  Finite supports use exact sums and store nothing.
+    """
+    p, q, wf, sup = prob.p, prob.q, prob.wf, prob.support
+    if sup.kind == "finite":
+        return
+    todo = {}
+    for name in names:
+        memo, key = _slot(prob, name, cfg)
+        if key not in memo:
+            todo[id(memo), key] = (name, memo, key)
+    comps, slots = [], []
+    for name, memo, key in todo.values():
+        g, role = _terms(name)
+        if sup.kind == "real-vector":
+            memo[key] = _mv_value(prob, name, g, role)
+            continue
         try:
-            store[key] = compute()
+            points = tuple(_crossing_points(prob, cfg)) \
+                if name == "tv" and sup.kind != "counting" else ()
         except NonConvergentIntegralError as exc:
-            store[key] = exc
-            raise
-    val = store[key]
-    if isinstance(val, NonConvergentIntegralError):
-        raise val.with_traceback(None)
-    return val
+            memo[key] = exc
+            continue
+        dists = (p, q) if role is None else (p if role == "p" else q,)
+        comps.append(Integrand(g, dists, wf, points))
+        slots.append((memo, key))
+
+    def evaluate(x):
+        dp = p.density(x)
+        return dp, dp if q is p else q.density(x), wf(x)
+
+    if comps:
+        for (memo, key), res in zip(slots, integrate(evaluate, sup, cfg, components=comps)):
+            memo[key] = res
 
 
-def _per_problem(fn):
-    """Memoize ``fn(prob, [alpha,] cfg)`` in ``prob.memo`` on infinite supports."""
-    @functools.wraps(fn)
-    def memoized(prob: HypothesisProblem, *args):
-        if prob.support.kind == "finite":
-            return fn(prob, *args)
-        return _memo(prob.memo, (fn.__name__, *args), lambda: fn(prob, *args))
-    return memoized
-
-
-def _integral(prob: HypothesisProblem, g, cfg: IntegrationConfig, points=()):
-    """integral of g(p, q, phi) over a scalar support with both envelopes in play."""
-    p, q, wf = prob.p, prob.q, prob.wf
-    return integrate(lambda x: g(p.density(x), q.density(x), wf(x)), prob.support,
-                     cfg, dists=(p, q), wf=wf, points=points)
-
-
-def _single_integral(dist: Distribution, wf: WeightFunction, g,
-                     cfg: IntegrationConfig) -> float:
-    """integral of g(p, phi) for one distribution."""
-    if dist.support.kind == "real-vector":
-        p, _, w = _mv_mesh(dist.weight_masses, (wf, _MV_LEVEL), dist, dist, wf, _MV_LEVEL)
-        return float(np.sum(g(p, w)))
-    val, _ = integrate(lambda x: g(dist.density(x), wf(x)), dist.support, cfg,
-                       dists=(dist,), wf=wf)
-    return val
+def _integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, *names) -> list:
+    """(value, error) of each named integral, after planning the missing ones
+    together; the stored failure of the first one that failed is raised."""
+    plan_integrals(prob, cfg, names)
+    out = []
+    for name in names:
+        memo, key = _slot(prob, name, cfg)
+        if isinstance(memo[key], NonConvergentIntegralError):
+            raise memo[key].with_traceback(None)
+        out.append(memo[key])
+    return out
 
 
 def _mv_reference(p: Distribution, q: Distribution, wf: WeightFunction):
@@ -195,17 +255,19 @@ def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunct
     return mesh
 
 
-def _mv_integral(prob: HypothesisProblem, g, level: int = _MV_LEVEL) -> float:
-    """integral g(p, q, phi) dx on the problem's mesh of one level."""
-    mesh = _mv_mesh(prob.memo, ("gauss-hermite", level), prob.p, prob.q, prob.wf, level)
-    return float(np.sum(g(*mesh)))
-
-
-def _mv_integral_with_error(prob: HypothesisProblem, g) -> tuple:
-    """Two-level tensor rule: value at level 60, error from the gap to level 48."""
-    hi = _mv_integral(prob, g)
-    lo = _mv_integral(prob, g, _MV_LEVEL - 12)
-    return hi, abs(hi - lo)
+def _mv_value(prob: HypothesisProblem, name, g, role) -> tuple:
+    """(value, error) of one named integral on a vector support: a pair
+    integral on the problem's level-60 mesh (tv and kl take the gap to level
+    48 as their error), a single-distribution one on its (p, p) mesh."""
+    if role is not None:
+        d = prob.p if role == "p" else prob.q
+        mesh = _mv_mesh(d.weight_masses, (prob.wf, _MV_LEVEL), d, d, prob.wf, _MV_LEVEL)
+        return float(np.sum(g(*mesh))), 0.0
+    def at(level):
+        mesh = _mv_mesh(prob.memo, ("gauss-hermite", level), prob.p, prob.q, prob.wf, level)
+        return float(np.sum(g(*mesh)))
+    hi = at(_MV_LEVEL)
+    return hi, (abs(hi - at(_MV_LEVEL - 12)) if name in ("tv", "kl") else 0.0)
 
 
 def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: int = 1024):
@@ -238,45 +300,38 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
     """E_phi(p), the mean weight under the density.
 
-    On infinite supports the value is memoized on ``dist`` (its
-    ``weight_masses`` field), keyed by ``(wf, cfg)``, so it lives exactly as
-    long as that Distribution instance: equal distributions built separately
-    do not share it, and nothing carries over from one report to the next.
-    On vector supports the same field keeps, keyed by ``(wf, level)``, the
-    one (p, p) Gauss-Hermite mesh that this mass, ``shannon_entropy`` and the
-    Renyi-entropy masses all sum over.
-    Finite supports are not memoized (the exact sum is cheaper than hashing a
-    long weight table).  A ``NonConvergentIntegralError`` is stored too and
-    raised again on every later call, without integrating again.
+    On infinite supports it is memoized on ``dist`` (its ``weight_masses``
+    field, keyed by ``("mass", wf, cfg)``; see ``plan_integrals``), so it lives
+    exactly as long as that Distribution instance: equal distributions built
+    separately do not share it, and nothing carries over from one report to
+    the next.  The same field keeps the Shannon entropy and Renyi-entropy
+    masses, and on vector supports, keyed by ``(wf, level)``, the one (p, p)
+    Gauss-Hermite mesh they all sum over.  A ``NonConvergentIntegralError`` is
+    stored too and raised again on every later call, without integrating
+    again.  Finite supports are not memoized (the exact sum is cheaper than
+    hashing a long weight table).
     """
     sup = dist.support
     if sup.kind == "finite":
         return float(np.sum(wf.table_on(sup) * dist.finite.pmf))
-    return _memo(dist.weight_masses, (wf, cfg),
-                 lambda: _single_integral(dist, wf, lambda p, w: w * p, cfg))
+    hit = dist.weight_masses.get(("mass", wf, cfg))
+    if isinstance(hit, tuple):
+        return hit[0]
+    return _integrals(HypothesisProblem(dist, dist, wf), cfg, ("mass", "p"))[0][0]
 
 
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
 
-@_per_problem
 def weighted_tv(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     """Weighted total variation (1/2) E_phi(|p - q|)."""
     sup = prob.support
     if sup.kind == "finite":
         p, q, w = prob.tables()
         return DivergenceValue(0.5 * float(np.sum(w * np.abs(p - q))), 0.0, "exact-sum")
-    f = lambda p, q, w: w * np.abs(p - q)
-    if sup.kind == "real-vector":
-        val, err = _mv_integral_with_error(prob, f)
-        return DivergenceValue(0.5 * val, 0.5 * err, "quadrature")
-    if sup.kind == "counting":
-        val, err = _integral(prob, f, cfg)
-        return DivergenceValue(0.5 * val, 0.5 * err, "series")
-    pts = _crossing_points(prob, cfg)
-    val, err = _integral(prob, f, cfg, points=pts)
-    return DivergenceValue(0.5 * val, 0.5 * err, "quadrature")
+    val, err = _integrals(prob, cfg, "tv")[0]
+    return DivergenceValue(0.5 * val, 0.5 * err, _method_for(sup))
 
 
 def weighted_tv_sup_oracle(prob: HypothesisProblem) -> float:
@@ -301,43 +356,31 @@ def weighted_tv_sup_oracle(prob: HypothesisProblem) -> float:
 
 def delta(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Delta_phi(p, q) = (E_phi(p) + E_phi(q)) / 2; equals 1 when phi == 1."""
+    plan_integrals(prob, cfg, (("mass", "p"), ("mass", "q")))
     return 0.5 * (weight_mass(prob.p, prob.wf, cfg) + weight_mass(prob.q, prob.wf, cfg))
 
 
-@_per_problem
 def hellinger(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Weighted Hellinger distance ((1/2) E_phi((sqrt p - sqrt q)^2))^{1/2}."""
-    sup = prob.support
-    if sup.kind == "finite":
-        p, q, w = prob.tables()
-        sq = float(np.sum(w * (np.sqrt(p) - np.sqrt(q)) ** 2))
-        return math.sqrt(max(0.5 * sq, 0.0))
-    f = lambda p, q, w: w * (np.sqrt(p) - np.sqrt(q)) ** 2
-    if sup.kind == "real-vector":
-        return math.sqrt(max(0.5 * _mv_integral(prob, f), 0.0))
-    val, _ = _integral(prob, f, cfg)
-    return math.sqrt(max(0.5 * val, 0.0))
+    if prob.support.kind == "finite":
+        sq = float(np.sum(_PAIR_TERMS["hellinger"](*prob.tables())))
+    else:
+        sq = _integrals(prob, cfg, "hellinger")[0][0]
+    return math.sqrt(max(0.5 * sq, 0.0))
 
 
-@_per_problem
 def bhattacharyya_coeff(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Weighted affinity rho = E_phi(sqrt(p q)); satisfies rho = Delta - eta^2."""
-    sup = prob.support
-    if sup.kind == "finite":
-        p, q, w = prob.tables()
-        return float(np.sum(w * np.sqrt(p * q)))
-    f = lambda p, q, w: w * np.sqrt(p * q)
-    if sup.kind == "real-vector":
-        return _mv_integral(prob, f)
-    val, _ = _integral(prob, f, cfg)
-    return val
+    if prob.support.kind == "finite":
+        return float(np.sum(_PAIR_TERMS["rho"](*prob.tables())))
+    return _integrals(prob, cfg, "rho")[0][0]
 
 
 # ---------------------------------------------------------------------------
 # divergences
 # ---------------------------------------------------------------------------
 
-def _kl_terms(p, q, w):
+def _kl_exact_terms(p, q, w):
     """Summands of the discrete weighted KL with the 0 ln 0 convention."""
     active = (p > 0) & (w > 0)
     if np.any(active & (q <= 0)):
@@ -347,51 +390,31 @@ def _kl_terms(p, q, w):
     return out
 
 
-@_per_problem
 def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     """Weighted Kullback-Leibler divergence E(phi p 1(p>0) ln(p/q))."""
     sup = prob.support
     if sup.kind == "finite":
-        p, q, w = prob.tables()
-        terms = _kl_terms(p, q, w)
+        terms = _kl_exact_terms(*prob.tables())
         if terms is None:
             return DivergenceValue(math.inf, 0.0, "exact-sum")
         return DivergenceValue(float(np.sum(terms)), 0.0, "exact-sum")
-
-    def f(p, q, w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where((p > 0) & (w > 0), np.log(np.where(p > 0, p, 1.0))
-                         - np.log(np.where(q > 0, q, np.finfo(float).tiny)), 0.0)
-        return np.where((p > 0) & (w > 0), w * p * r, 0.0)
-
-    if sup.kind == "counting":
-        val, err = _integral(prob, f, cfg)
-        return DivergenceValue(val, err, "series")
-    if sup.kind == "real-vector":
-        val, err = _mv_integral_with_error(prob, f)
-        return DivergenceValue(val, err, "quadrature")
-    val, err = _integral(prob, f, cfg)
-    return DivergenceValue(val, err, "quadrature")
+    val, err = _integrals(prob, cfg, "kl")[0]
+    return DivergenceValue(val, err, _method_for(sup))
 
 
-@_per_problem
 def chernoff_coeff(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> float:
     """Weighted Chernoff coefficient E_phi(p^a q^(1-a)) / E_phi(p), 0 < a < 1."""
     if not 0 < alpha < 1:
         raise IllegalParameterError("alpha must lie in (0, 1)")
-    ep = weight_mass(prob.p, prob.wf, cfg)
+    if prob.support.kind == "finite":
+        p, q, w = prob.tables()
+        ep = weight_mass(prob.p, prob.wf, cfg)
+        num = float(np.sum(w * p ** alpha * q ** (1 - alpha)))
+    else:
+        (ep, _), (num, _) = _integrals(prob, cfg, ("mass", "p"), ("chernoff", alpha))
     if ep <= 0:
         raise ZeroWeightMassError("E_phi(p) = 0")
-    sup = prob.support
-    if sup.kind == "finite":
-        p, q, w = prob.tables()
-        num = float(np.sum(w * p ** alpha * q ** (1 - alpha)))
-        return num / ep
-    f = lambda p, q, w: w * p ** alpha * q ** (1 - alpha)
-    if sup.kind == "real-vector":
-        return _mv_integral(prob, f) / ep
-    val, _ = _integral(prob, f, cfg)
-    return val / ep
+    return num / ep
 
 
 def chernoff_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
@@ -452,12 +475,7 @@ def shannon_entropy(p: Distribution, wf: WeightFunction, cfg: IntegrationConfig)
         active = pm > 0
         return float(-np.sum(w[active] * pm[active] * np.log(pm[active])))
 
-    def f(d, w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(d > 0, d * np.log(np.where(d > 0, d, 1.0)), 0.0)
-        return -w * term
-
-    return _single_integral(p, wf, f, cfg)
+    return _integrals(HypothesisProblem(p, p, wf), cfg, ("shannon", "p"))[0][0]
 
 
 def renyi_entropy(p: Distribution, wf: WeightFunction, alpha: float,
@@ -477,19 +495,16 @@ def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: f
     """
     if alpha <= 0 or alpha == 1.0 or beta <= 0 or alpha + beta <= 1:
         raise IllegalParameterError("need alpha>0, alpha!=1, beta>0, alpha+beta>1")
-    sup = p.support
-
-    def mass(expo: float) -> float:
-        if sup.kind == "finite":
-            pm = p.finite.pmf
-            w = wf.table_on(sup)
-            return float(np.sum(w * pm ** expo))
-        return _single_integral(p, wf, lambda d, w: w * d ** expo, cfg)
-
-    ep = weight_mass(p, wf, cfg)
     # at beta = 1 the exponent is alpha itself: alpha + 1.0 - 1.0 can miss it by 1 ulp
-    num = mass(alpha if beta == 1.0 else alpha + beta - 1.0)
-    den = ep if beta == 1.0 else mass(beta)
+    expos = (alpha,) if beta == 1.0 else (alpha + beta - 1.0, beta)
+    if p.support.kind == "finite":
+        w = wf.table_on(p.support)
+        ep = weight_mass(p, wf, cfg)
+        masses = [float(np.sum(w * p.finite.pmf ** e)) for e in expos]
+    else:
+        names = [("mass", "p")] + [("renyi-mass", "p", e) for e in expos]
+        ep, *masses = (v for v, _ in _integrals(HypothesisProblem(p, p, wf), cfg, *names))
+    num, den = masses if beta != 1.0 else (masses[0], ep)
     if num <= 0 or den <= 0:
         raise ZeroWeightMassError("degenerate weighted masses in Renyi entropy")
     return ep / (1.0 - alpha) * math.log(num / den)

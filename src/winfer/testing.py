@@ -37,6 +37,7 @@ from .divergence import (
     delta,
     hellinger,
     kl,
+    plan_integrals,
     weight_mass,
     weighted_tv,
 )
@@ -48,6 +49,7 @@ from .errors import (
 )
 
 __all__ = [
+    "BOUND_INTEGRALS",
     "DecisionRule",
     "ProductProblem",
     "TiltedPair",
@@ -166,9 +168,14 @@ class BoundReport:
         return not self.violations
 
 
+# the integrals error_bound_report reads (divergence.plan_integrals names them)
+BOUND_INTEGRALS = (("mass", "p"), ("mass", "q"), "rho", "tv", "hellinger", "kl")
+
+
 def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
                        atol: float = 1e-9) -> BoundReport:
     """Evaluate every finite-n bound on inf[alpha+beta] / tau and check order."""
+    plan_integrals(prob, cfg, BOUND_INTEGRALS)
     ep = weight_mass(prob.p, prob.wf, cfg)
     eq = weight_mass(prob.q, prob.wf, cfg)
     dl = 0.5 * (ep + eq)

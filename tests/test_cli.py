@@ -151,6 +151,12 @@ MALFORMED_SPECS = {
     "vector gamma of wrong length": _spec_with(
         distributions=_two("gaussian-multivariate", _MV, _MV),
         weight={"kind": "exponential", "gamma": [0.1, 0.2, 0.3]}),
+    "pair on two outcome spaces": _spec_with(distributions=[
+        {"family": "gaussian-scalar", "params": {"mu": 0.0, "sigma2": 1.0}},
+        {"family": "exponential", "params": {"lam": 2.0}}]),
+    "non-symmetric cov": _spec_with(distributions=_two(
+        "gaussian-multivariate", {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.0, 1.0]]}, _MV),
+        weight={"kind": "exponential", "gamma": [0.1, 0.2]}),
 }
 
 
@@ -232,6 +238,48 @@ class TestComputeReport:
         names = {r["name"]: r for r in report["quantities"]}
         assert "value" in names["tv"]
         assert "error" in names["stein-sanov-limit"]
+
+
+    def test_poisson_chernoff_coeff_is_a_series(self):
+        spec = {"schema": 1,
+                "distributions": [{"family": "poisson", "params": {"lam": 2.0}},
+                                  {"family": "poisson", "params": {"lam": 3.5}}],
+                "weight": {"kind": "absolute"},
+                "quantities": ["chernoff-coeff", "chernoff-div", "kl"], "alpha_grid": [0.5]}
+        report, code = compute_report(spec)
+        assert code == 0
+        assert {r["name"]: r["method"] for r in report["quantities"]} == {
+            "chernoff-coeff@0.5": "series", "chernoff-div@0.5": "series", "kl": "series"}
+
+
+class TestRepeatedMain:
+    def test_parser_is_built_once(self):
+        from winfer.cli import build_parser
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_keep_codes_and_outputs(self, tmp_path, capsys):
+        """One process, as the benchmark runs it: a usage error, good calls and
+        a schema error in turn, each with its own exit code and output."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_gaussian_abs()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(MALFORMED_SPECS["pair on two outcome spaces"]))
+        outs, codes, errs = [], [], []
+        for argv in (["compute"], ["compute", str(spec), "--reproducible"],
+                     ["verify", "--suite", "no-such-suite"],
+                     ["compute", str(spec), "--reproducible"],
+                     ["compute", str(bad), "--reproducible"],
+                     ["compute", str(spec), "--reproducible"]):
+            codes.append(main(argv))
+            out, err = capsys.readouterr()
+            outs.append(out)
+            errs.append(err)
+        assert codes == [1, 0, 1, 0, 1, 0]
+        assert "usage:" in errs[0] and "no-such-suite" in errs[2]
+        assert errs[4].startswith("schema error:")
+        assert outs[1] == outs[3] == outs[5] != ""
+        assert outs[0] == outs[2] == outs[4] == ""
+        assert json.loads(outs[1])["quantities"][0]["name"] == "tv"
 
 
 class TestSubprocessContracts:
@@ -387,13 +435,14 @@ def spec_gamma_pair_all_quantities():
     }
 
 
-def _count_calls(monkeypatch, module_name, fn_name) -> list:
-    """Count calls of a core function from every winfer module that imported it."""
+def _count_calls(monkeypatch, module_name, fn_name, with_kwargs=False) -> list:
+    """Count calls of a core function from every winfer module that imported it;
+    each call is recorded as its args, or as (args, kwargs)."""
     real = getattr(sys.modules[module_name], fn_name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs) if with_kwargs else args)
         return real(*args, **kwargs)
     for name, mod in list(sys.modules.items()):
         if name.startswith("winfer") and mod is not None \
@@ -404,12 +453,13 @@ def _count_calls(monkeypatch, module_name, fn_name) -> list:
 
 class TestEvaluationCost:
     def test_gamma_report_integrations(self, tmp_path, monkeypatch):
-        """Each distinct integral once: 13 integrations for the full report
-        (2 weight masses, tv, hellinger, rho, kl, 3 Chernoff numerators, the
-        Shannon entropy and 3 Renyi-entropy numerators), the same count on a
-        second run (nothing is kept between reports)."""
+        """Each distinct integral once, all in one lockstep integrate call: the
+        13 components of the full report (2 weight masses, tv, hellinger, rho,
+        kl, 3 Chernoff numerators, the Shannon entropy and 3 Renyi-entropy
+        numerators), and the same on a second run (nothing is kept between
+        reports)."""
         import winfer.cli
-        calls = _count_calls(monkeypatch, "winfer.core", "integrate")
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
         spec = tmp_path / "gamma.json"
         spec.write_text(json.dumps(spec_gamma_pair_all_quantities()))
         counts, reports = [], []
@@ -420,7 +470,8 @@ class TestEvaluationCost:
                                     "--out", str(out)]) == 0
             counts.append(len(calls))
             reports.append(out.read_text())
-        assert counts[0] <= 13
+        assert counts[0] == 1
+        assert len(calls[0][1]["components"]) == 13
         assert counts[0] == counts[1]
         assert reports[0] == reports[1]
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from winfer.core import (
     Distribution,
+    Integrand,
     IntegrationConfig,
     Support,
     WeightFunction,
@@ -186,6 +187,145 @@ class TestIntegrate:
 
 
 
+# integrands of the shared arrays (p, q, phi), as the divergence module forms them
+_PAIR_TERMS = {
+    "mass-p": lambda p, q, w: w * p,
+    "mass-q": lambda p, q, w: w * q,
+    "tv": lambda p, q, w: w * np.abs(p - q),
+    "rho": lambda p, q, w: w * np.sqrt(p * q),
+    "chernoff-0.3": lambda p, q, w: w * p ** 0.3 * q ** 0.7,
+    "entropy-p": lambda p, q, w: -w * np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0),
+}
+_LOCKSTEP_PAIRS = {
+    "gaussian": (Distribution.gaussian(-0.4, 0.8), Distribution.gaussian(0.9, 1.5)),
+    "exponential": (Distribution.exponential(1.3), Distribution.exponential(2.6)),
+    "gamma-shape-above-1": (Distribution.gamma(2.2, 1.4), Distribution.gamma(3.1, 1.1)),
+    "gamma-shape-below-1": (Distribution.gamma(0.6, 1.7), Distribution.gamma(1.8, 1.2)),
+    "poisson": (Distribution.poisson(2.5), Distribution.poisson(6.0)),
+}
+_LOCKSTEP_WEIGHTS = {
+    "constant": WeightFunction.constant(1.5),
+    "exponential": WeightFunction.exponential(0.35),
+    "absolute": WeightFunction.absolute(),
+    "quadratic": WeightFunction.quadratic(-0.4, 0.5),
+    "polynomial": WeightFunction.polynomial([1.0, 0.0, 0.5, 0.0, 0.1]),
+}
+
+
+def _lockstep_components(p, q, wf):
+    comps = []
+    for name, g in _PAIR_TERMS.items():
+        dists = (p,) if name.endswith("-p") else (q,) if name.endswith("-q") else (p, q)
+        comps.append(Integrand(g, dists, wf))
+    return comps
+
+
+def _lone(comp, p, q, wf):
+    """One component as a single-integrand call: its outcome, value or error."""
+    try:
+        return integrate(lambda x: comp.g(p.density(x), q.density(x), wf(x)), p.support, CFG,
+                         dists=comp.dists, wf=comp.wf, points=comp.points)
+    except NonConvergentIntegralError as exc:
+        return exc
+
+
+class TestLockstepIntegrate:
+    @pytest.mark.parametrize("pair", list(_LOCKSTEP_PAIRS))
+    @pytest.mark.parametrize("weight", list(_LOCKSTEP_WEIGHTS))
+    def test_components_match_lone_calls(self, pair, weight):
+        """k components in one call give what k one-component calls give: the
+        same outcome each, and values within 1e-14 relative."""
+        p, q = _LOCKSTEP_PAIRS[pair]
+        wf = _LOCKSTEP_WEIGHTS[weight]
+        comps = _lockstep_components(p, q, wf)
+        got = integrate(lambda x: (p.density(x), q.density(x), wf(x)), p.support, CFG,
+                        components=comps)
+        assert len(got) == len(comps)
+        for comp, res in zip(comps, got):
+            lone = _lone(comp, p, q, wf)
+            assert type(res) is type(lone)
+            if isinstance(lone, NonConvergentIntegralError):
+                assert str(res) == str(lone)
+            else:
+                assert res[0] == pytest.approx(lone[0], rel=1e-14, abs=0)
+                assert res[1] == pytest.approx(lone[1], rel=1e-12, abs=1e-300)
+
+    def test_breakpoints_and_windows_stay_per_component(self):
+        """A component's breakpoints and window are its own: the same integrand
+        with and without a breakpoint, and over p's window and the pair's."""
+        p, q = Distribution.gaussian(0.0, 0.5), Distribution.gaussian(3.0, 2.0)
+        wf = WeightFunction.absolute()
+        tv = _PAIR_TERMS["tv"]
+        comps = [Integrand(tv, (p, q), wf), Integrand(tv, (p, q), wf, (1.234,)),
+                 Integrand(_PAIR_TERMS["mass-p"], (p,), wf),
+                 Integrand(_PAIR_TERMS["mass-p"], (p, q), wf)]
+        got = integrate(lambda x: (p.density(x), q.density(x), wf(x)), p.support, CFG,
+                        components=comps)
+        for comp, res in zip(comps, got):
+            assert res == _lone(comp, p, q, wf)
+
+    def test_failure_is_isolated(self):
+        """The weight mass of a gamma of shape 0.33 does not converge; in the
+        same call every other component equals its lone value."""
+        p, q = Distribution.gamma(0.3268537236083787, 2.2493470057209395), \
+            Distribution.gamma(2.1806708395890455, 1.0817879422615078)
+        wf = WeightFunction.exponential(0.15407534938876033)
+        comps = _lockstep_components(p, q, wf)
+        got = integrate(lambda x: (p.density(x), q.density(x), wf(x)), p.support, CFG,
+                        components=comps)
+        assert isinstance(got[0], NonConvergentIntegralError)  # E_phi(p)
+        assert isinstance(_lone(comps[0], p, q, wf), NonConvergentIntegralError)
+        converged = [i for i, res in enumerate(got) if isinstance(res, tuple)]
+        assert {1, 3, 4} <= set(converged)  # E_phi(q), rho, the Chernoff numerator
+        for i in converged:
+            assert got[i] == _lone(comps[i], p, q, wf)
+
+    def test_window_failure_is_isolated(self):
+        p, q = Distribution.exponential(1.0), Distribution.exponential(3.0)
+        wf = WeightFunction.exponential(1.5)  # outgrows p, not q
+        comps = [Integrand(_PAIR_TERMS["mass-p"], (p,), wf),
+                 Integrand(_PAIR_TERMS["mass-q"], (q,), wf)]
+        bad, good = integrate(lambda x: (p.density(x), q.density(x), wf(x)), p.support,
+                              CFG, components=comps)
+        assert isinstance(bad, NonConvergentIntegralError)
+        assert good[0] == pytest.approx(3.0 / 1.5, rel=1e-12)
+
+    def test_cross_check_with_quad_vec(self):
+        """scipy's vector adaptive quadrature, an independent engine, on a
+        smooth Gaussian pair."""
+        from scipy.integrate import quad_vec
+        p, q = Distribution.gaussian(-0.3, 0.9), Distribution.gaussian(0.8, 1.4)
+        wf = WeightFunction.quadratic(0.3, 1.0)
+        names = ["mass-p", "mass-q", "rho", "chernoff-0.3", "entropy-p"]
+        comps = [Integrand(_PAIR_TERMS[n], (p, q), wf) for n in names]
+        got = integrate(lambda x: (p.density(x), q.density(x), wf(x)), p.support, CFG,
+                        components=comps)
+
+        def vec(x):
+            pq = (p.density(np.array([x])), q.density(np.array([x])), wf(np.array([x])))
+            return np.array([float(_PAIR_TERMS[n](*pq)[0]) for n in names])
+        want, _ = quad_vec(vec, -np.inf, np.inf, epsrel=1e-12, epsabs=1e-14)
+        for (val, _), ref in zip(got, want):
+            assert val == pytest.approx(ref, rel=1e-9)
+
+    def test_series_components_keep_their_own_length(self):
+        """A Poisson of mean 300 needs ~500 terms; a component that reads only
+        the Poisson of mean 2 stops after its own two quiet blocks."""
+        p, q = Distribution.poisson(2.0), Distribution.poisson(300.0)
+        wf = WeightFunction.absolute()
+        comps = [Integrand(_PAIR_TERMS["mass-p"], (p,), wf),
+                 Integrand(_PAIR_TERMS["mass-q"], (q,), wf)]
+        seen = []
+
+        def shared(ls):
+            seen.append(ls[-1])
+            return p.density(ls), q.density(ls), wf(ls)
+        (ep, _), (eq, _) = integrate(shared, Support.counting(), CFG, components=comps)
+        assert ep == pytest.approx(2.0, rel=1e-12) and eq == pytest.approx(300.0, rel=1e-10)
+        assert (ep, eq) == (_lone(comps[0], p, q, wf)[0], _lone(comps[1], p, q, wf)[0])
+        assert max(seen) < 1000  # both stop: the series does not run to its term budget
+
+
 def _gauss_hermite_meshgrid(center, cov, level):
     """Tensor rule built from full meshgrids, the construction the lean
     ``gauss_hermite_nodes`` must reproduce bit for bit."""
@@ -260,6 +400,14 @@ class TestMultivariateGaussianDensity:
         assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + r * r / 2.0) * want)
         single = Distribution.gaussian_mv(mean, cov).density(x[1])
         assert np.ndim(single) == 0 and single == got[1]
+
+    def test_non_symmetric_covariance_refused(self):
+        with pytest.raises(IllegalParameterError, match="symmetric"):
+            Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.9], [0.0, 1.0]])
+        with pytest.raises(IllegalParameterError, match="symmetric"):
+            Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+        near = Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert near.density(np.zeros(2)) > 0
 
 
 class TestWeightedExpectation:

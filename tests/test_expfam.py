@@ -160,6 +160,29 @@ class TestCatalog:
         assert len(meshes) == len(set(meshes)) == 3
         assert sorted(level for _, level in meshes) == [48, 60, 60]
 
+    def test_non_symmetric_covariance_refused(self):
+        """The Cholesky factor reads the lower triangle only, so a non-symmetric
+        cov would silently evaluate another Gaussian."""
+        with pytest.raises(IllegalParameterError, match="symmetric"):
+            catalog_family("gaussian-multivariate",
+                           mean=[0.0, 0.0], cov=[[1.0, 0.9], [0.0, 1.0]])
+
+    def test_from_natural_covariances_are_accepted(self):
+        """from_natural inverts the symmetrized precision; the inverse may miss
+        symmetry by rounding, which the 1e-12 relative tolerance admits."""
+        fam = CATALOG["gaussian-multivariate"]
+        rng = np.random.default_rng(7)
+        asymmetric = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 6))
+            a = rng.normal(size=(d, d))
+            member = catalog_family("gaussian-multivariate", mean=rng.normal(size=d),
+                                    cov=a @ a.T + 0.1 * np.eye(d))
+            cov = fam.from_natural(member.theta)["cov"]
+            asymmetric += bool(np.any(cov != cov.T))
+            assert member.dist.params["cov"].shape == (d, d)
+        assert asymmetric > 0  # the tolerance is exercised, not idle
+
     def test_round_trip_parameter_maps(self):
         for name, params in MEMBERS:
             m = catalog_family(name, **params)
