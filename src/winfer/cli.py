@@ -39,9 +39,10 @@ Integration keys: rel_tol, abs_tol, max_subdivisions, tail_mass_bound.  A spec
 with a non-finite number, a param the family's ``Distribution`` constructor
 refuses, or a weight its distributions cannot take exits 1.
 
-Quantities: tv, delta, hellinger, bhattacharyya-coeff, bhattacharyya-div, kl,
-chernoff-coeff, chernoff-div, renyi-div, tsallis-div, shannon-entropy,
-renyi-entropy, min-total-error, stein-sanov-limit, error-bounds.
+Quantities are the names of ``divergence.QUANTITIES`` (tv, delta, hellinger,
+bhattacharyya-coeff, bhattacharyya-div, kl, chernoff-coeff, chernoff-div,
+renyi-div, tsallis-div, shannon-entropy, renyi-entropy, min-total-error,
+stein-sanov-limit, error-bounds), each with the first-order error of its value.
 Alpha-indexed quantities appear once per alpha_grid entry as "name@alpha".
 When both distributions are catalog members of one exponential family (or the
 unit-variance Gaussian TV pattern applies) the record carries an additional
@@ -64,24 +65,7 @@ import numpy as np
 
 from . import __version__
 from .core import Distribution, IntegrationConfig, WeightFunction, _finite
-from .divergence import (
-    DivergenceValue,
-    HypothesisProblem,
-    _method_for,
-    bhattacharyya_coeff,
-    bhattacharyya_div,
-    chernoff_coeff,
-    chernoff_div,
-    delta,
-    hellinger,
-    kl,
-    plan_integrals,
-    renyi_div,
-    renyi_entropy,
-    shannon_entropy,
-    tsallis_div,
-    weighted_tv,
-)
+from .divergence import QUANTITIES, DivergenceValue, HypothesisProblem, plan_quantities, quantity
 from .errors import SchemaError, WinferError
 from .estimation import (
     PriorSpec,
@@ -94,50 +78,14 @@ from .estimation import (
     shifted_mean_estimator,
     van_trees,
 )
-from .expfam import (
-    AdjointFamily,
-    catalog_family,
-    expfam_bhattacharyya,
-    expfam_chernoff,
-    expfam_kl,
-    expfam_renyi,
-    expfam_shannon,
-    gaussian_tv_closed_form,
-)
+from .expfam import CLOSED_FORMS, AdjointFamily, catalog_family, gaussian_tv_closed_form
 from .testing import (
-    BOUND_INTEGRALS,
     ProductProblem,
     error_bound_report,
-    min_total_error,
     stein_sanov_empirical,
     stein_sanov_limit,
 )
 from .verify import SUITES, run_suite
-
-# quantity -> (the integrals it reads, its value for (prob, cfg)); the integral
-# names are those of divergence.plan_integrals
-_MASSES = (("mass", "p"), ("mass", "q"))
-_PLAIN_QUANTITIES = {
-    "tv": (("tv",), weighted_tv),
-    "delta": (_MASSES, delta),
-    "hellinger": (("hellinger",), hellinger),
-    "bhattacharyya-coeff": (("rho",), bhattacharyya_coeff),
-    "bhattacharyya-div": (("rho", ("mass", "p")), bhattacharyya_div),
-    "kl": (("kl",), kl),
-    "shannon-entropy": ((("shannon", "p"),),
-                        lambda prob, cfg: shannon_entropy(prob.p, prob.wf, cfg)),
-    "min-total-error": (_MASSES + ("tv",), min_total_error),
-    "stein-sanov-limit": (("kl", ("mass", "p")), stein_sanov_limit),
-    "error-bounds": (BOUND_INTEGRALS, error_bound_report),
-}
-# quantity -> its value for (prob, alpha, cfg); below alpha = 1 each reads
-# E_phi(p) and one integral of its own
-_ALPHA_QUANTITIES = {
-    "chernoff-coeff": chernoff_coeff, "chernoff-div": chernoff_div,
-    "renyi-div": renyi_div, "tsallis-div": tsallis_div,
-    "renyi-entropy": lambda prob, a, cfg: renyi_entropy(prob.p, prob.wf, a, cfg),
-}
-_QUANTITIES = (*_PLAIN_QUANTITIES, *_ALPHA_QUANTITIES)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +184,7 @@ def parse_problem_spec(spec: dict):
     if not isinstance(quantities, list):
         raise SchemaError("quantities must be a list")
     for qn in quantities:
-        if qn not in _QUANTITIES:
+        if qn not in QUANTITIES:
             raise SchemaError(f"unknown quantity {qn!r}")
     try:
         alphas = _finite("alpha_grid", spec.get("alpha_grid", [0.5]), 1).tolist()
@@ -291,29 +239,11 @@ def _tv_closed_form(p: Distribution, q: Distribution, wf: WeightFunction,
 # compute
 # ---------------------------------------------------------------------------
 
-def _record(name: str, result, method: str, **extra) -> dict:
-    """A report record; a DivergenceValue brings its own error and method."""
-    if isinstance(result, DivergenceValue):
-        result, err, method = result.value, result.error, result.method
-    else:
-        err = 0.0
-    return {"name": name, "value": result, "numerical_error": err, "method": method, **extra}
-
-
-def _report_integrals(quantities: list, alphas: list, pair: bool) -> list:
-    """Every integral that a report of these quantities reads."""
-    out = []
-    for name in quantities:
-        if name in _PLAIN_QUANTITIES and (pair or name == "shannon-entropy"):
-            out += _PLAIN_QUANTITIES[name][0]
-        for a in alphas if name in _ALPHA_QUANTITIES else ():
-            if name == "renyi-entropy":
-                out += [("mass", "p"), ("renyi-mass", "p", a)] if a < 1 else []
-            elif pair and a < 1:
-                out += [("mass", "p"), ("chernoff", a)]
-            elif pair and name in ("renyi-div", "tsallis-div"):  # kl at alpha = 1
-                out.append("kl")
-    return out
+def _record(name: str, result: DivergenceValue, **extra) -> dict:
+    if math.isnan(result.value):
+        extra["error"] = "NaN result"
+    return {"name": name, "value": result.value, "numerical_error": result.error,
+            "method": result.method, **extra}
 
 
 def compute_report(spec: dict, as_printed: bool = False) -> tuple:
@@ -321,78 +251,43 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
     parsed, wf, quantities, alphas, cfg, seed = parse_problem_spec(spec)
     p = parsed[0][0]
     q = parsed[1][0] if len(parsed) > 1 else None
-    pair_needed = set(_QUANTITIES) - {"shannon-entropy", "renyi-entropy"}
+    for name in quantities:
+        if q is None and not QUANTITIES[name].of_p:
+            raise SchemaError(f"{name} needs two distributions")
     records = []
     bound_checks = []
-    exit_code = 0
     closed = _catalog_adjoint([member for _, member in parsed], wf, cfg)
     # one problem for the whole report, whose integrals are computed together
     # up front; with one distribution, q = p serves its single integrals
     prob = HypothesisProblem(p, p if q is None else q, wf)
-    plan_integrals(prob, cfg, _report_integrals(quantities, alphas, q is not None))
-
-    def cross_check(name, alpha=None):
-        if closed is None:
-            return None
-        adj, th1, th2 = closed
-        try:
-            if name == "kl" and th2 is not None:
-                return expfam_kl(adj, th1, th2)
-            if name == "shannon-entropy":
-                return expfam_shannon(adj, th1)
-            if name == "renyi-entropy" and alpha is not None and alpha < 1:
-                return expfam_renyi(adj, th1, alpha)
-            if name == "chernoff-div" and th2 is not None and alpha is not None \
-                    and alpha < 1:
-                return expfam_chernoff(adj, th1, th2, alpha)
-            if name == "bhattacharyya-div" and th2 is not None:
-                return expfam_bhattacharyya(adj, th1, th2)
-        except WinferError:
-            return None
-        return None
+    grid = {name: alphas if QUANTITIES[name].alpha else [None] for name in quantities}
+    plan_quantities(prob, cfg, [(name, a) for name in quantities for a in grid[name]])
 
     for name in quantities:
-        if name in pair_needed and q is None:
-            raise SchemaError(f"{name} needs two distributions")
         try:
-            if name in _ALPHA_QUANTITIES:
-                for a in alphas:
-                    if name == "renyi-entropy" and a >= 1:
-                        raise SchemaError("renyi-entropy needs alpha in (0, 1)")
-                    rec = _record(f"{name}@{a:g}", _ALPHA_QUANTITIES[name](prob, a, cfg),
-                                  _method_for(prob.support), alpha=a)
-                    cc = cross_check(name, a)
-                    if cc is not None:
-                        rec["closed_form"] = {"value": cc, "method": "closed-form"}
-                    records.append(rec)
-                continue
-            result = _PLAIN_QUANTITIES[name][1](prob, cfg)
-            if name == "error-bounds":
-                bound_checks += _bound_checks(result)
-                rec = _record(name, result.min_total, _method_for(p.support), details={
-                    "delta": result.delta, "rho": result.rho, "tau": result.tau,
-                    "kl": result.kl if math.isfinite(result.kl) else "inf",
-                    "ep": result.ep, "eq": result.eq})
-            else:
-                rec = _record(name, result, _method_for(p.support))
-            cc = cross_check(name)
-            if name == "tv" and q is not None:
-                tvcc = _tv_closed_form(p, q, wf, as_printed)
-                if tvcc is not None:
-                    rec["closed_form"] = {"value": tvcc, "method": "closed-form",
-                                          "as_printed": as_printed}
-            elif cc is not None:
-                rec["closed_form"] = {"value": cc, "method": "closed-form"}
-            records.append(rec)
+            for a in grid[name]:
+                label, extra = (name, {}) if a is None else (f"{name}@{a:g}", {"alpha": a})
+                rec = _record(label, quantity(prob, name, cfg, a), **extra)
+                if name == "error-bounds":
+                    rep = error_bound_report(prob, cfg)
+                    bound_checks += _bound_checks(rep)
+                    rec["details"] = {"delta": rep.delta, "rho": rep.rho, "tau": rep.tau,
+                                      "kl": rep.kl if math.isfinite(rep.kl) else "inf",
+                                      "ep": rep.ep, "eq": rep.eq}
+                if name == "tv" and q is not None:
+                    tvcc = _tv_closed_form(p, q, wf, as_printed)
+                    if tvcc is not None:
+                        rec["closed_form"] = {"value": tvcc, "method": "closed-form",
+                                              "as_printed": as_printed}
+                elif closed is not None and name in CLOSED_FORMS:
+                    try:
+                        rec["closed_form"] = {"value": CLOSED_FORMS[name](*closed, a),
+                                              "method": "closed-form"}
+                    except WinferError:
+                        pass
+                records.append(rec)
         except WinferError as exc:
             records.append({"name": name, "error": str(exc)})
-            exit_code = 2
-
-    for rec in records:
-        val = rec.get("value")
-        if val is not None and isinstance(val, float) and math.isnan(val):
-            rec["error"] = "NaN result"
-            exit_code = 2
 
     report = {
         "schema": 1,
@@ -404,7 +299,7 @@ def compute_report(spec: dict, as_printed: bool = False) -> tuple:
         "quantities": records,
         "bound_checks": bound_checks,
     }
-    return report, exit_code
+    return report, 2 if any("error" in rec for rec in records) else 0
 
 
 def _bound_checks(rep) -> list:

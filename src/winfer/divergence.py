@@ -1,23 +1,38 @@
 """Weighted distances, divergences, and entropies between a pair of densities.
 
 All quantities act on a ``HypothesisProblem`` (p, q, phi) sharing one support.
-Finite alphabets use exact summation; countable supports use adaptive series;
-continuous supports use adaptive quadrature with envelope-derived truncation.
+Each is a closed formula over a few named weighted integrals (``QUANTITIES``;
+E(.) integrates phi times its argument, C_a = E(p^a q^(1-a)), rho = C_0.5):
 
-Conventions
------------
-* 0*ln(0) := 0 and the indicator 1(p>0) guard the Kullback-Leibler integrand.
-* +inf is a first-class divergence value (``math.inf``), produced by the
-  support-violation test on discrete spaces or by a diverging quadrature.
-* The Renyi/Tsallis alpha-divergences are normalized so that both converge to
-  the weighted KL divergence as alpha -> 1 (this fixes a sign slip in one
-  common way of writing the 1/(1-alpha) prefactor); alpha = 1 simply returns
-  the KL value.
+    tv                   E|p - q| / 2
+    delta                Delta = (E(p) + E(q)) / 2
+    hellinger            (E((sqrt p - sqrt q)^2) / 2)^(1/2)
+    bhattacharyya-coeff  rho
+    bhattacharyya-div    ln E(p) - ln rho
+    kl                   E(p 1(p>0) ln(p/q)), with 0 ln 0 := 0
+    chernoff-coeff@a     C_a / E(p)
+    chernoff-div@a       -ln(C_a / E(p))
+    renyi-div@a          E(p) / (a - 1) ln(C_a / E(p)); kl at a = 1
+    tsallis-div@a        E(p) / (a - 1) (C_a / E(p) - 1); kl at a = 1
+    shannon-entropy      -E(p ln p)
+    renyi-entropy@a      E(p) / (1 - a) ln(E(p^a) / E(p))
+    min-total-error      Delta - tv
+    stein-sanov-limit    ln E(p) - kl / E(p)
+    error-bounds         Delta - tv, reading every integral of the bound chain
+
+``quantity`` plans the integrals (exact sums on finite alphabets, adaptive
+series on countable supports, adaptive quadrature on the line, Gauss-Hermite
+on vectors), applies the formula and carries each integral's error to first
+order.  +inf is a first-class divergence value (``math.inf``): the support
+violation on a finite alphabet, a coefficient <= 0, or a diverging integral.
+The Renyi/Tsallis normalization makes both converge to kl as a -> 1 (this
+fixes a sign slip in one common way of writing the 1/(1-a) prefactor).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +50,7 @@ from .errors import (
     AlphabetTooLargeError,
     DomainMismatchError,
     IllegalParameterError,
+    InfiniteKLError,
     NonConvergentIntegralError,
     ZeroWeightMassError,
 )
@@ -42,6 +58,10 @@ from .errors import (
 __all__ = [
     "HypothesisProblem",
     "DivergenceValue",
+    "Quantity",
+    "QUANTITIES",
+    "quantity",
+    "plan_quantities",
     "plan_integrals",
     "weight_mass",
     "weighted_tv",
@@ -111,22 +131,14 @@ class DivergenceValue:
             raise IllegalParameterError("error estimate must be >= 0")
 
 
-# ---------------------------------------------------------------------------
-# shared plumbing
-# ---------------------------------------------------------------------------
-
-def _method_for(support: Support) -> str:
-    if support.kind == "finite":
-        return "exact-sum"
-    if support.kind == "counting":
-        return "series"
-    return "quadrature"
+# how a support's integrals are computed; Gauss-Hermite on vectors is quadrature too
+_METHODS = {"finite": "exact-sum", "counting": "series"}
 
 
 # ---------------------------------------------------------------------------
 # the per-problem evaluation plan
 # ---------------------------------------------------------------------------
-# A pair integral of (p, q, phi) is named "tv", "hellinger", "rho", "kl" or
+# A pair integral of (p, q, phi) is named "tv", "hellinger", "kl" or
 # ("chernoff", alpha); a single-distribution one ("mass", role),
 # ("shannon", role) or ("renyi-mass", role, exponent), the role "p" or "q".
 
@@ -138,6 +150,13 @@ def _kl_terms(p, q, w):
     return np.where((p > 0) & (w > 0), w * p * r, 0.0)
 
 
+def _kl_exact_terms(p, q, w):
+    """The KL terms of a finite alphabet, phi p ln(p/q) with 0 ln 0 := 0: +inf
+    where phi p > 0 = q (the support violation), so their sum is +inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((p > 0) & (w > 0), w * p * np.log(p / q), 0.0)
+
+
 def _entropy_terms(d, w):
     """-phi d ln d with 0 ln 0 := 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -146,7 +165,6 @@ def _entropy_terms(d, w):
 
 _PAIR_TERMS = {"tv": lambda p, q, w: w * np.abs(p - q),
                "hellinger": lambda p, q, w: w * (np.sqrt(p) - np.sqrt(q)) ** 2,
-               "rho": lambda p, q, w: w * np.sqrt(p * q),
                "kl": _kl_terms,
                "chernoff": lambda p, q, w, a: w * p ** a * q ** (1 - a)}
 _SINGLE_TERMS = {"mass": lambda d, w: w * d, "shannon": _entropy_terms,
@@ -215,9 +233,15 @@ def plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> 
             memo[key] = res
 
 
-def _integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, *names) -> list:
-    """(value, error) of each named integral, after planning the missing ones
-    together; the stored failure of the first one that failed is raised."""
+def _integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> list:
+    """(value, error) of each named integral.  On a finite alphabet it is the
+    exact sum of its terms, with error 0, and nothing is stored; else the
+    missing ones are planned together and the stored failure of the first one
+    that failed is raised."""
+    if prob.support.kind == "finite":
+        tables = prob.tables()
+        return [(float((_kl_exact_terms(*tables) if name == "kl"
+                        else _terms(name)[0](*tables)).sum()), 0.0) for name in names]
     plan_integrals(prob, cfg, names)
     out = []
     for name in names:
@@ -300,38 +324,218 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
     """E_phi(p), the mean weight under the density.
 
-    On infinite supports it is memoized on ``dist`` (its ``weight_masses``
-    field, keyed by ``("mass", wf, cfg)``; see ``plan_integrals``), so it lives
-    exactly as long as that Distribution instance: equal distributions built
-    separately do not share it, and nothing carries over from one report to
-    the next.  The same field keeps the Shannon entropy and Renyi-entropy
-    masses, and on vector supports, keyed by ``(wf, level)``, the one (p, p)
-    Gauss-Hermite mesh they all sum over.  A ``NonConvergentIntegralError`` is
-    stored too and raised again on every later call, without integrating
-    again.  Finite supports are not memoized (the exact sum is cheaper than
-    hashing a long weight table).
+    On infinite supports it is memoized, failure included, in
+    ``dist.weight_masses[("mass", wf, cfg)]`` (see ``plan_integrals``), which
+    also keeps the Shannon and Renyi masses and, keyed by ``(wf, level)``, the
+    (p, p) Gauss-Hermite mesh of a vector support.  It lives exactly as long
+    as that instance; equal distributions built separately do not share it.
+    Finite supports are not memoized (the exact sum is cheaper than hashing a
+    long weight table).
     """
-    sup = dist.support
-    if sup.kind == "finite":
-        return float(np.sum(wf.table_on(sup) * dist.finite.pmf))
-    hit = dist.weight_masses.get(("mass", wf, cfg))
-    if isinstance(hit, tuple):
-        return hit[0]
-    return _integrals(HypothesisProblem(dist, dist, wf), cfg, ("mass", "p"))[0][0]
+    return _integrals(HypothesisProblem(dist, dist, wf), cfg, [_MP])[0][0]
 
 
 # ---------------------------------------------------------------------------
-# distances
+# the quantity table
+# ---------------------------------------------------------------------------
+
+# A weighted quantity as a formula over named integrals: ``reads(alpha)`` names
+# them (see plan_integrals) and ``formula(alpha, *values)`` is the quantity at
+# their values; ``alpha`` is its alpha domain, "(0, 1)" or "(0, 1]" (kl at 1),
+# or "" for none; ``of_p`` says it reads integrals of p alone.
+Quantity = namedtuple("Quantity", "reads formula alpha of_p", defaults=("", False))
+_MP, _MQ, _RHO = ("mass", "p"), ("mass", "q"), ("chernoff", 0.5)
+
+
+def _mass(ep: float) -> float:
+    """E_phi(p), refused when it is not positive."""
+    if ep <= 0:
+        raise ZeroWeightMassError("E_phi(p) = 0")
+    return ep
+
+
+def _log(c: float) -> float:
+    """ln c, and -inf for a coefficient c <= 0 (so its divergence is +inf)."""
+    return math.log(c) if c > 0 else -math.inf
+
+
+def _min_total(alpha, ep, eq, tv, *rest) -> float:
+    return 0.5 * (ep + eq) - 0.5 * tv
+
+
+def _stein_sanov(alpha, kv, ep) -> float:
+    if not math.isfinite(kv):
+        raise InfiniteKLError("the rate requires a finite weighted KL divergence")
+    return math.log(_mass(ep)) - kv / ep
+
+
+def _renyi_entropy(alpha, ep, num, den) -> float:
+    if num <= 0 or den <= 0:
+        raise ZeroWeightMassError("degenerate weighted masses in Renyi entropy")
+    return ep / (1.0 - alpha) * math.log(num / den)
+
+
+def _tilted(formula, domain="(0, 1)") -> Quantity:
+    """A quantity of E_phi(p) and the Chernoff numerator C_a."""
+    return Quantity(lambda a: (_MP, ("chernoff", a)),
+                    lambda a, ep, c: formula(a, ep, c / _mass(ep)), domain)
+
+
+QUANTITIES = {
+    "tv": Quantity(lambda a: ("tv",), lambda a, tv: 0.5 * tv),
+    "delta": Quantity(lambda a: (_MP, _MQ), lambda a, ep, eq: 0.5 * (ep + eq)),
+    "hellinger": Quantity(lambda a: ("hellinger",), lambda a, sq: math.sqrt(max(0.5 * sq, 0.0))),
+    "bhattacharyya-coeff": Quantity(lambda a: (_RHO,), lambda a, rho: rho),
+    "bhattacharyya-div": Quantity(lambda a: (_RHO, _MP),
+                                  lambda a, rho, ep: math.log(_mass(ep)) - _log(rho)),
+    "kl": Quantity(lambda a: ("kl",), lambda a, kv: kv),
+    "chernoff-coeff": _tilted(lambda a, ep, coeff: coeff),
+    "chernoff-div": _tilted(lambda a, ep, coeff: -_log(coeff)),
+    "renyi-div": _tilted(lambda a, ep, coeff: ep / (a - 1.0) * _log(coeff), "(0, 1]"),
+    "tsallis-div": _tilted(lambda a, ep, coeff: ep / (a - 1.0) * (coeff - 1.0), "(0, 1]"),
+    "shannon-entropy": Quantity(lambda a: (("shannon", "p"),), lambda a, h: h, of_p=True),
+    "renyi-entropy": Quantity(lambda a: (_MP, ("renyi-mass", "p", a)),
+                              lambda a, ep, m: _renyi_entropy(a, ep, m, ep), "(0, 1)", True),
+    "min-total-error": Quantity(lambda a: (_MP, _MQ, "tv"), _min_total),
+    "stein-sanov-limit": Quantity(lambda a: ("kl", _MP), _stein_sanov),
+    # the min-total-error, reading every integral of testing.error_bound_report
+    "error-bounds": Quantity(lambda a: (_MP, _MQ, "tv", _RHO, "hellinger", "kl"), _min_total),
+}
+
+# the least relative step of a slope estimate, about sqrt(machine epsilon)
+_SLOPE_STEP = 2.0 ** -26
+
+
+def _resolve(name: str, alpha) -> Quantity:
+    """The entry that evaluates ``name`` at ``alpha``: kl for an alpha-divergence
+    at alpha = 1; an alpha outside the domain raises IllegalParameterError."""
+    entry = QUANTITIES[name]
+    if entry.alpha == "(0, 1]" and alpha == 1.0:
+        return QUANTITIES["kl"]
+    if entry.alpha and not 0 < alpha < 1:
+        raise IllegalParameterError(f"alpha must lie in {entry.alpha}")
+    return entry
+
+
+def plan_quantities(prob: HypothesisProblem, cfg: IntegrationConfig, requests) -> None:
+    """Plan every integral that the (name, alpha) requests read in one pass; a
+    request outside its alpha domain reads none (evaluating it raises)."""
+    if prob.support.kind == "finite":  # exact sums are taken where they are read
+        return
+    names = []
+    for name, alpha in requests:
+        try:
+            names += _resolve(name, alpha).reads(alpha)
+        except IllegalParameterError:
+            pass
+    plan_integrals(prob, cfg, names)
+
+
+def _evaluate(got: list, formula, alpha, method: str) -> DivergenceValue:
+    """``formula`` at the integrals' (value, error) pairs ``got``, with the
+    first-order error sum_k |d formula / dI_k| err_k.  Each slope is the
+    secant over the step h_k = max(err_k, 2^-26 |I_k|) as stored, so the
+    error is the plain bump |f(I + err_k e_k) - f(I)| when err_k is not far
+    below I_k.  Integrals with err_k = 0 (all of them on a finite alphabet)
+    cost no extra call, and an infinite value carries error 0."""
+    xs = [v for v, _ in got]
+    value = formula(alpha, *xs)
+    error = 0.0
+    for k, (v, e) in enumerate(got):
+        if e and math.isfinite(value):
+            bumped = list(xs)
+            bumped[k] = v + max(e, _SLOPE_STEP * abs(v))
+            error += abs(formula(alpha, *bumped) - value) / (bumped[k] - v) * e
+    return DivergenceValue(value, error, method)
+
+
+def quantity(prob: HypothesisProblem, name: str, cfg: IntegrationConfig,
+             alpha=None) -> DivergenceValue:
+    """The quantity ``QUANTITIES[name]`` (at ``alpha`` when it is alpha-indexed)."""
+    entry = _resolve(name, alpha)
+    return _evaluate(_integrals(prob, cfg, entry.reads(alpha)), entry.formula, alpha,
+                     _METHODS.get(prob.support.kind, "quadrature"))
+
+
+# ---------------------------------------------------------------------------
+# the public quantities
 # ---------------------------------------------------------------------------
 
 def weighted_tv(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
     """Weighted total variation (1/2) E_phi(|p - q|)."""
-    sup = prob.support
-    if sup.kind == "finite":
-        p, q, w = prob.tables()
-        return DivergenceValue(0.5 * float(np.sum(w * np.abs(p - q))), 0.0, "exact-sum")
-    val, err = _integrals(prob, cfg, "tv")[0]
-    return DivergenceValue(0.5 * val, 0.5 * err, _method_for(sup))
+    return quantity(prob, "tv", cfg)
+
+
+def delta(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
+    """Delta_phi(p, q) = (E_phi(p) + E_phi(q)) / 2; equals 1 when phi == 1."""
+    return quantity(prob, "delta", cfg).value
+
+
+def hellinger(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
+    """Weighted Hellinger distance ((1/2) E_phi((sqrt p - sqrt q)^2))^{1/2}."""
+    return quantity(prob, "hellinger", cfg).value
+
+
+def bhattacharyya_coeff(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
+    """Weighted affinity rho = E_phi(sqrt(p q)); satisfies rho = Delta - eta^2."""
+    return quantity(prob, "bhattacharyya-coeff", cfg).value
+
+
+def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
+    """Weighted Kullback-Leibler divergence E(phi p 1(p>0) ln(p/q))."""
+    return quantity(prob, "kl", cfg)
+
+
+def chernoff_coeff(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> float:
+    """Weighted Chernoff coefficient E_phi(p^a q^(1-a)) / E_phi(p), 0 < a < 1."""
+    return quantity(prob, "chernoff-coeff", cfg, alpha).value
+
+
+def chernoff_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
+    """-ln of the weighted Chernoff coefficient."""
+    return quantity(prob, "chernoff-div", cfg, alpha)
+
+
+def renyi_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
+    """Weighted Renyi alpha-divergence; converges to kl as alpha -> 1."""
+    return quantity(prob, "renyi-div", cfg, alpha)
+
+
+def tsallis_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
+    """Weighted Tsallis alpha-divergence; converges to kl as alpha -> 1."""
+    return quantity(prob, "tsallis-div", cfg, alpha)
+
+
+def bhattacharyya_div(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
+    """-ln rho + ln E_phi(p); the Chernoff divergence at alpha = 1/2."""
+    return quantity(prob, "bhattacharyya-div", cfg)
+
+
+def shannon_entropy(p: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
+    """Weighted Shannon entropy -E_phi(p ln p) (0 ln 0 := 0)."""
+    return quantity(HypothesisProblem(p, p, wf), "shannon-entropy", cfg).value
+
+
+def renyi_entropy(p: Distribution, wf: WeightFunction, alpha: float,
+                  cfg: IntegrationConfig) -> float:
+    """Weighted Renyi alpha-entropy E_phi(p)/(1-a) ln(E_phi(p^a)/E_phi(p))."""
+    return quantity(HypothesisProblem(p, p, wf), "renyi-entropy", cfg, alpha).value
+
+
+def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: float,
+                      cfg: IntegrationConfig) -> float:
+    """Extended weighted Renyi entropy with exponents (alpha+beta-1, beta).
+
+    Requires alpha > 0, alpha != 1, beta > 0, alpha + beta > 1; beta = 1
+    recovers the plain weighted Renyi alpha-entropy.
+    """
+    if alpha <= 0 or alpha == 1.0 or beta <= 0 or alpha + beta <= 1:
+        raise IllegalParameterError("need alpha>0, alpha!=1, beta>0, alpha+beta>1")
+    # at beta = 1 the exponent is alpha itself: alpha + 1.0 - 1.0 can miss it by 1 ulp
+    num = ("renyi-mass", "p", alpha if beta == 1.0 else alpha + beta - 1.0)
+    den = _MP if beta == 1.0 else ("renyi-mass", "p", beta)
+    got = _integrals(HypothesisProblem(p, p, wf), cfg, (_MP, num, den))
+    return _renyi_entropy(alpha, *(v for v, _ in got))
 
 
 def weighted_tv_sup_oracle(prob: HypothesisProblem) -> float:
@@ -352,159 +556,3 @@ def weighted_tv_sup_oracle(prob: HypothesisProblem) -> float:
     bits = (masks[:, None] >> np.arange(m)) & 1
     sums = bits @ v
     return 0.5 * (float(np.max(sums)) + float(np.max(-sums)))
-
-
-def delta(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
-    """Delta_phi(p, q) = (E_phi(p) + E_phi(q)) / 2; equals 1 when phi == 1."""
-    plan_integrals(prob, cfg, (("mass", "p"), ("mass", "q")))
-    return 0.5 * (weight_mass(prob.p, prob.wf, cfg) + weight_mass(prob.q, prob.wf, cfg))
-
-
-def hellinger(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
-    """Weighted Hellinger distance ((1/2) E_phi((sqrt p - sqrt q)^2))^{1/2}."""
-    if prob.support.kind == "finite":
-        sq = float(np.sum(_PAIR_TERMS["hellinger"](*prob.tables())))
-    else:
-        sq = _integrals(prob, cfg, "hellinger")[0][0]
-    return math.sqrt(max(0.5 * sq, 0.0))
-
-
-def bhattacharyya_coeff(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
-    """Weighted affinity rho = E_phi(sqrt(p q)); satisfies rho = Delta - eta^2."""
-    if prob.support.kind == "finite":
-        return float(np.sum(_PAIR_TERMS["rho"](*prob.tables())))
-    return _integrals(prob, cfg, "rho")[0][0]
-
-
-# ---------------------------------------------------------------------------
-# divergences
-# ---------------------------------------------------------------------------
-
-def _kl_exact_terms(p, q, w):
-    """Summands of the discrete weighted KL with the 0 ln 0 convention."""
-    active = (p > 0) & (w > 0)
-    if np.any(active & (q <= 0)):
-        return None  # phi p positive on a q-null set
-    out = np.zeros_like(p)
-    out[active] = w[active] * p[active] * np.log(p[active] / q[active])
-    return out
-
-
-def kl(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
-    """Weighted Kullback-Leibler divergence E(phi p 1(p>0) ln(p/q))."""
-    sup = prob.support
-    if sup.kind == "finite":
-        terms = _kl_exact_terms(*prob.tables())
-        if terms is None:
-            return DivergenceValue(math.inf, 0.0, "exact-sum")
-        return DivergenceValue(float(np.sum(terms)), 0.0, "exact-sum")
-    val, err = _integrals(prob, cfg, "kl")[0]
-    return DivergenceValue(val, err, _method_for(sup))
-
-
-def chernoff_coeff(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> float:
-    """Weighted Chernoff coefficient E_phi(p^a q^(1-a)) / E_phi(p), 0 < a < 1."""
-    if not 0 < alpha < 1:
-        raise IllegalParameterError("alpha must lie in (0, 1)")
-    if prob.support.kind == "finite":
-        p, q, w = prob.tables()
-        ep = weight_mass(prob.p, prob.wf, cfg)
-        num = float(np.sum(w * p ** alpha * q ** (1 - alpha)))
-    else:
-        (ep, _), (num, _) = _integrals(prob, cfg, ("mass", "p"), ("chernoff", alpha))
-    if ep <= 0:
-        raise ZeroWeightMassError("E_phi(p) = 0")
-    return num / ep
-
-
-def chernoff_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
-    """-ln of the weighted Chernoff coefficient."""
-    coeff = chernoff_coeff(prob, alpha, cfg)
-    if coeff <= 0:
-        return DivergenceValue(math.inf, 0.0, _method_for(prob.support))
-    return DivergenceValue(-math.log(coeff), 0.0, _method_for(prob.support))
-
-
-def renyi_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
-    """Weighted Renyi alpha-divergence; converges to kl as alpha -> 1."""
-    if alpha == 1.0:
-        return kl(prob, cfg)
-    if not 0 < alpha < 1:
-        raise IllegalParameterError("alpha must lie in (0, 1]")
-    coeff = chernoff_coeff(prob, alpha, cfg)
-    ep = weight_mass(prob.p, prob.wf, cfg)
-    if coeff <= 0:
-        return DivergenceValue(math.inf, 0.0, _method_for(prob.support))
-    return DivergenceValue(ep / (alpha - 1.0) * math.log(coeff), 0.0,
-                           _method_for(prob.support))
-
-
-def tsallis_div(prob: HypothesisProblem, alpha: float, cfg: IntegrationConfig) -> DivergenceValue:
-    """Weighted Tsallis alpha-divergence; converges to kl as alpha -> 1."""
-    if alpha == 1.0:
-        return kl(prob, cfg)
-    if not 0 < alpha < 1:
-        raise IllegalParameterError("alpha must lie in (0, 1]")
-    coeff = chernoff_coeff(prob, alpha, cfg)
-    ep = weight_mass(prob.p, prob.wf, cfg)
-    return DivergenceValue(ep / (alpha - 1.0) * (coeff - 1.0), 0.0,
-                           _method_for(prob.support))
-
-
-def bhattacharyya_div(prob: HypothesisProblem, cfg: IntegrationConfig) -> DivergenceValue:
-    """-ln rho + ln E_phi(p); the Chernoff divergence at alpha = 1/2."""
-    rho = bhattacharyya_coeff(prob, cfg)
-    ep = weight_mass(prob.p, prob.wf, cfg)
-    if ep <= 0:
-        raise ZeroWeightMassError("E_phi(p) = 0")
-    if rho <= 0:
-        return DivergenceValue(math.inf, 0.0, _method_for(prob.support))
-    return DivergenceValue(-math.log(rho) + math.log(ep), 0.0, _method_for(prob.support))
-
-
-# ---------------------------------------------------------------------------
-# entropies
-# ---------------------------------------------------------------------------
-
-def shannon_entropy(p: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
-    """Weighted Shannon entropy -E_phi(p ln p) (0 ln 0 := 0)."""
-    sup = p.support
-    if sup.kind == "finite":
-        pm = p.finite.pmf
-        w = wf.table_on(sup)
-        active = pm > 0
-        return float(-np.sum(w[active] * pm[active] * np.log(pm[active])))
-
-    return _integrals(HypothesisProblem(p, p, wf), cfg, ("shannon", "p"))[0][0]
-
-
-def renyi_entropy(p: Distribution, wf: WeightFunction, alpha: float,
-                  cfg: IntegrationConfig) -> float:
-    """Weighted Renyi alpha-entropy E_phi(p)/(1-a) ln(E_phi(p^a)/E_phi(p))."""
-    if not 0 < alpha < 1:
-        raise IllegalParameterError("alpha must lie in (0, 1)")
-    return renyi_entropy_ext(p, wf, alpha, 1.0, cfg)
-
-
-def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: float,
-                      cfg: IntegrationConfig) -> float:
-    """Extended weighted Renyi entropy with exponents (alpha+beta-1, beta).
-
-    Requires alpha > 0, alpha != 1, beta > 0, alpha + beta > 1; beta = 1
-    recovers the plain weighted Renyi alpha-entropy.
-    """
-    if alpha <= 0 or alpha == 1.0 or beta <= 0 or alpha + beta <= 1:
-        raise IllegalParameterError("need alpha>0, alpha!=1, beta>0, alpha+beta>1")
-    # at beta = 1 the exponent is alpha itself: alpha + 1.0 - 1.0 can miss it by 1 ulp
-    expos = (alpha,) if beta == 1.0 else (alpha + beta - 1.0, beta)
-    if p.support.kind == "finite":
-        w = wf.table_on(p.support)
-        ep = weight_mass(p, wf, cfg)
-        masses = [float(np.sum(w * p.finite.pmf ** e)) for e in expos]
-    else:
-        names = [("mass", "p")] + [("renyi-mass", "p", e) for e in expos]
-        ep, *masses = (v for v, _ in _integrals(HypothesisProblem(p, p, wf), cfg, *names))
-    num, den = masses if beta != 1.0 else (masses[0], ep)
-    if num <= 0 or den <= 0:
-        raise ZeroWeightMassError("degenerate weighted masses in Renyi entropy")
-    return ep / (1.0 - alpha) * math.log(num / den)

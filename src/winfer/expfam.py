@@ -61,6 +61,7 @@ __all__ = [
     "burbea_rao",
     "expfam_chernoff",
     "expfam_bhattacharyya",
+    "CLOSED_FORMS",
     "adjoint_coefficients",
     "gaussian_tv_closed_form",
 ]
@@ -558,6 +559,17 @@ def expfam_chernoff(adj: AdjointFamily, theta, theta_p, alpha: float) -> float:
 def expfam_bhattacharyya(adj: AdjointFamily, theta, theta_p) -> float:
     """Weighted Bhattacharyya divergence = Chernoff divergence at alpha = 1/2."""
     return expfam_chernoff(adj, theta, theta_p, 0.5)
+
+
+# quantity (a name of divergence.QUANTITIES) -> its closed form at
+# (adjoint, theta_p, theta_q, alpha)
+CLOSED_FORMS = {
+    "kl": lambda adj, th, th2, a: expfam_kl(adj, th, th2),
+    "shannon-entropy": lambda adj, th, th2, a: expfam_shannon(adj, th),
+    "renyi-entropy": lambda adj, th, th2, a: expfam_renyi(adj, th, a),
+    "chernoff-div": lambda adj, th, th2, a: expfam_chernoff(adj, th, th2, a),
+    "bhattacharyya-div": lambda adj, th, th2, a: expfam_bhattacharyya(adj, th, th2),
+}
 
 
 def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:

@@ -31,16 +31,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .core import IntegrationConfig, integrate
-from .divergence import (
-    HypothesisProblem,
-    bhattacharyya_coeff,
-    delta,
-    hellinger,
-    kl,
-    plan_integrals,
-    weight_mass,
-    weighted_tv,
-)
+from .divergence import QUANTITIES, HypothesisProblem, plan_quantities, quantity, weight_mass
 from .errors import (
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -49,7 +40,6 @@ from .errors import (
 )
 
 __all__ = [
-    "BOUND_INTEGRALS",
     "DecisionRule",
     "ProductProblem",
     "TiltedPair",
@@ -136,7 +126,7 @@ def optimal_rule(prob: HypothesisProblem) -> DecisionRule:
 
 def min_total_error(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """inf_D [alpha + beta] = Delta_phi - tau_phi."""
-    return delta(prob, cfg) - weighted_tv(prob, cfg).value
+    return quantity(prob, "min-total-error", cfg).value
 
 
 # ---------------------------------------------------------------------------
@@ -168,21 +158,20 @@ class BoundReport:
         return not self.violations
 
 
-# the integrals error_bound_report reads (divergence.plan_integrals names them)
-BOUND_INTEGRALS = (("mass", "p"), ("mass", "q"), "rho", "tv", "hellinger", "kl")
+def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
+    """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), from the one plan of the
+    error-bounds entry; Delta is the table's formula at the two weight masses."""
+    plan_quantities(prob, cfg, [("error-bounds", None)])
+    ep, eq = weight_mass(prob.p, prob.wf, cfg), weight_mass(prob.q, prob.wf, cfg)
+    return (ep, eq, QUANTITIES["delta"].formula(None, ep, eq),
+            *(quantity(prob, name, cfg).value
+              for name in ("bhattacharyya-coeff", "tv", "hellinger", "kl")))
 
 
 def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
                        atol: float = 1e-9) -> BoundReport:
     """Evaluate every finite-n bound on inf[alpha+beta] / tau and check order."""
-    plan_integrals(prob, cfg, BOUND_INTEGRALS)
-    ep = weight_mass(prob.p, prob.wf, cfg)
-    eq = weight_mass(prob.q, prob.wf, cfg)
-    dl = 0.5 * (ep + eq)
-    rho = bhattacharyya_coeff(prob, cfg)
-    tau = weighted_tv(prob, cfg).value
-    eta = hellinger(prob, cfg)
-    kv = kl(prob, cfg).value
+    ep, eq, dl, rho, tau, eta, kv = _bound_values(prob, cfg)
 
     lower_aff = rho ** 2 / (2.0 * dl) if dl > 0 else 0.0
     lower_sqrt = dl - math.sqrt(max(dl * dl - rho * rho, 0.0))
@@ -290,13 +279,7 @@ def nfold_error_bounds(pp: ProductProblem, cfg: IntegrationConfig,
     n = pp.n
     if base.support.kind != "finite":
         raise DomainMismatchError("n-fold bounds need a finite base alphabet")
-    ep = weight_mass(base.p, base.wf, cfg)
-    eq = weight_mass(base.q, base.wf, cfg)
-    dl = 0.5 * (ep + eq)
-    rho = bhattacharyya_coeff(base, cfg)
-    tau = weighted_tv(base, cfg).value
-    eta = hellinger(base, cfg)
-    kv = kl(base, cfg).value
+    ep, eq, dl, rho, tau, eta, kv = _bound_values(base, cfg)
 
     lower = rho ** (2 * n) / (ep ** n + eq ** n)
     upper = rho ** n
@@ -369,11 +352,7 @@ class TiltedPair:
 def stein_sanov_limit(prob: HypothesisProblem, cfg: IntegrationConfig) -> float:
     """Exponential decay rate ln E_phi(p) - K(p||q)/E_phi(p) of the minimal
     weighted type-II loss at any fixed relative type-I level."""
-    kv = kl(prob, cfg).value
-    if not math.isfinite(kv):
-        raise InfiniteKLError("the rate requires a finite weighted KL divergence")
-    ep = weight_mass(prob.p, prob.wf, cfg)
-    return math.log(ep) - kv / ep
+    return quantity(prob, "stein-sanov-limit", cfg).value
 
 
 @dataclass(frozen=True)
@@ -406,7 +385,7 @@ def stein_sanov_empirical(pp: ProductProblem, etas, method: str,
     if base.support.kind != "finite":
         raise DomainMismatchError("empirical rate implemented for finite alphabets")
     tp = TiltedPair.from_problem(base, cfg)
-    limit = math.log(tp.ep) - kl(base, cfg).value / tp.ep
+    limit = stein_sanov_limit(base, cfg)
     target = tp.mean_pi  # = K(p||q)/E_phi(p)
     z = tp.z
     m = base.support.m

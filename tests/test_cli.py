@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from winfer.cli import compute_report, main, parse_distribution, parse_problem_spec
+from winfer.divergence import QUANTITIES
 from winfer.errors import SchemaError
 from winfer.expfam import CATALOG
 
@@ -57,6 +58,18 @@ class TestSchema:
     def test_unknown_quantity(self):
         with pytest.raises(SchemaError):
             parse_problem_spec(spec_binary(["entropy-rate"]))
+
+    def test_accepts_exactly_the_table_names(self):
+        """One quantity list: the spec schema, the module docstring and the
+        report all follow ``divergence.QUANTITIES``."""
+        import winfer.cli
+        assert parse_problem_spec(spec_binary(list(QUANTITIES)))[2] == list(QUANTITIES)
+        for bad in ("rho", "bhattacharyya", "chernoff-coeff@0.5", "KL"):
+            with pytest.raises(SchemaError):
+                parse_problem_spec(spec_binary([bad]))
+        doc = " ".join(winfer.cli.__doc__.split())
+        listed = doc.split("divergence.QUANTITIES`` (")[1].split(")")[0]
+        assert listed.split(", ") == list(QUANTITIES)
 
     def test_unknown_family(self):
         spec = spec_binary(["tv"])
@@ -454,10 +467,10 @@ def _count_calls(monkeypatch, module_name, fn_name, with_kwargs=False) -> list:
 class TestEvaluationCost:
     def test_gamma_report_integrations(self, tmp_path, monkeypatch):
         """Each distinct integral once, all in one lockstep integrate call: the
-        13 components of the full report (2 weight masses, tv, hellinger, rho,
-        kl, 3 Chernoff numerators, the Shannon entropy and 3 Renyi-entropy
-        numerators), and the same on a second run (nothing is kept between
-        reports)."""
+        12 components of the full report (2 weight masses, tv, hellinger, kl,
+        3 Chernoff numerators, one of them rho, the Shannon entropy and 3
+        Renyi-entropy numerators), and the same on a second run (nothing is
+        kept between reports)."""
         import winfer.cli
         calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
         spec = tmp_path / "gamma.json"
@@ -471,9 +484,22 @@ class TestEvaluationCost:
             counts.append(len(calls))
             reports.append(out.read_text())
         assert counts[0] == 1
-        assert len(calls[0][1]["components"]) == 13
+        assert len(calls[0][1]["components"]) == 12
         assert counts[0] == counts[1]
         assert reports[0] == reports[1]
+
+    def test_rho_and_the_chernoff_half_are_one_component(self, monkeypatch):
+        """bhattacharyya-coeff, bhattacharyya-div and chernoff-coeff@0.5 read one
+        integral, E_phi(p^0.5 q^0.5): one lockstep component beside E_phi(p)."""
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
+        spec = dict(spec_gamma_pair_all_quantities(), alpha_grid=[0.5],
+                    quantities=["bhattacharyya-coeff", "bhattacharyya-div", "chernoff-coeff"])
+        report, code = compute_report(spec)
+        assert code == 0
+        assert len(calls) == 1 and len(calls[0][1]["components"]) == 2
+        rho, div, coeff = (r["value"] for r in report["quantities"])
+        assert div == pytest.approx(-math.log(coeff), rel=1e-14)
+        assert coeff == pytest.approx(rho / 2.0, rel=1e-14)  # E_phi(p) = 2 for gamma(2, 1)
 
     def test_vector_report_shares_the_mesh(self, monkeypatch):
         """tv and kl share the problem's meshes at levels 60 and 48, rho reuses
@@ -588,3 +614,35 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
         assert [row.split(",", 1)[1] for row in sweep] == single
         assert [row.split(",", 1)[0] for row in sweep] == \
             [eta for eta in ("0.2", "0.1", "0.05", "0.02") for _ in range(3)]
+
+
+def _compute_pool():
+    """perfbench's compute-mix pool (``compute_spec``), loaded from its file."""
+    import importlib.util
+    import pathlib
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].compute_spec
+
+
+@pytest.mark.parametrize("cell", [
+    "gamma/absolute/shape2", "exponential/quadratic/a1", "gaussian-scalar/exponential/a2",
+    "poisson/absolute/a0", "poisson/exponential/a3", "mv-d2/a0", "mv-d3/a1",
+    "pmf-m8/a0", "pmf-m64/a1"])
+def test_pool_records_carry_finite_errors(cell):
+    """Every finite value of a pool report has a finite error >= 0; exact sums
+    keep error 0, and on the line and the integers the propagated errors of
+    every quantity are positive."""
+    report, _ = compute_report(_compute_pool()(cell, 0))
+    records = [r for r in report["quantities"] if "value" in r and math.isfinite(r["value"])]
+    assert records
+    for rec in records:
+        assert 0.0 <= rec["numerical_error"] < math.inf
+        if cell.startswith("pmf"):
+            assert (rec["numerical_error"], rec["method"]) == (0.0, "exact-sum")
+        elif not cell.startswith("mv"):
+            assert rec["numerical_error"] > 0.0, rec["name"]

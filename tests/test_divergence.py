@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from winfer.core import Distribution, IntegrationConfig, WeightFunction
 from winfer.divergence import (
+    QUANTITIES,
     HypothesisProblem,
     bhattacharyya_coeff,
     bhattacharyya_div,
@@ -17,6 +18,7 @@ from winfer.divergence import (
     delta,
     hellinger,
     kl,
+    quantity,
     renyi_div,
     renyi_entropy,
     renyi_entropy_ext,
@@ -26,7 +28,12 @@ from winfer.divergence import (
     weighted_tv,
     weighted_tv_sup_oracle,
 )
-from winfer.errors import AlphabetTooLargeError, IllegalParameterError
+from winfer.errors import (
+    AlphabetTooLargeError,
+    IllegalParameterError,
+    InfiniteKLError,
+    ZeroWeightMassError,
+)
 
 CFG = IntegrationConfig()
 
@@ -510,7 +517,7 @@ class TestProblemMemo:
         chernoff_div(prob, 0.5, CFG)
         tsallis_div(prob, 0.5, CFG)
         renyi_div(prob, 0.5, CFG)
-        assert len(calls) == 2
+        assert len(calls) == 1  # the Chernoff numerator at 0.5 is rho, already there
 
     def test_finite_support_stores_nothing(self):
         prob = binary_problem()
@@ -596,3 +603,75 @@ class TestCrossingPoints:
         assert len(pts) == len(brackets) >= 1
         for x, i in zip(pts, brackets):
             assert xs[i] <= x <= xs[i + 1]
+
+
+class TestQuantityTable:
+    @staticmethod
+    def gamma_problem():
+        return HypothesisProblem(Distribution.gamma(2.0, 1.0), Distribution.gamma(3.0, 1.5),
+                                 WeightFunction.absolute())
+
+    def test_renyi_error_is_the_first_order_propagation(self):
+        """renyi-div@a = E_p / (a - 1) ln(C / E_p): its error is
+        |df/dE_p| err_p + |df/dC| err_C, the integrators' errors carried by the
+        hand derivatives."""
+        prob, a = self.gamma_problem(), 0.3
+        got = renyi_div(prob, a, CFG)
+        ep, err_p = prob.p.weight_masses[("mass", prob.wf, CFG)]
+        c, err_c = prob.memo[(("chernoff", a), CFG)]
+        assert err_p > 0 and err_c > 0
+        assert got.value == ep / (a - 1.0) * math.log(c / ep)
+        hand = abs((math.log(c / ep) - 1.0) / (a - 1.0)) * err_p \
+            + abs(ep / ((a - 1.0) * c)) * err_c
+        assert got.error == pytest.approx(hand, rel=1e-6)
+
+    def test_linear_quantities_carry_their_integral_error_exactly(self):
+        prob = self.gamma_problem()
+        tv, kv = weighted_tv(prob, CFG), kl(prob, CFG)
+        assert tv.error == 0.5 * prob.memo[("tv", CFG)][1] > 0
+        assert kv.error == prob.memo[("kl", CFG)][1] > 0
+
+    def test_every_quantity_has_a_finite_error(self):
+        prob = self.gamma_problem()
+        for name, entry in QUANTITIES.items():
+            got = quantity(prob, name, CFG, 0.4 if entry.alpha else None)
+            assert math.isfinite(got.value) and math.isfinite(got.error)
+            assert got.error > 0 and got.method == "quadrature"
+
+    def test_finite_alphabets_are_exact_sums(self, calls):
+        prob = binary_problem()
+        for name, entry in QUANTITIES.items():
+            got = quantity(prob, name, CFG, 0.4 if entry.alpha else None)
+            assert (got.error, got.method) == (0.0, "exact-sum")
+        assert calls == [] and prob.memo == {}
+
+    def test_alpha_guards(self):
+        prob = binary_problem()
+        assert renyi_div(prob, 1.0, CFG) == tsallis_div(prob, 1.0, CFG) == kl(prob, CFG)
+        for name in ("chernoff-coeff", "chernoff-div", "renyi-entropy"):
+            with pytest.raises(IllegalParameterError, match=r"\(0, 1\)"):
+                quantity(prob, name, CFG, 1.0)
+        with pytest.raises(IllegalParameterError, match=r"\(0, 1\]"):
+            quantity(prob, "renyi-div", CFG, 1.5)
+
+    def test_zero_weight_mass_and_zero_coefficient(self):
+        zero = HypothesisProblem(Distribution.from_pmf([0.5, 0.5]),
+                                 Distribution.from_pmf([0.25, 0.75]),
+                                 WeightFunction.table([0.0, 0.0]))
+        for name in ("chernoff-coeff", "bhattacharyya-div", "stein-sanov-limit"):
+            with pytest.raises(ZeroWeightMassError):
+                quantity(zero, name, CFG, 0.5)
+        disjoint = HypothesisProblem(Distribution.from_pmf([1.0, 0.0]),
+                                     Distribution.from_pmf([0.0, 1.0]),
+                                     WeightFunction.table([1.0, 1.0]))
+        for name in ("chernoff-div", "renyi-div", "bhattacharyya-div", "kl"):
+            got = quantity(disjoint, name, CFG, 0.5)
+            assert (got.value, got.error) == (math.inf, 0.0)
+        with pytest.raises(InfiniteKLError):
+            quantity(disjoint, "stein-sanov-limit", CFG)
+
+    def test_module_docstring_lists_the_table(self):
+        import winfer.divergence as div
+        listed = [line.split()[0].split("@")[0] for line in div.__doc__.splitlines()
+                  if line.startswith("    ") and line.split()]
+        assert listed == list(QUANTITIES)
