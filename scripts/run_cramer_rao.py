@@ -4,8 +4,14 @@
 The sample mean attains the version-A bound exactly under the exponential
 weight; the bias-corrected mean sits strictly between the version-A bound and
 the mean's equality value.  Also runs the van Trees versions A and C.
+
+Prints each report; exits 1 if any bound row fails its 3-sigma check
+(``passed_3sigma`` false), and with the CLI's code if a run fails.
 """
 
+import contextlib
+import io
+import json
 import sys
 
 from winfer.cli import main as winfer_main
@@ -16,12 +22,20 @@ def main() -> int:
             "--n", "5", "--trials", "1000000", "--theta", "0.0",
             "--sigma", "1.0", "--seed", "42", "--van-trees",
             "--prior-var", "1.0", "--reproducible"]
+    failed = 0
     for est in ("mean", "shifted-mean"):
         print(f"# estimator = {est}")
-        code = winfer_main(args + ["--estimator", est])
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = winfer_main(args + ["--estimator", est])
+        sys.stdout.write(text.getvalue())
         if code:
             return code
-    return 0
+        for row in json.loads(text.getvalue())["bounds"]:
+            if not row["passed_3sigma"]:
+                print(f"FAIL: {est} {row['version']} fails at 3 sigma", file=sys.stderr)
+                failed = 1
+    return failed
 
 
 if __name__ == "__main__":

@@ -155,6 +155,8 @@ class WeightFunction:
     coeffs: tuple = ()
     values: tuple = ()
     factors: tuple = ()  # inner WeightFunctions for the product spec
+    # ``values`` as a read-only array, built once
+    _table: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "constant" and self.c < 0:
@@ -163,6 +165,8 @@ class WeightFunction:
             v = np.asarray(self.values, dtype=float)
             if v.size == 0 or np.any(v < 0):
                 raise IllegalParameterError("table weights must be nonnegative")
+            v.flags.writeable = False
+            object.__setattr__(self, "_table", v)
         if self.kind == "polynomial":
             if len(self.coeffs) == 0:
                 raise IllegalParameterError("polynomial weight needs coefficients")
@@ -208,7 +212,7 @@ class WeightFunction:
             return np.abs(x)
         if self.kind == "table":
             idx = np.asarray(x, dtype=int)
-            return np.asarray(self.values, dtype=float)[idx]
+            return self._table[idx]
         if self.kind == "product":
             out = np.ones(x.shape[:-1] if x.ndim > 1 else (), dtype=float)
             for i, f in enumerate(self.factors):
@@ -330,10 +334,9 @@ class WeightFunction:
         if support.kind != "finite":
             raise DomainMismatchError("table_on needs a finite support")
         if self.kind == "table":
-            v = np.asarray(self.values, dtype=float)
-            if v.size != support.m:
+            if self._table.size != support.m:
                 raise DomainMismatchError("weight table length != alphabet size")
-            return v
+            return self._table
         return np.asarray(self(np.arange(support.m)), dtype=float)
 
 

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _MC_CHUNK = 250_000
+_MC_PIECE = 62_500
 
 
 def _is_scalar_exponential(wf: WeightFunction) -> bool:
@@ -152,10 +153,10 @@ class EstimatorSpec:
 
     ``fn`` maps a (T, n) block of samples to the T estimates.  ``of_sum``,
     when given, computes the same estimates from the row sums
-    S = sum_i x_i and n, bit for bit equal to ``fn``: the Monte Carlo loops
-    then sum each row once, and the van Trees lhs on the Gaussian shift
-    family with a scalar exponential weight, whose log product weight is
-    gamma * S, runs on S alone.
+    S = sum_i x_i and n, bit for bit equal to ``fn``: the Monte Carlo then
+    sums each sample row once, and on the Gaussian shift family with a scalar
+    exponential weight, whose log product weight is gamma * S, it draws S
+    alone (``_on_sum``).
 
     ``bias``/``bias_prime`` refer to the plain-weight decomposition
     W = E(theta)^n theta + b(theta); ``c``/``c_prime`` to the square-root
@@ -432,34 +433,60 @@ def _weighted_values(wf: WeightFunction, est: EstimatorSpec, xs: np.ndarray,
     return np.exp(lw) * ((estimate - theta) ** 2 if deviation else estimate)
 
 
-def _mc_weighted(model, wf, theta, n, est, trials, rng, deviation: bool = True):
-    """Mean and stderr of phi^{(n)}(X) |theta*(X) - theta|^2, or with
-    ``deviation=False`` of phi^{(n)}(X) theta*(X), i.e. W(theta)."""
-    dist = model.make_distribution(theta)
-    total = 0.0
-    total_sq = 0.0
+def _on_sum(model, wf, est) -> bool:
+    """A sample enters only through S = sum_i x_i ~ N(n theta, n sigma^2): Gaussian
+    shift family, log phi^{(n)} = gamma S, and an estimator with ``of_sum``."""
+    return model.name == "gaussian-shift" and _is_scalar_exponential(wf) \
+        and est.of_sum is not None
+
+
+def _mc_values(model, wf, est, n, thetas, t, rng, deviation: bool = True):
+    """Yield the t values of ``_weighted_values`` at each theta, from one draw.
+
+    Under ``_on_sum`` the draw is D = sigma sqrt(n) Z: S = n theta + D, phi^{(n)} =
+    e^{gamma n theta} e^{gamma D}.  Else a (t, n) standard-normal block, moved to
+    each theta ``_MC_PIECE`` rows at a time so that keeping it costs no peak memory.
+    """
+    if _on_sum(model, wf, est):
+        g = float(wf.gamma)
+        d = math.sqrt(n * model.make_distribution(0.0).params["sigma2"]) * rng.standard_normal(t)
+        tilt = np.exp(g * d)
+        for th in thetas:
+            estimate = est.of_sum(n * th + d, n)
+            yield np.exp(g * n * th) * tilt * ((estimate - th) ** 2 if deviation else estimate)
+    else:
+        zs = rng.standard_normal((t, n))
+        pieces = np.array_split(zs, -(-t // _MC_PIECE))
+        for th in thetas:
+            yield np.concatenate([
+                _weighted_values(wf, est, _shift_samples(model, th, z, rng), th, deviation)
+                for z in pieces])
+
+
+def _mc_weighted(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> list:
+    """(mean, stderr) at each theta of ``thetas`` of phi^{(n)}(X) |theta*(X) -
+    theta|^2, or with ``deviation=False`` of phi^{(n)}(X) theta*(X), i.e.
+    W(theta), in chunks of ``_MC_CHUNK`` draws shared by every theta."""
+    sums = np.zeros((len(thetas), 2))
     done = 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
-        v = _weighted_values(wf, est, dist.draw(rng, (t, n)), theta, deviation)
-        total += float(v.sum())
-        total_sq += float((v * v).sum())
+        for acc, v in zip(sums, _mc_values(model, wf, est, n, thetas, t, rng, deviation)):
+            acc += float(v.sum()), float((v * v).sum())
         done += t
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return mean, math.sqrt(var / trials)
+    mean = sums[:, 0] / trials
+    var = np.maximum(sums[:, 1] / trials - mean * mean, 0.0)
+    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist()))
 
 
 def _bias_prime_mc(model, wf, theta, n, est, cfg, trials, seed) -> tuple:
-    """Central-difference d/dtheta of b(theta) = W(theta) - E(theta)^n theta,
-    with common random numbers across the two evaluation points."""
+    """Central-difference d/dtheta of b(theta) = W(theta) - E(theta)^n theta; both
+    points read one draw of ``_mc_values`` (common random numbers)."""
     h = 1e-3 * max(1.0, abs(theta))
-    out = []
-    for th in (theta + h, theta - h):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))  # CRN
-        w, se = _mc_weighted(model, wf, th, n, est, trials, rng, deviation=False)
-        e = _mean_weight(model, wf, th, cfg)
-        out.append((w - e ** n * th, se))
+    pts = (theta + h, theta - h)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = [(w - _mean_weight(model, wf, th, cfg) ** n * th, se) for th, (w, se)
+           in zip(pts, _mc_weighted(model, wf, pts, n, est, trials, rng, deviation=False))]
     bp = (out[0][0] - out[1][0]) / (2 * h)
     se = math.hypot(out[0][1], out[1][1]) / (2 * h)
     return bp, se
@@ -509,7 +536,7 @@ def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: in
     rhs_se = 2.0 * abs(e ** n + bp) * bp_se / denom
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lhs, lhs_se = _mc_weighted(model, wf, theta, n, est, trials, rng)
+    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
     return CramerRaoResult(
         version="A", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
         rhs=rhs, rhs_stderr=rhs_se,
@@ -549,7 +576,7 @@ def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: in
 
     rhs = (s ** n + cp) ** 2 / (n * info_plain)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lhs, lhs_se = _mc_weighted(model, wf, theta, n, est, trials, rng)
+    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
     return CramerRaoResult(
         version="B", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
         rhs=rhs, rhs_stderr=cp_se,
@@ -685,28 +712,13 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
 def _prior_averaged_deviation(model, wf, n, est, nodes, weights, trials, seed) -> tuple:
     """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] and its stderr.
 
-    Common random numbers: one (trials, n) standard-normal block serves every
-    node.  On the Gaussian shift family with a scalar exponential weight and
-    an estimator of the sum, a node sees the block only through its row sums
-    S0, as S = n theta + sigma S0, so each node costs O(trials).
+    Common random numbers: one draw of ``_mc_values`` serves every node, so
+    on the sum each node costs O(trials).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    zs = rng.standard_normal((trials, n))
-    on_sum = model.name == "gaussian-shift" and est.of_sum is not None \
-        and _is_scalar_exponential(wf)
-    if on_sum:
-        sigma = math.sqrt(model.make_distribution(0.0).params["sigma2"])
-        s0 = zs.sum(axis=1)
-        g = float(wf.gamma)
     lhs = 0.0
     lhs_se = 0.0
-    for th, w in zip(nodes, weights):
-        th = float(th)
-        if on_sum:
-            s = n * th + sigma * s0
-            v = np.exp(g * s) * (est.of_sum(s, n) - th) ** 2
-        else:
-            v = _weighted_values(wf, est, _shift_samples(model, th, zs, rng), th)
+    for w, v in zip(weights, _mc_values(model, wf, est, n, nodes.tolist(), trials, rng)):
         se = float(v.std(ddof=1) / math.sqrt(trials))
         lhs += float(w) * float(v.mean())
         lhs_se += float(w) * se  # CRN couples the nodes; sum is a safe upper bound
@@ -714,8 +726,8 @@ def _prior_averaged_deviation(model, wf, n, est, nodes, weights, trials, seed) -
 
 
 def _shift_samples(model, theta, zs, rng):
-    """Reuse one standard-normal block across prior nodes when the model is a
-    location/scale transform of it; fall back to fresh draws otherwise."""
+    """Move one standard-normal block to theta when the model is a location/scale
+    transform of it; fall back to fresh draws (no common numbers) otherwise."""
     if model.name == "gaussian-shift":
         sigma = math.sqrt(model.make_distribution(0.0).params["sigma2"])
         return theta + sigma * zs
