@@ -16,7 +16,6 @@ from .core import (  # noqa: F401
     finite_difference_gradient,
     integrate,
     sample,
-    weighted_expectation,
 )
 from .divergence import (  # noqa: F401
     DivergenceValue,

@@ -446,17 +446,13 @@ def cmd_cramer_rao(args) -> int:
     rows = []
     code = 0
     try:
-        ra = cramer_rao_A(model, wf, args.theta, args.n, est, cfg,
-                          trials=args.trials, seed=args.seed)
-        rows.append({"version": "A", "lhs": ra.lhs, "lhs_stderr": ra.lhs_stderr,
-                     "rhs": ra.rhs, "rhs_stderr": ra.rhs_stderr,
-                     "passed_3sigma": ra.holds_3sigma, "details": ra.details})
-        if est.c_prime is not None:
-            rb = cramer_rao_B(model, wf, args.theta, args.n, est, cfg,
-                              trials=args.trials, seed=args.seed + 1)
-            rows.append({"version": "B", "lhs": rb.lhs, "lhs_stderr": rb.lhs_stderr,
-                         "rhs": rb.rhs, "rhs_stderr": rb.rhs_stderr,
-                         "passed_3sigma": rb.holds_3sigma, "details": rb.details})
+        bounds = (cramer_rao_A, cramer_rao_B) if est.c_prime is not None else (cramer_rao_A,)
+        for k, bound in enumerate(bounds):
+            r = bound(model, wf, args.theta, args.n, est, cfg,
+                      trials=args.trials, seed=args.seed + k)
+            rows.append({"version": r.version, "lhs": r.lhs, "lhs_stderr": r.lhs_stderr,
+                         "rhs": r.rhs, "rhs_stderr": r.rhs_stderr,
+                         "passed_3sigma": r.holds_3sigma, "details": r.details})
         if args.van_trees:
             prior = PriorSpec(kind="gaussian", mean=args.theta, var=args.prior_var)
             for vt in van_trees(model, wf, args.n, est, prior, ("A", "C"), cfg,

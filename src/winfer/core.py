@@ -46,7 +46,6 @@ __all__ = [
     "IntegrationConfig",
     "Integrand",
     "integrate",
-    "weighted_expectation",
     "sample",
     "finite_difference_gradient",
     "gauss_hermite_nodes",
@@ -817,19 +816,6 @@ def _lockstep_series(f, comps: Sequence[Integrand], cfg: IntegrationConfig,
     for i in ids:
         out[i] = NonConvergentIntegralError("series did not converge within the term budget")
     return out
-
-
-def weighted_expectation(wf: WeightFunction, g: Callable, support: Support,
-                         cfg: IntegrationConfig, dists: Sequence[Distribution] = (),
-                         points: Sequence[float] = ()) -> float:
-    """E_phi(g) = integral of phi * g against the reference measure."""
-    if support.kind == "finite":
-        w = wf.table_on(support)
-        vals = np.asarray(g(np.arange(support.m)), dtype=float)
-        return float(np.sum(w * vals))
-    val, _ = integrate(lambda x: wf(x) * np.asarray(g(x), dtype=float),
-                       support, cfg, dists=dists, wf=wf, points=points)
-    return val
 
 
 @functools.lru_cache(maxsize=None)

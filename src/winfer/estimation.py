@@ -8,8 +8,8 @@ estimates of the weighted quadratic deviation report their standard error, and
 every bound assertion in the test-suites is made at 3 standard errors.
 
 Regularity is not assumed silently: ``check_regularity`` verifies the two
-interchange identities (grad E = int phi grad p and int grad p = 0) and the
-bound computations call it first, aborting with a diagnostic rather than
+interchange identities (grad E = int phi grad p and int grad p = 0), and every
+bound checks them at its theta first, aborting with a diagnostic rather than
 reporting an unsound bound.
 
 Version-A bounds follow the single-entry derivation, which carries a
@@ -19,6 +19,7 @@ direction (for d = 1 the distinction is invisible).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -27,15 +28,17 @@ import numpy as np
 
 from .core import (
     Distribution,
+    Integrand,
     IntegrationConfig,
     WeightFunction,
     _hermegauss,
     finite_difference_gradient,
     integrate,
 )
-from .divergence import HypothesisProblem, kl, weight_mass
+from .divergence import HypothesisProblem, kl, plan_integrals, weight_mass
 from .errors import (
     IllegalParameterError,
+    NonConvergentIntegralError,
     ParameterOutOfDomainError,
     RegularityError,
 )
@@ -73,7 +76,9 @@ def _is_scalar_exponential(wf: WeightFunction) -> bool:
     return wf.kind == "exponential" and np.ndim(wf.gamma) == 0
 
 
-def _check_sample_sizes(n: int, trials: int) -> None:
+def _check_sizes(model, n: int, trials: int) -> None:
+    if model.d != 1:
+        raise IllegalParameterError("deviation bounds implemented for scalar theta")
     if n < 1:
         raise IllegalParameterError("n must be >= 1")
     if trials < 2:
@@ -240,38 +245,71 @@ def scale_abs_mean_estimator() -> EstimatorSpec:
 
 
 # ---------------------------------------------------------------------------
+# the integrals at theta
+# ---------------------------------------------------------------------------
+# Every Fisher quantity is built from integrals of p, phi and grad p at one
+# theta: "E" = int phi p, "s" = int phi^(1/2) p, "V"_l = int phi d_l p,
+# "U"_l = int d_l p, "I"_lm = int phi 1(p>0) d_l p d_m p / p, and "I1", the
+# same with phi = 1.  "E'" is the gradient of E by central differences of
+# ``weight_mass``: the side of the interchange check V = grad E that does not
+# differentiate under the integral.
+
+def _fisher_terms(gl, gm, p):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0, gl * gm / np.where(p > 0, p, 1.0), 0.0)
+
+
+# kind -> (number of direction indices, integrand of (p, phi, grad p, *indices))
+_TERMS = {"E": (0, lambda p, w, g: w * p),
+          "s": (0, lambda p, w, g: np.sqrt(w) * p),
+          "V": (1, lambda p, w, g, l: w * g[l]),
+          "U": (1, lambda p, w, g, l: g[l]),
+          "I": (2, lambda p, w, g, l, m: w * _fisher_terms(g[l], g[m], p)),
+          "I1": (2, lambda p, w, g, l, m: _fisher_terms(g[l], g[m], p))}
+
+
+def _at_theta(model, wf, theta, cfg, kinds) -> dict:
+    """{kind: value} at theta: a number for "E" and "s", a d-vector for "E'",
+    "V" and "U", a symmetric matrix for "I" and "I1" (a number when d = 1).
+    Each integral is a component of one lockstep ``integrate`` call, with the
+    window of its lone integral: phi's for most, none for "U" and "I1", and for
+    "s" the half-rate exponential's (none for other weights).  The first
+    failure is raised."""
+    d, dist = model.d, model.make_distribution(model.check(theta))
+    half = WeightFunction.exponential(wf.gamma / 2.0) if _is_scalar_exponential(wf) else None
+    out, comps, slots = {}, [], []
+    for kind in dict.fromkeys(kinds):
+        if kind == "E'":
+            out[kind] = finite_difference_gradient(
+                lambda th: weight_mass(model.make_distribution(th), wf, cfg), theta, h=1e-5)
+            continue
+        rank, term = _TERMS[kind]
+        out[kind] = np.empty((d,) * rank)
+        for ix in itertools.combinations_with_replacement(range(d), rank):
+            comps.append(Integrand(lambda p, w, *g, _t=term, _ix=ix: _t(p, w, g, *_ix),
+                                   (dist,), {"s": half, "U": None, "I1": None}.get(kind, wf)))
+            slots.append((kind, ix))
+
+    def evaluate(x):
+        p = dist.density(x)
+        g = model.grad_density(x, theta, p)
+        return (p, wf(x)) + ((g,) if d == 1 else tuple(g[..., l] for l in range(d)))
+
+    for (kind, ix), res in zip(slots, integrate(evaluate, dist.support, cfg, components=comps)):
+        if isinstance(res, NonConvergentIntegralError):
+            raise res
+        out[kind][ix] = out[kind][ix[::-1]] = res[0]
+    return {kind: v.item() if v.ndim != 1 and v.size == 1 else v for kind, v in out.items()}
+
+
+# ---------------------------------------------------------------------------
 # weighted Fisher information
 # ---------------------------------------------------------------------------
-
-def _fisher_entry(model, wf, theta, l, m_, cfg) -> float:
-    dist = model.make_distribution(theta)
-
-    def f(x):
-        p = dist.density(x)
-        if model.d == 1:
-            gl = gm = model.grad_density(x, theta, p)
-        else:
-            grads = model.grad_density(x, theta, p)
-            gl, gm = grads[..., l], grads[..., m_]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(p > 0, gl * gm / np.where(p > 0, p, 1.0), 0.0)
-        return wf(x) * val
-
-    val, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=wf)
-    return val
-
 
 def weighted_fisher(model: ParametricModel, wf: WeightFunction, theta,
                     cfg: IntegrationConfig):
     """int phi 1(p>0) p^{-1} grad p^T grad p; scalar when d = 1."""
-    model.check(theta)
-    if model.d == 1:
-        return _fisher_entry(model, wf, theta, 0, 0, cfg)
-    mat = np.empty((model.d, model.d))
-    for l in range(model.d):
-        for m_ in range(l, model.d):
-            mat[l, m_] = mat[m_, l] = _fisher_entry(model, wf, theta, l, m_, cfg)
-    return mat
+    return _at_theta(model, wf, theta, cfg, ["I"])["I"]
 
 
 @dataclass(frozen=True)
@@ -290,28 +328,15 @@ class FisherAux:
         return float(self.V[0])
 
 
-def _mean_weight(model, wf, theta, cfg) -> float:
-    dist = model.make_distribution(theta)
-    return weight_mass(dist, wf, cfg)
+def _aux(at: dict) -> FisherAux:
+    return FisherAux(E=at["E"], grad_E=at["E'"], V=at["V"],
+                     interchange_gap=float(np.max(np.abs(at["E'"] - at["V"]))))
 
 
 def weighted_fisher_aux(model: ParametricModel, wf: WeightFunction, theta,
                         cfg: IntegrationConfig) -> FisherAux:
     """E(theta), its gradient, and V = int phi grad p (regularity: V = grad E)."""
-    model.check(theta)
-    dist = model.make_distribution(theta)
-    e = _mean_weight(model, wf, theta, cfg)
-    grad_e = finite_difference_gradient(
-        lambda th: _mean_weight(model, wf, th, cfg), theta, h=1e-5)
-    v = np.empty(model.d)
-    for l in range(model.d):
-        def f(x, _l=l):
-            g = model.grad_density(x, theta, dist.density(x))
-            g = g if model.d == 1 else g[..., _l]
-            return wf(x) * g
-        v[l], _ = integrate(f, dist.support, cfg, dists=(dist,), wf=wf)
-    gap = float(np.max(np.abs(grad_e - v)))
-    return FisherAux(E=e, grad_E=grad_e, V=v, interchange_gap=gap)
+    return _aux(_at_theta(model, wf, theta, cfg, ["E", "E'", "V"]))
 
 
 def nfold_weighted_fisher(model: ParametricModel, wf: WeightFunction, theta,
@@ -319,33 +344,36 @@ def nfold_weighted_fisher(model: ParametricModel, wf: WeightFunction, theta,
     """n E^{n-1} I_phi + n (n-1) E^{n-2} V^T V for n i.i.d. observations."""
     if n < 1:
         raise IllegalParameterError("n must be >= 1")
-    aux = weighted_fisher_aux(model, wf, theta, cfg)
-    info = weighted_fisher(model, wf, theta, cfg)
+    at = _at_theta(model, wf, theta, cfg, ["E", "V", "I"])
+    e, info = at["E"], at["I"]
     if model.d == 1:
-        v = aux.scalar_V
-        return n * aux.E ** (n - 1) * info + n * (n - 1) * aux.E ** (n - 2) * v * v
-    vv = np.outer(aux.V, aux.V)
-    return n * aux.E ** (n - 1) * info + n * (n - 1) * aux.E ** (n - 2) * vv
+        v = float(at["V"][0])
+        return n * e ** (n - 1) * info + n * (n - 1) * e ** (n - 2) * v * v
+    return n * e ** (n - 1) * info + n * (n - 1) * e ** (n - 2) * np.outer(at["V"], at["V"])
+
+
+# the kinds the regularity check reads
+_REGULARITY = ["E", "E'", "V", "U"]
+
+
+def _regular(at: dict, tol: float = 1e-6) -> FisherAux:
+    """The aux of ``at``; RegularityError unless its interchange identities hold."""
+    aux = _aux(at)
+    scale = max(1.0, abs(aux.E))
+    if aux.interchange_gap > tol * scale:
+        raise RegularityError(
+            f"grad E vs int phi grad p gap {aux.interchange_gap:.2e} exceeds {tol:.0e}")
+    for total in at["U"].tolist():
+        if abs(total) > tol:
+            raise RegularityError(f"int grad p = {total:.2e} != 0")
+    return aux
 
 
 def check_regularity(model: ParametricModel, wf: WeightFunction, theta,
                      cfg: IntegrationConfig, tol: float = 1e-6) -> FisherAux:
     """Abort (RegularityError) unless the interchange identities hold; return
     the ``weighted_fisher_aux`` at theta that the check built."""
-    aux = weighted_fisher_aux(model, wf, theta, cfg)
-    scale = max(1.0, abs(aux.E))
-    if aux.interchange_gap > tol * scale:
-        raise RegularityError(
-            f"grad E vs int phi grad p gap {aux.interchange_gap:.2e} exceeds {tol:.0e}")
-    dist = model.make_distribution(theta)
-    for l in range(model.d):
-        def f(x, _l=l):
-            g = model.grad_density(x, theta, dist.density(x))
-            return g if model.d == 1 else g[..., _l]
-        total, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=None)
-        if abs(total) > tol:
-            raise RegularityError(f"int grad p = {total:.2e} != 0")
-    return aux
+    return _regular(_at_theta(model, wf, theta, cfg, _REGULARITY), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +389,6 @@ class KlExpansionReport:
     second_limit: float            # I_phi(theta) / 2
     first_order: float             # observed convergence order in h
     second_order: float
-
-
-def _weighted_kl_between(model, wf, theta, theta_p, cfg) -> float:
-    prob = HypothesisProblem(model.make_distribution(theta),
-                             model.make_distribution(theta_p), wf)
-    return kl(prob, cfg).value
 
 
 def _observed_order(hs: np.ndarray, errs: np.ndarray) -> float:
@@ -390,18 +412,18 @@ def kl_expansion_check(model: ParametricModel, wf: WeightFunction, theta: float,
     if model.d != 1:
         raise IllegalParameterError("expansion check implemented for scalar theta")
     hs = np.asarray(sorted(steps, reverse=True), dtype=float)
-    aux = weighted_fisher_aux(model, wf, theta, cfg)
-    info = weighted_fisher(model, wf, theta, cfg)
-    e0 = aux.E
+    at = _at_theta(model, wf, theta, cfg, ["E", "E'", "I"])
     q1 = np.empty_like(hs)
     q2 = np.empty_like(hs)
     for i, h in enumerate(hs):
-        kv = _weighted_kl_between(model, wf, theta, theta + h, cfg)
-        e1 = _mean_weight(model, wf, theta + h, cfg)
+        prob = HypothesisProblem(model.make_distribution(theta),
+                                 model.make_distribution(theta + h), wf)
+        plan_integrals(prob, cfg, ("kl", ("mass", "q")))  # kl and weight_mass read the memo
+        kv = kl(prob, cfg).value
         q1[i] = kv / h
-        q2[i] = (kv + (e1 - e0)) / (h * h)
-    first_limit = -aux.scalar_grad_E
-    second_limit = 0.5 * info
+        q2[i] = (kv + (weight_mass(prob.q, wf, cfg) - at["E"])) / (h * h)
+    first_limit = -float(at["E'"][0])
+    second_limit = 0.5 * at["I"]
     return KlExpansionReport(
         steps=hs, first_quotients=q1, second_quotients=q2,
         first_limit=first_limit, second_limit=second_limit,
@@ -464,32 +486,38 @@ def _mc_values(model, wf, est, n, thetas, t, rng, deviation: bool = True):
 
 
 def _mc_weighted(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> list:
-    """(mean, stderr) at each theta of ``thetas`` of phi^{(n)}(X) |theta*(X) -
-    theta|^2, or with ``deviation=False`` of phi^{(n)}(X) theta*(X), i.e.
-    W(theta), in chunks of ``_MC_CHUNK`` draws shared by every theta."""
-    sums = np.zeros((len(thetas), 2))
+    """(mean, stderr, diff_stderr) at each theta of ``thetas`` of phi^{(n)}(X)
+    |theta*(X) - theta|^2, or with ``deviation=False`` of phi^{(n)}(X) theta*(X),
+    i.e. W(theta), in chunks of ``_MC_CHUNK`` draws shared by every theta;
+    ``diff_stderr`` is the stderr of the per-draw difference from the first
+    theta, which the shared draws make far smaller than the two stderrs."""
+    sums = np.zeros((len(thetas), 3))
     done = 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
-        for acc, v in zip(sums, _mc_values(model, wf, est, n, thetas, t, rng, deviation)):
-            acc += float(v.sum()), float((v * v).sum())
+        for k, v in enumerate(_mc_values(model, wf, est, n, thetas, t, rng, deviation)):
+            first = v if k == 0 else first
+            sums[k] += float(v.sum()), float((v * v).sum()), \
+                float(((v - first) ** 2).sum()) if k else 0.0
         done += t
     mean = sums[:, 0] / trials
     var = np.maximum(sums[:, 1] / trials - mean * mean, 0.0)
-    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist()))
+    diff_var = np.maximum(sums[:, 2] / trials - (mean - mean[0]) ** 2, 0.0)
+    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist(),
+                    np.sqrt(diff_var / trials).tolist()))
 
 
 def _bias_prime_mc(model, wf, theta, n, est, cfg, trials, seed) -> tuple:
-    """Central-difference d/dtheta of b(theta) = W(theta) - E(theta)^n theta; both
-    points read one draw of ``_mc_values`` (common random numbers)."""
+    """Central-difference d/dtheta of b(theta) = W(theta) - E(theta)^n theta and
+    its stderr; both points read one draw of ``_mc_values`` (common random
+    numbers), so the stderr is that of the per-draw difference."""
     h = 1e-3 * max(1.0, abs(theta))
     pts = (theta + h, theta - h)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out = [(w - _mean_weight(model, wf, th, cfg) ** n * th, se) for th, (w, se)
-           in zip(pts, _mc_weighted(model, wf, pts, n, est, trials, rng, deviation=False))]
-    bp = (out[0][0] - out[1][0]) / (2 * h)
-    se = math.hypot(out[0][1], out[1][1]) / (2 * h)
-    return bp, se
+    mc = _mc_weighted(model, wf, pts, n, est, trials, rng, deviation=False)
+    up, dn = (w - weight_mass(model.make_distribution(th), wf, cfg) ** n * th
+              for th, (w, _, _) in zip(pts, mc))
+    return (up - dn) / (2 * h), mc[1][2] / (2 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -513,44 +541,53 @@ class CramerRaoResult:
         return self.lhs >= self.rhs - slack
 
 
+# what each version reads at theta (see ``_at_theta``): R of version A and the
+# T of version C share theirs
+_READS = {"A": ["E", "E'", "I"], "B": ["s", "I1"], "C": ["E", "E'", "I"]}
+# the estimator's analytic bias derivative each rhs reads, and its description
+_BIAS = {"A": ("bias_prime", "weighted-bias derivative"),
+         "B": ("c_prime", "square-root-weight bias derivative")}
+
+
+def _rhs(version: str, at: dict, n: int, bias: tuple) -> tuple:
+    """(rhs, rhs_stderr, details) at one theta: R(theta, n) of version A from
+    E, E' and I_phi, or S(theta, n) of version B from s and the unweighted
+    information; ``bias`` is the (value, stderr) of b' (A) or c' (B)."""
+    bp, bp_se = bias
+    if version == "B":
+        s, info = at["s"], at["I1"]
+        return (s ** n + bp) ** 2 / (n * info), bp_se, {"s": s, "I": info, "c_prime": bp}
+    e, ep, info = at["E"], float(at["E'"][0]), at["I"]
+    denom = n * info * e ** (n - 1) + n * (n - 1) * ep * ep * e ** (n - 2)
+    return ((e ** n + bp) ** 2 / denom, 2.0 * abs(e ** n + bp) * bp_se / denom,
+            {"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp})
+
+
+def _cramer_rao(version, model, wf, theta, n, est, cfg, trials, seed) -> CramerRaoResult:
+    """lhs = E[phi^{(n)} |theta* - theta|^2] against ``_rhs`` of ``version``, whose
+    integrals are read in the regularity check's call.  Without the analytic
+    b', version A estimates it by Monte Carlo and propagates its stderr."""
+    _check_sizes(model, n, trials)
+    attr, what = _BIAS[version]
+    derivative = getattr(est, attr)
+    if derivative is None and version == "B":
+        raise IllegalParameterError(f"version B needs the analytic {what}")
+    at = _at_theta(model, wf, theta, cfg, _REGULARITY + _READS[version])
+    _regular(at)
+    bias = (derivative(theta, n), 0.0) if derivative is not None else _bias_prime_mc(
+        model, wf, theta, n, est, cfg, max(trials // 4, 50_000), seed + 1)
+    rhs, rhs_se, details = _rhs(version, at, n, bias)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    ((lhs, lhs_se, _),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
+    return CramerRaoResult(version=version, theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
+                           rhs=rhs, rhs_stderr=rhs_se, details=details)
+
+
 def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
                  est: EstimatorSpec, cfg: IntegrationConfig,
                  trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
     """Version A: lhs = E[phi^{(n)} |theta*-theta|^2] against R(theta, n)."""
-    if model.d != 1:
-        raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    model.check(theta)
-    _check_sample_sizes(n, trials)
-    aux = check_regularity(model, wf, theta, cfg)
-    info = weighted_fisher(model, wf, theta, cfg)
-    e, ep = aux.E, aux.scalar_grad_E
-
-    if est.bias_prime is not None:
-        bp, bp_se = est.bias_prime(theta, n), 0.0
-    else:
-        bp, bp_se = _bias_prime_mc(model, wf, theta, n, est, cfg,
-                                   max(trials // 4, 50_000), seed + 1)
-
-    denom = n * info * e ** (n - 1) + n * (n - 1) * ep * ep * e ** (n - 2)
-    rhs = (e ** n + bp) ** 2 / denom
-    rhs_se = 2.0 * abs(e ** n + bp) * bp_se / denom
-
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
-    return CramerRaoResult(
-        version="A", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
-        rhs=rhs, rhs_stderr=rhs_se,
-        details={"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp})
-
-
-def _sqrt_weight_mass(model, wf, theta, cfg) -> float:
-    """s(theta) = E_theta[phi(X)^{1/2}]."""
-    dist = model.make_distribution(theta)
-    f = lambda x: np.sqrt(wf(x)) * dist.density(x)
-    half_wf = WeightFunction.exponential(wf.gamma / 2.0) \
-        if _is_scalar_exponential(wf) else None
-    val, _ = integrate(f, dist.support, cfg, dists=(dist,), wf=half_wf)
-    return val
+    return _cramer_rao("A", model, wf, theta, n, est, cfg, trials, seed)
 
 
 def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
@@ -558,29 +595,7 @@ def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: in
                  trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
     """Version B: same lhs against S(theta, n) built from s(theta) and the
     unweighted Fisher information."""
-    if model.d != 1:
-        raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    model.check(theta)
-    _check_sample_sizes(n, trials)
-    check_regularity(model, wf, theta, cfg)
-    one = WeightFunction.constant(1.0)
-    info_plain = weighted_fisher(model, one, theta, cfg)
-    s = _sqrt_weight_mass(model, wf, theta, cfg)
-
-    if est.c_prime is not None:
-        cp = est.c_prime(theta, n)
-        cp_se = 0.0
-    else:
-        raise IllegalParameterError(
-            "version B needs the analytic square-root-weight bias derivative")
-
-    rhs = (s ** n + cp) ** 2 / (n * info_plain)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
-    return CramerRaoResult(
-        version="B", theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
-        rhs=rhs, rhs_stderr=cp_se,
-        details={"s": s, "I": info_plain, "c_prime": cp})
+    return _cramer_rao("B", model, wf, theta, n, est, cfg, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -656,54 +671,47 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
     one ``VanTreesResult`` per entry of ``versions``, all sharing one lhs.
 
     lhs integrates the per-theta Monte Carlo deviation over the prior with
-    common random numbers across prior nodes; version C uses the weighted
-    Fisher information density of the prior.  Each node's
-    ``weighted_fisher_aux`` and ``weighted_fisher`` are computed once, for
-    versions A and C together, and the regularity check's aux serves its node.
+    common random numbers across prior nodes; versions A and B average the
+    pointwise rhs of ``cramer_rao_A`` and ``cramer_rao_B`` over the prior, and
+    version C uses the weighted Fisher information density of the prior.
+    Each node reads the integrals of every version asked for in one call,
+    the middle node with the regularity check's as well.
     """
     versions = tuple(versions)
     if not versions or any(v not in ("A", "B", "C") for v in versions):
         raise IllegalParameterError("version must be A, B, or C")
-    if model.d != 1:
-        raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    if "A" in versions and est.bias_prime is None:
-        raise IllegalParameterError(
-            "van Trees version A needs the analytic weighted-bias derivative")
-    if "B" in versions and est.c_prime is None:
-        raise IllegalParameterError(
-            "van Trees version B needs the analytic square-root-weight bias derivative")
-    _check_sample_sizes(n, trials)
+    for version in versions:
+        if version != "C" and getattr(est, _BIAS[version][0]) is None:
+            raise IllegalParameterError(
+                f"van Trees version {version} needs the analytic {_BIAS[version][1]}")
+    _check_sizes(model, n, trials)
     nodes, weights = prior.quadrature(level)
     mid = len(nodes) // 2
-    mid_aux = check_regularity(model, wf, float(nodes[mid]), cfg)
+    reads = [name for version in versions for name in _READS[version]]
+    mid_at = _at_theta(model, wf, float(nodes[mid]), cfg, _REGULARITY + reads)
+    _regular(mid_at)
     lhs, lhs_se = _prior_averaged_deviation(model, wf, n, est, nodes, weights,
                                             trials, seed)
-
-    if "A" in versions or "C" in versions:
-        auxs = [mid_aux if k == mid else weighted_fisher_aux(model, wf, float(t), cfg)
-                for k, t in enumerate(nodes)]
-        infos = [weighted_fisher(model, wf, float(t), cfg) for t in nodes]
+    ats = [mid_at if k == mid else _at_theta(model, wf, float(t), cfg, reads)
+           for k, t in enumerate(nodes)]
     results = []
     for version in versions:
         details: dict = {}
-        if version == "A":
-            rhs = 0.0
-            for th, w, aux, info in zip(nodes, weights, auxs, infos):
-                rhs += w * _pointwise_rhs_A(aux, info, float(th), n, est)
-        elif version == "B":
-            rhs = 0.0
-            for th, w in zip(nodes, weights):
-                rhs += w * _pointwise_rhs_B(model, wf, float(th), n, est, cfg)
-        else:
-            e_pow = np.array([aux.E ** n for aux in auxs])
+        if version == "C":
+            e_pow = np.array([at["E"] ** n for at in ats])
             numer = float(np.sum(weights * e_pow)) ** 2
             j_term = float(np.sum(weights * e_pow * prior.grad_log_pdf(nodes) ** 2))
-            tr_iw = np.array(infos)
-            grad_e = np.array([aux.scalar_grad_E for aux in auxs])
+            tr_iw = np.array([at["I"] for at in ats])
+            grad_e = np.array([float(at["E'"][0]) for at in ats])
             t_val = j_term + n * float(np.sum(weights * tr_iw)) \
                 + n * (n - 1) * float(np.sum(weights * grad_e ** 2))
             rhs = numer / t_val
             details = {"T": t_val, "prior_information": j_term}
+        else:
+            derivative = getattr(est, _BIAS[version][0])
+            rhs = 0.0
+            for th, w, at in zip(nodes, weights, ats):
+                rhs += w * _rhs(version, at, n, (derivative(float(th), n), 0.0))[0]
         results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
                                       rhs=rhs, details=details))
     return tuple(results)
@@ -734,18 +742,3 @@ def _shift_samples(model, theta, zs, rng):
     if model.name == "gaussian-scale":
         return theta * zs
     return model.make_distribution(theta).draw(rng, zs.shape)
-
-
-def _pointwise_rhs_A(aux, info, theta, n, est) -> float:
-    bp = est.bias_prime(theta, n)
-    denom = n * info * aux.E ** (n - 1) \
-        + n * (n - 1) * aux.scalar_grad_E ** 2 * aux.E ** (n - 2)
-    return (aux.E ** n + bp) ** 2 / denom
-
-
-def _pointwise_rhs_B(model, wf, theta, n, est, cfg) -> float:
-    one = WeightFunction.constant(1.0)
-    info = weighted_fisher(model, one, theta, cfg)
-    s = _sqrt_weight_mass(model, wf, theta, cfg)
-    cp = est.c_prime(theta, n)
-    return (s ** n + cp) ** 2 / (n * info)

@@ -542,11 +542,11 @@ class TestEvaluationCost:
         assert sorted(level for _, level in meshes) == [48, 60, 60, 60]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
-        """A shift-family run with van Trees makes 174 integrations: 6 for
-        version A (the regularity check's 5, whose aux it reuses, and I_phi),
-        7 for version B, and for van Trees the regularity check's 5 plus one
-        weighted_fisher_aux (4) and one weighted_fisher (1) per prior node,
-        less the aux the regularity node already has: 5 + 32 * 5 - 4."""
+        """A shift-family run with van Trees makes 102 integrations, 3 per theta:
+        one lockstep call of the integrals it reads and the 2 weight masses of
+        E'.  Rows A (E, V, U, I_phi) and B (E, V, U, s, I1) take 3 each, and
+        each of the 32 prior nodes 3 (E and I_phi; the middle node also V and
+        U for the regularity check): 3 + 3 + 32 * 3."""
         import winfer.cli
         calls = _count_calls(monkeypatch, "winfer.core", "integrate")
         out = tmp_path / "report.json"
@@ -556,7 +556,32 @@ class TestEvaluationCost:
         rows = json.loads(out.read_text())["bounds"]
         assert [row["version"] for row in rows] == ["A", "B", "van-trees-A", "van-trees-C"]
         assert rows[2]["lhs"] == rows[3]["lhs"]
-        assert len(calls) <= 174
+        assert len(calls) == 102
+
+    def test_bound_reads_its_integrals_in_the_regularity_call(self, monkeypatch):
+        """cramer_rao_A and cramer_rao_B read their integrals at theta in the
+        regularity check's call (E, V, U, then I_phi for A, s and I1 for B),
+        besides the 2 weight masses of the finite-difference E'."""
+        from winfer.core import IntegrationConfig, WeightFunction
+        from winfer.estimation import (cramer_rao_A, cramer_rao_B, gaussian_shift_model,
+                                       mean_estimator)
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
+        m, wf = gaussian_shift_model(), WeightFunction.exponential(0.5)
+        for bound, width in ((cramer_rao_A, 4), (cramer_rao_B, 5)):
+            calls.clear()
+            bound(m, wf, 0.2, 5, mean_estimator(m, wf), IntegrationConfig(), trials=1000)
+            assert sorted(len(kw["components"]) for _, kw in calls) == [1, 1, width]
+
+    def test_kl_expansion_integrations(self, monkeypatch):
+        """A 4-step kl_expansion_check makes 7 integrations: E and I_phi at theta
+        in one call, the 2 weight masses of E', and one call per step for the
+        weighted KL and E(theta + h)."""
+        from winfer.core import IntegrationConfig, WeightFunction
+        from winfer.estimation import gaussian_shift_model, kl_expansion_check
+        calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
+        kl_expansion_check(gaussian_shift_model(1.1), WeightFunction.exponential(0.3), 0.2,
+                           (4e-2, 2e-2, 1e-2, 5e-3), IntegrationConfig())
+        assert sorted(len(kw["components"]) for _, kw in calls) == [1, 1, 2, 2, 2, 2, 2]
 
     def test_commands_do_not_import_scipy_stats(self, tmp_path):
         """scipy.stats costs set-up time on every start; nothing may pull it in."""

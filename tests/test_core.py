@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from winfer.core import (
     Distribution,
@@ -17,7 +15,6 @@ from winfer.core import (
     gauss_hermite_nodes,
     integrate,
     sample,
-    weighted_expectation,
 )
 from winfer.errors import (
     IllegalParameterError,
@@ -410,35 +407,7 @@ class TestMultivariateGaussianDensity:
         assert near.density(np.zeros(2)) > 0
 
 
-class TestWeightedExpectation:
-    def test_total_mass_of_pmf(self):
-        d = Distribution.from_pmf([0.3, 0.7])
-        v = weighted_expectation(WeightFunction.constant(1.0), d.density,
-                                 d.support, CFG)
-        assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_hand_summed_table(self):
-        d = Distribution.from_pmf([0.5, 0.5])
-        v = weighted_expectation(WeightFunction.table([2.0, 1.0]), d.density,
-                                 d.support, CFG)
-        assert v == pytest.approx(2.0 * 0.5 + 1.0 * 0.5, abs=1e-15)
-
-    def test_gaussian_exponential_weight_is_mgf(self):
-        theta, s2, g = 0.4, 1.3, 0.6
-        d = Distribution.gaussian(theta, s2)
-        v = weighted_expectation(WeightFunction.exponential(g), d.density,
-                                 d.support, CFG, dists=(d,))
-        assert v == pytest.approx(math.exp(theta * g + s2 * g * g / 2), rel=1e-10)
-
-    @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=10))
-    @settings(max_examples=50, deadline=None)
-    def test_unit_weight_recovers_total_mass(self, raw):
-        pmf = np.asarray(raw) / np.sum(raw)
-        d = Distribution.from_pmf(pmf)
-        v = weighted_expectation(WeightFunction.constant(1.0), d.density,
-                                 d.support, CFG)
-        assert abs(v - 1.0) <= 1e-12
-
+class TestWeightMass:
     def test_closed_form_weight_masses_match_quadrature(self):
         # catalog families x built-in weight specs, 1e-8 relative
         from winfer.divergence import weight_mass
