@@ -154,9 +154,13 @@ def parse_integration(spec: dict) -> IntegrationConfig:
     unknown = set(spec) - allowed
     if unknown:
         raise SchemaError(f"unknown integration keys {sorted(unknown)}")
-    # values key the weight-mass memo, so they must be hashable numbers
-    bad = sorted(k for k, v in spec.items() if isinstance(v, bool)
-                 or not isinstance(v, (int, float)) or not math.isfinite(v))
+    # values key each problem's integral memo, so they must be hashable numbers
+    bad = []
+    for key, value in sorted(spec.items()):
+        try:
+            _finite(key, value)
+        except WinferError:
+            bad.append(key)
     if bad:
         raise SchemaError(f"integration values must be finite numbers: {bad}")
     try:
@@ -506,6 +510,8 @@ def _checked(kind, ok, what: str):
 
 _finite_arg = _checked(float, math.isfinite, "finite")
 _positive_finite = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_count_arg = _checked(int, lambda v: v >= 0, ">= 0")
+_positive_count = _checked(int, lambda v: v >= 1, ">= 1")
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a named randomized verification suite")
     v.add_argument("--suite", required=True, choices=sorted(SUITES))
-    v.add_argument("--instances", type=int, default=200)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--instances", type=_count_arg, default=200)
+    v.add_argument("--seed", type=_count_arg, default=0)
     v.add_argument("--out")
     v.add_argument("--reproducible", action="store_true")
     v.set_defaults(fn=cmd_verify)
@@ -543,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eta-sweep", action="store_true",
                    help="sweep eta over {0.2, 0.1, 0.05, 0.02} (adds an eta column)")
     s.add_argument("--method", choices=("exact", "mc"), default="exact")
-    s.add_argument("--mc-samples", type=int, default=200_000)
+    s.add_argument("--mc-samples", type=_positive_count, default=200_000)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_steinsanov)
 
@@ -553,12 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--phi-gamma", dest="gamma", type=_finite_arg, default=0.5)
     r.add_argument("--estimator", choices=("mean", "shifted-mean", "scale-abs-mean"),
                    default="mean")
-    r.add_argument("--n", type=_checked(int, lambda v: v >= 1, ">= 1"), default=5)
+    r.add_argument("--n", type=_positive_count, default=5)
     r.add_argument("--trials", type=_checked(int, lambda v: v >= 2, ">= 2"),
                    default=1_000_000)
     r.add_argument("--theta", type=_finite_arg, default=0.0)
     r.add_argument("--sigma", type=_positive_finite, default=1.0)
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_count_arg, default=0)
     r.add_argument("--van-trees", action="store_true")
     r.add_argument("--prior-var", type=_positive_finite, default=1.0)
     r.add_argument("--out")

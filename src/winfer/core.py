@@ -54,6 +54,7 @@ __all__ = [
 _GAUSSIAN_TAIL_SIGMAS = 14.0  # one-sided Gaussian tail beyond 14 sigma < 1e-43
 _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
+_SERIES_BLOCK = 64  # series terms summed per lockstep round
 _MAX_ROUNDS = 64  # bisection rounds per adaptive integral
 
 
@@ -385,12 +386,6 @@ class Distribution:
     tail: str = "gaussian"        # "gaussian" | "exponential" | "bounded"
     window: Optional[tuple] = None  # explicit (lo, hi) truncation override
     logpdf: Optional[Callable] = None  # analytic log-density (underflow-safe)
-    # (wf, cfg) -> E_phi(p), filled by divergence.weight_mass; on vector
-    # supports also (wf, level) -> the (p, p) Gauss-Hermite mesh that the
-    # single-distribution integrals share.  Holds arrays only, never an
-    # object that refers back to this instance.
-    weight_masses: dict = field(default_factory=dict, init=False, compare=False,
-                                repr=False)
 
     def density(self, x):
         if self.finite is not None:
@@ -780,8 +775,7 @@ def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
     return out
 
 
-def _lockstep_series(f, comps: Sequence[Integrand], cfg: IntegrationConfig,
-                     block: int = 64) -> list:
+def _lockstep_series(f, comps: Sequence[Integrand], cfg: IntegrationConfig) -> list:
     """Block summation over l = 0, 1, 2, ..., one block for all components a
     round; each stops after two quiet blocks past its envelopes' mass peak
     plus 12 scales (quiet leading blocks of a Poisson of large mean do not
@@ -794,13 +788,13 @@ def _lockstep_series(f, comps: Sequence[Integrand], cfg: IntegrationConfig,
     total, peak, quiet = np.zeros(len(comps)), np.zeros(len(comps)), np.zeros(len(comps), int)
     start = 0
     while start < _MAX_SERIES_TERMS:
-        shared = f(np.arange(start, start + block))
+        shared = f(np.arange(start, start + _SERIES_BLOCK))
         vals = np.array([np.asarray(comps[i].g(*shared), dtype=float) for i in ids])
         finite = np.isfinite(vals).all(axis=1)
         babs = np.abs(vals).sum(axis=1)
         total += vals.sum(axis=1)
         np.maximum(peak, babs, out=peak)
-        start += block
+        start += _SERIES_BLOCK
         quiet = (quiet + 1) * ((start >= min_terms) & (babs <= cfg.tail_mass_bound * np.maximum(
             np.maximum(1.0, np.abs(total)), peak)))
         go = finite & (quiet < 2)

@@ -62,7 +62,7 @@ __all__ = [
     "QUANTITIES",
     "quantity",
     "plan_quantities",
-    "plan_integrals",
+    "integrals",
     "weight_mass",
     "weighted_tv",
     "weighted_tv_sup_oracle",
@@ -82,20 +82,22 @@ __all__ = [
 
 _ORACLE_MAX_M = 20
 _MV_LEVEL = 60  # tensor Gauss-Hermite level; the error comes from the gap to level 48
+_CROSSING_GRID = 1024  # grid points that bracket the sign changes of p - q
 
 
 @dataclass(frozen=True)
 class HypothesisProblem:
     """Simple hypothesis p versus simple alternative q under weight phi.
 
-    On infinite supports ``memo`` holds the pair integrals of this problem
-    that ``plan_integrals`` computed, keyed by ``(name, cfg)`` (see there),
-    and on vector supports the Gauss-Hermite mesh of each level, keyed by
-    ``("gauss-hermite", level)``: the arrays (p, q, phi * wr) at its nodes,
-    with the rule's Lebesgue weights wr folded into phi.  It lives exactly as
-    long as this instance: equal problems built separately do not share it,
-    and nothing carries over from one report to the next.  Finite supports
-    store nothing (the exact sums are cheaper than a lookup).
+    On infinite supports ``memo`` holds every named integral that
+    ``integrals`` computed, pair or single-distribution, under ``(name,
+    cfg)``: its ``(value, error)`` or the failure it met.  On vector supports
+    it also holds the Gauss-Hermite meshes (``_mv_mesh``), the pair's under
+    ``("gauss-hermite", level)`` and each distribution's (p, p) mesh under
+    ``("gauss-hermite", role, level)``, one when q is p.  It lives exactly as
+    long as this instance; no other problem shares it, not even one built
+    equal or from the same distributions.  Finite supports store nothing
+    (the exact sums are cheaper than a lookup).
     """
 
     p: Distribution
@@ -180,36 +182,24 @@ def _terms(name) -> tuple:
     return (lambda p, q, w: h(p if role == "p" else q, w, *args)), role
 
 
-def _slot(prob: "HypothesisProblem", name, cfg: IntegrationConfig) -> tuple:
-    """(memo, key) of one named integral: ``prob.memo[(name, cfg)]`` for a pair
-    integral, else its distribution's ``weight_masses[(kind, *args, wf, cfg)]``."""
-    if isinstance(name, str) or name[0] in _PAIR_TERMS:
-        return prob.memo, (name, cfg)
-    kind, role, *args = name
-    return (prob.p if role == "p" else prob.q).weight_masses, (kind, *args, prob.wf, cfg)
-
-
-def plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> None:
-    """Compute each named integral that no memo holds yet, all in one pass.
+def _plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> None:
+    """Compute each named integral that ``prob.memo`` lacks, all in one pass.
 
     On a scalar support the missing integrals are the components of one
     lockstep ``integrate`` call, each with its own window (from p and q, or
     from its distribution alone), breakpoints and stopping rule; on a vector
     support each is a sum over a Gauss-Hermite mesh (``_mv_value``).  Each
     result, ``(value, error)`` or the ``NonConvergentIntegralError`` it met,
-    goes to the memo of that integral (``_slot``), where every quantity
-    reads it.  Finite supports use exact sums and store nothing.
+    goes to ``prob.memo[(name, cfg)]``.  Finite supports store nothing.
     """
-    p, q, wf, sup = prob.p, prob.q, prob.wf, prob.support
+    p, q, wf, sup, memo = prob.p, prob.q, prob.wf, prob.support, prob.memo
     if sup.kind == "finite":
         return
-    todo = {}
-    for name in names:
-        memo, key = _slot(prob, name, cfg)
-        if key not in memo:
-            todo[id(memo), key] = (name, memo, key)
-    comps, slots = [], []
-    for name, memo, key in todo.values():
+    comps, keys = [], []
+    for name in dict.fromkeys(names):
+        key = (name, cfg)
+        if key in memo:
+            continue
         g, role = _terms(name)
         if sup.kind == "real-vector":
             memo[key] = _mv_value(prob, name, g, role)
@@ -222,33 +212,30 @@ def plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> 
             continue
         dists = (p, q) if role is None else (p if role == "p" else q,)
         comps.append(Integrand(g, dists, wf, points))
-        slots.append((memo, key))
+        keys.append(key)
 
     def evaluate(x):
         dp = p.density(x)
         return dp, dp if q is p else q.density(x), wf(x)
 
     if comps:
-        for (memo, key), res in zip(slots, integrate(evaluate, sup, cfg, components=comps)):
-            memo[key] = res
+        memo.update(zip(keys, integrate(evaluate, sup, cfg, components=comps)))
 
 
-def _integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> list:
-    """(value, error) of each named integral.  On a finite alphabet it is the
-    exact sum of its terms, with error 0, and nothing is stored; else the
-    missing ones are planned together and the stored failure of the first one
-    that failed is raised."""
+def integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> list:
+    """(value, error) of each named integral of ``prob``.  On a finite
+    alphabet it is the exact sum of its terms, with error 0, and nothing is
+    stored; else the missing ones are planned together and the stored failure
+    of the first one that failed is raised."""
     if prob.support.kind == "finite":
         tables = prob.tables()
         return [(float((_kl_exact_terms(*tables) if name == "kl"
                         else _terms(name)[0](*tables)).sum()), 0.0) for name in names]
-    plan_integrals(prob, cfg, names)
-    out = []
-    for name in names:
-        memo, key = _slot(prob, name, cfg)
-        if isinstance(memo[key], NonConvergentIntegralError):
-            raise memo[key].with_traceback(None)
-        out.append(memo[key])
+    _plan_integrals(prob, cfg, names)
+    out = [prob.memo[(name, cfg)] for name in names]
+    for got in out:
+        if isinstance(got, NonConvergentIntegralError):
+            raise got.with_traceback(None)
     return out
 
 
@@ -282,10 +269,12 @@ def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunct
 def _mv_value(prob: HypothesisProblem, name, g, role) -> tuple:
     """(value, error) of one named integral on a vector support: a pair
     integral on the problem's level-60 mesh (tv and kl take the gap to level
-    48 as their error), a single-distribution one on its (p, p) mesh."""
+    48 as their error), a single-distribution one on the (p, p) mesh of its
+    distribution."""
     if role is not None:
         d = prob.p if role == "p" else prob.q
-        mesh = _mv_mesh(d.weight_masses, (prob.wf, _MV_LEVEL), d, d, prob.wf, _MV_LEVEL)
+        key = ("gauss-hermite", "p" if prob.q is prob.p else role, _MV_LEVEL)
+        mesh = _mv_mesh(prob.memo, key, d, d, prob.wf, _MV_LEVEL)
         return float(np.sum(g(*mesh))), 0.0
     def at(level):
         mesh = _mv_mesh(prob.memo, ("gauss-hermite", level), prob.p, prob.q, prob.wf, level)
@@ -294,7 +283,7 @@ def _mv_value(prob: HypothesisProblem, name, g, role) -> tuple:
     return hi, (abs(hi - at(_MV_LEVEL - 12)) if name in ("tv", "kl") else 0.0)
 
 
-def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: int = 1024):
+def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):
     """Sign changes of p - q bracketed on a grid, then polished by root solves.
 
     Inexact kink hints degrade the adaptive error estimate, so each bracket is
@@ -304,7 +293,7 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
 
     from .core import _window_for
     lo, hi = _window_for(prob.support, cfg, (prob.p, prob.q), prob.wf)
-    xs = np.linspace(lo, hi, n_grid)
+    xs = np.linspace(lo, hi, _CROSSING_GRID)
     # inf - inf (both densities infinite at a half-line endpoint when the
     # shape is below 1) is NaN, whose sign is never counted as a crossing
     with np.errstate(invalid="ignore"):
@@ -322,17 +311,9 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig, n_grid: in
 
 
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:
-    """E_phi(p), the mean weight under the density.
-
-    On infinite supports it is memoized, failure included, in
-    ``dist.weight_masses[("mass", wf, cfg)]`` (see ``plan_integrals``), which
-    also keeps the Shannon and Renyi masses and, keyed by ``(wf, level)``, the
-    (p, p) Gauss-Hermite mesh of a vector support.  It lives exactly as long
-    as that instance; equal distributions built separately do not share it.
-    Finite supports are not memoized (the exact sum is cheaper than hashing a
-    long weight table).
-    """
-    return _integrals(HypothesisProblem(dist, dist, wf), cfg, [_MP])[0][0]
+    """E_phi(p), the mean weight under the density, integrated afresh on each
+    call; within a problem read ``integrals(prob, cfg, [("mass", "p")])``."""
+    return integrals(HypothesisProblem(dist, dist, wf), cfg, [_MP])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +321,7 @@ def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) 
 # ---------------------------------------------------------------------------
 
 # A weighted quantity as a formula over named integrals: ``reads(alpha)`` names
-# them (see plan_integrals) and ``formula(alpha, *values)`` is the quantity at
+# them (see integrals) and ``formula(alpha, *values)`` is the quantity at
 # their values; ``alpha`` is its alpha domain, "(0, 1)" or "(0, 1]" (kl at 1),
 # or "" for none; ``of_p`` says it reads integrals of p alone.
 Quantity = namedtuple("Quantity", "reads formula alpha of_p", defaults=("", False))
@@ -428,7 +409,7 @@ def plan_quantities(prob: HypothesisProblem, cfg: IntegrationConfig, requests) -
             names += _resolve(name, alpha).reads(alpha)
         except IllegalParameterError:
             pass
-    plan_integrals(prob, cfg, names)
+    _plan_integrals(prob, cfg, names)
 
 
 def _evaluate(got: list, formula, alpha, method: str) -> DivergenceValue:
@@ -453,7 +434,7 @@ def quantity(prob: HypothesisProblem, name: str, cfg: IntegrationConfig,
              alpha=None) -> DivergenceValue:
     """The quantity ``QUANTITIES[name]`` (at ``alpha`` when it is alpha-indexed)."""
     entry = _resolve(name, alpha)
-    return _evaluate(_integrals(prob, cfg, entry.reads(alpha)), entry.formula, alpha,
+    return _evaluate(integrals(prob, cfg, entry.reads(alpha)), entry.formula, alpha,
                      _METHODS.get(prob.support.kind, "quadrature"))
 
 
@@ -534,7 +515,7 @@ def renyi_entropy_ext(p: Distribution, wf: WeightFunction, alpha: float, beta: f
     # at beta = 1 the exponent is alpha itself: alpha + 1.0 - 1.0 can miss it by 1 ulp
     num = ("renyi-mass", "p", alpha if beta == 1.0 else alpha + beta - 1.0)
     den = _MP if beta == 1.0 else ("renyi-mass", "p", beta)
-    got = _integrals(HypothesisProblem(p, p, wf), cfg, (_MP, num, den))
+    got = integrals(HypothesisProblem(p, p, wf), cfg, (_MP, num, den))
     return _renyi_entropy(alpha, *(v for v, _ in got))
 
 

@@ -35,7 +35,7 @@ from .core import (
     finite_difference_gradient,
     integrate,
 )
-from .divergence import HypothesisProblem, kl, plan_integrals, weight_mass
+from .divergence import HypothesisProblem, integrals, weight_mass
 from .errors import (
     IllegalParameterError,
     NonConvergentIntegralError,
@@ -400,8 +400,7 @@ def _observed_order(hs: np.ndarray, errs: np.ndarray) -> float:
 
 
 def kl_expansion_check(model: ParametricModel, wf: WeightFunction, theta: float,
-                       steps, cfg: IntegrationConfig, component: int = 0,
-                       ) -> KlExpansionReport:
+                       steps, cfg: IntegrationConfig) -> KlExpansionReport:
     """Difference-quotient convergence of the weighted KL local expansion.
 
     With h = theta' - theta the quotients K/h and [K + E(theta') - E(theta)]/h^2
@@ -418,10 +417,9 @@ def kl_expansion_check(model: ParametricModel, wf: WeightFunction, theta: float,
     for i, h in enumerate(hs):
         prob = HypothesisProblem(model.make_distribution(theta),
                                  model.make_distribution(theta + h), wf)
-        plan_integrals(prob, cfg, ("kl", ("mass", "q")))  # kl and weight_mass read the memo
-        kv = kl(prob, cfg).value
+        (kv, _), (eq, _) = integrals(prob, cfg, ("kl", ("mass", "q")))
         q1[i] = kv / h
-        q2[i] = (kv + (weight_mass(prob.q, wf, cfg) - at["E"])) / (h * h)
+        q2[i] = (kv + (eq - at["E"])) / (h * h)
     first_limit = -float(at["E'"][0])
     second_limit = 0.5 * at["I"]
     return KlExpansionReport(

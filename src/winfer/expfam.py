@@ -108,8 +108,8 @@ class ExpFamilyMember:
 
     @functools.cached_property
     def dist(self) -> Distribution:
-        """One Distribution per member, so its memoized masses and meshes are
-        shared by every quantity computed from this member."""
+        """The member's Distribution, built once; integrals are memoized per
+        ``HypothesisProblem``, not here."""
         return self.family.distribution(self.theta)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .core import IntegrationConfig, integrate
-from .divergence import QUANTITIES, HypothesisProblem, plan_quantities, quantity, weight_mass
+from .divergence import QUANTITIES, HypothesisProblem, integrals, plan_quantities, quantity
 from .errors import (
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -162,7 +162,7 @@ def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
     """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), from the one plan of the
     error-bounds entry; Delta is the table's formula at the two weight masses."""
     plan_quantities(prob, cfg, [("error-bounds", None)])
-    ep, eq = weight_mass(prob.p, prob.wf, cfg), weight_mass(prob.q, prob.wf, cfg)
+    (ep, _), (eq, _) = integrals(prob, cfg, [("mass", "p"), ("mass", "q")])
     return (ep, eq, QUANTITIES["delta"].formula(None, ep, eq),
             *(quantity(prob, name, cfg).value
               for name in ("bhattacharyya-coeff", "tv", "hellinger", "kl")))

@@ -109,6 +109,18 @@ class TestSchema:
         with pytest.raises(SchemaError):
             parse_problem_spec(spec)
 
+    def test_integration_value_too_large_for_a_float(self, tmp_path, capsys):
+        """An integer past the float range exits 1 with a schema message."""
+        spec = spec_binary(["tv"])
+        spec["integration"] = {"max_subdivisions": 10 ** 400}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute", str(path), "--reproducible"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "schema error: integration values must be finite numbers: " \
+                      "['max_subdivisions']\n"
+
 
 def _spec_with(**changes):
     spec = {"schema": 1,
@@ -328,6 +340,23 @@ class TestSubprocessContracts:
         assert a.returncode == 0 and a.stdout == b.stdout
         rep = json.loads(a.stdout)
         assert rep["report"]["passed"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "chain", "--instances", "2", "--seed", "-1"],
+        ["verify", "--suite", "chain", "--instances", "-1"],
+        ["cramer-rao", "--trials", "100", "--seed", "-1"],
+        ["steinsanov", "--spec", "SPEC", "--method", "mc", "--mc-samples", "-3"]])
+    def test_refuses_bad_counts_and_seeds(self, argv, tmp_path, capsys):
+        """A negative seed, instance count or sample count is refused while
+        parsing: exit 1, a usage message naming the argument, no report."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_binary(["stein-sanov-limit"])))
+        argv = [str(spec) if a == "SPEC" else a for a in argv]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {argv[-2]}: must be" in err
+        assert "Traceback" not in err
 
     def test_verify_unknown_suite(self):
         r = run_cli(["verify", "--suite", "everything"])

@@ -17,6 +17,7 @@ from winfer.divergence import (
     chernoff_div,
     delta,
     hellinger,
+    integrals,
     kl,
     quantity,
     renyi_div,
@@ -393,47 +394,73 @@ def calls(monkeypatch):
     return counter
 
 
+_MP, _MQ = ("mass", "p"), ("mass", "q")
+
+
+def _gamma_problem(p=None):
+    return HypothesisProblem(p or Distribution.gamma(2.0, 1.0), Distribution.gamma(3.0, 1.5),
+                             WeightFunction.absolute())
+
+
 class TestWeightMassMemo:
+    """Single-distribution integrals (weight masses, entropy masses) are kept
+    in the memo of the problem that reads them, like its pair integrals."""
+
     def test_repeat_is_memoized_on_the_instance(self, calls):
-        d = Distribution.gamma(2.0, 1.0)
-        wf = WeightFunction.absolute()
-        first = weight_mass(d, wf, CFG)
-        assert weight_mass(d, wf, CFG) == first == pytest.approx(2.0, rel=1e-12)
+        prob = _gamma_problem()
+        (first, err), = integrals(prob, CFG, [_MP])
+        assert integrals(prob, CFG, [_MP]) == [(first, err)]
+        assert first == pytest.approx(2.0, rel=1e-12)
         assert len(calls) == 1
-        assert set(d.weight_masses) == {("mass", wf, CFG)}
-        assert d.weight_masses[("mass", wf, CFG)][0] == first
+        assert prob.memo == {(_MP, CFG): (first, err)}
+
+    def test_weight_mass_integrates_afresh(self, calls):
+        d, wf = Distribution.gamma(2.0, 1.0), WeightFunction.absolute()
+        assert weight_mass(d, wf, CFG) == weight_mass(d, wf, CFG)
+        assert len(calls) == 2
 
     def test_equal_instances_do_not_share(self, calls):
-        wf = WeightFunction.absolute()
-        a, b = Distribution.gamma(2.0, 1.0), Distribution.gamma(2.0, 1.0)
-        assert weight_mass(a, wf, CFG) == weight_mass(b, wf, CFG)
+        a, b = _gamma_problem(), _gamma_problem()
+        assert integrals(a, CFG, [_MP, _MQ]) == integrals(b, CFG, [_MP, _MQ])
         assert len(calls) == 2
-        assert a.weight_masses is not b.weight_masses
+        assert a.memo is not b.memo
+
+    def test_problems_sharing_a_distribution_integrate_their_own_masses(self, calls):
+        d = Distribution.gamma(2.0, 1.0)
+        a, b = _gamma_problem(d), _gamma_problem(d)
+        assert integrals(a, CFG, [_MP]) == integrals(b, CFG, [_MP])
+        assert len(calls) == 2
+        assert (_MP, CFG) in a.memo and (_MP, CFG) in b.memo
 
     def test_other_cfg_or_weight_misses(self, calls):
-        d = Distribution.poisson(3.0)
-        weight_mass(d, WeightFunction.absolute(), CFG)
-        weight_mass(d, WeightFunction.absolute(), IntegrationConfig(rel_tol=1e-8))
-        weight_mass(d, WeightFunction.exponential(0.1), CFG)
+        d, other = Distribution.poisson(3.0), IntegrationConfig(rel_tol=1e-8)
+        prob = HypothesisProblem(d, Distribution.poisson(4.0), WeightFunction.absolute())
+        integrals(prob, CFG, [_MP])
+        integrals(prob, other, [_MP])
+        integrals(HypothesisProblem(d, d, WeightFunction.exponential(0.1)), CFG, [_MP])
         assert len(calls) == 3
+        assert set(prob.memo) == {(_MP, CFG), (_MP, other)}
 
     def test_finite_support_is_not_memoized(self):
-        d = Distribution.from_pmf([0.2, 0.8])
-        weight_mass(d, WeightFunction.table([1.0, 3.0]), CFG)
-        assert d.weight_masses == {}
+        prob = HypothesisProblem(Distribution.from_pmf([0.25, 0.75]),
+                                 Distribution.from_pmf([0.5, 0.5]),
+                                 WeightFunction.table([1.0, 3.0]))
+        assert integrals(prob, CFG, [_MP, _MQ]) == [(2.5, 0.0), (2.0, 0.0)]
+        assert prob.memo == {}
 
     def test_failure_raises_on_every_call(self, calls):
         from winfer.errors import NonConvergentIntegralError
-        d = Distribution.exponential(1.0)
-        wf = WeightFunction.exponential(1.5)  # weight outgrows the density
+        prob = HypothesisProblem(Distribution.exponential(1.0), Distribution.exponential(2.0),
+                                 WeightFunction.exponential(1.5))  # weight outgrows p, not q
         raised = []
-        for _ in range(2):
+        for names in ([_MP], [_MQ, _MP], [_MP]):
             with pytest.raises(NonConvergentIntegralError) as exc:
-                weight_mass(d, wf, CFG)
+                integrals(prob, CFG, names)
             raised.append(str(exc.value))
-        assert len(calls) == 1  # the failure is memoized, not retried
-        assert raised[0] == raised[1]
-        assert isinstance(d.weight_masses[("mass", wf, CFG)], NonConvergentIntegralError)
+        assert len(calls) == 2  # the failure is memoized, not retried
+        assert raised[0] == raised[1] == raised[2]
+        assert isinstance(prob.memo[(_MP, CFG)], NonConvergentIntegralError)
+        assert integrals(prob, CFG, [_MQ]) == [prob.memo[(_MQ, CFG)]]
 
     def test_renyi_entropy_reuses_the_mass_bit_for_bit(self, calls):
         from winfer.core import integrate
@@ -449,23 +476,46 @@ class TestWeightMassMemo:
         assert got == mass(1.0) / (1.0 - a) * math.log(mass(a) / mass(1.0))
 
     def test_vector_mesh_leaves_no_cycle(self):
-        """The (p, p) mesh kept on a vector Distribution holds arrays only: with
-        the cyclic collector off, the Distribution dies with its last
-        reference."""
+        """The memo of a vector problem holds arrays and numbers only: with the
+        cyclic collector off, the problem dies with its last reference."""
         import gc
         import weakref
-        wf = WeightFunction.exponential([0.2, -0.1])
         gc.disable()
         try:
-            d = Distribution.gaussian_mv([0.1, 0.2], [[1.0, 0.2], [0.2, 0.8]])
-            weight_mass(d, wf, CFG)
-            shannon_entropy(d, wf, CFG)
-            assert set(d.weight_masses) == {("mass", wf, CFG), ("shannon", wf, CFG), (wf, 60)}
-            ref = weakref.ref(d)
-            del d
+            prob = HypothesisProblem(
+                Distribution.gaussian_mv([0.1, 0.2], [[1.0, 0.2], [0.2, 0.8]]),
+                Distribution.gaussian_mv([0.3, 0.0], np.eye(2)),
+                WeightFunction.exponential([0.2, -0.1]))
+            integrals(prob, CFG, [_MP, _MQ, ("shannon", "p"), "tv"])
+            assert set(prob.memo) == {
+                (_MP, CFG), (_MQ, CFG), (("shannon", "p"), CFG), ("tv", CFG),
+                ("gauss-hermite", "p", 60), ("gauss-hermite", "q", 60),
+                ("gauss-hermite", 60), ("gauss-hermite", 48)}
+            for key, got in prob.memo.items():
+                kinds = {np.ndarray} if key[0] == "gauss-hermite" else {float}
+                assert {type(v) for v in got} == kinds
+            ref = weakref.ref(prob)
+            del prob
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_q_is_p_vector_problem_builds_one_mesh(self, monkeypatch):
+        import winfer.divergence as div
+        built = []
+        real = div.gauss_hermite_nodes
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(div, "gauss_hermite_nodes", counted)
+        d = Distribution.gaussian_mv([0.1, 0.2], [[1.0, 0.2], [0.2, 0.8]])
+        prob = HypothesisProblem(d, d, WeightFunction.exponential([0.2, -0.1]))
+        (ep, _), (eq, _), _, _ = integrals(
+            prob, CFG, [_MP, _MQ, ("shannon", "p"), ("renyi-mass", "q", 0.4)])
+        assert ep == eq
+        assert len(built) == 1
+        assert [k for k in prob.memo if k[0] == "gauss-hermite"] == [("gauss-hermite", "p", 60)]
 
 
 class TestProblemMemo:
@@ -501,7 +551,7 @@ class TestProblemMemo:
         other = IntegrationConfig(rel_tol=1e-8)
         chernoff_coeff(prob, 0.3, other)  # a new weight mass too
         assert len(calls) == 3
-        assert set(prob.p.weight_masses) == {("mass", prob.wf, CFG), ("mass", prob.wf, other)}
+        assert {key for key in prob.memo if key[0] == _MP} == {(_MP, CFG), (_MP, other)}
         kl(prob, CFG)
         kl(prob, other)
         assert len(calls) == 5
@@ -617,7 +667,7 @@ class TestQuantityTable:
         hand derivatives."""
         prob, a = self.gamma_problem(), 0.3
         got = renyi_div(prob, a, CFG)
-        ep, err_p = prob.p.weight_masses[("mass", prob.wf, CFG)]
+        ep, err_p = prob.memo[(_MP, CFG)]
         c, err_c = prob.memo[(("chernoff", a), CFG)]
         assert err_p > 0 and err_c > 0
         assert got.value == ep / (a - 1.0) * math.log(c / ep)
