@@ -544,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("steinsanov", help="empirical type-II exponent sweep")
     s.add_argument("--spec", required=True)
-    s.add_argument("--n-list", type=_int_list, default=[25, 50, 100, 200])
-    s.add_argument("--eta", type=float, default=0.05)
+    s.add_argument("--n-list", default=[25, 50, 100, 200], type=_checked(
+        _int_list, lambda ns: ns and min(ns) >= 1, "non-empty with every n >= 1"))
+    s.add_argument("--eta", type=_positive_finite, default=0.05)
     s.add_argument("--eta-sweep", action="store_true",
                    help="sweep eta over {0.2, 0.1, 0.05, 0.02} (adds an eta column)")
     s.add_argument("--method", choices=("exact", "mc"), default="exact")

@@ -618,8 +618,8 @@ def integrate(f: Callable, support: Support, cfg: IntegrationConfig,
 
     With ``components``, f returns a tuple of shared arrays and each
     ``Integrand`` integrates ``g(*f(x))`` as a lone call would, in lockstep:
-    each round calls f once, on the distinct new panels (or the next block of
-    terms) of every active component.  The result is a list of
+    each round calls f once, on the new panels (or the next block of terms) of
+    every active component.  The result is a list of
     ``(value, error_estimate)`` or the ``NonConvergentIntegralError`` met.
     """
     single = components is None
@@ -667,10 +667,7 @@ _BASE_EDGES = np.arange(17.0)  # 16 equal starting panels per window
 
 def _gk_panels(f, gs: list, counts: np.ndarray, los: np.ndarray, his: np.ndarray):
     """G7/K15 on a batch of panels, ``counts[i]`` of ``gs[i]`` in a row: f runs
-    once, on the nodes of the distinct panels, then each g on its own rows."""
-    if len(gs) > 1:
-        _, first, rows = np.unique(los + 1j * his, return_index=True, return_inverse=True)
-        los, his = los[first], his[first]
+    once, on the nodes of every panel, then each g on its own slice of rows."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     xs = mid[:, None] + half[:, None] * _GK_NODES
@@ -678,9 +675,9 @@ def _gk_panels(f, gs: list, counts: np.ndarray, los: np.ndarray, his: np.ndarray
     if len(gs) == 1:
         vals = np.asarray(gs[0](*shared), dtype=float)
     else:
-        half, vals, start = half[rows], np.empty((rows.size, _GK_NODES.size)), 0
+        vals, start = np.empty(xs.shape), 0
         for g, n in zip(gs, counts.tolist()):
-            vals[start:start + n] = g(*(a[rows[start:start + n]] for a in shared))
+            vals[start:start + n] = g(*(a[start:start + n] for a in shared))
             start += n
     # einsum, not matmul: BLAS rounds a row differently by its place in the batch
     ik = half * np.einsum("ij,j->i", vals, _GK_WK)

@@ -345,10 +345,15 @@ class TestSubprocessContracts:
         ["verify", "--suite", "chain", "--instances", "2", "--seed", "-1"],
         ["verify", "--suite", "chain", "--instances", "-1"],
         ["cramer-rao", "--trials", "100", "--seed", "-1"],
-        ["steinsanov", "--spec", "SPEC", "--method", "mc", "--mc-samples", "-3"]])
+        ["steinsanov", "--spec", "SPEC", "--method", "mc", "--mc-samples", "-3"]] + [
+        ["steinsanov", "--spec", "SPEC", flag, value] for flag, value in (
+            ("--eta", "0"), ("--eta", "-0.1"), ("--eta", "nan"), ("--eta", "inf"),
+            ("--n-list", ""), ("--n-list", ","), ("--n-list", "0"), ("--n-list", "25,-5"))])
     def test_refuses_bad_counts_and_seeds(self, argv, tmp_path, capsys):
-        """A negative seed, instance count or sample count is refused while
-        parsing: exit 1, a usage message naming the argument, no report."""
+        """A negative seed, instance count or sample count, an eta that is not
+        positive and finite, and an empty n list or one with an n below 1 are
+        refused while parsing: exit 1, a usage message naming the argument, no
+        report."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_binary(["stein-sanov-limit"])))
         argv = [str(spec) if a == "SPEC" else a for a in argv]

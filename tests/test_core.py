@@ -231,7 +231,7 @@ class TestLockstepIntegrate:
     @pytest.mark.parametrize("weight", list(_LOCKSTEP_WEIGHTS))
     def test_components_match_lone_calls(self, pair, weight):
         """k components in one call give what k one-component calls give: the
-        same outcome each, and values within 1e-14 relative."""
+        same outcome each, and the same value and error, bit for bit."""
         p, q = _LOCKSTEP_PAIRS[pair]
         wf = _LOCKSTEP_WEIGHTS[weight]
         comps = _lockstep_components(p, q, wf)
@@ -244,8 +244,7 @@ class TestLockstepIntegrate:
             if isinstance(lone, NonConvergentIntegralError):
                 assert str(res) == str(lone)
             else:
-                assert res[0] == pytest.approx(lone[0], rel=1e-14, abs=0)
-                assert res[1] == pytest.approx(lone[1], rel=1e-12, abs=1e-300)
+                assert res == lone
 
     def test_breakpoints_and_windows_stay_per_component(self):
         """A component's breakpoints and window are its own: the same integrand

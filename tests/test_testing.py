@@ -5,11 +5,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from winfer import testing
 from winfer.core import Distribution, IntegrationConfig, WeightFunction
 from winfer.divergence import HypothesisProblem, kl, weight_mass
-from winfer.errors import DomainMismatchError, EnumerationTooLargeError, InfiniteKLError
+from winfer.errors import (
+    DomainMismatchError,
+    EnumerationTooLargeError,
+    IllegalParameterError,
+    InfiniteKLError,
+)
 from winfer.randinst import random_finite_problem, random_interior_finite_problem
 from winfer.testing import (
     DecisionRule,
@@ -371,6 +377,58 @@ class TestTiltedPair:
             TiltedPair.from_problem(prob, CFG)
 
 
+# scipy's logsumexp now splits out the max terms (the log1p form); older
+# versions computed ln sum exp(a - max) + max, which rounds e^-40 away
+needs_log1p_logsumexp = pytest.mark.skipif(
+    logsumexp([0.0, -40.0]) == 0.0,
+    reason="the installed scipy.special.logsumexp predates the log1p form "
+           "that testing._logsumexp repeats")
+
+
+def lse_cases(seed, count, max_size):
+    """Random 1-D arrays: log-uniform sizes, ties at the max, -inf entries,
+    offsets up to +-700."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(np.exp(rng.uniform(0.0, math.log(max_size + 1))))
+        a = rng.normal(0.0, rng.choice([0.5, 5.0, 50.0]), size) + rng.uniform(-700.0, 700.0)
+        if size > 1 and rng.random() < 0.5:  # ties at the max
+            a[rng.choice(size, rng.integers(1, size), replace=False)] = a.max()
+        if rng.random() < 0.3:
+            a[rng.random(size) < 0.2] = -np.inf
+        yield a
+
+
+class TestLogSumExp:
+    @needs_log1p_logsumexp
+    def test_bits_equal_scipy(self):
+        for a in lse_cases(0, 2000, 5000):
+            got, want = testing._logsumexp(a), float(logsumexp(a))
+            assert got == want or math.isnan(got) and math.isnan(want), a
+
+    @needs_log1p_logsumexp
+    @pytest.mark.parametrize("a", [[-np.inf], [-np.inf] * 3, [np.inf], [1.0, np.inf, np.inf],
+                                   [np.inf, -np.inf], [np.nan], [0.0, np.nan], [np.nan, np.inf],
+                                   [-np.inf, 3.0], [2.5], [-745.0], [700.0, 700.0]])
+    def test_edge_inputs_equal_scipy(self, a):
+        a = np.array(a)
+        got, want = testing._logsumexp(a), float(logsumexp(a))
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+    def test_single_term_is_itself(self):
+        for v in (-1e300, -700.0, -0.0, 1e-300, 3.25, 709.0):
+            assert testing._logsumexp(np.array([v])) == v
+
+    def test_matches_a_50_digit_oracle(self):
+        with mpmath.workdps(50):
+            for a in lse_cases(1, 200, 300):
+                if np.all(a == -np.inf):
+                    continue
+                ref = float(mpmath.log(mpmath.fsum(mpmath.exp(mpmath.mpf(float(v)))
+                                                   for v in a if v > -np.inf)))
+                assert testing._logsumexp(a) == pytest.approx(ref, rel=1e-15, abs=0)
+
+
 class TestSteinSanov:
     def test_limit_unit_weight_is_minus_kl(self):
         prob = HypothesisProblem(Distribution.from_pmf([0.5, 0.5]),
@@ -439,6 +497,38 @@ class TestSteinSanov:
         mc, = stein_sanov_empirical(ProductProblem(prob, 40), (0.1,), "mc", CFG,
                                     mc_samples=120_000, mc_seed=8)
         assert mc.rate_estimate == pytest.approx(est.rate_estimate, abs=1e-2)
+
+    @needs_log1p_logsumexp
+    def test_sweep_rows_equal_scipy_logsumexp(self):
+        """Both branches give the rows that scipy's logsumexp gives on the same
+        enumeration or draw, bit for bit."""
+        prob = HypothesisProblem(Distribution.from_pmf([0.4, 0.3, 0.3]),
+                                 Distribution.from_pmf([0.3, 0.4, 0.3]),
+                                 WeightFunction.table([1.0, 2.0, 0.5]))
+        n, etas, draws = 60, (0.2, 0.1, 0.05, 0.02), 20_000
+        pp = ProductProblem(prob, n)
+        tp = TiltedPair.from_problem(prob, CFG)
+        _, q, w = prob.tables()
+        counts, log_coef = testing._types(n, 3)
+        ll_q = testing._count_loglik(counts, log_coef, w * q)
+        ll_pi = testing._count_loglik(counts, log_coef, tp.pi)
+        for est, eta in zip(stein_sanov_empirical(pp, etas, "exact", CFG), etas):
+            inside = np.abs(counts @ tp.z / n - tp.mean_pi) <= eta
+            assert est.rate_estimate == float(logsumexp(ll_q[inside])) / n
+            assert est.alpha_attained == 1.0 - float(np.exp(logsumexp(ll_pi[inside])))
+        zsum = np.random.default_rng(np.random.SeedSequence(4)).multinomial(
+            n, tp.pi, size=draws).astype(float) @ tp.z
+        for est, eta in zip(stein_sanov_empirical(pp, etas, "mc", CFG, mc_samples=draws,
+                                                  mc_seed=4), etas):
+            inside = np.abs(zsum / n - tp.mean_pi) <= eta
+            log_mean = float(logsumexp(-zsum[inside])) - math.log(draws)
+            assert est.rate_estimate == math.log(tp.ep) + log_mean / n
+            assert est.alpha_attained == 1.0 - float(np.mean(inside))
+
+    @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan])
+    def test_refuses_eta_not_above_zero(self, eta):
+        with pytest.raises(IllegalParameterError, match="eta must be > 0"):
+            stein_sanov_empirical(ProductProblem(binary_problem(), 25), (0.1, eta), "exact", CFG)
 
     def test_enumeration_caps(self):
         prob = random_interior_finite_problem(np.random.default_rng(0), 3)
