@@ -6,7 +6,9 @@ weight; the bias-corrected mean sits strictly between the version-A bound and
 the mean's equality value.  Also runs the van Trees versions A and C.
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
-(``passed_3sigma`` false), and with the CLI's code if a run fails.
+(``passed_3sigma`` false) or if a row that carries the closed-form
+``lhs_exact`` has its Monte Carlo ``lhs`` more than 3 ``lhs_stderr`` away from
+it, and with the CLI's code if a run fails.
 """
 
 import contextlib
@@ -34,6 +36,11 @@ def main() -> int:
         for row in json.loads(text.getvalue())["bounds"]:
             if not row["passed_3sigma"]:
                 print(f"FAIL: {est} {row['version']} fails at 3 sigma", file=sys.stderr)
+                failed = 1
+            if "lhs_exact" in row and \
+                    abs(row["lhs"] - row["lhs_exact"]) > 3 * row["lhs_stderr"]:
+                print(f"FAIL: {est} {row['version']} lhs is more than 3 sigma from "
+                      f"lhs_exact", file=sys.stderr)
                 failed = 1
     return failed
 

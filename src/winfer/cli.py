@@ -427,6 +427,13 @@ def cmd_steinsanov(args) -> int:
     return 0
 
 
+def _bound_row(version: str, r) -> dict:
+    """A bound's report row: the fields it carries, lhs_exact where it is known."""
+    fields = ("lhs", "lhs_stderr", "lhs_exact", "rhs", "rhs_stderr", "details")
+    return {"version": version, "passed_3sigma": r.holds_3sigma,
+            **{k: getattr(r, k) for k in fields if getattr(r, k, None) is not None}}
+
+
 def cmd_cramer_rao(args) -> int:
     wf = WeightFunction.exponential(args.gamma)
     if args.family == "gaussian-shift":
@@ -454,16 +461,12 @@ def cmd_cramer_rao(args) -> int:
         for k, bound in enumerate(bounds):
             r = bound(model, wf, args.theta, args.n, est, cfg,
                       trials=args.trials, seed=args.seed + k)
-            rows.append({"version": r.version, "lhs": r.lhs, "lhs_stderr": r.lhs_stderr,
-                         "rhs": r.rhs, "rhs_stderr": r.rhs_stderr,
-                         "passed_3sigma": r.holds_3sigma, "details": r.details})
+            rows.append(_bound_row(r.version, r))
         if args.van_trees:
             prior = PriorSpec(kind="gaussian", mean=args.theta, var=args.prior_var)
             for vt in van_trees(model, wf, args.n, est, prior, ("A", "C"), cfg,
                                 trials=max(args.trials // 5, 20_000), seed=args.seed + 2):
-                rows.append({"version": f"van-trees-{vt.version}", "lhs": vt.lhs,
-                             "lhs_stderr": vt.lhs_stderr, "rhs": vt.rhs,
-                             "passed_3sigma": vt.holds_3sigma, "details": vt.details})
+                rows.append(_bound_row(f"van-trees-{vt.version}", vt))
     except WinferError as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 2

@@ -113,9 +113,6 @@ class HypothesisProblem:
     def support(self) -> Support:
         return self.p.support
 
-    def swapped(self) -> "HypothesisProblem":
-        return HypothesisProblem(p=self.q, q=self.p, wf=self.wf)
-
     # exact vectors for the finite-alphabet fast paths
     def tables(self):
         sup = self.support

@@ -424,6 +424,9 @@ class TestSubprocessContracts:
         versions = {row["version"]: row for row in rep["bounds"]}
         assert versions["A"]["passed_3sigma"] is True
         assert versions["B"]["passed_3sigma"] is True
+        # the sum path reports the closed-form lhs next to the Monte Carlo one
+        for row in versions.values():
+            assert abs(row["lhs"] - row["lhs_exact"]) <= 3 * row["lhs_stderr"]
 
     def test_cramer_rao_scale_family_wiring(self):
         r = run_cli(["cramer-rao", "--family", "gaussian-scale", "--phi-gamma",
@@ -435,6 +438,7 @@ class TestSubprocessContracts:
         (row,) = rep["bounds"]  # no analytic sqrt-weight bias: version A only
         assert row["version"] == "A"
         assert row["lhs"] > 0 and row["rhs"] > 0
+        assert "lhs_exact" not in row  # no closed form off the sum path
 
     def test_van_trees_without_bias_derivative_exits_2(self):
         r = run_cli(["cramer-rao", "--family", "gaussian-scale", "--phi-gamma",

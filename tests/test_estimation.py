@@ -123,15 +123,15 @@ class TestWeightedFisher:
         aux = weighted_fisher_aux(m, WeightFunction.exponential(g), th, CFG)
         e = b1_mass(th, g, 1.0)
         assert aux.E == pytest.approx(e, rel=1e-10)
-        assert aux.scalar_grad_E == pytest.approx(g * e, rel=1e-6)
+        assert aux.grad_E[0] == pytest.approx(g * e, rel=1e-6)
         assert aux.interchange_gap <= 1e-6
 
     def test_unit_weight_aux_trivial(self):
         m = gaussian_shift_model()
         aux = weighted_fisher_aux(m, ONE, 0.2, CFG)
         assert aux.E == pytest.approx(1.0, abs=1e-10)
-        assert abs(aux.scalar_grad_E) <= 1e-8
-        assert abs(aux.scalar_V) <= 1e-10
+        assert abs(aux.grad_E[0]) <= 1e-8
+        assert abs(aux.V[0]) <= 1e-10
 
     def test_exponential_rate_family_mass(self):
         from winfer.divergence import weight_mass
@@ -445,10 +445,10 @@ class TestSumStatistic:
     def test_sum_path_equals_fn_bit_for_bit(self):
         rng = np.random.default_rng(3)
         for est in self.estimators():
-            assert est.of_sum is not None
+            assert est.sum_offset is not None
             for shape in ((1000, 1), (1000, 5), (777, 13)):
                 xs = rng.normal(0.3, 1.7, size=shape)
-                assert np.array_equal(est.of_sum(xs.sum(axis=1), shape[1]), est.fn(xs))
+                assert np.array_equal(xs.sum(axis=1) / shape[1] + est.sum_offset, est.fn(xs))
 
     def test_monte_carlo_values_equal_the_generic_path(self):
         import dataclasses
@@ -457,7 +457,7 @@ class TestSumStatistic:
         xs = np.random.default_rng(4).normal(0.1, 1.0, size=(5000, 6))
         for wf in (WeightFunction.exponential(0.4), WeightFunction.absolute(), ONE):
             for est in self.estimators():
-                bare = dataclasses.replace(est, of_sum=None)
+                bare = dataclasses.replace(est, sum_offset=None)
                 for deviation in (True, False):
                     assert np.array_equal(_weighted_values(wf, est, xs, 0.3, deviation),
                                           _weighted_values(wf, bare, xs, 0.3, deviation))
@@ -557,7 +557,7 @@ class TestSumPath:
 
         def no_fn(xs):
             raise AssertionError("estimator evaluated on a block")
-        est = EstimatorSpec(name="mean", fn=no_fn, of_sum=lambda s, n: s / n)
+        est = EstimatorSpec(name="mean", fn=no_fn, sum_offset=0.0)
         r = cramer_rao_A(m, wf, th, n, est, CFG, trials=300_000, seed=47)
         # the mean's b'(theta) = n g^2 s2 E^n
         s2 = 1.44
@@ -620,6 +620,130 @@ class TestSumPath:
             zs = np.asarray(zs)
             assert np.sum(np.abs(zs) <= 3) >= 37, (key, zs)
             assert abs(zs.mean()) <= 0.5, (key, zs.mean())
+
+
+def per_theta_values(g, n, s2, offset, thetas, d, deviation=True):
+    """phi^{(n)} (theta* - theta)^2, or phi^{(n)} theta*, at each theta over the
+    draws D = S - n theta, one array per theta, as the sum path read them
+    before its sums were factored."""
+    tilt = np.exp(g * d)
+    for th in thetas:
+        estimate = (n * th + d) / n + offset
+        yield np.exp(g * n * th) * tilt * ((estimate - th) ** 2 if deviation else estimate)
+
+
+class TestFactoredSumPath:
+    """On the sum path every theta's sums are closed forms over one set of
+    per-draw sums; they match a loop over one array per theta, on the same
+    draws, to rounding."""
+
+    @staticmethod
+    def setting(g=0.4, sigma=1.3):
+        m = gaussian_shift_model(sigma)
+        wf = WeightFunction.exponential(g)
+        return m, wf, (mean_estimator(m, wf), shifted_mean_estimator(m, wf))
+
+    def test_mc_weighted_matches_a_per_theta_loop(self):
+        from winfer.estimation import _MC_CHUNK, _mc_weighted
+        g, n, sigma = 0.4, 4, 1.3
+        m, wf, ests = self.setting(g, sigma)
+        thetas, chunks = (-0.3, 0.0, 0.5, 1.1), (_MC_CHUNK, 30_000)
+        for est in ests:
+            for deviation in (True, False):
+                got = _mc_weighted(m, wf, thetas, n, est, sum(chunks),
+                                   np.random.default_rng(9), deviation)
+                rng = np.random.default_rng(9)
+                d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
+                                    for t in chunks])
+                vs = list(per_theta_values(g, n, sigma * sigma, est.sum_offset, thetas, d,
+                                           deviation))
+                root = math.sqrt(d.size)
+                for (mean, se, diff_se), v in zip(got, vs):
+                    want = (v.mean(), v.std() / root, (v - vs[0]).std() / root)
+                    np.testing.assert_allclose((mean, se, diff_se), want, rtol=1e-12, atol=0)
+
+    def test_van_trees_matches_a_per_node_loop(self):
+        g, n, sigma, seed, trials = 0.4, 5, 1.3, 11, 60_000
+        m, wf, ests = self.setting(g, sigma)
+        prior = PriorSpec(kind="gaussian", mean=0.2, var=1.0)
+        nodes, weights = prior.quadrature(32)
+        for est in ests:
+            (vt,) = van_trees(m, wf, n, est, prior, ("C",), CFG, trials=trials, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            d = math.sqrt(n * sigma * sigma) * rng.standard_normal(trials)
+            lhs = se = 0.0
+            for w, v in zip(weights, per_theta_values(g, n, sigma * sigma, est.sum_offset,
+                                                      nodes, d)):
+                lhs += w * v.mean()
+                se += w * v.std(ddof=1) / math.sqrt(trials)
+            assert vt.lhs == pytest.approx(lhs, rel=1e-12, abs=0)
+            assert vt.lhs_stderr == pytest.approx(se, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("g,n,theta,sigma", [
+        (0.5, 5, 0.0, 1.0), (0.25, 3, 0.4, 1.3), (-0.4, 8, -0.3, 0.7)])
+    def test_lhs_exact_is_the_tilted_deviation(self, g, n, theta, sigma):
+        m, wf, ests = self.setting(g, sigma)
+        s2 = sigma * sigma
+        prior = PriorSpec(kind="gaussian", mean=theta, var=1.0)
+        nodes, weights = prior.quadrature(32)
+        for shifted, est in zip((False, True), ests):
+            for bound in (cramer_rao_A, cramer_rao_B):
+                r = bound(m, wf, theta, n, est, CFG, trials=2_000, seed=0)
+                assert r.lhs_exact == pytest.approx(
+                    tilted_deviation(g, n, theta, s2, shifted), rel=1e-13)
+            for vt in van_trees(m, wf, n, est, prior, ("A", "C"), CFG, trials=2_000):
+                assert vt.lhs_exact == pytest.approx(
+                    float(np.sum(weights * tilted_deviation(g, n, nodes, s2, shifted))),
+                    rel=1e-13)
+
+    def test_lhs_exact_absent_off_the_sum_path(self):
+        scale = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        r = cramer_rao_A(scale, wf, 1.0, 4, scale_abs_mean_estimator(), CFG, trials=2_000)
+        assert r.lhs_exact is None
+        m = gaussian_shift_model()
+        bare = EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1),
+                             bias_prime=mean_estimator(m, wf).bias_prime)
+        assert cramer_rao_A(m, wf, 0.0, 4, bare, CFG, trials=2_000).lhs_exact is None
+        (vt,) = van_trees(m, wf, 4, bare, PriorSpec(kind="gaussian"), ("C",), CFG,
+                          trials=2_000)
+        assert vt.lhs_exact is None
+
+    def test_lhs_within_three_sigma_of_lhs_exact_over_seeds(self):
+        # seeds 0..19, none left out: each row's lhs sits within 3 of its
+        # stderrs of lhs_exact on at least 18 of them
+        g, n, th = 0.5, 5, 0.0
+        m, wf, ests = self.setting(g, 1.0)
+        prior = PriorSpec(kind="gaussian", mean=th, var=1.0)
+        hits = {}
+        for seed in range(20):
+            for est in ests:
+                rows = [cramer_rao_A(m, wf, th, n, est, CFG, trials=50_000, seed=seed),
+                        cramer_rao_B(m, wf, th, n, est, CFG, trials=50_000, seed=seed),
+                        van_trees(m, wf, n, est, prior, ("C",), CFG, trials=20_000,
+                                  seed=seed)[0]]
+                for key, r in zip(("A", "B", "van Trees"), rows):
+                    ok = abs(r.lhs - r.lhs_exact) <= 3 * r.lhs_stderr
+                    hits[key, est.name] = hits.get((key, est.name), 0) + ok
+        assert all(count >= 18 for count in hits.values()), hits
+
+
+class TestRowSums:
+    def test_column_adds_equal_numpy_below_eight_and_round_above(self):
+        from winfer.estimation import _row_sums
+        rng = np.random.default_rng(5)
+        eps = np.finfo(float).eps
+        est = scale_abs_mean_estimator()
+        for n in range(1, 14):
+            xs = rng.normal(size=(4000, n)) * np.exp(3.0 * rng.normal(size=(4000, n)))
+            old_fn = math.sqrt(math.pi / 2.0) * np.abs(xs).mean(axis=1)
+            if n < 8:
+                assert np.array_equal(_row_sums(xs), xs.sum(axis=1))
+                assert np.array_equal(est.fn(xs), old_fn)
+            else:
+                bound = n * eps * np.abs(xs).sum(axis=1)
+                assert np.all(np.abs(_row_sums(xs) - xs.sum(axis=1)) <= bound)
+                assert np.all(np.abs(est.fn(xs) - old_fn) <= 2 * n * eps * old_fn)
 
 
 class TestSampleSizes:

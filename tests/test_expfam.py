@@ -224,9 +224,10 @@ class TestRenyiMpmathOracle:
             _renyi_oracle(pdf, g, 0.3), rel=1e-10)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "_single_integral truncates the Renyi mass int phi p^alpha with the "
-        "window of p's envelope, which decays at rate - gamma; the integrand "
-        "decays at alpha * rate - gamma, so the window cuts off most of its mass"))
+        "core._window_for (called from _lockstep_gk) truncates the Renyi mass "
+        "int phi p^alpha with the window of p's envelope, which decays at rate "
+        "- gamma; the integrand decays at alpha * rate - gamma, so the window "
+        "cuts off most of its mass"))
     @pytest.mark.parametrize("name,params,g,pdf", _SLOW_RENYI)
     def test_quadrature_matches_mpmath(self, name, params, g, pdf):
         m = catalog_family(name, **params)

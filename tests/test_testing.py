@@ -365,7 +365,7 @@ class TestTiltedPair:
         assert tp.pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert tp.vartheta.sum() == pytest.approx(1.0, abs=1e-12)
         kv_pq = kl(prob, CFG).value
-        kv_qp = kl(prob.swapped(), CFG).value
+        kv_qp = kl(HypothesisProblem(p=prob.q, q=prob.p, wf=prob.wf), CFG).value
         assert tp.mean_pi == pytest.approx(kv_pq / tp.ep, abs=1e-12)
         assert tp.mean_vartheta == pytest.approx(-kv_qp / tp.eq, abs=1e-12)
 
