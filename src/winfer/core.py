@@ -56,6 +56,7 @@ _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
 _SERIES_BLOCK = 64  # series terms summed per lockstep round
 _MAX_ROUNDS = 64  # bisection rounds per adaptive integral
+_GH_MAX_D = 3  # a tensor rule of level L has L^d nodes: 216k at L = 60, d = 3; 13M at d = 4
 
 
 def _finite(name: str, value, ndim: int = 0):
@@ -841,6 +842,8 @@ def gauss_hermite_nodes(center, cov, level: int = 40, lebesgue: bool = False) ->
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.size
+    if d > _GH_MAX_D:
+        raise IllegalParameterError(f"tensor Gauss-Hermite rules need d <= {_GH_MAX_D}, not {d}")
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
         cov = np.eye(d) * float(cov)

@@ -286,8 +286,6 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):
     Inexact kink hints degrade the adaptive error estimate, so each bracket is
     refined to machine precision before being handed to the quadrature.
     """
-    from scipy.optimize import brentq
-
     from .core import _window_for
     lo, hi = _window_for(prob.support, cfg, (prob.p, prob.q), prob.wf)
     xs = np.linspace(lo, hi, _CROSSING_GRID)
@@ -301,10 +299,53 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):
     out = []
     for i in idx:
         try:
-            out.append(brentq(g, xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15))
+            out.append(_brent_root(g, xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15))
         except ValueError:
             out.append(0.5 * (xs[i] + xs[i + 1]))
     return out
+
+
+def _brent_root(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b]: scipy's ``brentq.c`` (Brent 1973, ch. 4) operation
+    for operation, with C's ``MIN`` and ``signbit``; a zero divisor (an inf or
+    nan step in C) bisects.  NaN from f, or one sign at both ends, raises
+    ``ValueError``; too many steps ``NonConvergentIntegralError``."""
+    def call(x):
+        if math.isnan(fx := float(f(x))):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C's signbit
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):  # the first step sets xblk, fblk, spre and scur
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the test below, so the step bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        cap = 3 * abs(sbis) - delta
+        good = 2 * abs(stry) < (abs(spre) if abs(spre) < cap else cap)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise NonConvergentIntegralError(f"no root to xtol {xtol:g} in {maxiter} Brent steps")
 
 
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:

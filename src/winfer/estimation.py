@@ -464,13 +464,18 @@ def _sum_moments(model, wf, est, n, t, rng, deviation: bool = True) -> np.ndarra
     e^{gamma n theta} e^{gamma D} and theta* - theta = r = D/n + ``sum_offset`` at
     every theta, so the value at theta is e^{gamma n theta} F with F = e^{gamma D} r^2,
     or with ``deviation=False`` e^{gamma n theta} (theta, 1) . F with F =
-    (e^{gamma D}, e^{gamma D} r)."""
-    d = math.sqrt(n * model.make_distribution(0.0).params["sigma2"]) * rng.standard_normal(t)
-    tilt = np.exp(float(wf.gamma) * d)
-    r = d / n + est.sum_offset
-    feats = [tilt * r ** 2] if deviation else [tilt, tilt * r]
-    return np.array([[float(f.sum())] + [float((f * h).sum()) for h in feats]
-                     for f in feats])
+    (e^{gamma D}, e^{gamma D} r); the arithmetic runs in place on three t-long buffers."""
+    r = rng.standard_normal(t)  # D, until r = D/n + sum_offset is formed
+    r *= math.sqrt(n * model.make_distribution(0.0).params["sigma2"])
+    tilt = np.exp(float(wf.gamma) * r)
+    r /= n
+    r += est.sum_offset
+    if deviation:
+        r *= r
+    r *= tilt
+    feats, prod = ([r] if deviation else [tilt, r]), np.empty(t)
+    return np.array([[float(f.sum())] + [float(np.multiply(f, h, out=prod).sum())
+                                          for h in feats] for f in feats])
 
 
 def _exact_lhs(model, wf, est, n, thetas, weights) -> Optional[float]:

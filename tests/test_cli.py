@@ -59,6 +59,35 @@ class TestSchema:
         with pytest.raises(SchemaError):
             parse_problem_spec(spec_binary(["entropy-rate"]))
 
+    @staticmethod
+    def spec_vector(d):
+        return {"schema": 1,
+                "distributions": [
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.0] * d, "cov": np.eye(d).tolist()}},
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.3] * d, "cov": (1.5 * np.eye(d)).tolist()}}],
+                "weight": {"kind": "constant", "c": 1.0}, "quantities": ["tv", "kl"]}
+
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_vector_of_d4_or_more_is_a_schema_error(self, d, monkeypatch, tmp_path, capsys):
+        """A level-60 tensor rule at d = 4 has 13M nodes: the spec is refused
+        before any mesh is built, and ``compute`` exits 1."""
+        import winfer.divergence
+        import winfer.expfam
+
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("Gauss-Hermite mesh requested")
+        for module in (winfer.divergence, winfer.expfam):
+            monkeypatch.setattr(module, "gauss_hermite_nodes", no_mesh)
+        with pytest.raises(SchemaError, match="d <= 3"):
+            parse_problem_spec(self.spec_vector(d))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.spec_vector(d)))
+        assert main(["compute", str(path), "--reproducible"]) == 1
+        assert "schema error" in capsys.readouterr().err
+        assert parse_problem_spec(self.spec_vector(3))[0][0][0].support.d == 3
+
     def test_accepts_exactly_the_table_names(self):
         """One quantity list: the spec schema, the module docstring and the
         report all follow ``divergence.QUANTITIES``."""

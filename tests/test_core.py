@@ -44,6 +44,16 @@ class TestSupport:
         with pytest.raises(IllegalParameterError):
             Support.real_vector(9)
 
+    def test_tensor_rule_refuses_d4_before_building_a_mesh(self):
+        # level 2 keeps the call cheap should the refusal ever go: 16 nodes
+        for d in (4, 5, 8):
+            with pytest.raises(IllegalParameterError, match="d <= 3"):
+                gauss_hermite_nodes(np.zeros(d), np.eye(d), 2)
+        nodes, _ = gauss_hermite_nodes(np.zeros(3), np.eye(3), 2)
+        assert nodes.shape == (8, 3)
+        # the density of a d = 4 Gaussian needs no mesh and stays available
+        assert Support.real_vector(4).d == 4
+
 
 class TestWeightFunction:
     def test_constant_negative_rejected(self):

@@ -655,6 +655,140 @@ class TestCrossingPoints:
             assert xs[i] <= x <= xs[i + 1]
 
 
+def scipy_outcome(f, a, b, xtol, rtol, maxiter):
+    """scipy.optimize.brentq's root, or the kind of failure it reports."""
+    from scipy.optimize import brentq
+    try:
+        return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except ValueError:
+        return "ValueError"
+    except RuntimeError:
+        return "no convergence"
+
+
+def port_outcome(f, a, b, xtol, rtol, maxiter):
+    """``_brent_root``'s root, or its failure under scipy's name for it."""
+    from winfer.divergence import _brent_root
+    from winfer.errors import NonConvergentIntegralError
+    try:
+        return _brent_root(f, a, b, xtol, rtol, maxiter)
+    except ValueError:
+        return "ValueError"
+    except NonConvergentIntegralError:
+        return "no convergence"
+
+
+def same_outcome(got, want) -> bool:
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return type(got) is float and got == want \
+        and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+class TestBrentRoot:
+    """``_brent_root`` against scipy.optimize.brentq, the oracle it ports."""
+
+    FAMILIES = (
+        lambda c: lambda x: (x - c[0]) * (x - c[1]) * (x + c[2]),
+        lambda c: lambda x: math.exp(c[0] * x) - c[1] - 1.0,
+        lambda c: lambda x: math.tanh(c[0] * (x - c[1])) ** 3,
+        lambda c: lambda x: (x - c[0]) ** 9,
+        lambda c: lambda x: math.exp(-(x - c[0]) ** 2 / 2) / 2.5
+        - math.exp(-(x - c[1]) ** 2 / 3.4) / 3.3,
+        # plateaus: equal f at two iterates
+        lambda c: lambda x: float(np.sign(x - c[0])),
+        lambda c: lambda x: math.floor(4.0 * (x - c[0])) + 0.5,
+        # subnormal values: C's extrapolation divisor underflows to 0
+        lambda c: lambda x: 10.0 ** (-300.0 - 10.0 * abs(c[2])) * math.atan(x - c[0]),
+    )
+
+    def test_bit_identical_to_scipy_on_random_brackets(self):
+        rng = np.random.default_rng(2024)
+        kinds = {}
+        for k in range(12_000):
+            c = rng.normal(size=3)
+            f = self.FAMILIES[k % len(self.FAMILIES)](c)
+            if k % 4:  # a bracket about c[0], else an arbitrary one
+                a, b = c[0] - abs(rng.normal(scale=2.0)), c[0] + abs(rng.normal(scale=2.0))
+            else:
+                a, b = sorted(rng.normal(scale=3.0, size=2))
+            xtol = 1e-14 if k % 3 == 0 else float(10.0 ** rng.uniform(-16, -2))
+            rtol = 1e-15 if k % 2 else float(10.0 ** rng.uniform(-15, -3))
+            maxiter = 100 if k % 5 else int(rng.integers(1, 20))
+            want = scipy_outcome(f, a, b, xtol, rtol, maxiter)
+            got = port_outcome(f, a, b, xtol, rtol, maxiter)
+            assert same_outcome(got, want), (k, a, b, xtol, rtol, maxiter, got, want)
+            kind = want if isinstance(want, str) else "root"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # every outcome is exercised, most of all the roots
+        assert kinds["root"] > 6_000 and kinds["ValueError"] > 1_000 \
+            and kinds["no convergence"] > 500, kinds
+
+    @pytest.mark.parametrize("f,a,b,kind", [
+        (lambda x: x - 1.0, 1.0, 3.0, "root"),  # root at the left end
+        (lambda x: x - 3.0, 1.0, 3.0, "root"),  # root at the right end
+        (lambda x: -0.0 if x == 1.0 else x - 1.0, 1.0, 2.0, "root"),  # a -0.0 there
+        (lambda x: x * x + 1.0, -1.0, 1.0, "ValueError"),  # one sign at both ends
+        (lambda x: -(x * x) - 1.0, -1.0, 1.0, "ValueError"),
+        (lambda x: math.nan, 0.0, 1.0, "ValueError"),  # NaN at once
+        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, "ValueError"),  # in a step
+        (lambda x: 0.0 * x if x > 0 else -1.0, -1.0, 1.0, "root"),  # a root on a plateau
+        (lambda x: 1.0 if x > 0.3 else -1.0, -1.0, 1.0, "root"),  # |f| constant: bisects
+        (lambda x: 1.0 if x > 0.3 else (-1.0 if x > -0.5 else -2.0), -1.0, 1.0, "root"),
+        # an extrapolation step divides by a product that underflows to 0
+        (lambda x: 4.937291616315e-311 * math.atan(x + 0.8019314252534474),
+         -1.6428219013844902, 1.4701616397258381, "root"),
+    ])
+    def test_edge_cases_match_scipy(self, f, a, b, kind):
+        want = scipy_outcome(f, a, b, 1e-14, 1e-15, 100)
+        assert (want if isinstance(want, str) else "root") == kind
+        assert same_outcome(port_outcome(f, a, b, 1e-14, 1e-15, 100), want)
+
+    def test_numpy_brackets_give_a_float(self):
+        from winfer.divergence import _brent_root
+        root = _brent_root(lambda x: x * x - 2.0, np.float64(0.0), np.float64(2.0),
+                           1e-14, 1e-15)
+        assert type(root) is float and root == scipy_outcome(
+            lambda x: x * x - 2.0, 0.0, 2.0, 1e-14, 1e-15, 100)
+
+    def test_crossing_points_match_brentq_on_gamma_pairs(self, monkeypatch):
+        import winfer.divergence as div
+        from scipy.optimize import brentq
+        pairs = [(Distribution.gamma(2.0, 1.0), Distribution.gamma(3.0, 1.5)),
+                 (Distribution.gamma(0.5, 1.0), Distribution.gamma(0.7, 2.0)),
+                 (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.4, 2.5))]
+        for p, q in pairs:
+            prob = HypothesisProblem(p, q, WeightFunction.absolute())
+            got = div._crossing_points(prob, CFG)
+            with monkeypatch.context() as m:
+                m.setattr(div, "_brent_root", lambda f, a, b, xtol, rtol:
+                          brentq(f, a, b, xtol=xtol, rtol=rtol))
+                want = div._crossing_points(prob, CFG)
+            assert len(got) >= 1 and got == want
+
+    def test_tv_of_a_gamma_pair_does_not_import_scipy_optimize(self, tmp_path):
+        import json
+        import subprocess
+        import sys
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "schema": 1,
+            "distributions": [{"family": "gamma", "params": {"lam": 2.0, "beta": 1.0}},
+                              {"family": "gamma", "params": {"lam": 3.0, "beta": 1.5}}],
+            "weight": {"kind": "absolute"}, "quantities": ["tv"]}))
+        script = f"""
+import json, sys
+import winfer.cli
+code = winfer.cli.main(["compute", {str(spec)!r}, "--reproducible",
+                        "--out", {str(tmp_path / "out.json")!r}])
+(rec,) = json.load(open({str(tmp_path / "out.json")!r}))["quantities"]
+print(code, rec["name"], "value" in rec, "scipy.optimize" in sys.modules)
+"""
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["0", "tv", "True", "False"]
+
+
 class TestQuantityTable:
     @staticmethod
     def gamma_problem():

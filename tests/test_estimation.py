@@ -662,6 +662,25 @@ class TestFactoredSumPath:
                     want = (v.mean(), v.std() / root, (v - vs[0]).std() / root)
                     np.testing.assert_allclose((mean, se, diff_se), want, rtol=1e-12, atol=0)
 
+    def test_sum_moments_in_place_matches_the_expression_bit_for_bit(self):
+        from winfer.estimation import _MC_CHUNK, _sum_moments
+        g, n, sigma = 0.4, 5, 1.3
+        m, wf, ests = self.setting(g, sigma)
+        for est in ests:
+            for deviation in (True, False):
+                got = _sum_moments(m, wf, est, n, _MC_CHUNK, np.random.default_rng(21),
+                                   deviation)
+                # the allocating expression the in-place arithmetic replaced
+                d = math.sqrt(n * sigma * sigma) * np.random.default_rng(21).standard_normal(
+                    _MC_CHUNK)
+                tilt = np.exp(g * d)
+                r = d / n + est.sum_offset
+                feats = [tilt * r ** 2] if deviation else [tilt, tilt * r]
+                want = np.array([[float(f.sum())] + [float((f * h).sum()) for h in feats]
+                                 for f in feats])
+                assert got.shape == (len(feats), 1 + len(feats))
+                assert got.tobytes() == want.tobytes()
+
     def test_van_trees_matches_a_per_node_loop(self):
         g, n, sigma, seed, trials = 0.4, 5, 1.3, 11, 60_000
         m, wf, ests = self.setting(g, sigma)
