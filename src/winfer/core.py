@@ -56,7 +56,7 @@ _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
 _SERIES_BLOCK = 64  # series terms summed per lockstep round
 _MAX_ROUNDS = 64  # bisection rounds per adaptive integral
-_GH_MAX_D = 3  # a tensor rule of level L has L^d nodes: 216k at L = 60, d = 3; 13M at d = 4
+_GH_MAX_D = 3  # L^d nodes: at the ladder's top level, 60, 216k at d = 3 and 13M at d = 4
 
 
 def _finite(name: str, value, ndim: int = 0):
@@ -666,17 +666,22 @@ _GK_WG = np.array([
 _BASE_EDGES = np.arange(17.0)  # 16 equal starting panels per window
 
 
-def _gk_panels(f, gs: list, counts: np.ndarray, los: np.ndarray, his: np.ndarray):
+def _gk_panels(f, gs: list, counts: np.ndarray, los: np.ndarray, his: np.ndarray,
+               rows: Optional[np.ndarray] = None):
     """G7/K15 on a batch of panels, ``counts[i]`` of ``gs[i]`` in a row: f runs
-    once, on the nodes of every panel, then each g on its own slice of rows."""
+    once, on the nodes of every panel, then each g on its own slice of rows.
+    With ``rows``, row k of the batch is panel ``rows[k]``, so f runs once on
+    a panel that several components share."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
     xs = mid[:, None] + half[:, None] * _GK_NODES
     shared = [np.asarray(a, dtype=float).reshape(xs.shape) for a in f(xs.reshape(-1))]
+    if rows is not None:
+        half, shared = half[rows], [a[rows] for a in shared]
     if len(gs) == 1:
         vals = np.asarray(gs[0](*shared), dtype=float)
     else:
-        vals, start = np.empty(xs.shape), 0
+        vals, start = np.empty(shared[0].shape), 0
         for g, n in zip(gs, counts.tolist()):
             vals[start:start + n] = g(*(a[start:start + n] for a in shared))
             start += n
@@ -727,10 +732,16 @@ def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
     if not ids:
         return out
     gs = [comps[i].g for i in ids]
-    los, his = np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    # components with equal edges share their starting panels: f runs once on each
+    distinct = {e.tobytes(): e for e in edges}
+    firsts = dict(zip(distinct, np.cumsum([0] + [e.size - 1 for e in distinct.values()])))
+    rows = np.concatenate([firsts[e.tobytes()] + np.arange(e.size - 1) for e in edges])
+    los = np.concatenate([e[:-1] for e in distinct.values()])
+    his = np.concatenate([e[1:] for e in distinct.values()])
     counts = np.array([e.size - 1 for e in edges])
     starts = counts.cumsum() - counts
-    vals, errs = _gk_panels(f, gs, counts, los, his)
+    vals, errs = _gk_panels(f, gs, counts, los, his, rows)
+    los, his = los[rows], his[rows]
     for rnd in range(_MAX_ROUNDS + 1):
         total, tot_err = np.add.reduceat(vals, starts), np.add.reduceat(errs, starts)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))

@@ -81,7 +81,8 @@ __all__ = [
 ]
 
 _ORACLE_MAX_M = 20
-_MV_LEVEL = 60  # tensor Gauss-Hermite level; the error comes from the gap to level 48
+_MV_LADDER = (32, 40, 48, 60)  # tensor Gauss-Hermite levels a vector integral climbs
+_EPS = float(np.finfo(float).eps)
 _CROSSING_GRID = 1024  # grid points that bracket the sign changes of p - q
 
 
@@ -94,7 +95,7 @@ class HypothesisProblem:
     cfg)``: its ``(value, error)`` or the failure it met.  On vector supports
     it also holds the Gauss-Hermite meshes (``_mv_mesh``), the pair's under
     ``("gauss-hermite", level)`` and each distribution's (p, p) mesh under
-    ``("gauss-hermite", role, level)``, one when q is p.  It lives exactly as
+    ``("gauss-hermite", role, level)``, one role when q is p.  It lives exactly as
     long as this instance; no other problem shares it, not even one built
     equal or from the same distributions.  Finite supports store nothing
     (the exact sums are cheaper than a lookup).
@@ -199,7 +200,7 @@ def _plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) ->
             continue
         g, role = _terms(name)
         if sup.kind == "real-vector":
-            memo[key] = _mv_value(prob, name, g, role)
+            memo[key] = _mv_value(prob, name, g, role, cfg)
             continue
         try:
             points = tuple(_crossing_points(prob, cfg)) \
@@ -263,21 +264,30 @@ def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunct
     return mesh
 
 
-def _mv_value(prob: HypothesisProblem, name, g, role) -> tuple:
-    """(value, error) of one named integral on a vector support: a pair
-    integral on the problem's level-60 mesh (tv and kl take the gap to level
-    48 as their error), a single-distribution one on the (p, p) mesh of its
-    distribution."""
-    if role is not None:
-        d = prob.p if role == "p" else prob.q
-        key = ("gauss-hermite", "p" if prob.q is prob.p else role, _MV_LEVEL)
-        mesh = _mv_mesh(prob.memo, key, d, d, prob.wf, _MV_LEVEL)
-        return float(np.sum(g(*mesh))), 0.0
-    def at(level):
-        mesh = _mv_mesh(prob.memo, ("gauss-hermite", level), prob.p, prob.q, prob.wf, level)
-        return float(np.sum(g(*mesh)))
-    hi = at(_MV_LEVEL)
-    return hi, (abs(hi - at(_MV_LEVEL - 12)) if name in ("tv", "kl") else 0.0)
+def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig) -> tuple:
+    """(value, error) of one named integral on a vector support.  It sums g
+    over the pair mesh of each level of ``_MV_LADDER`` in turn (a
+    single-distribution integral over its distribution's (p, p) mesh) and
+    stops at the first level within max(abs_tol, rel_tol |value|) of the one
+    below; tv, whose integrand has a kink, starts at level 48.  The error is
+    the last gap, floored at the roundoff bound of the pairwise sum,
+    ceil(log2 N) eps sum |terms| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, sec. 4.2)."""
+    if role is None:
+        p, q, tag = prob.p, prob.q, ()
+    else:
+        p = q = prob.p if role == "p" else prob.q
+        tag = ("p" if prob.q is prob.p else role,)
+    prev = None
+    for level in _MV_LADDER[2 if name == "tv" else 0:]:
+        terms = g(*_mv_mesh(prob.memo, ("gauss-hermite", *tag, level), p, q, prob.wf, level))
+        value = float(np.sum(terms))
+        if prev is not None and (gap := abs(value - prev)) <= max(
+                cfg.abs_tol, cfg.rel_tol * abs(value)):
+            break
+        prev = value
+    roundoff = math.ceil(math.log2(terms.size)) * _EPS * float(np.sum(np.abs(terms)))
+    return value, max(gap, roundoff)
 
 
 def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):

@@ -515,6 +515,18 @@ def spec_gamma_pair_all_quantities():
     }
 
 
+def _levels_by_center(calls) -> list:
+    """The levels of the recorded ``gauss_hermite_nodes`` calls, one sorted list
+    per covering center (the pair's and each distribution's); each (center,
+    level) mesh must be built once."""
+    meshes = [(tuple(center), level) for center, _, level in calls]
+    assert len(meshes) == len(set(meshes))
+    levels = {}
+    for center, level in meshes:
+        levels.setdefault(center, []).append(level)
+    return sorted(sorted(v) for v in levels.values())
+
+
 def _count_calls(monkeypatch, module_name, fn_name, with_kwargs=False) -> list:
     """Count calls of a core function from every winfer module that imported it;
     each call is recorded as its args, or as (args, kwargs)."""
@@ -569,8 +581,9 @@ class TestEvaluationCost:
         assert coeff == pytest.approx(rho / 2.0, rel=1e-14)  # E_phi(p) = 2 for gamma(2, 1)
 
     def test_vector_report_shares_the_mesh(self, monkeypatch):
-        """tv and kl share the problem's meshes at levels 60 and 48, rho reuses
-        level 60, and E_phi(p) builds its own: 3 tensor rules instead of 6."""
+        """kl and rho climb the pair's ladder together and stop at level 40, tv
+        reads the pair's levels 48 and 60, and E_phi(p) climbs its own (p, p)
+        meshes: 6 tensor rules, each built once."""
         calls = _count_calls(monkeypatch, "winfer.core", "gauss_hermite_nodes")
         spec = {"schema": 1,
                 "distributions": [
@@ -586,12 +599,13 @@ class TestEvaluationCost:
         assert code == 0
         assert [r["name"] for r in report["quantities"]] == \
             ["tv", "kl", "bhattacharyya-div"]
-        assert len(calls) == 3
+        assert _levels_by_center(calls) == [[32, 40], [32, 40, 48, 60]]
 
     def test_full_vector_report_builds_each_mesh_once(self, monkeypatch):
-        """Every quantity of a d = 3 report: the pair's meshes at levels 60 and
-        48, and one (p, p) mesh per distribution that its weight mass, Shannon
-        entropy and Renyi-entropy masses share."""
+        """Every quantity of a d = 3 report: the pair's meshes at levels 32 and
+        40 for the smooth integrals and 48 and 60 for tv, and (p, p) meshes at
+        levels 32 and 40 per distribution that its weight mass, Shannon entropy
+        and Renyi-entropy masses share."""
         calls = _count_calls(monkeypatch, "winfer.core", "gauss_hermite_nodes")
         spec = spec_gamma_pair_all_quantities()
         spec["distributions"] = [
@@ -604,9 +618,7 @@ class TestEvaluationCost:
         report, code = compute_report(spec)
         assert code == 0
         assert len(report["quantities"]) > len(spec["quantities"])  # alpha rows
-        meshes = {(tuple(center), level) for center, _, level in calls}
-        assert len(calls) == len(meshes) == 4
-        assert sorted(level for _, level in meshes) == [48, 60, 60, 60]
+        assert _levels_by_center(calls) == [[32, 40], [32, 40], [32, 40, 48, 60]]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
         """A shift-family run with van Trees makes 102 integrations, 3 per theta:

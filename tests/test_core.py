@@ -270,6 +270,24 @@ class TestLockstepIntegrate:
         for comp, res in zip(comps, got):
             assert res == _lone(comp, p, q, wf)
 
+    def test_shared_window_is_evaluated_once(self):
+        """Components with equal windows and breakpoints share their 16 starting
+        panels: the first round runs f once on each distinct panel, and each
+        component still equals its lone call."""
+        p, q = _LOCKSTEP_PAIRS["gaussian"]
+        wf = WeightFunction.constant(1.5)
+        comps = [Integrand(_PAIR_TERMS[name], (p, q), wf) for name in ("tv", "rho", "chernoff-0.3")]
+        comps.append(Integrand(_PAIR_TERMS["mass-p"], (p,), wf))  # p's own window
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return p.density(x), q.density(x), wf(x)
+        got = integrate(f, p.support, CFG, components=comps)
+        assert sizes[0] == 2 * 16 * 15  # two distinct windows, not four copies
+        for comp, res in zip(comps, got):
+            assert res == _lone(comp, p, q, wf)
+
     def test_failure_is_isolated(self):
         """The weight mass of a gamma of shape 0.33 does not converge; in the
         same call every other component equals its lone value."""

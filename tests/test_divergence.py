@@ -477,7 +477,9 @@ class TestWeightMassMemo:
 
     def test_vector_mesh_leaves_no_cycle(self):
         """The memo of a vector problem holds arrays and numbers only: with the
-        cyclic collector off, the problem dies with its last reference."""
+        cyclic collector off, the problem dies with its last reference.  The
+        masses and the entropy stop at level 40 of their (p, p) meshes, and tv
+        reads the pair's levels 48 and 60."""
         import gc
         import weakref
         gc.disable()
@@ -489,8 +491,9 @@ class TestWeightMassMemo:
             integrals(prob, CFG, [_MP, _MQ, ("shannon", "p"), "tv"])
             assert set(prob.memo) == {
                 (_MP, CFG), (_MQ, CFG), (("shannon", "p"), CFG), ("tv", CFG),
-                ("gauss-hermite", "p", 60), ("gauss-hermite", "q", 60),
-                ("gauss-hermite", 60), ("gauss-hermite", 48)}
+                ("gauss-hermite", "p", 32), ("gauss-hermite", "p", 40),
+                ("gauss-hermite", "q", 32), ("gauss-hermite", "q", 40),
+                ("gauss-hermite", 48), ("gauss-hermite", 60)}
             for key, got in prob.memo.items():
                 kinds = {np.ndarray} if key[0] == "gauss-hermite" else {float}
                 assert {type(v) for v in got} == kinds
@@ -501,6 +504,7 @@ class TestWeightMassMemo:
             gc.enable()
 
     def test_q_is_p_vector_problem_builds_one_mesh(self, monkeypatch):
+        """When q is p, both roles climb the same (p, p) meshes: one per level."""
         import winfer.divergence as div
         built = []
         real = div.gauss_hermite_nodes
@@ -514,8 +518,9 @@ class TestWeightMassMemo:
         (ep, _), (eq, _), _, _ = integrals(
             prob, CFG, [_MP, _MQ, ("shannon", "p"), ("renyi-mass", "q", 0.4)])
         assert ep == eq
-        assert len(built) == 1
-        assert [k for k in prob.memo if k[0] == "gauss-hermite"] == [("gauss-hermite", "p", 60)]
+        assert [args[2] for args in built] == [32, 40]
+        assert [k for k in prob.memo if k[0] == "gauss-hermite"] == \
+            [("gauss-hermite", "p", 32), ("gauss-hermite", "p", 40)]
 
 
 class TestProblemMemo:
@@ -604,24 +609,31 @@ class TestProblemMemo:
     def test_vector_mesh_matches_the_direct_rule(self):
         """The folded mesh sums phi f wr with the closed-form Lebesgue weights
         wr; the oracle is the plain rule sum(wts * f / ref), which evaluates
-        the covering Gaussian's density at every node."""
+        the covering Gaussian's density at every node.  tv reads the pair's
+        levels 48 and 60; kl then climbs levels 32 and 40 and stops there."""
         from winfer.core import gauss_hermite_nodes
         prob = self.vector_problem()
         got = weighted_tv(prob, CFG)
         assert set(prob.memo) == {("gauss-hermite", 60), ("gauss-hermite", 48),
                                   ("tv", CFG)}
 
-        def direct(level):
+        def direct(level, g):
             cov = np.asarray(prob.p.scale) + np.asarray(prob.q.scale)
             mean = 0.5 * (prob.p.center + prob.q.center) + cov @ prob.wf.exp_rate_vector
             nodes, wts = gauss_hermite_nodes(mean, cov, level)
-            f = prob.wf.vector_values(nodes) \
-                * np.abs(prob.p.density(nodes) - prob.q.density(nodes))
+            f = prob.wf.vector_values(nodes) * g(prob.p.density(nodes), prob.q.density(nodes))
             ref = Distribution.gaussian_mv(mean, cov).density(nodes)
             return float(np.sum(wts * (f / ref)))
-        hi, lo = direct(60), direct(48)
+        hi, lo = (direct(level, lambda p, q: np.abs(p - q)) for level in (60, 48))
         assert got.value == pytest.approx(0.5 * hi, rel=1e-13, abs=0)
         assert got.error == pytest.approx(0.5 * abs(hi - lo), rel=0, abs=1e-13 * hi)
+        got = kl(prob, CFG)
+        assert set(prob.memo) == {("gauss-hermite", 60), ("gauss-hermite", 48),
+                                  ("gauss-hermite", 40), ("gauss-hermite", 32),
+                                  ("tv", CFG), ("kl", CFG)}
+        hi, lo = (direct(level, lambda p, q: p * np.log(p / q)) for level in (40, 32))
+        assert got.value == pytest.approx(hi, rel=1e-13, abs=0)
+        assert got.error <= max(abs(hi - lo), 1e-13 * hi)
 
     def test_same_pair_evaluates_the_density_once(self):
         from winfer.divergence import _mv_mesh

@@ -136,9 +136,10 @@ class TestCatalog:
         assert m.dist is m.dist
 
     def test_golden_pair_builds_each_mesh_once(self, monkeypatch):
-        """One vector pair of the expfam-golden suite: the pair's meshes at
-        levels 60 and 48, and one (p, p) mesh that E_phi(p), the Shannon
-        entropy and the Renyi-entropy masses of p share."""
+        """One vector pair of the expfam-golden suite: kl and the Chernoff
+        numerators climb the pair's meshes, and E_phi(p), the Shannon entropy
+        and the Renyi-entropy masses of p the (p, p) meshes; every integral
+        stops at level 40, so each builds levels 32 and 40, once."""
         import sys
 
         import winfer.core
@@ -157,8 +158,11 @@ class TestCatalog:
         monkeypatch.setattr(verify, "_golden_pairs", lambda: [])
         monkeypatch.setattr(verify, "_golden_pairs_mv", lambda: pair)
         assert verify.suite_expfam_golden(0, 0, CFG).passed
-        assert len(meshes) == len(set(meshes)) == 3
-        assert sorted(level for _, level in meshes) == [48, 60, 60]
+        assert len(meshes) == len(set(meshes)) == 4
+        levels = {}
+        for center, level in meshes:
+            levels.setdefault(center, []).append(level)
+        assert sorted(levels.values()) == [[32, 40], [32, 40]]
 
     def test_non_symmetric_covariance_refused(self):
         """The Cholesky factor reads the lower triangle only, so a non-symmetric
@@ -530,3 +534,82 @@ class TestGaussianTvClosedForms:
             pytest.approx(1.0 + erf(1.0 / math.sqrt(2)), rel=1e-12)
         assert gaussian_tv_closed_form(2.0, WeightFunction.absolute()) == \
             pytest.approx(1.0731410699216889, rel=1e-12)
+
+
+def _golden_mv_problems():
+    """(adjoint, member, member', problem) of every vector expfam-golden pair."""
+    from winfer import verify
+    out = []
+    for name, p1, p2, wf, _ in verify._golden_pairs_mv():
+        m1, m2 = catalog_family(name, **p1), catalog_family(name, **p2)
+        out.append((AdjointFamily(m1.family, wf, CFG), m1, m2,
+                    HypothesisProblem(m1.dist, m2.dist, wf)))
+    return out
+
+
+class TestVectorLadder:
+    """Each vector integral climbs the Gauss-Hermite levels 32, 40, 48, 60 and
+    stops where two levels agree (tv from level 48)."""
+
+    LADDER_CASES = [
+        ("kl", None), ("shannon-entropy", None), ("bhattacharyya-div", None),
+        *[(name, a) for name in ("chernoff-div", "renyi-entropy") for a in (0.3, 0.5, 0.8)]]
+
+    @pytest.mark.parametrize("index", [0, 4, 5, 9])  # two d = 2, two d = 3 pairs
+    def test_smooth_integrals_within_their_error_of_the_closed_forms(self, index):
+        from winfer.divergence import quantity
+        from winfer.expfam import CLOSED_FORMS
+        adj, m1, m2, prob = _golden_mv_problems()[index]
+        for name, alpha in self.LADDER_CASES:
+            closed = CLOSED_FORMS[name](adj, m1.theta, m2.theta, alpha)
+            got = quantity(prob, name, CFG, alpha)
+            scale = max(1.0, abs(closed))
+            assert abs(got.value - closed) <= got.error + 1e-14 * scale, (name, alpha)
+            assert got.error <= 1e-9 * scale, (name, alpha)
+        # each smooth integral stopped below the top two levels, which tv alone reads
+        assert {k[-1] for k in prob.memo if k[0] == "gauss-hermite"} == {32, 40}
+
+    @pytest.mark.parametrize("index", [1, 7])  # one d = 2, one d = 3 pair
+    def test_tv_is_the_fixed_two_level_rule_bit_for_bit(self, index):
+        """tv reads levels 48 and 60 only: the value at 60 and the gap to 48, as
+        the fixed rule that preceded the ladder computed them."""
+        from winfer.core import gauss_hermite_nodes
+        from winfer.divergence import integrals
+        prob = _golden_mv_problems()[index][3]
+        p, q, wf = prob.p, prob.q, prob.wf
+
+        def at(level):
+            cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
+            mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
+            mean = mean + cov @ wf.exp_rate_vector
+            nodes, wr = gauss_hermite_nodes(mean, cov, level, lebesgue=True)
+            dp, dq = p.density(nodes), q.density(nodes)
+            return float(np.sum(wf.vector_values(nodes) * wr * np.abs(dp - dq)))
+        hi = at(60)
+        assert integrals(prob, CFG, ["tv"])[0] == (hi, abs(hi - at(48)))
+        assert weighted_tv(prob, CFG).value == 0.5 * hi
+        assert {k[-1] for k in prob.memo if k[0] == "gauss-hermite"} == {48, 60}
+
+    def test_stiff_pair_climbs_to_the_top_and_reports_the_gap(self):
+        """A near-singular covariance (correlation 0.99) under the covering
+        Gaussian: kl never settles, so it reports level 60 and its gap to 48."""
+        from winfer.divergence import _mv_mesh, _terms, integrals
+        prob = HypothesisProblem(
+            Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.99], [0.99, 1.0]]),
+            Distribution.gaussian_mv([0.3, -0.2], np.eye(2)), WeightFunction.constant(1.0))
+        value, error = integrals(prob, CFG, ["kl"])[0]
+        assert {k[-1] for k in prob.memo if k[0] == "gauss-hermite"} == {32, 40, 48, 60}
+        g = _terms("kl")[0]
+        hi, lo = (float(np.sum(g(*_mv_mesh({}, None, prob.p, prob.q, prob.wf, level))))
+                  for level in (60, 48))
+        assert (value, error) == (hi, abs(hi - lo))
+        assert error > CFG.rel_tol * abs(value)  # the tolerance was not met
+
+    def test_golden_gap_stays_at_its_gate(self):
+        """ROADMAP item 4's gate: the expfam-golden ``max_rel_gap`` must not grow
+        past its 3.851e-9 (set by the gamma(4, 2.5) Renyi entropy; every vector
+        pair's gap is below 1e-14)."""
+        from winfer.verify import suite_expfam_golden
+        rep = suite_expfam_golden(0, 0, CFG)
+        assert rep.passed
+        assert rep.margins["max_rel_gap"] <= 3.86e-9
