@@ -15,7 +15,10 @@ the same name in REF_DIR:
 * a changed method label or error message is printed, but is not a flip;
 * over every number in matching records (values, closed forms, details,
   bound-check sides) the largest move is printed, scaled by max(1, |v|), and
-  for the values by the larger reported ``numerical_error`` of the two sides.
+  for the values by the larger reported ``numerical_error`` of the two sides;
+* a value that moves further than the benchmark's reference check allows
+  (``perfbench.workloads.close``, with the two reported errors summed) is
+  printed, and any makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from perfbench.workloads import COMPUTE_CELLS, compute_spec  # noqa: E402
+from perfbench.workloads import COMPUTE_CELLS, close, compute_spec  # noqa: E402
 from winfer.cli import _json_default, compute_report  # noqa: E402
 from winfer.errors import SchemaError  # noqa: E402
 
@@ -70,14 +73,15 @@ def _moved(a: float, b: float) -> float:
 
 
 def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
-    """(flips, [(scaled move, where)], [(move over error, where)]) of one report."""
-    flips, moves, err_moves = [], [], []
+    """(flips, [(scaled move, where)], [(move over error, where)], [values
+    moved beyond ``close``]) of one report."""
+    flips, moves, err_moves, beyond = [], [], [], []
     if new["exit_code"] != ref["exit_code"]:
         flips.append(f"exit {ref['exit_code']} -> {new['exit_code']}")
     rn, rr = new["report"].get("quantities", []), ref["report"].get("quantities", [])
     if [r["name"] for r in rn] != [r["name"] for r in rr] \
             or ("schema_error" in new["report"]) != ("schema_error" in ref["report"]):
-        return flips + ["record list changed"], moves, err_moves
+        return flips + ["record list changed"], moves, err_moves, beyond
     for a, b in zip(rn, rr):
         where = f"{name} {a['name']}"
         if ("error" in a) != ("error" in b):
@@ -93,6 +97,9 @@ def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
             e = max(a.get("numerical_error", 0.0), b.get("numerical_error", 0.0))
             if d > 0:
                 err_moves.append((d / e if e > 0 else math.inf, where))
+                if not close(a["value"], b["value"], a.get("numerical_error", 0.0)
+                             + b.get("numerical_error", 0.0)):
+                    beyond.append(f"{a['name']}: {b['value']!r} -> {a['value']!r}")
         for (pa, va), (pb, vb) in zip(_numbers(a), _numbers(b)):
             if pa != pb:
                 flips.append(f"{a['name']}: fields changed")
@@ -106,7 +113,7 @@ def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
             for side in ("lhs", "rhs"):
                 moves.append((_moved(ca[side], cb[side]) / max(1.0, abs(cb[side])),
                               f"{name} bound {ca['check']} {side}"))
-    return flips, moves, err_moves
+    return flips, moves, err_moves, beyond
 
 
 def main() -> int:
@@ -118,22 +125,26 @@ def main() -> int:
     print(f"{n} reports written to {args.out_dir}")
     if not args.against:
         return 0
-    n_flips, notes, moves, err_moves = 0, [], [], []
+    n_flips, n_beyond, notes, moves, err_moves = 0, 0, [], [], []
     for fname in sorted(os.listdir(args.out_dir)):
         with open(os.path.join(args.out_dir, fname), encoding="utf-8") as fh:
             new = json.load(fh)
         with open(os.path.join(args.against, fname), encoding="utf-8") as fh:
             ref = json.load(fh)
-        flips, m, em = compare(new, ref, fname[:-len(".json")], notes)
+        flips, m, em, beyond = compare(new, ref, fname[:-len(".json")], notes)
         for f in flips:
             print(f"FLIP {fname}: {f}")
+        for b in beyond:
+            print(f"BEYOND {fname}: {b}")
         n_flips += len(flips)
+        n_beyond += len(beyond)
         moves += m
         err_moves += em
     for note in notes:
         print(f"note {note}")
     moved = [m for m in moves if m[0] > 0]
     print(f"outcome flips: {n_flips}")
+    print(f"values moved beyond the benchmark's check: {n_beyond}")
     print(f"numbers compared: {len(moves)}, moved: {len(moved)}")
     if moved:
         print("largest move / max(1, |v|): %.3g at %s" % max(moved))
@@ -143,7 +154,7 @@ def main() -> int:
     unscaled = len(err_moves) - len(finite)
     if unscaled:
         print(f"values that moved with a reported error of 0: {unscaled}")
-    return 1 if n_flips else 0
+    return 1 if n_flips or n_beyond else 0
 
 
 if __name__ == "__main__":

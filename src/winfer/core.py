@@ -232,18 +232,6 @@ class WeightFunction:
                 return x @ np.asarray(g, dtype=float)
             return np.log(self(x))
 
-    def vector_values(self, pts) -> np.ndarray:
-        """Evaluate on (N, d) outcome points (real-vector supports)."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.kind == "constant":
-            return np.full(pts.shape[0], self.c)
-        if self.kind == "exponential" and np.ndim(self.gamma) > 0:
-            return np.exp(pts @ np.asarray(self.gamma, dtype=float))
-        if self.kind == "product":
-            return self(pts)
-        raise DomainMismatchError(
-            f"weight spec {self.kind!r} is not defined on vector outcomes")
-
     # -- hints used by the integration engine -------------------------------
 
     @property
@@ -832,24 +820,15 @@ def _hermegauss(level: int) -> tuple:
     return out
 
 
-def _tensor(w: np.ndarray, d: int) -> np.ndarray:
-    """Row-major tensor product: entry i is (w[i_0] * w[i_1]) * ... in axis order."""
-    wts = w
-    for _ in range(d - 1):
-        wts = np.multiply.outer(wts, w)
-    return wts.reshape(-1)
-
-
-def gauss_hermite_nodes(center, cov, level: int = 40, lebesgue: bool = False) -> tuple:
-    """Affinely mapped tensor Gauss-Hermite rule for integrals against N(center, cov).
-
-    Returns ``(nodes, weights)`` with ``sum(w_i f(x_i)) ~= E_{N(center,cov)}[f]``.
-    With ``lebesgue=True`` the weights are ``w_i / N(x_i; center, cov)`` instead,
-    so ``sum(w_i f(x_i)) ~= integral f dx``.  For nodes ``center + L z`` they
-    are the closed form ``sqrt(det cov) * prod_k (w_k exp(z_k^2 / 2))`` with the
-    1-D weights ``w_k`` against exp(-z^2/2), and the Gaussian density is never
-    evaluated (Jaeckel, "A note on multivariate Gauss-Hermite quadrature",
-    2005).
+def gauss_hermite_nodes(center, cov, level: int = 40) -> tuple:
+    """Tensor Gauss-Hermite rule for Lebesgue integrals on R^d, in factored
+    form ``(wr, x, center, chol)``: the nodes are ``center + chol z`` for z on
+    the row-major grid of the 1-D nodes ``x``, and ``sum(wr_i f(node_i)) ~=
+    integral f dx``.  The flat weights are the closed form ``sqrt(det cov) *
+    prod_k (w_k exp(z_k^2 / 2))`` with the 1-D weights ``w_k`` against
+    exp(-z^2/2) (Jaeckel, "A note on multivariate Gauss-Hermite quadrature",
+    2005).  ``mesh_density`` and ``mesh_weight`` evaluate on the rule as
+    broadcast sums over its axes; no node matrix is built.
     """
     center = np.atleast_1d(np.asarray(center, dtype=float))
     d = center.size
@@ -858,20 +837,59 @@ def gauss_hermite_nodes(center, cov, level: int = 40, lebesgue: bool = False) ->
     cov = np.asarray(cov, dtype=float)
     if cov.ndim == 0:
         cov = np.eye(d) * float(cov)
-    x, w, w_folded = _hermegauss(level)
+    x, _, w = _hermegauss(level)
     chol = np.linalg.cholesky(cov)
-    if lebesgue:
-        wts = _tensor(w_folded, d) * float(np.prod(np.diag(chol)))
-    else:
-        wts = _tensor(w / math.sqrt(2 * math.pi), d)
-    pts = np.empty((level,) * d + (d,))
-    for k in range(d):
-        pts[..., k] = x.reshape((level,) + (1,) * (d - 1 - k))
-    pts = pts.reshape(-1, d)
-    nodes = pts @ chol.T
-    del pts
-    nodes += center
-    return nodes, wts
+    wr = w * float(np.prod(np.diag(chol)))
+    for _ in range(d - 1):  # entry i is ((sqrt(det cov) w[i_0]) * w[i_1]) * ...
+        wr = np.multiply.outer(wr, w)
+    return wr.reshape(-1), x, center, chol
+
+
+def mesh_coords(rule, lower=None, shift=None) -> list:
+    """Entry i is shift_i + sum_{k <= i} lower_ik z_k on the rule's grid z, a
+    broadcast array over the axes k <= i; by default (the rule's Cholesky
+    factor and center) it is coordinate i of the nodes."""
+    _, x, center, chol = rule
+    d = center.size
+    lower, shift = (chol, center) if lower is None else (lower, shift)
+    axes = [x.reshape((x.size,) + (1,) * (d - 1 - k)) for k in range(d)]
+    return [sum((lower[i, k] * axes[k] for k in range(i + 1)), shift[i]) for i in range(d)]
+
+
+def mesh_density(rule, dist: "Distribution") -> np.ndarray:
+    """A Gaussian's density at the rule's nodes, flat.  For dist = N(m, P P^T)
+    its log at ``center + L z`` is log_norm - |y|^2, where y = b + A z with
+    A = P^-1 L / sqrt(2) lower-triangular and b = P^-1 (center - m) / sqrt(2)."""
+    if dist.family != "gaussian-multivariate":
+        raise DomainMismatchError("vector integrals need multivariate Gaussians")
+    _, _, center, chol = rule
+    pc = np.linalg.cholesky(dist.scale) * math.sqrt(2.0)
+    out = -0.5 * (center.size * math.log(math.pi)) - float(np.sum(np.log(np.diag(pc))))
+    a, b = np.linalg.solve(pc, chol), np.linalg.solve(pc, center - dist.center)
+    for y in mesh_coords(rule, a, b):
+        y *= y
+        out = out - y
+    return np.exp(out, out=out).reshape(-1)
+
+
+def mesh_weight(rule, wf: WeightFunction) -> np.ndarray:
+    """phi * wr at the rule's nodes, flat: exp(g . x) is exp of a linear form in
+    z, and a product weight's factor i is evaluated on coordinate i."""
+    wr, _, center, chol = rule
+    if wf.kind == "constant":
+        return wr * wf.c
+    g = wf.exp_rate_vector
+    if g is not None:  # g . x = g . center + (L^T g) . z, a last row that spans every axis
+        lower = np.zeros((center.size, center.size))
+        lower[-1] = chol.T @ g
+        out = mesh_coords(rule, lower, np.full(center.size, float(g @ center)))[-1]
+        out = np.exp(out, out=out).reshape(-1)
+        return np.multiply(out, wr, out=out)
+    if wf.kind == "product":
+        factors = [f(x) for f, x in zip(wf.factors, mesh_coords(rule))]
+        phi = functools.reduce(np.multiply, factors, 1.0)
+        return (phi * wr.reshape((rule[1].size,) * center.size)).reshape(-1)
+    raise DomainMismatchError(f"weight spec {wf.kind!r} is not defined on vector outcomes")
 
 
 # ---------------------------------------------------------------------------

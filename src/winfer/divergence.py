@@ -43,8 +43,11 @@ from .core import (
     IntegrationConfig,
     Support,
     WeightFunction,
+    _accepted,
     gauss_hermite_nodes,
     integrate,
+    mesh_density,
+    mesh_weight,
 )
 from .errors import (
     AlphabetTooLargeError,
@@ -237,34 +240,30 @@ def integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> list:
     return out
 
 
-def _mv_reference(p: Distribution, q: Distribution, wf: WeightFunction):
-    """Covering Gaussian (mean, cov) for vector-support quadrature."""
-    cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
-    mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
-    g = wf.exp_rate_vector
-    if g is not None:
-        mean = mean + cov @ g  # follow the exponential tilt of the mass
-    return mean, cov
-
-
 def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunction,
              level: int) -> tuple:
-    """(p, q, phi * wr) at the Gauss-Hermite nodes of one level, kept in
-    ``store[key]``.  ``wr`` are the rule's Lebesgue weights, so the integral of
-    g(p, q, phi) is ``sum(g(p, q, phi * wr))`` for every g linear in phi; as
-    ``wr > 0``, masks on ``phi > 0`` still hold.  The nodes are dropped, and
-    nothing in the mesh refers back to p or q."""
+    """(p, q, phi * wr, miss) on the Gauss-Hermite mesh of one level of the
+    covering Gaussian N(mean of p and q, cov p + cov q), shifted by cov g under
+    a weight exp(g . x), kept in ``store[key]``.  ``wr`` are the rule's
+    Lebesgue weights, so the integral of g(p, q, phi) is ``sum(g(p, q, phi *
+    wr))`` for every g linear in phi; as ``wr > 0``, masks on ``phi > 0``
+    still hold.  ``miss`` is the larger distance of sum(wr p) and sum(wr q)
+    from 1.  No node matrix is built, and nothing in the mesh refers back to
+    p or q."""
     mesh = store.get(key)
     if mesh is None:
-        mean, cov = _mv_reference(p, q, wf)
-        nodes, wr = gauss_hermite_nodes(mean, cov, level, lebesgue=True)
-        dp = p.density(nodes)
-        dq = dp if q is p else q.density(nodes)
-        mesh = store[key] = (dp, dq, wf.vector_values(nodes) * wr)
+        cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
+        mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
+        g = wf.exp_rate_vector
+        rule = gauss_hermite_nodes(mean if g is None else mean + cov @ g, cov, level)
+        dp = mesh_density(rule, p)
+        dq = dp if q is p else mesh_density(rule, q)
+        miss = max(abs(float(np.dot(rule[0], d)) - 1.0) for d in (dp, dq))
+        mesh = store[key] = (dp, dq, mesh_weight(rule, wf), miss)
     return mesh
 
 
-def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig) -> tuple:
+def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig):
     """(value, error) of one named integral on a vector support.  It sums g
     over the pair mesh of each level of ``_MV_LADDER`` in turn (a
     single-distribution integral over its distribution's (p, p) mesh) and
@@ -272,7 +271,8 @@ def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig) ->
     below; tv, whose integrand has a kink, starts at level 48.  The error is
     the last gap, floored at the roundoff bound of the pairwise sum,
     ceil(log2 N) eps sum |terms| (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, sec. 4.2)."""
+    Numerical Algorithms*, sec. 4.2).  A value is refused if its mesh misses 1
+    by more than ``_accepted`` allows a value of 1, or if it is not finite."""
     if role is None:
         p, q, tag = prob.p, prob.q, ()
     else:
@@ -280,12 +280,18 @@ def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig) ->
         tag = ("p" if prob.q is prob.p else role,)
     prev = None
     for level in _MV_LADDER[2 if name == "tv" else 0:]:
-        terms = g(*_mv_mesh(prob.memo, ("gauss-hermite", *tag, level), p, q, prob.wf, level))
+        *mesh, miss = _mv_mesh(prob.memo, ("gauss-hermite", *tag, level), p, q, prob.wf, level)
+        terms = g(*mesh)
         value = float(np.sum(terms))
         if prev is not None and (gap := abs(value - prev)) <= max(
                 cfg.abs_tol, cfg.rel_tol * abs(value)):
             break
         prev = value
+    if isinstance(_accepted(1.0, miss, cfg), NonConvergentIntegralError):
+        return NonConvergentIntegralError(
+            f"the level-{level} Gauss-Hermite mesh misses {miss:.3e} of a unit mass")
+    if not math.isfinite(value):
+        return NonConvergentIntegralError("integrand produced a non-finite value")
     roundoff = math.ceil(math.log2(terms.size)) * _EPS * float(np.sum(np.abs(terms)))
     return value, max(gap, roundoff)
 

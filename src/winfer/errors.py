@@ -10,7 +10,7 @@ class DomainMismatchError(WinferError):
 
 
 class NonConvergentIntegralError(WinferError):
-    """Quadrature/series budget exhausted with the error estimate above tolerance."""
+    """A budget exhausted above tolerance, a mesh missing its mass, or a float overflow."""
 
 
 class NoSamplerError(WinferError):

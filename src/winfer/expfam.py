@@ -40,10 +40,14 @@ from .core import (
     finite_difference_gradient,
     gauss_hermite_nodes,
     integrate,
+    mesh_coords,
+    mesh_density,
+    mesh_weight,
 )
 from .divergence import weight_mass as _numeric_weight_mass
 from .errors import (
     IllegalParameterError,
+    NonConvergentIntegralError,
     ParameterOutOfDomainError,
 )
 
@@ -300,6 +304,19 @@ def catalog_family(name: str, **params) -> ExpFamilyMember:
 # adjoint family (weight absorbed into the carrier)
 # ---------------------------------------------------------------------------
 
+def _overflow_refused(fn):
+    """``fn``, with an ``OverflowError`` of its float arithmetic (``math.exp``
+    or ``**`` past the float range) raised as the library's numerical error."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NonConvergentIntegralError(f"closed form overflows: {exc}") from None
+    return wrapper
+
+
+@_overflow_refused
 def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
                         theta: np.ndarray) -> Optional[float]:
     """Closed-form E_phi(theta) where the catalog provides one, else None."""
@@ -413,6 +430,7 @@ class AdjointFamily:
         return finite_difference_gradient(
             lambda th: self.log_weight_mass(np.atleast_1d(th)), theta, h=1e-6)
 
+    @_overflow_refused
     def _grad_log_weight_mass_closed(self, theta) -> Optional[np.ndarray]:
         wf, fam = self.wf, self.base
         if wf.kind == "constant":
@@ -617,10 +635,11 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
             out["E2"] = adj.wf.c * (cov + np.outer(mean, mean))
         else:
             # every moment on one level-48 rule: E1 = sum v x, E2 = sum v x x^T
-            nodes, wr = gauss_hermite_nodes(mean, 2.0 * cov, 48, lebesgue=True)
-            vals = adj.wf.vector_values(nodes) * dist.density(nodes) * wr
-            out["E1"] = vals @ nodes
-            out["E2"] = (nodes * vals[:, None]).T @ nodes
+            rule = gauss_hermite_nodes(mean, 2.0 * cov, 48)
+            v = (mesh_weight(rule, adj.wf) * mesh_density(rule, dist)).reshape((48,) * mean.size)
+            xs = mesh_coords(rule)
+            out["E1"] = np.array([np.sum(v * x) for x in xs])
+            out["E2"] = np.array([[np.sum(v * x * y) for y in xs] for x in xs])
     elif fam.name == "gamma":
         p = fam.from_natural(theta)
         lam, beta = p["lam"], p["beta"]
@@ -650,6 +669,7 @@ def _Phi_std(x: float) -> float:
     return 0.5 * (1.0 + erf(x / _SQRT2))
 
 
+@_overflow_refused
 def gaussian_tv_closed_form(a: float, wf: WeightFunction,
                             as_printed: bool = False) -> float:
     """Weighted TV between N(0,1) and N(a,1) for the three weight specs.

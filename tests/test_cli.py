@@ -294,6 +294,29 @@ class TestComputeReport:
         assert "error" in names["stein-sanov-limit"]
 
 
+    def test_large_vector_exponential_weight_exits_2_with_a_report(self, tmp_path):
+        """Under exp(40 x_0) the covering Gaussian follows the tilt 120 units
+        away, where p and q have no mass, and E_phi(p) = exp(800) is past the
+        float range: every quantity is an error record, and no closed form
+        raises OverflowError."""
+        names = ["tv", "delta", "hellinger", "kl", "shannon-entropy", "renyi-entropy",
+                 "chernoff-div"]
+        spec = {"schema": 1,
+                "distributions": [
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.0, 0.0], "cov": np.eye(2).tolist()}},
+                    {"family": "gaussian-multivariate",
+                     "params": {"mean": [0.5, 0.0], "cov": [[2.0, 0.0], [0.0, 1.0]]}}],
+                "weight": {"kind": "exponential", "gamma": [40, 0]},
+                "quantities": names, "alpha_grid": [0.5]}
+        path, out = tmp_path / "spec.json", tmp_path / "report.json"
+        path.write_text(json.dumps(spec))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["compute", str(path), "--reproducible", "--out", str(out)]) == 2
+        records = json.loads(out.read_text())["quantities"]
+        assert [r["name"].split("@")[0] for r in records] == names
+        assert all("misses" in r["error"] for r in records)
+
     def test_poisson_chernoff_coeff_is_a_series(self):
         spec = {"schema": 1,
                 "distributions": [{"family": "poisson", "params": {"lam": 2.0}},

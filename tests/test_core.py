@@ -14,9 +14,13 @@ from winfer.core import (
     finite_difference_gradient,
     gauss_hermite_nodes,
     integrate,
+    mesh_coords,
+    mesh_density,
+    mesh_weight,
     sample,
 )
 from winfer.errors import (
+    DomainMismatchError,
     IllegalParameterError,
     NoSamplerError,
     NonConvergentIntegralError,
@@ -49,8 +53,8 @@ class TestSupport:
         for d in (4, 5, 8):
             with pytest.raises(IllegalParameterError, match="d <= 3"):
                 gauss_hermite_nodes(np.zeros(d), np.eye(d), 2)
-        nodes, _ = gauss_hermite_nodes(np.zeros(3), np.eye(3), 2)
-        assert nodes.shape == (8, 3)
+        wr, x, _, chol = gauss_hermite_nodes(np.zeros(3), np.eye(3), 2)
+        assert wr.shape == (8,) and x.shape == (2,) and chol.shape == (3, 3)
         # the density of a d = 4 Gaussian needs no mesh and stays available
         assert Support.real_vector(4).d == 4
 
@@ -350,56 +354,103 @@ class TestLockstepIntegrate:
         assert max(seen) < 1000  # both stop: the series does not run to its term budget
 
 
-def _gauss_hermite_meshgrid(center, cov, level):
-    """Tensor rule built from full meshgrids, the construction the lean
-    ``gauss_hermite_nodes`` must reproduce bit for bit."""
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    d = center.size
-    x, w = np.polynomial.hermite_e.hermegauss(level)
-    w = w / math.sqrt(2 * math.pi)
-    xg = np.meshgrid(*([x] * d), indexing="ij")
-    wg = np.meshgrid(*([w] * d), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in xg], axis=-1)
-    wts = np.ones(pts.shape[0])
-    for g in wg:
-        wts = wts * g.reshape(-1)
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    return center + pts @ chol.T, wts
-
-
 class TestGaussHermiteNodes:
+    """The tensor rule in factored form, ``(wr, x, center, chol)``: the nodes
+    are center + chol z on the grid of the 1-D nodes x, wr their Lebesgue
+    weights; ``mesh_density`` and ``mesh_weight`` evaluate on it."""
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("level", [12, 48, 60])
-    def test_bit_identical_to_the_meshgrid_rule(self, d, level):
+    def test_bit_identical_to_the_meshgrid_rule(self, d, level, meshgrid_rule):
+        """The factors are the 1-D nodes, the center and the Cholesky factor,
+        and wr the meshgrid rule's weights over the closed form of its
+        reference density, ((sqrt(det cov) v_0) v_1) ... with v_k = w_k
+        exp(z_k^2 / 2), bit for bit; the coordinates that ``mesh_coords`` sums
+        are the meshgrid nodes within the roundoff of a d-term sum."""
         rng = np.random.default_rng(100 * d + level)
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.1 * np.eye(d)
         center = rng.normal(size=d)
-        nodes, wts = gauss_hermite_nodes(center, cov, level)
-        want_nodes, want_wts = _gauss_hermite_meshgrid(center, cov, level)
-        assert np.array_equal(nodes, want_nodes)
-        assert np.array_equal(wts, want_wts)
+        rule = gauss_hermite_nodes(center, cov, level)
+        wr, x, c, chol = rule
+        z, w = np.polynomial.hermite_e.hermegauss(level)
+        assert np.array_equal(x, z) and np.array_equal(c, center)
+        assert np.array_equal(chol, np.linalg.cholesky(cov))
+        want = np.full(level ** d, float(np.prod(np.diag(chol))))
+        for g in np.meshgrid(*([w * np.exp(0.5 * z * z)] * d), indexing="ij"):
+            want = want * g.reshape(-1)
+        assert np.array_equal(wr, want)
+        nodes, _ = meshgrid_rule(center, cov, level)
+        for i, xi in enumerate(mesh_coords(rule)):
+            got = np.broadcast_to(xi, (level,) * d).reshape(-1)
+            np.testing.assert_allclose(got, nodes[:, i], rtol=0,
+                                       atol=4 * d * np.finfo(float).eps * np.abs(nodes).max())
 
     def test_scalar_covariance_is_isotropic(self):
-        nodes, wts = gauss_hermite_nodes([0.5, -1.0], 2.0, 10)
-        want_nodes, want_wts = _gauss_hermite_meshgrid([0.5, -1.0], 2.0 * np.eye(2), 10)
-        assert np.array_equal(nodes, want_nodes) and np.array_equal(wts, want_wts)
-        assert wts.sum() == pytest.approx(1.0, rel=1e-13)
+        rule = gauss_hermite_nodes([0.5, -1.0], 2.0, 10)
+        want = gauss_hermite_nodes([0.5, -1.0], 2.0 * np.eye(2), 10)
+        assert all(np.array_equal(a, b) for a, b in zip(rule, want))
+        assert np.array_equal(rule[3], math.sqrt(2.0) * np.eye(2))
+        ref = Distribution.gaussian_mv([0.5, -1.0], 2.0 * np.eye(2))
+        assert np.sum(rule[0] * mesh_density(rule, ref)) == pytest.approx(1.0, rel=1e-13)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_lebesgue_weights_are_the_rule_over_the_density(self, d):
+    def test_lebesgue_weights_are_the_rule_over_the_density(self, d, meshgrid_rule):
         rng = np.random.default_rng(7 * d)
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.2 * np.eye(d)
         center = rng.normal(size=d)
-        nodes, wts = gauss_hermite_nodes(center, cov, 24)
-        got_nodes, wr = gauss_hermite_nodes(center, cov, 24, lebesgue=True)
-        assert np.array_equal(got_nodes, nodes)
+        nodes, wts = meshgrid_rule(center, cov, 24)
+        rule = gauss_hermite_nodes(center, cov, 24)
         ref = Distribution.gaussian_mv(center, cov).density(nodes)
-        np.testing.assert_allclose(wr, wts / ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rule[0], wts / ref, rtol=1e-12, atol=0)
         # a unit-mass density other than the reference integrates to 1
         other = Distribution.gaussian_mv(center + 0.3, 0.8 * cov)
-        assert np.sum(wr * other.density(nodes)) == pytest.approx(1.0, rel=1e-13)
+        assert np.sum(rule[0] * mesh_density(rule, other)) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("level", [12, 60])
+    def test_mesh_arrays_match_scipy_at_meshgrid_nodes(self, d, level, meshgrid_rule):
+        """p and q against ``scipy.stats.multivariate_normal.pdf``, and phi wr
+        against the weight evaluated on the node matrix times wr, wherever the
+        oracle exceeds 1e-250.  exp(-m/2) turns a rounding error e of the
+        Mahalanobis form m, in either the mesh or the oracle at the rounded
+        node, into a relative error e m / 2, so the bound is 1e-13 (1 + m / 2);
+        likewise 1e-13 (1 + |ln phi|) for the weight."""
+        from scipy.stats import multivariate_normal
+        rng = np.random.default_rng(10 * d + level)
+        for _ in range(3):
+            covs = []
+            for jitter in (0.2, 0.3):
+                a = rng.normal(size=(d, d))
+                covs.append(a @ a.T + jitter * np.eye(d))
+            means = rng.normal(size=(2, d))
+            g = 0.3 * rng.normal(size=d)
+            center = means.mean(axis=0) + sum(covs) @ g
+            rule = gauss_hermite_nodes(center, sum(covs), level)
+            nodes, _ = meshgrid_rule(center, sum(covs), level)
+            for mean, cov in zip(means, covs):
+                want = multivariate_normal(mean, cov).pdf(nodes).reshape(-1)
+                dev = nodes - mean
+                half_m = 0.5 * np.einsum("ni,ni->n", dev, np.linalg.solve(cov, dev.T).T)
+                ok = want > 1e-250
+                got = mesh_density(rule, Distribution.gaussian_mv(mean, cov))
+                assert np.all(np.abs(got - want)[ok] <= (1e-13 * (1 + half_m) * want)[ok])
+            factors = [WeightFunction.exponential(float(v)) for v in g]
+            for wf in (WeightFunction.exponential(g), WeightFunction.product(factors)):
+                want = wf(nodes) * rule[0]
+                bound = 1e-13 * (1 + np.abs(nodes @ g)) * want
+                assert np.all(np.abs(mesh_weight(rule, wf) - want) <= bound)
+            assert np.array_equal(mesh_weight(rule, WeightFunction.constant(2.5)), 2.5 * rule[0])
+
+    def test_only_gaussians_and_vector_weights_evaluate_on_a_mesh(self):
+        rule = gauss_hermite_nodes([0.0, 0.0], np.eye(2), 4)
+        custom = Distribution(support=Support.real_vector(2), pdf=lambda x: np.ones(len(x)))
+        with pytest.raises(DomainMismatchError, match="Gaussians"):
+            mesh_density(rule, custom)
+        for wf in (WeightFunction.polynomial([1.0, 0.0, 1.0]), WeightFunction.absolute()):
+            with pytest.raises(DomainMismatchError, match="vector outcomes"):
+                mesh_weight(rule, wf)
 
 
 class TestMultivariateGaussianDensity:

@@ -495,7 +495,8 @@ class TestWeightMassMemo:
                 ("gauss-hermite", "q", 32), ("gauss-hermite", "q", 40),
                 ("gauss-hermite", 48), ("gauss-hermite", 60)}
             for key, got in prob.memo.items():
-                kinds = {np.ndarray} if key[0] == "gauss-hermite" else {float}
+                # a mesh: p, q and phi wr, and the float miss of its unit masses
+                kinds = {np.ndarray, float} if key[0] == "gauss-hermite" else {float}
                 assert {type(v) for v in got} == kinds
             ref = weakref.ref(prob)
             del prob
@@ -606,12 +607,12 @@ class TestProblemMemo:
             first = report(prob)
             assert report(prob) == first == report(make())
 
-    def test_vector_mesh_matches_the_direct_rule(self):
-        """The folded mesh sums phi f wr with the closed-form Lebesgue weights
-        wr; the oracle is the plain rule sum(wts * f / ref), which evaluates
-        the covering Gaussian's density at every node.  tv reads the pair's
-        levels 48 and 60; kl then climbs levels 32 and 40 and stops there."""
-        from winfer.core import gauss_hermite_nodes
+    def test_vector_mesh_matches_the_direct_rule(self, meshgrid_rule):
+        """The factored mesh sums phi f wr with the closed-form Lebesgue weights
+        wr; the oracle is the plain rule sum(wts * f / ref) on a node matrix,
+        which evaluates phi, p, q and the covering Gaussian's density at every
+        node.  tv reads the pair's levels 48 and 60; kl then climbs levels 32
+        and 40 and stops there."""
         prob = self.vector_problem()
         got = weighted_tv(prob, CFG)
         assert set(prob.memo) == {("gauss-hermite", 60), ("gauss-hermite", 48),
@@ -620,8 +621,8 @@ class TestProblemMemo:
         def direct(level, g):
             cov = np.asarray(prob.p.scale) + np.asarray(prob.q.scale)
             mean = 0.5 * (prob.p.center + prob.q.center) + cov @ prob.wf.exp_rate_vector
-            nodes, wts = gauss_hermite_nodes(mean, cov, level)
-            f = prob.wf.vector_values(nodes) * g(prob.p.density(nodes), prob.q.density(nodes))
+            nodes, wts = meshgrid_rule(mean, cov, level)
+            f = prob.wf(nodes) * g(prob.p.density(nodes), prob.q.density(nodes))
             ref = Distribution.gaussian_mv(mean, cov).density(nodes)
             return float(np.sum(wts * (f / ref)))
         hi, lo = (direct(level, lambda p, q: np.abs(p - q)) for level in (60, 48))
@@ -633,13 +634,36 @@ class TestProblemMemo:
                                   ("tv", CFG), ("kl", CFG)}
         hi, lo = (direct(level, lambda p, q: p * np.log(p / q)) for level in (40, 32))
         assert got.value == pytest.approx(hi, rel=1e-13, abs=0)
-        assert got.error <= max(abs(hi - lo), 1e-13 * hi)
+        # each level's sum differs from the oracle's by roundoff, within 8 eps |hi|
+        assert got.error <= max(abs(hi - lo), 1e-13 * hi) + 16 * np.finfo(float).eps * hi
 
     def test_same_pair_evaluates_the_density_once(self):
         from winfer.divergence import _mv_mesh
         d = Distribution.gaussian_mv([0.1, 0.2], np.eye(2))
-        p, q, _ = _mv_mesh({}, "key", d, d, WeightFunction.constant(1.0), 12)
+        p, q, *_ = _mv_mesh({}, "key", d, d, WeightFunction.constant(1.0), 12)
         assert q is p
+
+    def test_pair_mesh_peaks_below_twice_its_arrays(self):
+        """A level-60 d = 3 pair mesh (216,000 nodes) holds p, q and phi wr;
+        building it allocates at most twice what it keeps, as no node matrix
+        or pointwise density call is made."""
+        import tracemalloc
+
+        from winfer.divergence import _mv_mesh
+        p = Distribution.gaussian_mv([0.0, 0.0, 0.0], np.eye(3))
+        q = Distribution.gaussian_mv([0.5, -0.2, 0.1], [[1.2, 0.1, 0.0], [0.1, 0.9, 0.0],
+                                                         [0.0, 0.0, 1.1]])
+        for wf in (WeightFunction.constant(1.0), WeightFunction.exponential([0.1, -0.2, 0.05])):
+            _mv_mesh({}, None, p, q, wf, 60)  # warm the 1-D rule's cache
+            tracemalloc.start()
+            try:
+                mesh = _mv_mesh({}, None, p, q, wf, 60)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = sum(a.nbytes for a in mesh[:3])
+            assert kept == 3 * 60 ** 3 * 8
+            assert peak <= 2 * kept
 
 
 class TestCrossingPoints:

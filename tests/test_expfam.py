@@ -18,10 +18,15 @@ from winfer.divergence import (
     weight_mass,
     weighted_tv,
 )
-from winfer.errors import IllegalParameterError, ParameterOutOfDomainError
+from winfer.errors import (
+    IllegalParameterError,
+    NonConvergentIntegralError,
+    ParameterOutOfDomainError,
+)
 from winfer.estimation import finite_difference_gradient
 from winfer.expfam import (
     CATALOG,
+    CLOSED_FORMS,
     AdjointFamily,
     adjoint_coefficients,
     bregman,
@@ -147,9 +152,9 @@ class TestCatalog:
         real = winfer.core.gauss_hermite_nodes
         meshes = []
 
-        def recorded(center, cov, level=40, lebesgue=False):
+        def recorded(center, cov, level=40):
             meshes.append((tuple(center), level))
-            return real(center, cov, level, lebesgue)
+            return real(center, cov, level)
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.startswith("winfer") \
                     and getattr(mod, "gauss_hermite_nodes", None) is real:
@@ -278,6 +283,30 @@ class TestAdjoint:
         adj = AdjointFamily(m.family, WeightFunction.exponential(1.5), CFG)
         with pytest.raises(Exception):
             adj.weight_mass(m.theta)
+
+    def test_overflowing_closed_forms_raise_the_numerical_error(self):
+        """A closed form past the float range (math.exp or ** of a Python float
+        raises OverflowError) raises ``NonConvergentIntegralError`` instead."""
+        m1 = catalog_family("gaussian-multivariate", mean=[0.0, 0.0], cov=np.eye(2))
+        m2 = catalog_family("gaussian-multivariate", mean=[0.5, 0.0],
+                            cov=np.diag([2.0, 1.0]))
+        adj = AdjointFamily(m1.family, WeightFunction.exponential([40.0, 0.0]), CFG)
+        for form in CLOSED_FORMS.values():  # E_phi(p) = exp(800)
+            with pytest.raises(NonConvergentIntegralError, match="overflows"):
+                form(adj, m1.theta, m2.theta, 0.5)
+        cases = [("poisson", {"lam": 10.0}, 5.0),  # exp(10 (e^5 - 1))
+                 ("gaussian-scalar", {"mu": 0.0, "sigma2": 1.0}, 40.0),  # exp(800)
+                 ("gamma", {"lam": 500.0, "beta": 1.0}, 0.9)]  # 10^500
+        for name, params, g in cases:
+            m = catalog_family(name, **params)
+            with pytest.raises(NonConvergentIntegralError, match="overflows"):
+                AdjointFamily(m.family, WeightFunction.exponential(g), CFG).weight_mass(m.theta)
+        m = catalog_family("poisson", lam=2.0)  # the gradient's exp(800)
+        with pytest.raises(NonConvergentIntegralError, match="overflows"):
+            AdjointFamily(m.family, WeightFunction.exponential(800.0), CFG) \
+                .grad_log_weight_mass(m.theta)
+        with pytest.raises(NonConvergentIntegralError, match="overflows"):
+            gaussian_tv_closed_form(0.5, WeightFunction.exponential(40.0))
 
 
 class TestBregman:
@@ -570,21 +599,27 @@ class TestVectorLadder:
         assert {k[-1] for k in prob.memo if k[0] == "gauss-hermite"} == {32, 40}
 
     @pytest.mark.parametrize("index", [1, 7])  # one d = 2, one d = 3 pair
-    def test_tv_is_the_fixed_two_level_rule_bit_for_bit(self, index):
-        """tv reads levels 48 and 60 only: the value at 60 and the gap to 48, as
-        the fixed rule that preceded the ladder computed them."""
-        from winfer.core import gauss_hermite_nodes
+    def test_tv_is_the_fixed_two_level_rule_bit_for_bit(self, index, meshgrid_rule):
+        """tv reads levels 48 and 60 only: the value at 60 and the gap to 48 of
+        the fixed rule that preceded the ladder, bit for bit on the factored
+        mesh.  On a node matrix (the meshgrid oracle) each level's sum agrees
+        within 8 eps of the sum of |terms|, its roundoff."""
+        from winfer.core import gauss_hermite_nodes, mesh_density, mesh_weight
         from winfer.divergence import integrals
         prob = _golden_mv_problems()[index][3]
         p, q, wf = prob.p, prob.q, prob.wf
+        cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
+        mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
+        mean = mean + cov @ wf.exp_rate_vector
 
         def at(level):
-            cov = np.asarray(p.scale, dtype=float) + np.asarray(q.scale, dtype=float)
-            mean = 0.5 * (np.asarray(p.center, dtype=float) + np.asarray(q.center, dtype=float))
-            mean = mean + cov @ wf.exp_rate_vector
-            nodes, wr = gauss_hermite_nodes(mean, cov, level, lebesgue=True)
-            dp, dq = p.density(nodes), q.density(nodes)
-            return float(np.sum(wf.vector_values(nodes) * wr * np.abs(dp - dq)))
+            rule = gauss_hermite_nodes(mean, cov, level)
+            terms = mesh_weight(rule, wf) * np.abs(mesh_density(rule, p) - mesh_density(rule, q))
+            nodes, wts = meshgrid_rule(mean, cov, level)
+            oracle = wf(nodes) * wts / Distribution.gaussian_mv(mean, cov).density(nodes) \
+                * np.abs(p.density(nodes) - q.density(nodes))
+            assert abs(np.sum(terms) - np.sum(oracle)) <= 8 * np.finfo(float).eps * np.sum(oracle)
+            return float(np.sum(terms))
         hi = at(60)
         assert integrals(prob, CFG, ["tv"])[0] == (hi, abs(hi - at(48)))
         assert weighted_tv(prob, CFG).value == 0.5 * hi
@@ -592,18 +627,52 @@ class TestVectorLadder:
 
     def test_stiff_pair_climbs_to_the_top_and_reports_the_gap(self):
         """A near-singular covariance (correlation 0.99) under the covering
-        Gaussian: kl never settles, so it reports level 60 and its gap to 48."""
+        Gaussian: kl never settles and climbs to level 60, where its gap to 48
+        is 1e-2 and the mesh holds p's unit mass only to 1e-3.  A mesh that
+        misses a unit mass by more than 1e-8, what ``_accepted`` allows a
+        value of 1, refuses the value instead of reporting it with the gap."""
         from winfer.divergence import _mv_mesh, _terms, integrals
         prob = HypothesisProblem(
             Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.99], [0.99, 1.0]]),
             Distribution.gaussian_mv([0.3, -0.2], np.eye(2)), WeightFunction.constant(1.0))
-        value, error = integrals(prob, CFG, ["kl"])[0]
+        with pytest.raises(NonConvergentIntegralError, match="level-60 Gauss-Hermite mesh misses"):
+            integrals(prob, CFG, ["kl"])
         assert {k[-1] for k in prob.memo if k[0] == "gauss-hermite"} == {32, 40, 48, 60}
         g = _terms("kl")[0]
-        hi, lo = (float(np.sum(g(*_mv_mesh({}, None, prob.p, prob.q, prob.wf, level))))
-                  for level in (60, 48))
-        assert (value, error) == (hi, abs(hi - lo))
-        assert error > CFG.rel_tol * abs(value)  # the tolerance was not met
+        (*hi, miss), (*lo, _) = (_mv_mesh({}, None, prob.p, prob.q, prob.wf, level)
+                                 for level in (60, 48))
+        gap = abs(float(np.sum(g(*hi))) - float(np.sum(g(*lo))))
+        assert gap > CFG.rel_tol and miss > 1e-8  # neither the tolerance nor the mass is met
+
+    @pytest.mark.parametrize("p_cov,q_mean,q_cov,gamma", [
+        ([[1.0, 0.999], [0.999, 1.0]], [0.3, -0.2], np.eye(2), None),
+        (0.01 * np.eye(2), [0.5, -0.2], np.eye(2), None),
+        (np.diag([1e-12, 1.0]), [0.5, 0.0], np.eye(2), None),
+        (np.eye(2), [0.5, 0.0], np.diag([2.0, 1.0]), [30.0, 0.0]),
+    ], ids=["correlation-0.999", "narrow-p", "degenerate-p", "exponential-30"])
+    def test_uncovered_pairs_are_refused(self, p_cov, q_mean, q_cov, gamma):
+        """Pairs whose covering Gaussian misses p or q by 0.26 to 1.0 of a unit
+        mass.  Read as values they gave kl 2.5109 +- 0.0138 (closed form
+        3.1726), 5.679 +- 0.063 (3.760), 0.0 +- 0.0 (13.72) and 0.0 +- 0.0."""
+        from winfer.divergence import integrals
+        wf = WeightFunction.constant(1.0) if gamma is None else WeightFunction.exponential(gamma)
+        prob = HypothesisProblem(Distribution.gaussian_mv([0.0, 0.0], p_cov),
+                                 Distribution.gaussian_mv(q_mean, q_cov), wf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergentIntegralError, match="misses"):
+                integrals(prob, CFG, ["kl"])
+
+    def test_non_finite_sum_is_refused(self):
+        """exp(1.1 x_0) near x_0 = 700 is past the float range on a mesh that
+        covers p and q: tv is refused, not reported as inf with error 0."""
+        from winfer.divergence import integrals
+        prob = HypothesisProblem(
+            Distribution.gaussian_mv([700.0, 0.0], np.eye(2)),
+            Distribution.gaussian_mv([700.5, 0.0], np.diag([2.0, 1.0])),
+            WeightFunction.exponential([1.1, 0.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergentIntegralError, match="non-finite"):
+                integrals(prob, CFG, ["tv"])
 
     def test_golden_gap_stays_at_its_gate(self):
         """ROADMAP item 4's gate: the expfam-golden ``max_rel_gap`` must not grow
