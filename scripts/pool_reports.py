@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Write the compute report of every compute-mix pool spec, or compare two sets.
+"""Write the outputs of the benchmark's compute, steinsanov and n-fold pools,
+or compare two sets.
 
     PYTHONPATH=src python3 scripts/pool_reports.py OUT_DIR [--against REF_DIR]
 
-Every variant of every cell of the benchmark's compute-mix pool
-(``perfbench.workloads.compute_spec``, read only) goes through the
-``compute`` report, and ``OUT_DIR/<cell>_v<variant>.json`` receives its exit
-code and report.  With ``--against``, each report is compared with the one of
-the same name in REF_DIR:
+Every variant of every cell of the benchmark's pools (``perfbench.workloads``,
+read only) is run, and ``OUT_DIR/<cell>_v<variant>.json`` receives its exit
+code and output: the ``compute`` report of each compute-mix spec, the
+``steinsanov --eta-sweep`` rows of each steinsanov spec (at the benchmark's
+n list), and the (n, lower, upper, exact) row of each n-fold table, exact NaN
+when the types are too many.  With ``--against``, each output is compared
+with the one of the same name in REF_DIR (a name REF_DIR lacks is counted
+and skipped).  For a steinsanov or n-fold output, a changed exit code or row
+count is an outcome flip, and every number is a value checked with
+``close()``.  For a compute report:
 
 * an outcome flip is a record that is a value on one side and an error on the
   other, a changed exit code or record list, or a bound check whose verdict
@@ -28,29 +34,71 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
-from perfbench.workloads import COMPUTE_CELLS, close, compute_spec  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    COMPUTE_CELLS, NFOLD_CELLS, STEIN_CELLS, STEIN_N_LIST, close, compute_spec, nfold_tables,
+    parse_stein_csv, stein_spec)
+from winfer import cli, testing  # noqa: E402
 from winfer.cli import _json_default, compute_report  # noqa: E402
-from winfer.errors import SchemaError  # noqa: E402
+from winfer.core import Distribution, IntegrationConfig, WeightFunction  # noqa: E402
+from winfer.divergence import HypothesisProblem  # noqa: E402
+from winfer.errors import SchemaError, WinferError  # noqa: E402
+
+
+def _compute(cell: str, v: int) -> dict:
+    try:
+        report, code = compute_report(compute_spec(cell, v))
+    except SchemaError as exc:
+        report, code = {"schema_error": str(exc)}, 1
+    return {"exit_code": code, "report": report}
+
+
+def _steinsanov(cell: str, v: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out.csv")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(stein_spec(cell, v), fh)
+        code = cli.main(["steinsanov", "--spec", spec, "--n-list", STEIN_N_LIST,
+                         "--eta-sweep", "--method", cell.split("/")[1], "--out", out])
+        rows = []
+        if code == 0:
+            with open(out, encoding="utf-8") as fh:
+                rows = parse_stein_csv(fh.read())
+    return {"exit_code": code, "rows": rows}
+
+
+def _nfold(cell: str, v: int) -> dict:
+    p, q, w, n = nfold_tables(cell, v)
+    prob = HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
+                             WeightFunction.table(w))
+    try:
+        b = testing.nfold_error_bounds(testing.ProductProblem(prob, n), IntegrationConfig())
+    except WinferError as exc:
+        return {"exit_code": 2, "rows": [], "error": str(exc)}
+    exact = math.nan if b.exact_inf is None else b.exact_inf
+    return {"exit_code": 0, "rows": [[n, b.lower, b.upper, exact]]}
+
+
+POOLS = ((COMPUTE_CELLS, _compute), (STEIN_CELLS, _steinsanov), (NFOLD_CELLS, _nfold))
+# file-name prefixes of the outputs compared row by row, for the summary
+ROW_POOLS = ("steinsanov_exact", "steinsanov_mc", "nfold")
 
 
 def write_reports(out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     n = 0
-    for cell, (size, _) in COMPUTE_CELLS.items():
-        for v in range(size):
-            try:
-                report, code = compute_report(compute_spec(cell, v))
-            except SchemaError as exc:
-                report, code = {"schema_error": str(exc)}, 1
-            path = os.path.join(out_dir, f"{cell.replace('/', '_')}_v{v}.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"exit_code": code, "report": report}, fh, sort_keys=True,
-                          indent=1, allow_nan=True, default=_json_default)
-            n += 1
+    for cells, run in POOLS:
+        for cell, (size, _) in cells.items():
+            for v in range(size):
+                path = os.path.join(out_dir, f"{cell.replace('/', '_')}_v{v}.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump(run(cell, v), fh, sort_keys=True, indent=1, allow_nan=True,
+                              default=_json_default)
+                n += 1
     return n
 
 
@@ -72,9 +120,27 @@ def _moved(a: float, b: float) -> float:
     return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
 
 
+def compare_rows(new: dict, ref: dict, name: str) -> tuple:
+    """compare() of a steinsanov or n-fold output: every number is a value
+    with no reported error."""
+    flips, moves, beyond = [], [], []
+    if new["exit_code"] != ref["exit_code"]:
+        flips.append(f"exit {ref['exit_code']} -> {new['exit_code']}")
+    if len(new["rows"]) != len(ref["rows"]):
+        return flips + ["row count changed"], moves, [], beyond
+    for i, (ra, rb) in enumerate(zip(new["rows"], ref["rows"])):
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            moves.append((_moved(a, b) / max(1.0, abs(b)), f"{name} row {i} column {j}"))
+            if moves[-1][0] > 0 and not close(a, b):
+                beyond.append(f"row {i} column {j}: {b!r} -> {a!r}")
+    return flips, moves, [], beyond
+
+
 def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
     """(flips, [(scaled move, where)], [(move over error, where)], [values
-    moved beyond ``close``]) of one report."""
+    moved beyond ``close``]) of one output."""
+    if "rows" in new:
+        return compare_rows(new, ref, name)
     flips, moves, err_moves, beyond = [], [], [], []
     if new["exit_code"] != ref["exit_code"]:
         flips.append(f"exit {ref['exit_code']} -> {new['exit_code']}")
@@ -125,10 +191,13 @@ def main() -> int:
     print(f"{n} reports written to {args.out_dir}")
     if not args.against:
         return 0
-    n_flips, n_beyond, notes, moves, err_moves = 0, 0, [], [], []
+    n_flips, n_beyond, notes, moves, err_moves, unmatched = 0, 0, [], [], [], 0
     for fname in sorted(os.listdir(args.out_dir)):
         with open(os.path.join(args.out_dir, fname), encoding="utf-8") as fh:
             new = json.load(fh)
+        if not os.path.exists(os.path.join(args.against, fname)):
+            unmatched += 1
+            continue
         with open(os.path.join(args.against, fname), encoding="utf-8") as fh:
             ref = json.load(fh)
         flips, m, em, beyond = compare(new, ref, fname[:-len(".json")], notes)
@@ -142,12 +211,19 @@ def main() -> int:
         err_moves += em
     for note in notes:
         print(f"note {note}")
-    moved = [m for m in moves if m[0] > 0]
+    if unmatched:
+        print(f"outputs not in {args.against}, skipped: {unmatched}")
     print(f"outcome flips: {n_flips}")
     print(f"values moved beyond the benchmark's check: {n_beyond}")
-    print(f"numbers compared: {len(moves)}, moved: {len(moved)}")
-    if moved:
-        print("largest move / max(1, |v|): %.3g at %s" % max(moved))
+    by_pool = {}
+    for m in moves:
+        pool = next((p for p in ROW_POOLS if m[1].startswith(p)), "compute")
+        by_pool.setdefault(pool, []).append(m)
+    for pool, mine in sorted(by_pool.items()):
+        moved = [m for m in mine if m[0] > 0]
+        print(f"{pool}: numbers compared: {len(mine)}, moved: {len(moved)}")
+        if moved:
+            print("  largest move / max(1, |v|): %.3g at %s" % max(moved))
     finite = [m for m in err_moves if math.isfinite(m[0])]
     if finite:
         print("largest value move / reported error: %.3g at %s" % max(finite))

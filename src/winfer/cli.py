@@ -215,6 +215,9 @@ def _check_weight_fits(wf: WeightFunction, dist: Distribution) -> None:
                           f"{g.size}-vector distributions, not {dist.family!r}")
     if wf.kind == "table" and sup.kind != "finite":
         raise SchemaError(f"a table weight needs pmf distributions, not {dist.family!r}")
+    if sup.kind == "real-vector" and wf.kind != "constant" and g is None:
+        raise SchemaError(f"{dist.family!r} takes a constant or a length-{sup.d} "
+                          f"exponential weight, not {wf.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -279,14 +279,16 @@ def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig):
         p = q = prob.p if role == "p" else prob.q
         tag = ("p" if prob.q is prob.p else role,)
     prev = None
-    for level in _MV_LADDER[2 if name == "tv" else 0:]:
-        *mesh, miss = _mv_mesh(prob.memo, ("gauss-hermite", *tag, level), p, q, prob.wf, level)
-        terms = g(*mesh)
-        value = float(np.sum(terms))
-        if prev is not None and (gap := abs(value - prev)) <= max(
-                cfg.abs_tol, cfg.rel_tol * abs(value)):
-            break
-        prev = value
+    # a weight that overflows gives a non-finite value, refused below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for level in _MV_LADDER[2 if name == "tv" else 0:]:
+            *mesh, miss = _mv_mesh(prob.memo, ("gauss-hermite", *tag, level), p, q, prob.wf, level)
+            terms = g(*mesh)
+            value = float(np.sum(terms))
+            if prev is not None and (gap := abs(value - prev)) <= max(
+                    cfg.abs_tol, cfg.rel_tol * abs(value)):
+                break
+            prev = value
     if isinstance(_accepted(1.0, miss, cfg), NonConvergentIntegralError):
         return NonConvergentIntegralError(
             f"the level-{level} Gauss-Hermite mesh misses {miss:.3e} of a unit mass")

@@ -22,7 +22,6 @@ only asserted under the weight-mass condition making its proof sound
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -228,18 +227,18 @@ def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
 def _types(n: int, m: int) -> tuple:
     """The (C, m) float table of the types (counts k >= 0, sum k = n) in
     lexicographic order, C = comb(n+m-1, m-1), and ln n! - sum ln k_i! per type.
-    Stars and bars: m-1 bars take m-1 of n+m-1 slots; the gaps are the counts."""
+    Step j repeats each row once per count of letter j; column j+1 keeps the rest."""
     size = math.comb(n + m - 1, m - 1)
     if size > _COMPOSITION_CAP or size * m > _TYPE_CELL_CAP:
         raise EnumerationTooLargeError("too many symbol-count compositions")
-    if m == 1:
-        counts = np.full((1, 1), float(n))
-    else:
-        bars = np.full((size, m + 1), n + m - 1, dtype=np.intp)
-        bars[:, 0] = -1
-        bars[:, 1:m] = np.fromiter(itertools.combinations(range(n + m - 1), m - 1),
-                                   dtype=np.dtype((np.intp, m - 1)), count=size)
-        counts = (np.diff(bars, axis=1) - 1).astype(float)
+    counts = np.zeros((1, m))
+    counts[0, 0] = n
+    for j in range(m - 1):
+        reps = counts[:, j].astype(np.intp) + 1
+        k = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        counts = np.repeat(counts, reps, axis=0)
+        counts[:, j + 1] = counts[:, j] - k
+        counts[:, j] = k
     return counts, gammaln(n + 1) - gammaln(counts + 1.0).sum(axis=1)
 
 
@@ -390,10 +389,12 @@ def stein_sanov_empirical(pp: ProductProblem, etas, method: str,
     The weighted type-II loss of the rule equals
     E_phi(p)^n E_{pi^n}[ 1_window exp(-sum z_i) ]; the exact branch sums it by
     multinomial enumeration over symbol counts, the Monte Carlo branch samples
-    from the tilted pmf.  One enumeration or one draw serves every eta, and
-    each estimate equals the one a call with that eta alone returns.  The
-    attained type-I level is reported relative to E_phi(p)^n.  ``_logsumexp``
-    repeats scipy's, so the bits no longer depend on the scipy version.
+    from the tilted pmf and reads the draw through its distinct sums s of z and
+    their counts c (a sum depends only on the type), as ln sum c e^-s.  One
+    enumeration or one draw per n serves every eta, and each estimate equals
+    the one a call with that eta alone returns.  The attained type-I level is
+    reported relative to E_phi(p)^n.  ``_logsumexp`` repeats scipy's, so the
+    bits no longer depend on the scipy version.
     """
     base = pp.base
     n = pp.n
@@ -423,14 +424,15 @@ def stein_sanov_empirical(pp: ProductProblem, etas, method: str,
                     1.0 - float(np.exp(_logsumexp(ll_pi[inside]))))
     elif method == "mc":
         rng = np.random.default_rng(np.random.SeedSequence(mc_seed))
-        zsum = rng.multinomial(n, tp.pi, size=mc_samples).astype(float) @ z
-        dev, neg_zsum = np.abs(zsum / n - target), -zsum
+        sums, hits = np.unique(rng.multinomial(n, tp.pi, size=mc_samples).astype(float) @ z,
+                               return_counts=True)
+        dev, log_terms = np.abs(sums / n - target), np.log(hits) - sums
         empty, label = "no Monte Carlo mass in the LLN window", "monte-carlo"
 
         def rate_alpha(inside):
-            # E_{pi^n}[1_window e^{-sum z}] in log space
-            log_mean = _logsumexp(neg_zsum[inside]) - math.log(mc_samples)
-            return math.log(tp.ep) + log_mean / n, 1.0 - np.count_nonzero(inside) / mc_samples
+            # E_{pi^n}[1_window e^{-sum z}] in log space, each distinct sum once
+            log_mean = _logsumexp(log_terms[inside]) - math.log(mc_samples)
+            return math.log(tp.ep) + log_mean / n, 1.0 - int(hits[inside].sum()) / mc_samples
     else:
         raise IllegalParameterError(f"unknown method {method!r}")
 

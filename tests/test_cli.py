@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,12 @@ MALFORMED_SPECS = {
     "vector gamma of wrong length": _spec_with(
         distributions=_two("gaussian-multivariate", _MV, _MV),
         weight={"kind": "exponential", "gamma": [0.1, 0.2, 0.3]}),
+    **{f"{kind} weight, vector support": _spec_with(
+        distributions=_two("gaussian-multivariate", _MV, _MV), weight=weight)
+       for kind, weight in (("absolute", {"kind": "absolute"}),
+                            ("quadratic", {"kind": "quadratic", "b": 0.0, "c": 1.0}),
+                            ("polynomial", {"kind": "polynomial", "coeffs": [1.0, 0.0, 1.0]}),
+                            ("scalar exponential", {"kind": "exponential", "gamma": 0.1}))},
     "pair on two outcome spaces": _spec_with(distributions=[
         {"family": "gaussian-scalar", "params": {"mu": 0.0, "sigma2": 1.0}},
         {"family": "exponential", "params": {"lam": 2.0}}]),
@@ -297,8 +304,8 @@ class TestComputeReport:
     def test_large_vector_exponential_weight_exits_2_with_a_report(self, tmp_path):
         """Under exp(40 x_0) the covering Gaussian follows the tilt 120 units
         away, where p and q have no mass, and E_phi(p) = exp(800) is past the
-        float range: every quantity is an error record, and no closed form
-        raises OverflowError."""
+        float range: every quantity is an error record, no closed form raises
+        OverflowError, and numpy warns of no overflow or invalid value."""
         names = ["tv", "delta", "hellinger", "kl", "shannon-entropy", "renyi-entropy",
                  "chernoff-div"]
         spec = {"schema": 1,
@@ -311,7 +318,8 @@ class TestComputeReport:
                 "quantities": names, "alpha_grid": [0.5]}
         path, out = tmp_path / "spec.json", tmp_path / "report.json"
         path.write_text(json.dumps(spec))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(), np.errstate(all="warn", under="ignore"):
+            warnings.simplefilter("error")
             assert main(["compute", str(path), "--reproducible", "--out", str(out)]) == 2
         records = json.loads(out.read_text())["quantities"]
         assert [r["name"].split("@")[0] for r in records] == names

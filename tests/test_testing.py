@@ -1,5 +1,6 @@
 """Optimal weighted error-losses, bound chains, products, and the exponent."""
 
+import itertools
 import math
 
 import mpmath
@@ -47,6 +48,20 @@ def compositions(n, m):
             yield (first,) + rest
 
 
+def stars_and_bars(n, m):
+    """The (C, m) float table of ``compositions(n, m)``: m - 1 bars take m - 1
+    of n + m - 1 slots in ``itertools.combinations`` order, and the gaps
+    between them are the counts."""
+    if m == 1:
+        return np.full((1, 1), float(n))
+    size = math.comb(n + m - 1, m - 1)
+    bars = np.full((size, m + 1), n + m - 1, dtype=np.intp)
+    bars[:, 0] = -1
+    bars[:, 1:m] = np.fromiter(itertools.combinations(range(n + m - 1), m - 1),
+                               dtype=np.dtype((np.intp, m - 1)), count=size)
+    return (np.diff(bars, axis=1) - 1).astype(float)
+
+
 def product_problem_explicit(pp):
     """The n-fold product problem over the m^n product alphabet (Kronecker tables)."""
     p, q, w = pp.base.tables()
@@ -91,6 +106,23 @@ class TestTypes:
         log_sizes = [math.log(math.factorial(n) // math.prod(math.factorial(int(v)) for v in k))
                      for k in want]
         assert log_coef == pytest.approx(log_sizes, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equals_stars_and_bars_bit_for_bit(self, m):
+        """Every n <= 60 the caps admit, and the benchmark's n at m = 2 and 3."""
+        checked = 0
+        for n in list(range(61)) + ([100, 200] if m in (2, 3) else []):
+            size = math.comb(n + m - 1, m - 1)
+            if size > testing._COMPOSITION_CAP or size * m > testing._TYPE_CELL_CAP:
+                with pytest.raises(EnumerationTooLargeError):
+                    testing._types(n, m)
+                continue
+            counts, _ = testing._types(n, m)
+            want = stars_and_bars(n, m)
+            assert counts.dtype == want.dtype and counts.shape == want.shape
+            assert counts.tobytes() == want.tobytes(), (n, m)
+            checked += 1
+        assert checked >= 20
 
     def test_zero_mass_letter(self):
         counts, log_coef = testing._types(3, 2)
@@ -524,6 +556,30 @@ class TestSteinSanov:
             log_mean = float(logsumexp(-zsum[inside])) - math.log(draws)
             assert est.rate_estimate == math.log(tp.ep) + log_mean / n
             assert est.alpha_attained == 1.0 - float(np.mean(inside))
+
+    def test_mc_rows_equal_scipy_logsumexp_over_the_draw(self):
+        """Summing over the distinct sums of a draw moves each rate by ulps from
+        scipy's logsumexp over its samples, and no attained level at all."""
+        rng = np.random.default_rng(2020)
+        rows, draws = 0, 5_000
+        for trial in range(60):
+            prob = random_interior_finite_problem(rng, int(rng.integers(2, 5)))
+            n = int(rng.integers(20, 201))
+            tp = TiltedPair.from_problem(prob, CFG)
+            zsum = np.random.default_rng(np.random.SeedSequence(trial)).multinomial(
+                n, tp.pi, size=draws).astype(float) @ tp.z
+            dev = np.abs(zsum / n - tp.mean_pi)
+            etas = [eta for eta in (0.3, 0.1, 0.03, 0.01) if np.any(dev <= eta)]
+            got = stein_sanov_empirical(ProductProblem(prob, n), etas, "mc", CFG,
+                                        mc_samples=draws, mc_seed=trial)
+            for est, eta in zip(got, etas):
+                inside = dev <= eta
+                want = math.log(tp.ep) + (float(logsumexp(-zsum[inside]))
+                                          - math.log(draws)) / n
+                assert abs(est.rate_estimate - want) <= 1e-13 * abs(want), (trial, eta)
+                assert est.alpha_attained == 1.0 - float(np.mean(inside))
+                rows += 1
+        assert rows >= 200
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, math.nan])
     def test_refuses_eta_not_above_zero(self, eta):
