@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Weighted Cramer-Rao experiment on the Gaussian shift family.
+"""Weighted Cramer-Rao experiment on the Gaussian shift and scale families.
 
 The sample mean attains the version-A bound exactly under the exponential
 weight; the bias-corrected mean sits strictly between the version-A bound and
-the mean's equality value.  Also runs the van Trees versions A and C.
+the mean's equality value.  Also runs the van Trees versions A and C, and the
+version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1.
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
 (``passed_3sigma`` false) or if a row that carries the closed-form
@@ -20,12 +21,15 @@ from winfer.cli import main as winfer_main
 
 
 def main() -> int:
-    args = ["cramer-rao", "--family", "gaussian-shift", "--phi-gamma", "0.5",
-            "--n", "5", "--trials", "1000000", "--theta", "0.0",
-            "--sigma", "1.0", "--seed", "42", "--van-trees",
-            "--prior-var", "1.0", "--reproducible"]
+    shared = ["--phi-gamma", "0.5", "--n", "5", "--trials", "1000000", "--seed", "42",
+              "--reproducible"]
+    shift = ["cramer-rao", "--family", "gaussian-shift", "--theta", "0.0", "--sigma", "1.0",
+             "--van-trees", "--prior-var", "1.0"] + shared
+    runs = {"mean": shift, "shifted-mean": shift,
+            "scale-abs-mean": ["cramer-rao", "--family", "gaussian-scale", "--theta", "1"]
+            + shared}
     failed = 0
-    for est in ("mean", "shifted-mean"):
+    for est, args in runs.items():
         print(f"# estimator = {est}")
         text = io.StringIO()
         with contextlib.redirect_stdout(text):

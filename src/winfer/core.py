@@ -99,10 +99,6 @@ class Support:
         elif self.kind not in ("real-line", "half-line", "counting"):
             raise IllegalParameterError(f"unknown support kind {self.kind!r}")
 
-    @property
-    def reference_measure(self) -> str:
-        return "counting" if self.kind in ("finite", "counting") else "lebesgue"
-
     def same_space(self, other: "Support") -> bool:
         if self.kind != other.kind:
             return False

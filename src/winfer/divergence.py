@@ -258,7 +258,8 @@ def _mv_mesh(store: dict, key, p: Distribution, q: Distribution, wf: WeightFunct
         rule = gauss_hermite_nodes(mean if g is None else mean + cov @ g, cov, level)
         dp = mesh_density(rule, p)
         dq = dp if q is p else mesh_density(rule, q)
-        miss = max(abs(float(np.dot(rule[0], d)) - 1.0) for d in (dp, dq))
+        # einsum, not a threaded BLAS dot: its bits do not depend on the thread count
+        miss = max(abs(float(np.einsum("i,i->", rule[0], d)) - 1.0) for d in (dp, dq))
         mesh = store[key] = (dp, dq, mesh_weight(rule, wf), miss)
     return mesh
 

@@ -7,6 +7,12 @@ n i.i.d. observations carry the product weight prod_i phi(x_i).  Monte Carlo
 estimates of the weighted quadratic deviation report their standard error, and
 every bound assertion in the test-suites is made at 3 standard errors.
 
+The Monte Carlo has one path (``_mc_sums``): each chunk of draws is reduced
+once to row statistics, S = sum_i x_i and A = sum_i |x_i|, that every theta
+reads.  It runs the Gaussian shift and scale families with the weight
+e^{gamma x} or a constant, and refuses anything else before any work; every
+bound also reports its lhs in closed form (``lhs_exact``).
+
 Regularity is not assumed silently: ``check_regularity`` verifies the two
 interchange identities (grad E = int phi grad p and int grad p = 0), and every
 bound checks them at its theta first, aborting with a diagnostic rather than
@@ -25,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.special import erf
 
 from .core import (
     Distribution,
@@ -68,21 +75,11 @@ __all__ = [
 ]
 
 _MC_CHUNK = 250_000
-_MC_PIECE = 62_500
 
 
 def _is_scalar_exponential(wf: WeightFunction) -> bool:
     """phi(x) = e^{gamma x} with scalar gamma: log prod_i phi(x_i) = gamma * sum_i x_i."""
     return wf.kind == "exponential" and np.ndim(wf.gamma) == 0
-
-
-def _check_sizes(model, n: int, trials: int) -> None:
-    if model.d != 1:
-        raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    if n < 1:
-        raise IllegalParameterError("n must be >= 1")
-    if trials < 2:
-        raise IllegalParameterError("trials must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -154,14 +151,9 @@ def poisson_log_mean_model() -> ParametricModel:
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Estimator over n-tuples with optional analytic weighted-bias data.
-
-    ``fn`` maps a (T, n) block of samples to the T estimates.  ``sum_offset``,
-    when given, declares them S/n + ``sum_offset`` with S = sum_i x_i, bit for
-    bit equal to ``fn``: the Monte Carlo then sums each sample row once, and on
-    the Gaussian shift family with a scalar exponential weight, whose log
-    product weight is gamma * S, it reads each theta in closed form from one
-    draw of S (``_on_sum``).
+    """Estimator over n-tuples, coef * T / n + offset, of the one row statistic
+    T it reads (``statistic``): S = sum_i x_i or A = sum_i |x_i|; with optional
+    analytic weighted-bias data.
 
     ``bias``/``bias_prime`` refer to the plain-weight decomposition
     W = E(theta)^n theta + b(theta); ``c``/``c_prime`` to the square-root
@@ -171,26 +163,13 @@ class EstimatorSpec:
     """
 
     name: str
-    fn: Callable                            # (T, n) samples -> (T,) estimates
+    statistic: str = "S"                    # "S" = sum_i x_i, "A" = sum_i |x_i|
+    coef: float = 1.0
+    offset: float = 0.0
     bias: Optional[Callable] = None
     bias_prime: Optional[Callable] = None
     c: Optional[Callable] = None
     c_prime: Optional[Callable] = None
-    sum_offset: Optional[float] = None      # estimates = S/n + sum_offset
-
-
-def _sample_mean(xs):
-    return xs.mean(axis=1)
-
-
-def _row_sums(xs: np.ndarray) -> np.ndarray:
-    """xs.sum(axis=1) by column adds, ~3x faster than numpy's reduction over a
-    short last axis; bit for bit equal to it for n < 8, where numpy's pairwise
-    summation adds left to right."""
-    out = xs[:, 0].copy()
-    for j in range(1, xs.shape[1]):
-        out += xs[:, j]
-    return out
 
 
 def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
@@ -199,8 +178,7 @@ def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
     one (unbiased: every bias term is 0)."""
     if model.name == "gaussian-shift" and wf.kind == "constant":
         zero = lambda th, n: 0.0
-        return EstimatorSpec(name="mean", fn=_sample_mean, sum_offset=0.0,
-                             bias=zero, bias_prime=zero, c=zero, c_prime=zero)
+        return EstimatorSpec(name="mean", bias=zero, bias_prime=zero, c=zero, c_prime=zero)
     if model.name == "gaussian-shift" and _is_scalar_exponential(wf):
         g = float(wf.gamma)
         # sigma^2 backed out of the model's distribution at theta = 0
@@ -213,12 +191,12 @@ def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
             return math.exp(n * (th * g / 2.0 + s2 * g * g / 8.0))
 
         return EstimatorSpec(
-            name="mean", fn=_sample_mean, sum_offset=0.0,
+            name="mean",
             bias=lambda th, n: g * s2 * _mass(th, n),
             bias_prime=lambda th, n: n * g * g * s2 * _mass(th, n),
             c=lambda th, n: 0.5 * s2 * g * _smass(th, n),
             c_prime=lambda th, n: 0.25 * n * s2 * g * g * _smass(th, n))
-    return EstimatorSpec(name="mean", fn=_sample_mean, sum_offset=0.0)
+    return EstimatorSpec(name="mean")
 
 
 def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
@@ -234,8 +212,7 @@ def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> Estima
         return math.exp(n * (th * g / 2.0 + s2 * g * g / 8.0))
 
     return EstimatorSpec(
-        name="shifted-mean", fn=lambda xs: xs.mean(axis=1) - s2 * g,
-        sum_offset=-s2 * g,
+        name="shifted-mean", offset=-s2 * g,
         bias=lambda th, n: 0.0,
         bias_prime=lambda th, n: 0.0,
         c=lambda th, n: -0.5 * s2 * g * _smass(th, n),
@@ -245,9 +222,7 @@ def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> Estima
 def scale_abs_mean_estimator() -> EstimatorSpec:
     """sqrt(pi/2) mean |X_i|: unbiased for the Gaussian scale parameter when
     phi == 1; weighted bias handled by Monte Carlo differencing."""
-    return EstimatorSpec(
-        name="scale-abs-mean",
-        fn=lambda xs: math.sqrt(math.pi / 2.0) * (_row_sums(np.abs(xs)) / xs.shape[1]))
+    return EstimatorSpec(name="scale-abs-mean", statistic="A", coef=math.sqrt(math.pi / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -431,45 +406,57 @@ def kl_expansion_check(model: ParametricModel, wf: WeightFunction, theta: float,
 # Monte Carlo weighted quadratic deviation
 # ---------------------------------------------------------------------------
 
-def _weighted_values(wf: WeightFunction, est: EstimatorSpec, xs: np.ndarray,
-                     theta: float, deviation: bool = True) -> np.ndarray:
-    """Per row of the (T, n) block xs: phi^{(n)}(x) (theta*(x) - theta)^2, or
-    phi^{(n)}(x) theta*(x) with ``deviation=False``.
+# A chunk of draws is reduced once to row statistics, and every theta reads
+# them.  The weight is phi(x) = c e^{gamma x} (e^{gamma x}, or a constant c as
+# gamma = 0), so phi^{(n)} = c^n e^{gamma S}, and an estimator is
+# coef * T / n + offset with T = S or A (``EstimatorSpec``).  The Gaussian shift
+# family draws D = S - n theta = sigma sqrt(n) Z directly, and carries S only;
+# the Gaussian scale family draws one standard-normal (t, n) block, whose row
+# sums sum z and sum |z| give S = theta sum z and A = theta sum |z|.
 
-    Each row is summed once, for the exponential weight (log phi^{(n)} =
-    gamma * sum, no phi evaluated) and for an estimator that declares
-    ``sum_offset``.
-    """
-    exponential = _is_scalar_exponential(wf)
-    s = _row_sums(xs) if exponential or est.sum_offset is not None else None
-    if exponential:
-        lw = float(wf.gamma) * s
-    else:
-        with np.errstate(divide="ignore"):
-            lw = _row_sums(np.log(wf(xs)))
-    estimate = est.fn(xs) if est.sum_offset is None else s / xs.shape[1] + est.sum_offset
-    return np.exp(lw) * ((estimate - theta) ** 2 if deviation else estimate)
+# the row statistics each model's draw carries
+_STATISTICS = {"gaussian-shift": ("S",), "gaussian-scale": ("S", "A")}
 
 
-def _on_sum(model, wf, est) -> bool:
-    """A sample enters only through S = sum_i x_i ~ N(n theta, n sigma^2): Gaussian
-    shift family, log phi^{(n)} = gamma S, and an estimator with ``sum_offset``."""
-    return model.name == "gaussian-shift" and _is_scalar_exponential(wf) \
-        and est.sum_offset is not None
+def _weight_rate(model, wf, est) -> tuple:
+    """(gamma, c) with phi(x) = c e^{gamma x}.  IllegalParameterError for any
+    other weight, for a model with no draw, and for an estimator whose
+    statistic the draw does not carry (on the shift family, S / n + offset)."""
+    if est.statistic not in _STATISTICS.get(model.name, ()) or (
+            model.name == "gaussian-shift" and est.coef != 1.0):
+        raise IllegalParameterError(
+            f"no Monte Carlo path for the {est.name} estimator on {model.name}")
+    if _is_scalar_exponential(wf):
+        return float(wf.gamma), 1.0
+    if wf.kind == "constant":
+        return 0.0, float(wf.c)
+    raise IllegalParameterError(f"no Monte Carlo path for the {wf.kind} weight")
 
 
-def _sum_moments(model, wf, est, n, t, rng, deviation: bool = True) -> np.ndarray:
+def _check_mc_inputs(model, wf, est, n: int, trials: int) -> None:
+    """Refuse, before any integral or draw, what the Monte Carlo cannot run."""
+    if model.d != 1:
+        raise IllegalParameterError("deviation bounds implemented for scalar theta")
+    if n < 1:
+        raise IllegalParameterError("n must be >= 1")
+    if trials < 2:
+        raise IllegalParameterError("trials must be >= 2")
+    _weight_rate(model, wf, est)
+
+
+def _sum_moments(model, est, g, n, t, rng, deviation: bool = True) -> np.ndarray:
     """[sum F | sum F F^T], an (m, 1 + m) array, over one draw of t values of
-    D = sigma sqrt(n) Z on ``_on_sum``'s path.  There S = n theta + D, phi^{(n)} =
-    e^{gamma n theta} e^{gamma D} and theta* - theta = r = D/n + ``sum_offset`` at
-    every theta, so the value at theta is e^{gamma n theta} F with F = e^{gamma D} r^2,
-    or with ``deviation=False`` e^{gamma n theta} (theta, 1) . F with F =
-    (e^{gamma D}, e^{gamma D} r); the arithmetic runs in place on three t-long buffers."""
-    r = rng.standard_normal(t)  # D, until r = D/n + sum_offset is formed
+    D = sigma sqrt(n) Z on the shift family.  There S = n theta + D, phi^{(n)} =
+    c^n e^{gamma n theta} e^{gamma D} and theta* - theta = r = D/n + offset at
+    every theta, so the value at theta is c^n e^{gamma n theta} F with
+    F = e^{gamma D} r^2, or with ``deviation=False`` c^n e^{gamma n theta}
+    (theta, 1) . F with F = (e^{gamma D}, e^{gamma D} r) (``_mc_sums`` applies
+    the c^n); the arithmetic runs in place on three t-long buffers."""
+    r = rng.standard_normal(t)  # D, until r = D/n + offset is formed
     r *= math.sqrt(n * model.make_distribution(0.0).params["sigma2"])
-    tilt = np.exp(float(wf.gamma) * r)
+    tilt = np.exp(g * r)
     r /= n
-    r += est.sum_offset
+    r += est.offset
     if deviation:
         r *= r
     r *= tilt
@@ -478,27 +465,50 @@ def _sum_moments(model, wf, est, n, t, rng, deviation: bool = True) -> np.ndarra
                                           for h in feats] for f in feats])
 
 
-def _exact_lhs(model, wf, est, n, thetas, weights) -> Optional[float]:
-    """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] on ``_on_sum``'s path,
-    else None: E e^{gamma D} = e^{n gamma^2 sigma^2 / 2}, and under that tilt
-    r ~ N(gamma sigma^2 + ``sum_offset``, sigma^2 / n)."""
-    if not _on_sum(model, wf, est):
-        return None
-    g, s2 = float(wf.gamma), model.make_distribution(0.0).params["sigma2"]
-    mass = np.exp(g * n * np.asarray(thetas, dtype=float) + n * g * g * s2 / 2.0)
-    return float(np.dot(weights, mass * ((g * s2 + est.sum_offset) ** 2 + s2 / n)))
+def _scale_sums(est, g, n, t, thetas, rng, deviation: bool = True) -> np.ndarray:
+    """(len(thetas), 3): the sums of v, v^2 and (v - v_0)^2 of ``_mc_sums``, without
+    its c^n, over one chunk of t draws on the scale family.  The standard-normal
+    (t, n) block is reduced to sum z and q = coef T / n (T = sum z or sum |z|) and
+    freed; at theta x the estimate is x q + offset and phi^{(n)} = c^n e^{g x sum z}."""
+    z = rng.standard_normal((t, n))
+    sz = np.einsum("ij->i", z)  # ~3x faster than z.sum(axis=1) for short rows
+    q = est.coef / n * (np.einsum("ij->i", np.abs(z, out=z)) if est.statistic == "A" else sz)
+    del z
+    sums = np.zeros((len(thetas), 3))
+    for k, x in enumerate(thetas):
+        estimate = x * q + est.offset
+        v = np.exp(g * x * sz)
+        v *= (estimate - x) ** 2 if deviation else estimate
+        first = v if k == 0 else first
+        sums[k] = float(v.sum()), float((v * v).sum()), \
+            float(((v - first) ** 2).sum()) if k else 0.0
+    return sums
 
 
-def _mc_values(model, wf, est, n, thetas, t, rng, deviation: bool = True):
-    """Yield the t values of ``_weighted_values`` at each theta from one (t, n)
-    standard-normal block, moved to each theta ``_MC_PIECE`` rows at a time so
-    that keeping it costs no peak memory."""
-    zs = rng.standard_normal((t, n))
-    pieces = np.array_split(zs, -(-t // _MC_PIECE))
-    for th in thetas:
-        yield np.concatenate([
-            _weighted_values(wf, est, _shift_samples(model, th, z, rng), th, deviation)
-            for z in pieces])
+def _exact_lhs(model, wf, est, n, thetas, weights) -> float:
+    """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] in closed form.
+
+    Shift family: E e^{gamma D} = e^{n gamma^2 sigma^2 / 2}, and under that tilt
+    r ~ N(gamma sigma^2 + offset, sigma^2 / n).  Scale family: with g = gamma
+    theta, a coordinate's tilted moments are M0 = E e^{g z} = e^{g^2/2},
+    M2 = E e^{g z} z^2 = M0 (1 + g^2) and M1 = E e^{g z} z = g M0, or for A,
+    E e^{g z} |z| = M0 g erf(g / sqrt 2) + sqrt(2 / pi); with
+    theta* - theta = theta q + b, q = coef T / n, b = offset - theta, the lhs is
+    theta^2 E e q^2 + 2 theta b E e q + b^2 M0^n over e = e^{g sum z}."""
+    g, c = _weight_rate(model, wf, est)
+    th = np.asarray(thetas, dtype=float)
+    if model.name == "gaussian-shift":
+        s2 = model.make_distribution(0.0).params["sigma2"]
+        mass = np.exp(g * n * th + n * g * g * s2 / 2.0)
+        return float(np.dot(weights, c ** n * mass * ((g * s2 + est.offset) ** 2 + s2 / n)))
+    gt = g * th
+    m0 = np.exp(gt * gt / 2.0)
+    m1 = gt * m0 if est.statistic == "S" else \
+        gt * m0 * erf(gt / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi)
+    eq2 = (est.coef / n) ** 2 * (n * m0 * (1.0 + gt * gt) * m0 ** (n - 1)
+                                 + n * (n - 1) * m1 * m1 * m0 ** (n - 2))
+    eq1, b = est.coef * m1 * m0 ** (n - 1), est.offset - th
+    return float(np.dot(weights, c ** n * (th * th * eq2 + 2.0 * th * b * eq1 + b * b * m0 ** n)))
 
 
 def _mc_sums(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> np.ndarray:
@@ -506,31 +516,28 @@ def _mc_sums(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> 
     with v = phi^{(n)}(X) |theta*(X) - theta|^2 at each theta of ``thetas``, or with
     ``deviation=False`` v = phi^{(n)}(X) theta*(X), i.e. W(theta), and v_0 its
     value at the first theta.  The draws come in chunks of ``_MC_CHUNK`` shared by
-    every theta: on ``_on_sum``'s path one ``_sum_moments`` per chunk, of which
-    each theta's sums are forms in its coefficients u; else ``_mc_values``.
+    every theta, each reduced once to row statistics: on the shift family to one
+    ``_sum_moments``, of which each theta's sums are forms in its coefficients u;
+    on the scale family to (sum z, sum |z|) in ``_scale_sums``.
     """
-    on_sum = _on_sum(model, wf, est)
-    sums = np.zeros((len(thetas), 3))
-    moments = 0.0
-    done = 0
+    g, c = _weight_rate(model, wf, est)
+    th = np.asarray(thetas, dtype=float)
+    location = model.name == "gaussian-shift"
+    sums, moments, done = np.zeros((th.size, 3)), 0.0, 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
-        if on_sum:
-            moments = moments + _sum_moments(model, wf, est, n, t, rng, deviation)
+        if location:
+            moments = moments + _sum_moments(model, est, g, n, t, rng, deviation)
         else:
-            for k, v in enumerate(_mc_values(model, wf, est, n, thetas, t, rng, deviation)):
-                first = v if k == 0 else first
-                sums[k] += float(v.sum()), float((v * v).sum()), \
-                    float(((v - first) ** 2).sum()) if k else 0.0
+            sums += _scale_sums(est, g, n, t, th, rng, deviation)
         done += t
-    if not on_sum:
-        return sums
-    th = np.asarray(thetas, dtype=float)
-    u = np.exp(float(wf.gamma) * n * th)[:, None]
-    u = u if deviation else u * np.column_stack([th, np.ones_like(th)])
-    gram, du = moments[:, 1:], u - u[0]
-    return np.column_stack([u @ moments[:, 0], ((u @ gram) * u).sum(axis=1),
-                            ((du @ gram) * du).sum(axis=1)])
+    if location:
+        u = np.exp(g * n * th)[:, None]
+        u = u if deviation else u * np.column_stack([th, np.ones_like(th)])
+        gram, du = moments[:, 1:], u - u[0]
+        sums = np.column_stack([u @ moments[:, 0], ((u @ gram) * u).sum(axis=1),
+                                ((du @ gram) * du).sum(axis=1)])
+    return sums * [c ** n, c ** (2 * n), c ** (2 * n)]
 
 
 def _mc_weighted(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> list:
@@ -571,7 +578,7 @@ class CramerRaoResult:
     lhs_stderr: float
     rhs: float
     rhs_stderr: float = 0.0
-    lhs_exact: Optional[float] = None   # the closed-form lhs, on ``_on_sum``'s path
+    lhs_exact: Optional[float] = None   # the closed form of lhs (``_exact_lhs``)
     details: dict = field(default_factory=dict)
 
     @property
@@ -606,7 +613,7 @@ def _cramer_rao(version, model, wf, theta, n, est, cfg, trials, seed) -> CramerR
     """lhs = E[phi^{(n)} |theta* - theta|^2] against ``_rhs`` of ``version``, whose
     integrals are read in the regularity check's call.  Without the analytic
     b', version A estimates it by Monte Carlo and propagates its stderr."""
-    _check_sizes(model, n, trials)
+    _check_mc_inputs(model, wf, est, n, trials)
     attr, what = _BIAS[version]
     derivative = getattr(est, attr)
     if derivative is None and version == "B":
@@ -696,7 +703,7 @@ class VanTreesResult:
     lhs: float
     lhs_stderr: float
     rhs: float
-    lhs_exact: Optional[float] = None   # the closed-form lhs, on ``_on_sum``'s path
+    lhs_exact: Optional[float] = None   # the closed form of lhs (``_exact_lhs``)
     details: dict = field(default_factory=dict)
 
     @property
@@ -725,15 +732,15 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
         if version != "C" and getattr(est, _BIAS[version][0]) is None:
             raise IllegalParameterError(
                 f"van Trees version {version} needs the analytic {_BIAS[version][1]}")
-    _check_sizes(model, n, trials)
+    _check_mc_inputs(model, wf, est, n, trials)
     nodes, weights = prior.quadrature(level)
     mid = len(nodes) // 2
     reads = [name for version in versions for name in _READS[version]]
     mid_at = _at_theta(model, wf, float(nodes[mid]), cfg, _REGULARITY + reads)
     _regular(mid_at)
     # lhs = sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] on one draw; the
-    # sum of the node stderrs (ddof = 1) bounds its stderr, and is it exactly on
-    # ``_on_sum``'s path, where node k's values are e^{gamma n theta_k} times one array
+    # sum of the node stderrs (ddof = 1) bounds its stderr, and is it exactly on the
+    # shift family, where node k's values are c^n e^{gamma n theta_k} times one array
     sums = _mc_sums(model, wf, nodes.tolist(), n, est, trials,
                     np.random.default_rng(np.random.SeedSequence(seed)))
     var = np.maximum(sums[:, 1] - sums[:, 0] ** 2 / trials, 0.0) / (trials - 1)
@@ -762,14 +769,3 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
         results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
                                       rhs=rhs, lhs_exact=lhs_exact, details=details))
     return tuple(results)
-
-
-def _shift_samples(model, theta, zs, rng):
-    """Move one standard-normal block to theta when the model is a location/scale
-    transform of it; fall back to fresh draws (no common numbers) otherwise."""
-    if model.name == "gaussian-shift":
-        sigma = math.sqrt(model.make_distribution(0.0).params["sigma2"])
-        return theta + sigma * zs
-    if model.name == "gaussian-scale":
-        return theta * zs
-    return model.make_distribution(theta).draw(rng, zs.shape)

@@ -44,23 +44,6 @@ def random_interior_finite_problem(rng: np.random.Generator, m: int,
                              WeightFunction.table(w))
 
 
-def random_rate_study_problem(rng: np.random.Generator, m: int,
-                              log_ratio_span: float = 0.8,
-                              weight_span: float = 0.5) -> HypothesisProblem:
-    """Alternative built as a bounded multiplicative tilt of the null.
-
-    Capping |ln(p/q)| at 2 * log_ratio_span keeps the per-sample statistic's
-    lattice denser than any window of width >= 2 * span / n, so the finite-n
-    window rule never degenerates at the n values used in rate sweeps.
-    """
-    p = 0.7 * rng.dirichlet(np.ones(m)) + 0.3 / m
-    q = p * np.exp(rng.uniform(-log_ratio_span, log_ratio_span, size=m))
-    q = q / q.sum()
-    w = np.exp(rng.uniform(-weight_span, weight_span, size=m))
-    return HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
-                             WeightFunction.table(w))
-
-
 def _random_weight(rng: np.random.Generator, kind: str,
                    max_rate: float) -> WeightFunction:
     if kind == "constant":

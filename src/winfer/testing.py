@@ -152,10 +152,6 @@ class BoundReport:
     bh_printed_applicable: bool    # 2 ln W + K (W-1)/W >= 0
     violations: tuple = ()
 
-    @property
-    def chain_ok(self) -> bool:
-        return not self.violations
-
 
 def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
     """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), from the one plan of the

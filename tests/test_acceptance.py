@@ -34,11 +34,7 @@ from winfer.estimation import (
     weighted_fisher,
 )
 from winfer.expfam import gaussian_tv_closed_form
-from winfer.randinst import (
-    random_continuous_problem,
-    random_finite_problem,
-    random_rate_study_problem,
-)
+from winfer.randinst import random_continuous_problem, random_finite_problem
 from winfer.testing import (
     ProductProblem,
     error_bound_report,
@@ -129,6 +125,23 @@ def test_criterion_04_nfold_sandwich():
     _line(4, "n-fold product sandwich, m=2, n=2..12 (50 instances)",
           f"exact inf within printed bounds; exp(-n eta^2) asserted on "
           f"{eta_checked} small-Delta cases")
+
+
+def random_rate_study_problem(rng: np.random.Generator, m: int,
+                              log_ratio_span: float = 0.8,
+                              weight_span: float = 0.5) -> HypothesisProblem:
+    """Alternative built as a bounded multiplicative tilt of the null.
+
+    Capping |ln(p/q)| at 2 * log_ratio_span keeps the per-sample statistic's
+    lattice denser than any window of width >= 2 * span / n, so the finite-n
+    window rule never degenerates at the n values used in rate sweeps.
+    """
+    p = 0.7 * rng.dirichlet(np.ones(m)) + 0.3 / m
+    q = p * np.exp(rng.uniform(-log_ratio_span, log_ratio_span, size=m))
+    q = q / q.sum()
+    w = np.exp(rng.uniform(-weight_span, weight_span, size=m))
+    return HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
+                             WeightFunction.table(w))
 
 
 def test_criterion_05_type2_exponent():

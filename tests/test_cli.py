@@ -498,7 +498,8 @@ class TestSubprocessContracts:
         (row,) = rep["bounds"]  # no analytic sqrt-weight bias: version A only
         assert row["version"] == "A"
         assert row["lhs"] > 0 and row["rhs"] > 0
-        assert "lhs_exact" not in row  # no closed form off the sum path
+        # the scale row carries its closed-form lhs too
+        assert abs(row["lhs"] - row["lhs_exact"]) <= 3 * row["lhs_stderr"]
 
     def test_van_trees_without_bias_derivative_exits_2(self):
         r = run_cli(["cramer-rao", "--family", "gaussian-scale", "--phi-gamma",
@@ -510,6 +511,16 @@ class TestSubprocessContracts:
         assert "Traceback" not in r.stderr
         # the rows computed before the refusal are still reported
         assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
+
+    def test_abs_mean_on_the_shift_family_exits_2(self):
+        """The shift family's draw carries S only, so sqrt(pi/2) mean |x| is
+        refused before any row is computed."""
+        r = run_cli(["cramer-rao", "--family", "gaussian-shift", "--estimator",
+                     "scale-abs-mean", "--trials", "20000", "--reproducible"])
+        assert r.returncode == 2
+        assert r.stderr == ("error: no Monte Carlo path for the scale-abs-mean estimator "
+                            "on gaussian-shift\n")
+        assert json.loads(r.stdout)["bounds"] == []
 
     @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "-1"], ["--trials", "0"],
                                      ["--trials", "1"], ["--trials", "-5"],

@@ -38,12 +38,6 @@ class TestSupport:
         with pytest.raises(IllegalParameterError):
             Support(kind="finite", m=2, labels=("a", "a"))
 
-    def test_reference_measures(self):
-        assert Support.finite(3).reference_measure == "counting"
-        assert Support.counting().reference_measure == "counting"
-        assert Support.real_line().reference_measure == "lebesgue"
-        assert Support.half_line(0.0).reference_measure == "lebesgue"
-
     def test_vector_dimension_cap(self):
         with pytest.raises(IllegalParameterError):
             Support.real_vector(9)

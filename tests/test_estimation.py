@@ -35,6 +35,68 @@ def b1_mass(theta, g, s2, n=1):
     return math.exp(n * (theta * g + s2 * g * g / 2.0))
 
 
+def no_work(monkeypatch):
+    """Make any integral at theta or any random draw fail the test."""
+    import winfer.estimation as estimation
+
+    def raising(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(estimation, "_at_theta", raising)
+    monkeypatch.setattr(np.random, "default_rng", raising)
+
+
+def recorded_draws(monkeypatch) -> list:
+    """The shape of every ``standard_normal`` draw of the generators made from here
+    on, in order."""
+    shapes, real = [], np.random.default_rng
+
+    class Recording:
+        def __init__(self, *args):
+            self.rng = real(*args)
+
+        def standard_normal(self, size):
+            shapes.append(size)
+            return self.rng.standard_normal(size)
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return shapes
+
+
+def block_values(wf, fn, xs, theta, deviation=True):
+    """The per-row block evaluation the Monte Carlo ran before it read row
+    statistics, kept as the oracle: phi^{(n)}(x) (fn(x) - theta)^2, or
+    phi^{(n)}(x) fn(x), for each row x of the (T, n) sample block xs."""
+    with np.errstate(divide="ignore"):
+        weight = np.exp(np.log(wf(xs)).sum(axis=1))
+    estimate = fn(xs)
+    return weight * ((estimate - theta) ** 2 if deviation else estimate)
+
+
+def oracle_mc(model, wf, fn, thetas, n, chunks, rng, deviation=True):
+    """(mean, stderr, diff_stderr) of ``block_values`` at each theta, on the
+    draws the statistics path makes: a chunk of the shift family is
+    D = sigma sqrt(n) Z, spread evenly over a row so that it sums to
+    n theta + D; a chunk of the scale family is one standard-normal block,
+    which theta scales."""
+    vs = [[] for _ in thetas]
+    for t in chunks:
+        if model.name == "gaussian-shift":
+            d = math.sqrt(n * model.make_distribution(0.0).params["sigma2"]) \
+                * rng.standard_normal(t)
+            rows = lambda th: np.repeat((th + d / n)[:, None], n, axis=1)
+        else:
+            z = rng.standard_normal((t, n))
+            rows = lambda th: th * z
+        for k, th in enumerate(thetas):
+            vs[k].append(block_values(wf, fn, rows(th), th, deviation))
+    vs = [np.concatenate(v) for v in vs]
+    root = math.sqrt(vs[0].size)
+    return [(v.mean(), v.std() / root, (v - vs[0]).std() / root) for v in vs]
+
+
+def abs_mean(xs):
+    return math.sqrt(math.pi / 2.0) * np.abs(xs).mean(axis=1)
+
+
 class TestModels:
     @pytest.mark.parametrize("model,theta", [
         (gaussian_shift_model(1.3), 0.4),
@@ -331,7 +393,7 @@ class TestCramerRao:
         th, g, n = 0.0, 0.3, 3
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
-        bare = EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1))
+        bare = EstimatorSpec(name="mean")
         r = cramer_rao_A(m, wf, th, n, bare, CFG, trials=300_000, seed=47)
         closed = (1.0 / n) * b1_mass(th, g, 1.0, n) * (1 + n * g * g)
         assert abs(r.lhs - closed) <= 3 * r.lhs_stderr
@@ -401,11 +463,7 @@ class TestVanTrees:
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_missing_bias_derivative_is_refused_before_sampling(self, monkeypatch):
-        import winfer.estimation as estimation
-
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("Monte Carlo work started")
-        monkeypatch.setattr(estimation, "_shift_samples", no_sampling)
+        no_work(monkeypatch)
         m = gaussian_scale_model()
         wf = WeightFunction.exponential(0.4)
         prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
@@ -437,54 +495,64 @@ def tilted_deviation(g, n, theta, s2, shifted):
 class TestSumStatistic:
     @staticmethod
     def estimators():
+        """(estimator, its written-out block function) pairs that read S."""
         shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
         wf = WeightFunction.exponential(0.4)
-        return [mean_estimator(shift, wf), mean_estimator(shift, ONE),
-                mean_estimator(scale, wf), shifted_mean_estimator(shift, wf)]
+        mean = lambda xs: xs.mean(axis=1)
+        return [(mean_estimator(shift, wf), mean), (mean_estimator(shift, ONE), mean),
+                (mean_estimator(scale, wf), mean),
+                (shifted_mean_estimator(shift, wf), lambda xs: xs.mean(axis=1) - 1.3 * 1.3 * 0.4)]
 
     def test_sum_path_equals_fn_bit_for_bit(self):
         rng = np.random.default_rng(3)
-        for est in self.estimators():
-            assert est.sum_offset is not None
+        for est, fn in self.estimators():
+            assert (est.statistic, est.coef) == ("S", 1.0)
             for shape in ((1000, 1), (1000, 5), (777, 13)):
                 xs = rng.normal(0.3, 1.7, size=shape)
-                assert np.array_equal(xs.sum(axis=1) / shape[1] + est.sum_offset, est.fn(xs))
+                assert np.array_equal(xs.sum(axis=1) / shape[1] + est.offset, fn(xs))
 
-    def test_monte_carlo_values_equal_the_generic_path(self):
-        import dataclasses
-
-        from winfer.estimation import _weighted_values
-        xs = np.random.default_rng(4).normal(0.1, 1.0, size=(5000, 6))
-        for wf in (WeightFunction.exponential(0.4), WeightFunction.absolute(), ONE):
-            for est in self.estimators():
-                bare = dataclasses.replace(est, sum_offset=None)
+    def test_monte_carlo_values_equal_the_generic_path(self, monkeypatch):
+        # every model, weight and estimator the path takes, over three chunks,
+        # against the block oracle on the same draws: equal to rounding, which the
+        # cancelling (theta* - theta)^2 amplifies row by row
+        import winfer.estimation as estimation
+        from winfer.estimation import _mc_weighted
+        monkeypatch.setattr(estimation, "_MC_CHUNK", 3_000)
+        shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
+        cases = [(shift, est, fn) for est, fn in self.estimators()[::3]] + [
+            (scale, mean_estimator(scale, ONE), lambda xs: xs.mean(axis=1)),
+            (scale, scale_abs_mean_estimator(), abs_mean)]
+        thetas, n = (0.3, 0.9, 1.4), 5
+        for wf in (WeightFunction.exponential(0.4), ONE, WeightFunction.constant(2.0)):
+            for model, est, fn in cases:
                 for deviation in (True, False):
-                    assert np.array_equal(_weighted_values(wf, est, xs, 0.3, deviation),
-                                          _weighted_values(wf, bare, xs, 0.3, deviation))
+                    got = _mc_weighted(model, wf, thetas, n, est, 7_000,
+                                       np.random.default_rng(4), deviation)
+                    want = oracle_mc(model, wf, fn, thetas, n, (3_000, 3_000, 1_000),
+                                     np.random.default_rng(4), deviation)
+                    # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
+                    # sqrt(eps) |mean| / sqrt(T)
+                    want = np.array(want)
+                    np.testing.assert_allclose(
+                        got, want, rtol=1e-9,
+                        atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(7_000))
 
     def test_statistic_path_never_builds_samples(self, monkeypatch):
-        import winfer.estimation as estimation
-        real = estimation._shift_samples
-        calls = []
-
-        def no_samples(*args):
-            raise AssertionError("per-node sample block built")
-        monkeypatch.setattr(estimation, "_shift_samples", no_samples)
+        # the shift family draws one t-long D per chunk; the scale family one
+        # (t, n) block per chunk, which all 32 prior nodes read
+        shapes = recorded_draws(monkeypatch)
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(0.5)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
         for est in (mean_estimator(m, wf), shifted_mean_estimator(m, wf)):
             van_trees(m, wf, 5, est, prior, ("A", "C"), CFG, trials=5_000, seed=1)
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-        monkeypatch.setattr(estimation, "_shift_samples", counted)
+        assert shapes == [5_000, 5_000]
+        shapes.clear()
         scale = gaussian_scale_model()
         van_trees(scale, WeightFunction.exponential(0.4), 4, scale_abs_mean_estimator(),
                   PriorSpec(kind="gaussian", mean=1.0, var=0.005), ("C",), CFG,
                   trials=5_000, seed=1)
-        assert len(calls) == 32
+        assert shapes == [(5_000, 4)]
 
     def test_versions_share_one_lhs(self):
         m = gaussian_shift_model(0.8)
@@ -524,22 +592,20 @@ class TestSumPath:
     draws the row sums S ~ N(n theta, n sigma^2), never a (trials, n) block."""
 
     @staticmethod
-    def no_blocks(monkeypatch):
+    def no_blocks():
         import dataclasses
 
-        import winfer.estimation as estimation
         from winfer.core import Distribution
 
         def raising(*args, **kwargs):
             raise AssertionError("(trials, n) sample block built")
-        for name in ("_shift_samples", "_weighted_values"):
-            monkeypatch.setattr(estimation, name, raising)
         return dataclasses.replace(
             gaussian_shift_model(1.2), make_distribution=lambda th: dataclasses.replace(
                 Distribution.gaussian(th, 1.44), sampler=raising))
 
     def test_rows_a_b_and_van_trees_never_build_blocks(self, monkeypatch):
-        m = self.no_blocks(monkeypatch)
+        m = self.no_blocks()
+        shapes = recorded_draws(monkeypatch)
         wf = WeightFunction.exponential(0.5)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
         for est in (mean_estimator(m, wf), shifted_mean_estimator(m, wf)):
@@ -548,16 +614,14 @@ class TestSumPath:
             for vt in van_trees(m, wf, 5, est, prior, ("A", "C"), CFG,
                                 trials=20_000, seed=1):
                 assert vt.holds_3sigma
+        assert shapes and all(np.ndim(size) == 0 for size in shapes)  # t-long draws
 
-    def test_bias_derivative_on_the_sum(self, monkeypatch):
+    def test_bias_derivative_on_the_sum(self):
         # no analytic bias data: the central difference draws S as well
-        m = self.no_blocks(monkeypatch)
+        m = self.no_blocks()
         th, g, n = 0.0, 0.3, 3
         wf = WeightFunction.exponential(g)
-
-        def no_fn(xs):
-            raise AssertionError("estimator evaluated on a block")
-        est = EstimatorSpec(name="mean", fn=no_fn, sum_offset=0.0)
+        est = EstimatorSpec(name="mean")
         r = cramer_rao_A(m, wf, th, n, est, CFG, trials=300_000, seed=47)
         # the mean's b'(theta) = n g^2 s2 E^n
         s2 = 1.44
@@ -572,30 +636,6 @@ class TestSumPath:
                              for seed in range(40)]).T
         assert np.sum(np.abs(bps - exact) <= 3 * ses) >= 37
         assert 0.5 <= ses.mean() / bps.std(ddof=1) <= 2.0
-
-    def test_estimator_without_sum_keeps_the_block_path(self, monkeypatch):
-        import winfer.estimation as estimation
-        real = estimation._weighted_values
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(estimation, "_weighted_values", counted)
-        th, g, n = 0.1, 0.4, 4
-        m = gaussian_shift_model()
-        wf = WeightFunction.exponential(g)
-        bare = EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1))
-        r = cramer_rao_A(m, wf, th, n, bare, CFG, trials=200_000, seed=12)
-        assert calls
-        assert abs(r.lhs - tilted_deviation(g, n, th, 1.0, False)) <= 3 * r.lhs_stderr
-        calls.clear()
-        prior = PriorSpec(kind="gaussian", mean=th, var=0.5)
-        nodes, weights = prior.quadrature(32)
-        (vt,) = van_trees(m, wf, n, bare, prior, ("C",), CFG, trials=50_000, seed=12)
-        assert len(calls) == 32
-        exact = float(np.sum(weights * tilted_deviation(g, n, nodes, 1.0, False)))
-        assert abs(vt.lhs - exact) <= 3 * vt.lhs_stderr
 
     def test_three_sigma_rate_over_consecutive_seeds(self):
         # seeds 0..39, none left out: each lhs sits within 3 sigma of its
@@ -655,7 +695,7 @@ class TestFactoredSumPath:
                 rng = np.random.default_rng(9)
                 d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
                                     for t in chunks])
-                vs = list(per_theta_values(g, n, sigma * sigma, est.sum_offset, thetas, d,
+                vs = list(per_theta_values(g, n, sigma * sigma, est.offset, thetas, d,
                                            deviation))
                 root = math.sqrt(d.size)
                 for (mean, se, diff_se), v in zip(got, vs):
@@ -668,13 +708,13 @@ class TestFactoredSumPath:
         m, wf, ests = self.setting(g, sigma)
         for est in ests:
             for deviation in (True, False):
-                got = _sum_moments(m, wf, est, n, _MC_CHUNK, np.random.default_rng(21),
+                got = _sum_moments(m, est, g, n, _MC_CHUNK, np.random.default_rng(21),
                                    deviation)
                 # the allocating expression the in-place arithmetic replaced
                 d = math.sqrt(n * sigma * sigma) * np.random.default_rng(21).standard_normal(
                     _MC_CHUNK)
                 tilt = np.exp(g * d)
-                r = d / n + est.sum_offset
+                r = d / n + est.offset
                 feats = [tilt * r ** 2] if deviation else [tilt, tilt * r]
                 want = np.array([[float(f.sum())] + [float((f * h).sum()) for h in feats]
                                  for f in feats])
@@ -691,7 +731,7 @@ class TestFactoredSumPath:
             rng = np.random.default_rng(np.random.SeedSequence(seed))
             d = math.sqrt(n * sigma * sigma) * rng.standard_normal(trials)
             lhs = se = 0.0
-            for w, v in zip(weights, per_theta_values(g, n, sigma * sigma, est.sum_offset,
+            for w, v in zip(weights, per_theta_values(g, n, sigma * sigma, est.offset,
                                                       nodes, d)):
                 lhs += w * v.mean()
                 se += w * v.std(ddof=1) / math.sqrt(trials)
@@ -715,19 +755,6 @@ class TestFactoredSumPath:
                     float(np.sum(weights * tilted_deviation(g, n, nodes, s2, shifted))),
                     rel=1e-13)
 
-    def test_lhs_exact_absent_off_the_sum_path(self):
-        scale = gaussian_scale_model()
-        wf = WeightFunction.exponential(0.4)
-        r = cramer_rao_A(scale, wf, 1.0, 4, scale_abs_mean_estimator(), CFG, trials=2_000)
-        assert r.lhs_exact is None
-        m = gaussian_shift_model()
-        bare = EstimatorSpec(name="mean", fn=lambda xs: xs.mean(axis=1),
-                             bias_prime=mean_estimator(m, wf).bias_prime)
-        assert cramer_rao_A(m, wf, 0.0, 4, bare, CFG, trials=2_000).lhs_exact is None
-        (vt,) = van_trees(m, wf, 4, bare, PriorSpec(kind="gaussian"), ("C",), CFG,
-                          trials=2_000)
-        assert vt.lhs_exact is None
-
     def test_lhs_within_three_sigma_of_lhs_exact_over_seeds(self):
         # seeds 0..19, none left out: each row's lhs sits within 3 of its
         # stderrs of lhs_exact on at least 18 of them
@@ -747,22 +774,94 @@ class TestFactoredSumPath:
         assert all(count >= 18 for count in hits.values()), hits
 
 
-class TestRowSums:
-    def test_column_adds_equal_numpy_below_eight_and_round_above(self):
-        from winfer.estimation import _row_sums
-        rng = np.random.default_rng(5)
-        eps = np.finfo(float).eps
+def quad_lhs(gamma, theta, n, fn, c=1.0):
+    """E_theta[c^n e^{gamma S} (fn(x) - theta)^2] on the Gaussian scale family by
+    mpmath quadrature over z (x = theta z), for n = 1 or 2; the box [-12, 12]^n,
+    split at the kink of |z|, leaves out less than 1e-25 of it."""
+    import mpmath as mp
+    mp.mp.dps = 20 if n == 1 else 15
+
+    def f(*z):
+        xs = [theta * zi for zi in z]
+        dens = mp.exp(-sum(zi * zi for zi in z) / 2) / (2 * mp.pi) ** (len(z) / 2)
+        return c ** n * mp.exp(gamma * sum(xs)) * (fn(xs) - theta) ** 2 * dens
+    return float(mp.quad(f, *([[-12, 0, 12]] * n), method="gauss-legendre"))
+
+
+class TestScaleLhsExact:
+    """The scale family's closed-form lhs (``_exact_lhs``) against quadrature and
+    against its Monte Carlo lhs."""
+
+    @pytest.mark.parametrize("n,estimator,weight,theta", [
+        (1, "scale-abs-mean", "exponential", 0.7), (1, "scale-abs-mean", "constant", 1.3),
+        (1, "mean", "exponential", 1.3), (1, "mean", "constant", 0.7),
+        (2, "scale-abs-mean", "exponential", 1.3), (2, "mean", "constant", 0.7)])
+    def test_scale_lhs_exact_matches_quadrature(self, n, estimator, weight, theta):
+        import mpmath as mp
+        from winfer.estimation import _exact_lhs
+        scale, g, c = gaussian_scale_model(), 0.4, 2.0
+        wf = WeightFunction.exponential(g) if weight == "exponential" else \
+            WeightFunction.constant(c)
+        est, fn = (scale_abs_mean_estimator(),
+                   lambda xs: mp.sqrt(mp.pi / 2) * sum(abs(x) for x in xs) / len(xs)) \
+            if estimator == "scale-abs-mean" else \
+            (mean_estimator(scale, wf), lambda xs: sum(xs) / len(xs))
+        want = quad_lhs(g, theta, n, fn) if weight == "exponential" else \
+            quad_lhs(0.0, theta, n, fn, c)
+        assert _exact_lhs(scale, wf, est, n, (theta,), (1.0,)) == pytest.approx(want, rel=1e-13)
+
+    def test_reported_on_the_scale_rows(self):
+        scale = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
         est = scale_abs_mean_estimator()
-        for n in range(1, 14):
-            xs = rng.normal(size=(4000, n)) * np.exp(3.0 * rng.normal(size=(4000, n)))
-            old_fn = math.sqrt(math.pi / 2.0) * np.abs(xs).mean(axis=1)
-            if n < 8:
-                assert np.array_equal(_row_sums(xs), xs.sum(axis=1))
-                assert np.array_equal(est.fn(xs), old_fn)
-            else:
-                bound = n * eps * np.abs(xs).sum(axis=1)
-                assert np.all(np.abs(_row_sums(xs) - xs.sum(axis=1)) <= bound)
-                assert np.all(np.abs(est.fn(xs) - old_fn) <= 2 * n * eps * old_fn)
+        from winfer.estimation import _exact_lhs
+        r = cramer_rao_A(scale, wf, 1.2, 4, est, CFG, trials=2_000)
+        assert r.lhs_exact == _exact_lhs(scale, wf, est, 4, (1.2,), (1.0,))
+        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.005)
+        nodes, weights = prior.quadrature(32)
+        (vt,) = van_trees(scale, wf, 4, est, prior, ("C",), CFG, trials=2_000)
+        per_node = [_exact_lhs(scale, wf, est, 4, (th,), (1.0,)) for th in nodes]
+        assert vt.lhs_exact == pytest.approx(float(np.dot(weights, per_node)), rel=1e-13)
+
+    def test_lhs_within_three_sigma_of_lhs_exact_over_seeds(self):
+        # seeds 0..19, none left out: the CLI's scale row (weight e^{gamma x /
+        # theta}) and a van Trees lhs sit within 3 stderrs of lhs_exact on at
+        # least 18 of them
+        scale, th, n = gaussian_scale_model(), 1.3, 5
+        wf = WeightFunction.exponential(0.5 / th)
+        est = scale_abs_mean_estimator()
+        prior = PriorSpec(kind="gaussian", mean=th, var=0.01)
+        hits = {"A": 0, "van Trees": 0}
+        for seed in range(20):
+            rows = (cramer_rao_A(scale, wf, th, n, est, CFG, trials=50_000, seed=seed),
+                    van_trees(scale, wf, n, est, prior, ("C",), CFG, trials=20_000,
+                              seed=seed)[0])
+            for key, r in zip(hits, rows):
+                hits[key] += abs(r.lhs - r.lhs_exact) <= 3 * r.lhs_stderr
+        assert all(count >= 18 for count in hits.values()), hits
+
+
+class TestRefusals:
+    """Every model, weight and estimator pair the Monte Carlo cannot draw is
+    refused before any integral or draw."""
+
+    @pytest.mark.parametrize("model,wf,est", [
+        (poisson_log_mean_model(), WeightFunction.exponential(0.3), EstimatorSpec("mean")),
+        (gaussian_shift_model(), WeightFunction.absolute(), EstimatorSpec("mean")),
+        (gaussian_scale_model(), WeightFunction.quadratic(0.0, 1.0), scale_abs_mean_estimator()),
+        (gaussian_shift_model(), WeightFunction.exponential(0.3), scale_abs_mean_estimator()),
+        (gaussian_shift_model(), WeightFunction.exponential(0.3),
+         EstimatorSpec("twice-mean", coef=2.0)),
+    ], ids=["poisson", "absolute-weight", "quadratic-weight", "abs-statistic-on-shift",
+            "scaled-sum-on-shift"])
+    def test_refused_before_any_sampling(self, model, wf, est, monkeypatch):
+        no_work(monkeypatch)
+        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
+        for call in (lambda: cramer_rao_A(model, wf, 1.0, 3, est, CFG, trials=1_000),
+                     lambda: cramer_rao_B(model, wf, 1.0, 3, est, CFG, trials=1_000),
+                     lambda: van_trees(model, wf, 3, est, prior, ("C",), CFG, trials=1_000)):
+            with pytest.raises(IllegalParameterError, match="no Monte Carlo path"):
+                call()
 
 
 class TestSampleSizes:
