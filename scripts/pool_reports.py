@@ -21,7 +21,8 @@ count is an outcome flip, and every number is a value checked with
 * a changed method label or error message is printed, but is not a flip;
 * over every number in matching records (values, closed forms, details,
   bound-check sides) the largest move is printed, scaled by max(1, |v|), and
-  for the values by the larger reported ``numerical_error`` of the two sides;
+  for the values by the larger reported ``numerical_error`` of the two sides,
+  with how many values moved by more than 1, 3 and 10 times that error;
 * a value that moves further than the benchmark's reference check allows
   (``perfbench.workloads.close``, with the two reported errors summed) is
   printed, and any makes the exit code 1.
@@ -161,8 +162,8 @@ def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
         if "value" in a:
             d = _moved(a["value"], b["value"])
             e = max(a.get("numerical_error", 0.0), b.get("numerical_error", 0.0))
+            err_moves.append(((d / e if e > 0 else math.inf) if d > 0 else 0.0, where))
             if d > 0:
-                err_moves.append((d / e if e > 0 else math.inf, where))
                 if not close(a["value"], b["value"], a.get("numerical_error", 0.0)
                              + b.get("numerical_error", 0.0)):
                     beyond.append(f"{a['name']}: {b['value']!r} -> {a['value']!r}")
@@ -227,6 +228,9 @@ def main() -> int:
     finite = [m for m in err_moves if math.isfinite(m[0])]
     if finite:
         print("largest value move / reported error: %.3g at %s" % max(finite))
+    print(f"values compared: {len(err_moves)}, moved: {sum(m[0] > 0 for m in err_moves)}, by "
+          "more than 1x, 3x and 10x the larger reported error: "
+          + ", ".join(str(sum(m[0] > k for m in err_moves)) for k in (1, 3, 10)))
     unscaled = len(err_moves) - len(finite)
     if unscaled:
         print(f"values that moved with a reported error of 0: {unscaled}")

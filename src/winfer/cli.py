@@ -439,6 +439,9 @@ def _bound_row(version: str, r) -> dict:
 
 
 def cmd_cramer_rao(args) -> int:
+    if args.estimator == ("scale-abs-mean" if args.family == "gaussian-shift" else "shifted-mean"):
+        sys.stderr.write(f"usage error: no {args.estimator} estimator on {args.family}\n")
+        return 1
     if args.family == "gaussian-shift":
         model, wf = gaussian_shift_model(sigma=args.sigma), WeightFunction.exponential(args.gamma)
     else:  # gaussian-scale: --family and --estimator are argparse choices

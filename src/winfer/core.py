@@ -55,7 +55,7 @@ _GAUSSIAN_TAIL_SIGMAS = 14.0  # one-sided Gaussian tail beyond 14 sigma < 1e-43
 _EXP_TAIL_SLACK = 80.0  # covers polynomial prefactors on exponential tails
 _MAX_SERIES_TERMS = 200_000
 _SERIES_BLOCK = 64  # series terms summed per lockstep round
-_MAX_ROUNDS = 64  # bisection rounds per adaptive integral
+_MAX_ROUNDS = 64  # rounds per adaptive integral, and halvings of a starting panel
 _GH_MAX_D = 3  # L^d nodes: at the ladder's top level, 60, 216k at d = 3 and 13M at d = 4
 
 
@@ -689,13 +689,15 @@ def _accepted(val: float, err: float, cfg: IntegrationConfig):
 
 def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
                  cfg: IntegrationConfig) -> list:
-    """Adaptive bisection with the embedded G7/K15 pair, per component: from
+    """Adaptive subdivision with the embedded G7/K15 pair, per component: from
     16 equal panels of its window, cut at its breakpoints, each round splits
     every panel whose error exceeds a quarter of its share of the budget,
-    until the summed error meets max(abs_tol, rel_tol * |integral|) or
-    ``max_subdivisions`` panels.  The live panels sit in flat
-    arrays grouped by component, each group in a lone run's order (kept,
-    left halves, right halves), so every sum is that of a lone run."""
+    until the summed error meets max(abs_tol, rel_tol * |integral|), or it has
+    ``max_subdivisions`` panels or none it may split.  Panels bisect, but on a
+    half-line the one at the lower edge splits at h/16, h/8, h/4 and h/2
+    (Schwab, Computing 53, 1994), no finer than ``_MAX_ROUNDS`` halvings of
+    its starting panel.  Panels sit in flat arrays by component, each in a lone
+    run's order (kept, left halves, right halves, graded pieces), so sums match it."""
     out: list = [None] * len(comps)
     ids, edges = [], []
     for i, c in enumerate(comps):
@@ -724,45 +726,61 @@ def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
     his = np.concatenate([e[1:] for e in distinct.values()])
     counts = np.array([e.size - 1 for e in edges])
     starts = counts.cumsum() - counts
+    graded, first = support.kind == "half-line", np.array([e[:2] for e in edges])  # first panels
     vals, errs = _gk_panels(f, gs, counts, los, his, rows)
     los, his = los[rows], his[rows]
     for rnd in range(_MAX_ROUNDS + 1):
         total, tot_err = np.add.reduceat(vals, starts), np.add.reduceat(errs, starts)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
-        go = np.isfinite(total) & (tot_err > tol) & (counts < cfg.max_subdivisions)
-        if rnd == _MAX_ROUNDS:
-            go[:] = False
+        spread = (lambda a: np.repeat(a, counts)) if len(ids) > 1 else (lambda a: a)  # onto panels
+        # n panels at or below tol / (4 n) sum below tol: one is due unless at the floor
+        split = errs > spread(0.25 * tol / counts)
+        if graded:  # halvings a panel takes: 4 at the lower edge, else 1, none past the floor
+            room = np.where(his <= spread(first[:, 1]), _MAX_ROUNDS + np.rint(np.log2(
+                (his - los) / spread(first[:, 1] - first[:, 0]))), 1)
+            levels = split * np.minimum(room, 1 + 3 * (los == support.lower)).astype(np.intp)
+            split = levels > 0
+        nsplit = np.add.reduceat(split, starts, dtype=np.intp)
+        # a non-finite total has tol NaN or inf, so it stops here
+        go = (tot_err > tol) & (counts < cfg.max_subdivisions) & (nsplit > 0) & (rnd < _MAX_ROUNDS)
         if not go.all():
             for j in np.flatnonzero(~go).tolist():
                 out[ids[j]] = _accepted(float(total[j]), float(tot_err[j]), cfg)
             if not go.any():
                 break
             live = np.repeat(go, counts)
-            los, his, vals, errs = los[live], his[live], vals[live], errs[live]
+            los, his, vals, errs, split = los[live], his[live], vals[live], errs[live], split[live]
+            levels = levels[live] if graded else None
             ids = [i for i, a in zip(ids, go.tolist()) if a]
             gs = [g for g, a in zip(gs, go.tolist()) if a]
-            counts, tol = counts[go], tol[go]
+            counts, nsplit, first = counts[go], nsplit[go], first[go]
             starts = counts.cumsum() - counts
         many = len(ids) > 1
-        spread = (lambda a: np.repeat(a, counts)) if many else (lambda a: a)  # onto the panels
-        # every live component has such a panel: n panels at or below tol / (4 n) sum below tol
-        split = errs > spread(0.25 * tol / counts)
-        nsplit = np.add.reduceat(split, starts, dtype=np.intp)
         keep = ~split
         lo, hi = los[split], his[split]
         mid = 0.5 * (lo + hi)
         new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        nnew, extra = 2 * nsplit, []  # extra: the split panel of each graded piece
+        if graded:  # halve each lower-edge left half again, levels - 1 times
+            lv, nnew = levels[split], nsplit + np.add.reduceat(levels, starts, dtype=np.intp)
+            for n in range(1, lv.max(initial=1)):
+                extra.append(j := np.flatnonzero(lv > n))
+                cut = 0.5 * (new_lo[j] + new_hi[j])
+                new_lo, new_hi = np.append(new_lo, cut), np.append(new_hi, new_hi[j])
+                new_hi[j] = cut
         if many:  # regroup the new panels, then all panels, by component
             group = np.repeat(np.arange(len(ids)), counts)
-            order = np.argsort(np.tile(group[split], 2), kind="stable")
+            gsplit = group[split]
+            order = np.argsort(np.concatenate([gsplit, gsplit] + [gsplit[j] for j in extra]),
+                               kind="stable")
             new_lo, new_hi = new_lo[order], new_hi[order]
-        new_v, new_e = _gk_panels(f, gs, 2 * nsplit, new_lo, new_hi)
+        new_v, new_e = _gk_panels(f, gs, nnew, new_lo, new_hi)
         los, his = np.concatenate([los[keep], new_lo]), np.concatenate([his[keep], new_hi])
         vals, errs = np.concatenate([vals[keep], new_v]), np.concatenate([errs[keep], new_e])
-        counts = counts + nsplit
+        counts = counts - nsplit + nnew
         if many:
             order = np.argsort(np.concatenate([group[keep], np.repeat(
-                np.arange(len(ids)), 2 * nsplit)]), kind="stable")
+                np.arange(len(ids)), nnew)]), kind="stable")
             los, his, vals, errs = los[order], his[order], vals[order], errs[order]
             starts = counts.cumsum() - counts
     return out

@@ -303,11 +303,13 @@ def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):
     """Sign changes of p - q bracketed on a grid, then polished by root solves.
 
     Inexact kink hints degrade the adaptive error estimate, so each bracket is
-    refined to machine precision before being handed to the quadrature.
+    refined to machine precision.  A half-line grid adds lo + step 2^-k, k <= 60.
     """
     from .core import _window_for
     lo, hi = _window_for(prob.support, cfg, (prob.p, prob.q), prob.wf)
     xs = np.linspace(lo, hi, _CROSSING_GRID)
+    if prob.support.kind == "half-line":
+        xs = np.concatenate([xs[:1], lo + (xs[1] - lo) * 2.0 ** -np.arange(60, 0, -1), xs[1:]])
     # inf - inf (both densities infinite at a half-line endpoint when the
     # shape is below 1) is NaN, whose sign is never counted as a crossing
     with np.errstate(invalid="ignore"):
@@ -592,5 +594,5 @@ def weighted_tv_sup_oracle(prob: HypothesisProblem) -> float:
     v = w * (p - q)
     masks = np.arange(2 ** m, dtype=np.uint32)
     bits = (masks[:, None] >> np.arange(m)) & 1
-    sums = bits @ v
+    sums = np.einsum("ij,j->i", bits, v)  # a threaded BLAS product rounds by thread count
     return 0.5 * (float(np.max(sums)) + float(np.max(-sums)))

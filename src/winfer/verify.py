@@ -17,6 +17,7 @@ from .core import Distribution, IntegrationConfig, WeightFunction
 from .divergence import (
     HypothesisProblem,
     kl,
+    plan_quantities,
     quantity,
     weighted_tv,
     weighted_tv_sup_oracle,
@@ -345,6 +346,7 @@ def suite_expfam_golden(instances: int, seed: int, cfg: IntegrationConfig) -> Su
         m2 = catalog_family(name, **p2)
         adj = AdjointFamily(m1.family, wf, cfg)
         prob = HypothesisProblem(m1.dist, m2.dist, wf)
+        plan_quantities(prob, cfg, [(qname, alpha) for qname in CLOSED_FORMS])
         for qname, closed in CLOSED_FORMS.items():
             check(f"{name}-{qname}", closed(adj, m1.theta, m2.theta, alpha),
                   quantity(prob, qname, cfg, alpha).value)

@@ -512,15 +512,19 @@ class TestSubprocessContracts:
         # the rows computed before the refusal are still reported
         assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
 
-    def test_abs_mean_on_the_shift_family_exits_2(self):
-        """The shift family's draw carries S only, so sqrt(pi/2) mean |x| is
-        refused before any row is computed."""
-        r = run_cli(["cramer-rao", "--family", "gaussian-shift", "--estimator",
-                     "scale-abs-mean", "--trials", "20000", "--reproducible"])
-        assert r.returncode == 2
-        assert r.stderr == ("error: no Monte Carlo path for the scale-abs-mean estimator "
-                            "on gaussian-shift\n")
-        assert json.loads(r.stdout)["bounds"] == []
+    def test_mismatched_family_and_estimator_exit_1(self, capsys):
+        """The shift family's draw carries S only, and the shifted mean is the
+        shift family's: both pairs are usage errors, refused before any row
+        is computed, with no report."""
+        import winfer.cli
+        for family, est in (("gaussian-shift", "scale-abs-mean"),
+                            ("gaussian-scale", "shifted-mean")):
+            assert winfer.cli.main(["cramer-rao", "--family", family, "--estimator", est,
+                                    "--theta", "1", "--trials", "20000",
+                                    "--reproducible"]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"usage error: no {est} estimator on {family}\n"
 
     @pytest.mark.parametrize("bad", [["--n", "0"], ["--n", "-1"], ["--trials", "0"],
                                      ["--trials", "1"], ["--trials", "-5"],

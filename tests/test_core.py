@@ -348,6 +348,135 @@ class TestLockstepIntegrate:
         assert max(seen) < 1000  # both stop: the series does not run to its term budget
 
 
+def _panel_widths(x):
+    """Widths of the G7/K15 panels whose nodes an evaluator received: the
+    outer Kronrod nodes sit at mid -+ 0.991455371120813 half."""
+    x = np.asarray(x).reshape(-1, 15)
+    return (x[:, -1] - x[:, 0]) / 0.991455371120813
+
+
+def _bisection(g, p, q, wf, dists):
+    """The evaluator inputs and the (value, error) of plain adaptive
+    bisection, one component: 16 equal panels of its window cut at the
+    weight's kinks, then each round, up to ``_MAX_ROUNDS``, the halves of every
+    panel whose error exceeds a quarter of its share of the budget, kept
+    panels first, then left halves, then right halves."""
+    from winfer.core import _MAX_ROUNDS, _gk_panels, _window_for
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return p.density(x), q.density(x), wf(x)
+    lo, hi = _window_for(p.support, CFG, dists, wf)
+    e = np.arange(17.0) * ((hi - lo) / 16) + lo
+    e[-1] = hi
+    e = np.unique(np.concatenate([e, [k for k in wf.kink_points if lo < k < hi]]))
+    los, his = e[:-1], e[1:]
+    vals, errs = _gk_panels(f, [g], None, los, his)
+    for rnd in range(_MAX_ROUNDS + 1):
+        total, err = np.add.reduceat(vals, [0])[0], np.add.reduceat(errs, [0])[0]
+        tol = max(CFG.abs_tol, CFG.rel_tol * abs(total))
+        if not err > tol or rnd == _MAX_ROUNDS:
+            break
+        split = errs > 0.25 * tol / los.size
+        lo, hi = los[split], his[split]
+        mid = 0.5 * (lo + hi)
+        new_lo, new_hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        new_v, new_e = _gk_panels(f, [g], None, new_lo, new_hi)
+        los, his = np.concatenate([los[~split], new_lo]), np.concatenate([his[~split], new_hi])
+        vals, errs = np.concatenate([vals[~split], new_v]), np.concatenate([errs[~split], new_e])
+    return seen, (total, err)
+
+
+class TestGradedEndpoint:
+    """On a half-line, the panel at the lower edge splits at lo + h/16, h/8,
+    h/4 and h/2; every other panel, and every panel off the half-line,
+    bisects."""
+
+    def test_gamma_pair_converges_in_few_rounds(self):
+        """Shapes 1.35 and 2.2: p's derivative is singular at 0.  Every
+        component meets its tolerance within 8 evaluator calls (bisection
+        took 20), each within 1e-9 relative of mpmath's quadrature."""
+        import mpmath as mp
+        (lp, bp), (lq, bq), gam = (1.35, 1.3), (2.2, 0.9), 0.3
+        p, q, wf = Distribution.gamma(lp, bp), Distribution.gamma(lq, bq), \
+            WeightFunction.exponential(gam)
+        names = [n for n in _PAIR_TERMS if n != "tv"]  # tv needs its crossing as a breakpoint
+        comps = [c for c in _lockstep_components(p, q, wf) if c.g is not _PAIR_TERMS["tv"]]
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return p.density(x), q.density(x), wf(x)
+        got = integrate(f, p.support, CFG, components=comps)
+        assert len(calls) <= 8
+        with mp.workdps(30):
+            pdf = lambda x, lam, beta: beta ** lam * x ** (lam - 1) * mp.exp(-beta * x) \
+                / mp.gamma(lam)
+            dens = {"p": lambda x: pdf(x, mp.mpf(lp), mp.mpf(bp)),
+                    "q": lambda x: pdf(x, mp.mpf(lq), mp.mpf(bq))}
+            terms = {"mass-p": lambda d, e: d, "mass-q": lambda d, e: e,
+                     "rho": lambda d, e: mp.sqrt(d * e),
+                     "chernoff-0.3": lambda d, e: d ** 0.3 * e ** 0.7,
+                     "entropy-p": lambda d, e: -d * mp.log(d)}
+            for name, (val, _) in zip(names, got):
+                want = mp.quad(lambda x: mp.exp(gam * x) * terms[name](
+                    dens["p"](x), dens["q"](x)), [0, 1, 10, mp.inf])
+                assert val == pytest.approx(float(want), rel=1e-9), name
+
+    def test_floor_is_64_halvings_of_the_starting_panel(self):
+        """Shape 0.4: p is x^-0.6 at 0.  No panel gets finer than 2^-64 of
+        its starting panel (the window's step); the lower-edge panel reaches
+        that floor, and the component then stops, long before the 64-round
+        cap, at bisection's value within the two reported errors."""
+        from winfer.core import _MAX_ROUNDS, _window_for
+        p, wf = Distribution.gamma(0.4, 1.3), WeightFunction.exponential(0.3)
+        widths = []
+
+        def f(x):
+            widths.append(_panel_widths(x))
+            return wf(x) * p.density(x)
+        got = integrate(f, p.support, CFG, dists=(p,), wf=wf)
+        lo, hi = _window_for(p.support, CFG, (p,), wf)
+        floor = (hi - lo) / 16 * 2.0 ** -_MAX_ROUNDS
+        finest = min(w.min() for w in widths)
+        assert finest == pytest.approx(floor, rel=1e-9)
+        assert len(widths) < _MAX_ROUNDS // 3
+        _, (val, err) = _bisection(_PAIR_TERMS["mass-p"], p, p, wf, (p,))
+        assert abs(got[0] - val) <= got[1] + err
+
+    @pytest.mark.parametrize("name", ["mass-p", "tv", "rho", "entropy-p"])
+    @pytest.mark.parametrize("weight", ["exponential", "absolute", "quadratic"])
+    def test_gaussian_partition_is_unchanged(self, name, weight):
+        """A Gaussian component evaluates exactly the panels of plain
+        bisection, round by round (tv without a breakpoint has a kink)."""
+        p, q = _LOCKSTEP_PAIRS["gaussian"]
+        wf = _LOCKSTEP_WEIGHTS[weight]
+        dists = (p,) if name.endswith("-p") else (p, q)
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return _PAIR_TERMS[name](p.density(x), q.density(x), wf(x))
+        integrate(f, p.support, CFG, dists=dists, wf=wf)
+        want, _ = _bisection(_PAIR_TERMS[name], p, q, wf, dists)
+        assert len(seen) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, want))
+
+    def test_poisson_blocks_are_unchanged(self):
+        """A Poisson series reads terms 0, 1, 2, ... in blocks of 64."""
+        p, q = _LOCKSTEP_PAIRS["poisson"]
+        wf = WeightFunction.absolute()
+        seen = []
+
+        def f(k):
+            seen.append(k)
+            return p.density(k), q.density(k), wf(k)
+        integrate(f, p.support, CFG, components=_lockstep_components(p, q, wf))
+        assert len(seen) > 1
+        assert all(np.array_equal(k, np.arange(64 * i, 64 * (i + 1))) for i, k in enumerate(seen))
+
+
 class TestGaussHermiteNodes:
     """The tensor rule in factored form, ``(wr, x, center, chol)``: the nodes
     are center + chol z on the grid of the 1-D nodes x, wr their Lebesgue

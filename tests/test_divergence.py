@@ -680,6 +680,8 @@ class TestCrossingPoints:
             pts = _crossing_points(prob, CFG)
         lo, hi = _window_for(prob.support, CFG, (prob.p, prob.q), prob.wf)
         xs = np.linspace(lo, hi, 1024)
+        # the half-line grid: the first step also at lo + step 2^-k, k = 60 ... 1
+        xs = np.concatenate([xs[:1], lo + (xs[1] - lo) * 2.0 ** -np.arange(60, 0, -1), xs[1:]])
         with np.errstate(invalid="ignore"):
             diff = prob.p.density(xs) - prob.q.density(xs)
         assert np.isnan(diff[0]) and np.all(np.isfinite(diff[1:]))
@@ -689,6 +691,31 @@ class TestCrossingPoints:
         assert len(pts) == len(brackets) >= 1
         for x, i in zip(pts, brackets):
             assert xs[i] <= x <= xs[i + 1]
+
+    def test_a_crossing_in_the_first_grid_step_is_found(self):
+        """gamma(0.50, 2.16) crosses gamma(0.33, 1.56) at x = 0.02206, inside
+        the first step (0.048) of the 1024-point grid, where both densities are
+        singular at 0: the root is found, so tv has no unlisted kink, and
+        matches mpmath's 30-digit quadrature split at both roots."""
+        import mpmath as mp
+
+        from winfer.core import _window_for
+        from winfer.divergence import _crossing_points
+        a, b = (0.5005957012730126, 2.1605249812942042), (0.3305773915149094, 1.5591718097861833)
+        prob = HypothesisProblem(Distribution.gamma(*a), Distribution.gamma(*b),
+                                 WeightFunction.absolute())
+        pts = _crossing_points(prob, CFG)
+        lo, hi = _window_for(prob.support, CFG, (prob.p, prob.q), prob.wf)
+        assert len(pts) == 2 and lo < pts[0] < lo + (hi - lo) / 1023 < pts[1]
+        with mp.workdps(30):
+            pdf = lambda x, lam, beta: beta ** lam * x ** (lam - 1) * mp.exp(-beta * x) \
+                / mp.gamma(lam)
+            diff = lambda x: pdf(x, *map(mp.mpf, a)) - pdf(x, *map(mp.mpf, b))
+            roots = [mp.findroot(diff, mp.mpf(x)) for x in pts]
+            want = float(mp.quad(lambda x: x * abs(diff(x)), [0] + roots + [mp.inf]) / 2)
+        assert pts == pytest.approx([float(r) for r in roots], rel=1e-13)
+        got = weighted_tv(prob, CFG)
+        assert abs(got.value - want) <= max(got.error, 1e-13)
 
 
 def scipy_outcome(f, a, b, xtol, rtol, maxiter):
