@@ -23,6 +23,9 @@ count is an outcome flip, and every number is a value checked with
   bound-check sides) the largest move is printed, scaled by max(1, |v|), and
   for the values by the larger reported ``numerical_error`` of the two sides,
   with how many values moved by more than 1, 3 and 10 times that error;
+* the ``closed_form`` numbers get a line of their own: how many moved, and
+  the largest move relative to |v|, so that a change to the closed forms
+  alone shows at a glance whether it moved any value;
 * a value that moves further than the benchmark's reference check allows
   (``perfbench.workloads.close``, with the two reported errors summed) is
   printed, and any makes the exit code 1.
@@ -137,9 +140,10 @@ def compare_rows(new: dict, ref: dict, name: str) -> tuple:
     return flips, moves, [], beyond
 
 
-def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
+def compare(new: dict, ref: dict, name: str, notes: list, closed: list) -> tuple:
     """(flips, [(scaled move, where)], [(move over error, where)], [values
-    moved beyond ``close``]) of one output."""
+    moved beyond ``close``]) of one output; each closed-form number's
+    (relative move, where) is appended to ``closed``."""
     if "rows" in new:
         return compare_rows(new, ref, name)
     flips, moves, err_moves, beyond = [], [], [], []
@@ -172,6 +176,10 @@ def compare(new: dict, ref: dict, name: str, notes: list) -> tuple:
                 flips.append(f"{a['name']}: fields changed")
                 break
             moves.append((_moved(va, vb) / max(1.0, abs(vb)), where + pa))
+            if ".closed_form." in pa:
+                d = _moved(va, vb)
+                rel = 0.0 if d == 0 else (d / abs(vb) if vb else math.inf)
+                closed.append((rel, where + pa))
     ba, bb = new["report"].get("bound_checks", []), ref["report"].get("bound_checks", [])
     if [(c["check"], c["passed"]) for c in ba] != [(c["check"], c["passed"]) for c in bb]:
         flips.append("bound checks changed")
@@ -192,7 +200,7 @@ def main() -> int:
     print(f"{n} reports written to {args.out_dir}")
     if not args.against:
         return 0
-    n_flips, n_beyond, notes, moves, err_moves, unmatched = 0, 0, [], [], [], 0
+    n_flips, n_beyond, notes, moves, err_moves, closed, unmatched = 0, 0, [], [], [], [], 0
     for fname in sorted(os.listdir(args.out_dir)):
         with open(os.path.join(args.out_dir, fname), encoding="utf-8") as fh:
             new = json.load(fh)
@@ -201,7 +209,7 @@ def main() -> int:
             continue
         with open(os.path.join(args.against, fname), encoding="utf-8") as fh:
             ref = json.load(fh)
-        flips, m, em, beyond = compare(new, ref, fname[:-len(".json")], notes)
+        flips, m, em, beyond = compare(new, ref, fname[:-len(".json")], notes, closed)
         for f in flips:
             print(f"FLIP {fname}: {f}")
         for b in beyond:
@@ -225,6 +233,9 @@ def main() -> int:
         print(f"{pool}: numbers compared: {len(mine)}, moved: {len(moved)}")
         if moved:
             print("  largest move / max(1, |v|): %.3g at %s" % max(moved))
+    moved = [m for m in closed if m[0] > 0]
+    print(f"closed forms compared: {len(closed)}, moved: {len(moved)}"
+          + (", largest move / |v|: %.3g at %s" % max(moved) if moved else ""))
     finite = [m for m in err_moves if math.isfinite(m[0])]
     if finite:
         print("largest value move / reported error: %.3g at %s" % max(finite))

@@ -191,7 +191,7 @@ def parse_problem_spec(spec: dict):
     if not isinstance(quantities, list):
         raise SchemaError("quantities must be a list")
     for qn in quantities:
-        if qn not in QUANTITIES:
+        if not isinstance(qn, str) or qn not in QUANTITIES:
             raise SchemaError(f"unknown quantity {qn!r}")
     try:
         alphas = _finite("alpha_grid", spec.get("alpha_grid", [0.5]), 1).tolist()
@@ -215,6 +215,9 @@ def _check_weight_fits(wf: WeightFunction, dist: Distribution) -> None:
                           f"{g.size}-vector distributions, not {dist.family!r}")
     if wf.kind == "table" and sup.kind != "finite":
         raise SchemaError(f"a table weight needs pmf distributions, not {dist.family!r}")
+    if wf.kind == "table" and len(wf.values) != sup.m:
+        raise SchemaError(f"a length-{len(wf.values)} table weight needs pmfs of "
+                          f"{len(wf.values)} letters, not {sup.m}")
     if sup.kind == "real-vector" and wf.kind != "constant" and g is None:
         raise SchemaError(f"{dist.family!r} takes a constant or a length-{sup.d} "
                           f"exponential weight, not {wf.kind!r}")

@@ -91,8 +91,12 @@ class Support:
         if self.kind == "finite":
             if self.m < 1:
                 raise IllegalParameterError("finite alphabet needs m >= 1")
-            if self.labels and len(set(self.labels)) != self.m:
-                raise IllegalParameterError("labels must be distinct and match m")
+            try:
+                distinct = len(set(self.labels)) if self.labels else self.m
+            except TypeError:  # an unhashable label, e.g. a list
+                distinct = -1
+            if distinct != self.m:
+                raise IllegalParameterError("labels must be distinct, hashable and match m")
         elif self.kind == "real-vector":
             if not 1 <= self.d <= 8:
                 raise IllegalParameterError("vector support limited to 1 <= d <= 8")

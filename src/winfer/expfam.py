@@ -13,6 +13,15 @@ divergence/entropy closed form below is assembled from F, F*, and the mean
 weight E_phi(theta), so a single correct E_phi per (family, weight) pair
 propagates everywhere.
 
+An exponential weight phi(x) = e^{g.x} shifts the natural parameter (the
+family's moment-generating function): ``phi p_theta = E_phi(theta) p_theta'``
+with ``theta' = theta + g`` on x's statistics, so ``ln E_phi = F(theta') -
+F(theta)``, its gradient is ``grad F(theta') - grad F(theta)`` and the weighted
+moments of t are ``E_phi grad F(theta')``; a theta' outside the domain (gamma's
+g >= beta, the exponential's g >= lam) is refused.  Only the absolute and
+polynomial weights keep per-family forms (raw moments, and the exponential
+family's Laplace-transform pair).
+
 Closed forms for the weighted total variation between unit-variance Gaussians
 N(0,1), N(a,1) are provided for the quadratic / absolute / exponential weight
 specs.  The corrected expressions (verified against adaptive quadrature) are
@@ -92,6 +101,8 @@ class ExponentialFamily:
     to_natural: Callable              # conventional params dict -> theta
     from_natural: Callable            # theta -> conventional params dict
     zero_carrier: bool = True
+    x_sign: float = 1.0               # x = x_sign * t(x)[:x.size]
+    x_shape: Callable = lambda th: ()  # theta -> the shape of one outcome x
 
     def check(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -137,7 +148,7 @@ def _exponential_family() -> ExponentialFamily:
         grad_F=lambda th: np.array([-1.0 / th[0]]),
         contains=lambda th: th.size == 1 and th[0] > 0,
         to_natural=lambda p: np.array([float(p["lam"])]),
-        from_natural=lambda th: {"lam": float(th[0])})
+        from_natural=lambda th: {"lam": float(th[0])}, x_sign=-1.0)
 
 
 def _poisson_family() -> ExponentialFamily:
@@ -192,10 +203,11 @@ def _pack_mv(eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _unpack_mv(theta: np.ndarray):
-    """(eta, precision block) of a flat theta of size d + d^2 (the reshape
-    raises ValueError when no d fits)."""
+    """(eta, symmetrized precision block) of a flat theta of size d + d^2 (the
+    reshape raises ValueError when no d fits)."""
     d = (math.isqrt(4 * theta.size + 1) - 1) // 2
-    return theta[:d], theta[d:].reshape(d, d)
+    lam = theta[d:].reshape(d, d)
+    return theta[:d], 0.5 * (lam + lam.T)
 
 
 def _gaussian_mv_family() -> ExponentialFamily:
@@ -209,15 +221,13 @@ def _gaussian_mv_family() -> ExponentialFamily:
 
     def contains(th):
         try:
-            _, lam = _unpack_mv(th)
-            np.linalg.cholesky(-2.0 * (0.5 * (lam + lam.T)))
+            np.linalg.cholesky(-2.0 * _unpack_mv(th)[1])
         except (ValueError, np.linalg.LinAlgError):
             return False
         return True
 
     def F(th):
         eta, lam = _unpack_mv(th)
-        lam = 0.5 * (lam + lam.T)
         lam_inv = np.linalg.inv(lam)
         sign, logdet = np.linalg.slogdet(-lam)
         if sign <= 0:
@@ -225,18 +235,14 @@ def _gaussian_mv_family() -> ExponentialFamily:
         return float(-0.25 * eta @ lam_inv @ eta + 0.5 * eta.size * math.log(math.pi)
                      - 0.5 * logdet)
 
-    def grad_F(th):
-        eta, lam = _unpack_mv(th)
-        lam = 0.5 * (lam + lam.T)
-        sigma = -0.5 * np.linalg.inv(lam)
-        mu = sigma @ eta
-        return _pack_mv(mu, sigma + np.outer(mu, mu))
-
     def from_nat(th):
         eta, lam = _unpack_mv(th)
-        lam = 0.5 * (lam + lam.T)
         sigma = -0.5 * np.linalg.inv(lam)
         return {"mean": sigma @ eta, "cov": sigma}
+
+    def grad_F(th):
+        p = from_nat(th)
+        return _pack_mv(p["mean"], p["cov"] + np.outer(p["mean"], p["mean"]))
 
     def to_nat(p):
         mean = np.asarray(p["mean"], dtype=float)
@@ -248,7 +254,8 @@ def _gaussian_mv_family() -> ExponentialFamily:
         name="gaussian-multivariate", constructor=Distribution.gaussian_mv,
         t=t, k=lambda x: np.zeros(np.atleast_2d(x).shape[0]),
         F=F, grad_F=grad_F, contains=contains,
-        to_natural=to_nat, from_natural=from_nat)
+        to_natural=to_nat, from_natural=from_nat,
+        x_shape=lambda th: _unpack_mv(th)[0].shape)
 
 
 def _gamma_family() -> ExponentialFamily:
@@ -316,12 +323,31 @@ def _overflow_refused(fn):
     return wrapper
 
 
+def _tilt(fam: ExponentialFamily, wf: WeightFunction, theta: np.ndarray):
+    """(c, theta') with ``phi p_theta = c e^{F(theta') - F(theta)} p_theta'``:
+    (c, theta) for a constant weight c, (1, theta + x_sign g on x's
+    statistics) for phi(x) = e^{g.x}; None for any other weight or a rate not
+    shaped like one outcome x."""
+    if wf.kind == "constant":
+        return wf.c, theta
+    if wf.kind != "exponential" or np.shape(wf.gamma) != fam.x_shape(theta):
+        return None
+    g = np.ravel(wf.gamma)
+    shifted = theta.copy()
+    shifted[:g.size] += fam.x_sign * g
+    if not fam.contains(shifted):
+        raise ParameterOutOfDomainError(f"{fam.name}: the weight's rate leaves the natural domain")
+    return 1.0, shifted
+
+
 @_overflow_refused
 def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
                         theta: np.ndarray) -> Optional[float]:
     """Closed-form E_phi(theta) where the catalog provides one, else None."""
-    if wf.kind == "constant":
-        return wf.c
+    tilt = _tilt(fam, wf, theta)
+    if tilt is not None:
+        c, shifted = tilt
+        return c if shifted is theta else c * math.exp(fam.F(shifted) - fam.F(theta))
     name = fam.name
     if name == "exponential":
         lam = theta[0]
@@ -329,8 +355,6 @@ def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
         return None if lt is None else lam * lt
     if name == "poisson":
         lam = math.exp(theta[0])
-        if wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-            return math.exp(lam * (math.exp(wf.gamma) - 1.0))
         if wf.kind == "absolute":
             return lam
         if wf.kind == "polynomial":
@@ -338,13 +362,9 @@ def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
             c = np.asarray(wf.coeffs, dtype=float)
             mom = _poisson_raw_moments(lam, len(c) - 1)
             return float(np.dot(c, mom))
-        return None
     if name == "gaussian-scalar":
         p = fam.from_natural(theta)
         mu, s2 = p["mu"], p["sigma2"]
-        if wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-            g = float(wf.gamma)
-            return math.exp(mu * g + s2 * g * g / 2.0)
         if wf.kind == "absolute":
             sd = math.sqrt(s2)
             return sd * math.sqrt(2.0 / math.pi) * math.exp(-mu * mu / (2 * s2)) \
@@ -353,23 +373,9 @@ def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
             c = np.asarray(wf.coeffs, dtype=float)
             mom = _gaussian_raw_moments(mu, s2, len(c) - 1)
             return float(np.dot(c, mom))
-        return None
-    if name == "gaussian-multivariate":
-        p = fam.from_natural(theta)
-        g = wf.exp_rate_vector
-        if g is not None:
-            mean, cov = p["mean"], p["cov"]
-            return math.exp(float(mean @ g + 0.5 * g @ cov @ g))
-        return None
     if name == "gamma":
         p = fam.from_natural(theta)
         lam, beta = p["lam"], p["beta"]
-        if wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-            g = float(wf.gamma)
-            if g >= beta:
-                raise ParameterOutOfDomainError(
-                    "exponential weight incompatible: gamma >= beta")
-            return (beta / (beta - g)) ** lam
         if wf.kind == "absolute":
             return lam / beta
         if wf.kind == "polynomial":
@@ -377,15 +383,12 @@ def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
             mom = [math.exp(gammaln(lam + i) - gammaln(lam)) / beta ** i
                    for i in range(len(c))]
             return float(np.dot(c, mom))
-        return None
     return None
 
 
 def _poisson_raw_moments(lam: float, kmax: int) -> list:
     """E[L^k] for k = 0..kmax via the Stirling-number recursion."""
     mom = [1.0]
-    if kmax == 0:
-        return mom
     # touchard recursion: m_{k+1} = lam * sum_j C(k, j) m_j
     for k in range(kmax):
         mom.append(lam * sum(math.comb(k, j) * mom[j] for j in range(k + 1)))
@@ -433,38 +436,13 @@ class AdjointFamily:
     @_overflow_refused
     def _grad_log_weight_mass_closed(self, theta) -> Optional[np.ndarray]:
         wf, fam = self.wf, self.base
-        if wf.kind == "constant":
-            return np.zeros(theta.size)
+        tilt = _tilt(fam, wf, theta)
+        if tilt is not None:  # zero for a constant weight, which leaves theta be
+            return np.zeros(theta.size) if tilt[1] is theta \
+                else fam.grad_F(tilt[1]) - fam.grad_F(theta)
         if fam.name == "exponential" and wf.laplace(theta[0]) is not None:
             lam = theta[0]
             return np.array([1.0 / lam + wf.laplace_prime(lam) / wf.laplace(lam)])
-        if fam.name == "poisson" and wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-            return np.array([math.exp(theta[0]) * (math.exp(wf.gamma) - 1.0)])
-        if fam.name == "gaussian-scalar" and wf.kind == "exponential" \
-                and np.ndim(wf.gamma) == 0:
-            g = float(wf.gamma)
-            th1, th2 = theta
-            return np.array([-g / (2.0 * th2),
-                             g * th1 / (2.0 * th2 ** 2) + g * g / (4.0 * th2 ** 2)])
-        if fam.name == "gamma" and wf.kind == "exponential" and np.ndim(wf.gamma) == 0:
-            g = float(wf.gamma)
-            th1, lam = theta[0], theta[1] + 1.0
-            if -th1 - g <= 0:
-                raise ParameterOutOfDomainError("gamma >= beta")
-            d1 = lam * (1.0 / th1 - 1.0 / (th1 + g))
-            d2 = math.log(-th1) - math.log(-th1 - g)
-            return np.array([d1, d2])
-        if fam.name == "gaussian-multivariate":
-            g = wf.exp_rate_vector
-            if g is not None:
-                eta, lam = _unpack_mv(theta)
-                lam = 0.5 * (lam + lam.T)
-                sigma = -0.5 * np.linalg.inv(lam)
-                mu = sigma @ eta
-                d_eta = sigma @ g
-                d_lam = np.outer(sigma @ g, mu) + np.outer(mu, sigma @ g) \
-                    + np.outer(sigma @ g, sigma @ g)
-                return _pack_mv(d_eta, d_lam)
         return None
 
     def F_star(self, theta) -> float:
@@ -600,6 +578,11 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
     fam = adj.base
     theta = fam.check(theta)
     out = {"E0": adj.weight_mass(theta)}
+    if fam.name == "exponential":
+        lam = theta[0]
+        out["phi_hat"] = adj.wf.laplace(lam)
+        out["phi_hat_prime"] = adj.wf.laplace_prime(lam)
+        return out
     dist = fam.distribution(theta)
 
     def moment(g):
@@ -607,57 +590,35 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
                            dist.support, adj.cfg, dists=(dist,), wf=adj.wf)
         return val
 
+    tilt = _tilt(fam, adj.wf, theta)
+    # the weighted moments of t, E_phi grad F(theta'), where the weight tilts
+    tilted = None if tilt is None else out["E0"] * fam.grad_F(tilt[1])
     if fam.name == "gaussian-scalar":
-        p = fam.from_natural(theta)
-        mu, s2 = p["mu"], p["sigma2"]
-        if adj.wf.kind == "exponential" and np.ndim(adj.wf.gamma) == 0:
-            g = float(adj.wf.gamma)
-            e0 = out["E0"]
-            out["E1"] = (g * s2 + mu) * e0
-            out["E2"] = (s2 + (g * s2 + mu) ** 2) * e0
-        elif adj.wf.kind == "constant":
-            out["E1"] = adj.wf.c * mu
-            out["E2"] = adj.wf.c * (s2 + mu * mu)
+        if tilted is not None:
+            out["E1"], out["E2"] = tilted
         else:
             out["E1"] = moment(lambda x: x)
             out["E2"] = moment(lambda x: x * x)
     elif fam.name == "gaussian-multivariate":
         p = fam.from_natural(theta)
         mean, cov = p["mean"], p["cov"]
-        g = adj.wf.exp_rate_vector
-        if g is not None:
-            e0 = out["E0"]
-            shift = cov @ g + mean
-            out["E1"] = shift * e0
-            out["E2"] = (cov + np.outer(shift, shift)) * e0
-        elif adj.wf.kind == "constant":
-            out["E1"] = adj.wf.c * mean
-            out["E2"] = adj.wf.c * (cov + np.outer(mean, mean))
+        d = mean.size
+        if tilted is not None:
+            out["E1"], out["E2"] = tilted[:d], tilted[d:].reshape(d, d)
         else:
             # every moment on one level-48 rule: E1 = sum v x, E2 = sum v x x^T
             rule = gauss_hermite_nodes(mean, 2.0 * cov, 48)
-            v = (mesh_weight(rule, adj.wf) * mesh_density(rule, dist)).reshape((48,) * mean.size)
+            v = (mesh_weight(rule, adj.wf) * mesh_density(rule, dist)).reshape((48,) * d)
             xs = mesh_coords(rule)
             out["E1"] = np.array([np.sum(v * x) for x in xs])
             out["E2"] = np.array([[np.sum(v * x * y) for y in xs] for x in xs])
     elif fam.name == "gamma":
         p = fam.from_natural(theta)
         lam, beta = p["lam"], p["beta"]
-        if adj.wf.kind == "exponential" and np.ndim(adj.wf.gamma) == 0:
-            g = float(adj.wf.gamma)
-            e0 = out["E0"]
-            ex = e0 * lam / (beta - g)
-            elog = e0 * (digamma(lam) - math.log(beta - g))
-            out["L"] = beta * ex + (1.0 - lam) * elog
-        elif adj.wf.kind == "constant":
-            c = adj.wf.c
-            out["L"] = c * (lam + (1.0 - lam) * (digamma(lam) - math.log(beta)))
+        if tilted is not None:
+            out["L"] = beta * tilted[0] + (1.0 - lam) * tilted[1]
         else:
             out["L"] = moment(lambda x: beta * x + (1.0 - lam) * np.log(x))
-    elif fam.name == "exponential":
-        lam = theta[0]
-        out["phi_hat"] = adj.wf.laplace(lam)
-        out["phi_hat_prime"] = adj.wf.laplace_prime(lam)
     return out
 
 

@@ -200,6 +200,14 @@ MALFORMED_SPECS = {
     "labels not a list": _spec_with(
         distributions=[{"pmf": [0.5, 0.5], "labels": 5}, {"pmf": [0.5, 0.5]}],
         weight={"kind": "table", "values": [1.0, 2.0]}),
+    "unhashable labels": _spec_with(
+        distributions=[{"pmf": [0.5, 0.5], "labels": [[1], [2]]}, {"pmf": [0.5, 0.5]}],
+        weight={"kind": "table", "values": [1.0, 2.0]}),
+    "non-string quantity": _spec_with(quantities=[["tv"]]),
+    **{f"table {which} than the alphabet": _spec_with(
+        distributions=[{"pmf": [0.5, 0.5]}, {"pmf": [0.3, 0.7]}],
+        weight={"kind": "table", "values": values})
+       for which, values in (("longer", [1.0, 2.0, 3.0]), ("shorter", [1.0]))},
     "non-numeric seed": _spec_with(seed="x"),
     "vector gamma, scalar support": _spec_with(
         weight={"kind": "exponential", "gamma": [0.1, 0.2]}),

@@ -522,6 +522,109 @@ class TestAdjointCoefficients:
                                    rtol=1e-12)
 
 
+def _textbook_tilt(name: str, params: dict, g):
+    """(E_phi, grad ln E_phi in natural coordinates, weighted moment coefficients)
+    of phi(x) = e^{g.x}, from the per-family textbook forms."""
+    if name == "exponential":
+        lam = params["lam"]
+        return lam / (lam - g), [1.0 / lam - 1.0 / (lam - g)], {}
+    if name == "poisson":
+        lam = params["lam"]
+        return math.exp(lam * (math.exp(g) - 1.0)), [lam * (math.exp(g) - 1.0)], {}
+    if name == "gaussian-scalar":
+        mu, s2 = params["mu"], params["sigma2"]
+        th1, th2 = mu / s2, -0.5 / s2
+        e0 = math.exp(mu * g + s2 * g * g / 2.0)
+        grad = [-g / (2.0 * th2), g * th1 / (2.0 * th2 ** 2) + g * g / (4.0 * th2 ** 2)]
+        return e0, grad, {"E1": (g * s2 + mu) * e0, "E2": (s2 + (g * s2 + mu) ** 2) * e0}
+    if name == "gamma":
+        lam, beta = params["lam"], params["beta"]
+        e0 = (beta / (beta - g)) ** lam
+        th1 = -beta
+        grad = [lam * (1.0 / th1 - 1.0 / (th1 + g)), math.log(-th1) - math.log(-th1 - g)]
+        ex, elog = e0 * lam / (beta - g), e0 * (digamma(lam) - math.log(beta - g))
+        return e0, grad, {"L": beta * ex + (1.0 - lam) * elog}
+    mean, cov = params["mean"], params["cov"]
+    e0 = math.exp(mean @ g + 0.5 * g @ cov @ g)
+    sg = cov @ g
+    grad = np.concatenate([sg, (np.outer(sg, mean) + np.outer(mean, sg)
+                                + np.outer(sg, sg)).reshape(-1)])
+    shift = sg + mean
+    return e0, grad, {"E1": shift * e0, "E2": (cov + np.outer(shift, shift)) * e0}
+
+
+class TestTilt:
+    """An exponential weight shifts the natural parameter: the mass, its log
+    gradient and the weighted moments come from F and grad F at theta'."""
+
+    @pytest.mark.parametrize("name,params", MEMBERS)
+    @pytest.mark.parametrize("rate", [-0.7, 0.3, 0.9])
+    def test_matches_the_textbook_forms(self, name, params, rate):
+        m = catalog_family(name, **params)
+        g = np.array([rate, -0.5 * rate]) if name == "gaussian-multivariate" else rate
+        adj = AdjointFamily(m.family, WeightFunction.exponential(g), CFG)
+        e0, grad, coeffs = _textbook_tilt(name, params, g)
+        assert adj.weight_mass(m.theta) == pytest.approx(e0, rel=1e-13)
+        np.testing.assert_allclose(adj.grad_log_weight_mass(m.theta), grad, rtol=1e-13)
+        got = adjoint_coefficients(adj, m.theta)
+        for key, want in coeffs.items():
+            np.testing.assert_allclose(got[key], want, rtol=1e-13, err_msg=key)
+
+    @pytest.mark.parametrize("name,params", MEMBERS)
+    def test_constant_weight_is_the_unweighted_family(self, name, params):
+        m = catalog_family(name, **params)
+        adj = AdjointFamily(m.family, WeightFunction.constant(2.5), CFG)
+        assert adj.weight_mass(m.theta) == 2.5
+        assert not np.any(adj.grad_log_weight_mass(m.theta))
+        got = adjoint_coefficients(adj, m.theta)
+        if name == "gaussian-scalar":
+            mu, s2 = params["mu"], params["sigma2"]
+            assert got["E1"] == pytest.approx(2.5 * mu, rel=1e-13)
+            assert got["E2"] == pytest.approx(2.5 * (s2 + mu * mu), rel=1e-13)
+        if name == "gamma":
+            lam, beta = params["lam"], params["beta"]
+            assert got["L"] == pytest.approx(
+                2.5 * (lam + (1.0 - lam) * (digamma(lam) - math.log(beta))), rel=1e-13)
+
+    @pytest.mark.parametrize("rate", [2.0, 3.5])
+    def test_exponential_rate_at_or_past_lam_is_out_of_domain(self, rate):
+        """g >= lam leaves theta' = lam - g outside lam > 0: the mass diverges,
+        and every closed form refuses it (no numeric integral is tried)."""
+        m = catalog_family("exponential", lam=2.0)
+        m2 = catalog_family("exponential", lam=3.0)
+        adj = AdjointFamily(m.family, WeightFunction.exponential(rate), CFG)
+        with pytest.raises(ParameterOutOfDomainError, match="natural domain"):
+            adj.weight_mass(m.theta)
+        with pytest.raises(ParameterOutOfDomainError):
+            adj.grad_log_weight_mass(m.theta)
+        for form in CLOSED_FORMS.values():
+            with pytest.raises(ParameterOutOfDomainError):
+                form(adj, m.theta, m2.theta, 0.5)
+
+    @pytest.mark.parametrize("name,params,gamma", [
+        ("poisson", {"lam": 1.5}, [0.3]),
+        ("gaussian-scalar", {"mu": 0.4, "sigma2": 1.2}, [0.3, 0.2]),
+        ("gamma", {"lam": 2.5, "beta": 1.5}, [0.3]),
+        ("exponential", {"lam": 2.0}, [0.3]),
+        MEMBERS[4] + (0.3,),
+        MEMBERS[4] + ([0.3, 0.1, 0.2],),
+        ("gaussian-multivariate", {"mean": [0.1], "cov": [[1.0]]}, 0.3),
+    ], ids=["poisson-vector", "gaussian-vector", "gamma-vector", "exponential-vector",
+            "mv-scalar", "mv-wrong-length", "mv-d1-scalar"])
+    def test_mismatched_rate_shape_has_no_closed_form(self, name, params, gamma):
+        """A rate not shaped like one outcome is not tilted: the closed forms
+        decline, and the numeric fallback raises instead of a silent value."""
+        from winfer.expfam import _tilt, _weight_mass_closed
+        m = catalog_family(name, **params)
+        wf = WeightFunction.exponential(gamma)
+        adj = AdjointFamily(m.family, wf, CFG)
+        assert _tilt(m.family, wf, m.theta) is None
+        assert _weight_mass_closed(m.family, wf, m.theta) is None
+        assert adj._grad_log_weight_mass_closed(m.theta) is None
+        with pytest.raises(Exception):
+            adj.weight_mass(m.theta)
+
+
 class TestGaussianTvClosedForms:
     def test_zero_shift_vanishes(self):
         for wf in (WeightFunction.quadratic(0.5, 1.0), WeightFunction.absolute(),
