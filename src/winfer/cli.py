@@ -67,7 +67,7 @@ import numpy as np
 from . import __version__
 from .core import _GH_MAX_D, Distribution, IntegrationConfig, WeightFunction, _finite
 from .divergence import QUANTITIES, DivergenceValue, HypothesisProblem, plan_quantities, quantity
-from .errors import SchemaError, WinferError
+from .errors import DomainMismatchError, SchemaError, WinferError
 from .estimation import (
     PriorSpec,
     cramer_rao_A,
@@ -186,7 +186,14 @@ def parse_problem_spec(spec: dict):
     for dist, _ in parsed:
         if dist.support.kind == "real-vector" and dist.support.d > _GH_MAX_D:
             raise SchemaError(f"vector distributions need d <= {_GH_MAX_D}, not {dist.support.d}")
-        _check_weight_fits(wf, dist)
+        try:
+            wf.check_fits(dist.support)
+        except DomainMismatchError as exc:
+            raise SchemaError(f"{exc} ({dist.family!r})") from exc
+        if dist.support.kind == "real-vector" and wf.kind != "constant" \
+                and wf.exp_rate_vector is None:
+            raise SchemaError(f"{dist.family!r} takes a constant or a length-{dist.support.d} "
+                              f"exponential weight, not {wf.kind!r}")
     quantities = _need(spec, "quantities", "spec")
     if not isinstance(quantities, list):
         raise SchemaError("quantities must be a list")
@@ -204,23 +211,6 @@ def parse_problem_spec(spec: dict):
         raise SchemaError(f"seed must be a nonnegative integer, got {seed!r}")
     cfg = parse_integration(spec.get("integration", {}))
     return parsed, wf, list(quantities), alphas, cfg, int(seed)
-
-
-def _check_weight_fits(wf: WeightFunction, dist: Distribution) -> None:
-    """Refuse a weight that cannot be evaluated on the distribution's outcomes."""
-    sup = dist.support
-    g = wf.exp_rate_vector
-    if g is not None and (sup.kind != "real-vector" or g.size != sup.d):
-        raise SchemaError(f"a length-{g.size} exponential weight needs "
-                          f"{g.size}-vector distributions, not {dist.family!r}")
-    if wf.kind == "table" and sup.kind != "finite":
-        raise SchemaError(f"a table weight needs pmf distributions, not {dist.family!r}")
-    if wf.kind == "table" and len(wf.values) != sup.m:
-        raise SchemaError(f"a length-{len(wf.values)} table weight needs pmfs of "
-                          f"{len(wf.values)} letters, not {sup.m}")
-    if sup.kind == "real-vector" and wf.kind != "constant" and g is None:
-        raise SchemaError(f"{dist.family!r} takes a constant or a length-{sup.d} "
-                          f"exponential weight, not {wf.kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ def _finite(name: str, value, ndim: int = 0):
     except ValueError:  # ragged nesting
         arr = None
     if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf" \
-            or not np.all(np.isfinite(arr)):
+            or not np.isfinite(arr).all():
         what = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
         raise IllegalParameterError(f"{name} must be {what}, got {value!r}")
     return float(arr) if ndim == 0 else arr.astype(float)
@@ -164,7 +164,7 @@ class WeightFunction:
             raise IllegalParameterError("constant weight must be >= 0")
         if self.kind == "table":
             v = np.asarray(self.values, dtype=float)
-            if v.size == 0 or np.any(v < 0):
+            if v.size == 0 or (v < 0).any():
                 raise IllegalParameterError("table weights must be nonnegative")
             v.flags.writeable = False
             object.__setattr__(self, "_table", v)
@@ -318,15 +318,27 @@ class WeightFunction:
     def product(factors: Sequence["WeightFunction"]) -> "WeightFunction":
         return WeightFunction(kind="product", factors=tuple(factors))
 
+    def check_fits(self, support: Support) -> None:
+        """``DomainMismatchError`` for a table off a finite support or of another
+        length than its alphabet, and for a rate vector of another length than
+        the vectors of the support."""
+        if self.kind == "table":
+            n, need, size = len(self.values), "finite", support.m
+        elif (g := self.exp_rate_vector) is not None:
+            n, need, size = g.size, "real-vector", support.d
+        else:
+            return
+        if support.kind != need or n != size:
+            raise DomainMismatchError(f"a length-{n} {self.kind} weight needs a {need} support "
+                                      f"of size {n}, not {support.kind} of size {size}")
+
     def table_on(self, support: Support) -> np.ndarray:
         """Evaluate as a vector over a finite alphabet."""
         if support.kind != "finite":
             raise DomainMismatchError("table_on needs a finite support")
-        if self.kind == "table":
-            if self._table.size != support.m:
-                raise DomainMismatchError("weight table length != alphabet size")
-            return self._table
-        return np.asarray(self(np.arange(support.m)), dtype=float)
+        self.check_fits(support)
+        return self._table if self.kind == "table" else \
+            np.asarray(self(np.arange(support.m)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +356,7 @@ class FiniteDistribution:
         object.__setattr__(self, "pmf", p)
         if p.ndim != 1 or p.size < 1:
             raise IllegalParameterError("pmf must be a 1-d vector")
-        if np.any(p < -1e-15):
+        if (p < -1e-15).any():
             raise IllegalParameterError("pmf entries must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise IllegalParameterError("pmf must sum to 1 within 1e-12")
@@ -603,7 +615,9 @@ def integrate(f: Callable, support: Support, cfg: IntegrationConfig,
     Returns ``(value, error_estimate)``.  ``dists`` supply envelope hints for
     truncating unbounded domains, ``wf`` contributes its growth rate, and
     ``points`` marks known kinks (e.g. density crossing points) passed to the
-    adaptive subdivision.
+    adaptive subdivision; one outside the window, or closer to its lower edge
+    than the finest panel there, is dropped.  A kink it does not list is
+    refined unaided, and its error estimate there is optimistic.
 
     With ``components``, f returns a tuple of shared arrays and each
     ``Integrand`` integrates ``g(*f(x))`` as a lone call would, in lockstep:
@@ -700,18 +714,23 @@ def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
     ``max_subdivisions`` panels or none it may split.  Panels bisect, but on a
     half-line the one at the lower edge splits at h/16, h/8, h/4 and h/2
     (Schwab, Computing 53, 1994), no finer than ``_MAX_ROUNDS`` halvings of
-    its starting panel.  Panels sit in flat arrays by component, each in a lone
-    run's order (kept, left halves, right halves, graded pieces), so sums match it."""
+    its starting panel, a floor below which breakpoints are dropped.  Panels
+    sit in flat arrays by component, each in a lone run's order (kept, left
+    halves, right halves, graded pieces), so sums match it."""
     out: list = [None] * len(comps)
-    ids, edges = [], []
+    ids, edges, windows = [], [], {}  # by the ids of (dists, wf): a Distribution is unhashable
     for i, c in enumerate(comps):
+        key = (*map(id, c.dists), id(c.wf))
         try:
-            lo, hi = _window_for(support, cfg, c.dists, c.wf)
+            if key not in windows:
+                windows[key] = _window_for(support, cfg, c.dists, c.wf)
+            lo, hi = windows[key]
         except NonConvergentIntegralError as exc:
             out[i] = exc
             continue
-        inner = [p for p in tuple(c.points) + (c.wf.kink_points if c.wf else ()) if lo < p < hi]
         step = (hi - lo) / (_BASE_EDGES.size - 1)
+        floor = lo + step * 2.0 ** -_MAX_ROUNDS
+        inner = [p for p in tuple(c.points) + (c.wf.kink_points if c.wf else ()) if floor < p < hi]
         e = _BASE_EDGES * step + lo  # np.linspace(lo, hi, 17), bit for bit
         e[-1] = hi
         # a step above 4 ulps keeps the rounded edges distinct and increasing

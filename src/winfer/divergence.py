@@ -36,6 +36,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import wrightomega
 
 from .core import (
     Distribution,
@@ -86,7 +87,6 @@ __all__ = [
 _ORACLE_MAX_M = 20
 _MV_LADDER = (32, 40, 48, 60)  # tensor Gauss-Hermite levels a vector integral climbs
 _EPS = float(np.finfo(float).eps)
-_CROSSING_GRID = 1024  # grid points that bracket the sign changes of p - q
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,7 @@ class HypothesisProblem:
     def __post_init__(self):
         if not self.p.support.same_space(self.q.support):
             raise DomainMismatchError("p and q must share one outcome space")
+        self.wf.check_fits(self.p.support)
 
     @property
     def support(self) -> Support:
@@ -299,74 +300,82 @@ def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig):
     return value, max(gap, roundoff)
 
 
-def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig):
-    """Sign changes of p - q bracketed on a grid, then polished by root solves.
+def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig) -> list:
+    """The sign changes of p - q, the kinks of the tv integrand.
 
-    Inexact kink hints degrade the adaptive error estimate, so each bracket is
-    refined to machine precision.  A half-line grid adds lo + step 2^-k, k <= 60.
+    For two catalog members of one scalar support ln p - ln q = u t_1(x) +
+    v t_2(x) + c, with (u, v) = theta_p - theta_q and c = F(theta_q) -
+    F(theta_p) from ``expfam.CATALOG``: two Gaussians, t = (x, x^2), give a
+    quadratic (``_quadratic_roots``); two gammas, t = (x, ln x) and
+    exponential(lam) being gamma(1, lam), give v ln x + u x + c
+    (``_log_linear_roots``).  The pair is solved in a fixed order, so that
+    (q, p) gets the roots of (p, q) bit for bit.  The engine drops a root
+    outside the tv window or below its finest lower-edge panel.  Any other
+    pair (a density given only as a ``pdf``) is scanned: the G7/K15 error
+    estimate of a panel with an unlisted kink is optimistic.
     """
+    from .expfam import CATALOG  # expfam imports this module
+    p, q = sorted((prob.p, prob.q), key=lambda d: (d.family, *d.params.values()))
+    if p.family == q.family == "gaussian-scalar":
+        fam, solve = CATALOG["gaussian-scalar"], _quadratic_roots
+    elif {p.family, q.family} <= {"exponential", "gamma"}:
+        fam, solve = CATALOG["gamma"], _log_linear_roots
+    else:
+        return _scanned_crossings(prob, cfg)
+    tp, tq = (fam.to_natural({"lam": 1.0, "beta": d.params["lam"]} if d.family == "exponential"
+                             else d.params).tolist() for d in (p, q))  # floats: ~1 us faster
+    return sorted(solve(tp[1] - tq[1], tp[0] - tq[0], fam.F(tq) - fam.F(tp)))
+
+
+def _scanned_crossings(prob: HypothesisProblem, cfg: IntegrationConfig) -> list:
+    """Sign changes of p - q bracketed on 1,024 points of the tv window (on a
+    half-line also at lo + step 2^-k, k <= 60) and bisected to adjacent
+    doubles.  NaN, inf - inf where both densities are infinite at a half-line
+    endpoint, is never a crossing."""
     from .core import _window_for
     lo, hi = _window_for(prob.support, cfg, (prob.p, prob.q), prob.wf)
-    xs = np.linspace(lo, hi, _CROSSING_GRID)
+    xs = np.linspace(lo, hi, 1024)
     if prob.support.kind == "half-line":
         xs = np.concatenate([xs[:1], lo + (xs[1] - lo) * 2.0 ** -np.arange(60, 0, -1), xs[1:]])
-    # inf - inf (both densities infinite at a half-line endpoint when the
-    # shape is below 1) is NaN, whose sign is never counted as a crossing
+    sign = lambda x: np.sign(prob.p.density(x) - prob.q.density(x))
     with np.errstate(invalid="ignore"):
-        diff = prob.p.density(xs) - prob.q.density(xs)
-    sign = np.sign(diff)
-    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    g = lambda x: float(prob.p.density(x) - prob.q.density(x))
-    out = []
-    for i in idx:
-        try:
-            out.append(_brent_root(g, xs[i], xs[i + 1], xtol=1e-14, rtol=1e-15))
-        except ValueError:
-            out.append(0.5 * (xs[i] + xs[i + 1]))
-    return out
+        s = sign(xs)
+        at = np.flatnonzero(s[:-1] * s[1:] < 0)
+        a, b, s = xs[at], xs[at + 1], s[at]
+        for _ in range(200):  # each step halves every bracket
+            mid = 0.5 * (a + b)
+            if not ((a < mid) & (mid < b)).any():
+                break
+            right = sign(mid) == s  # the root lies right of mid
+            a, b = np.where(right, mid, a), np.where(right, b, mid)
+    return (0.5 * (a + b)).tolist()
 
 
-def _brent_root(f, a, b, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b]: scipy's ``brentq.c`` (Brent 1973, ch. 4) operation
-    for operation, with C's ``MIN`` and ``signbit``; a zero divisor (an inf or
-    nan step in C) bisects.  NaN from f, or one sign at both ends, raises
-    ``ValueError``; too many steps ``NonConvergentIntegralError``."""
-    def call(x):
-        if math.isnan(fx := float(f(x))):
-            raise ValueError(f"f({x!r}) is NaN")
-        return fx
+def _quadratic_roots(a: float, b: float, c: float) -> list:
+    """The simple real roots of a x^2 + b x + c, h / a and c / h with h = -(b +
+    sign(b) sqrt(disc)) / 2, which cancels nothing; none at disc <= 0 (a tangent)."""
+    if a == 0:
+        return [-c / b] if b else []
+    disc = b * b - 4.0 * a * c
+    if disc <= 0:
+        return []
+    h = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [h / a, c / h]
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):  # C's signbit
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):  # the first step sets xblk, fblk, spre and scur
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
-        delta, sbis = (xtol + rtol * abs(xcur)) / 2, (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # fails the test below, so the step bisects
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        cap = 3 * abs(sbis) - delta
-        good = 2 * abs(stry) < (abs(spre) if abs(spre) < cap else cap)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise NonConvergentIntegralError(f"no root to xtol {xtol:g} in {maxiter} Brent steps")
+
+def _log_linear_roots(a: float, b: float, c: float) -> list:
+    """The simple roots x > 0 of a ln x + b x + c: with r = -b / a and
+    t = ln|r| - c / a, x = omega(t) / |r| at r < 0, and -omega(t +- i pi) / r at
+    r > 0 and t < -1, omega being the Wright omega function, W(e^t) (Corless
+    et al., "On the Lambert W function", 1996), so e^(-c/a) is never formed."""
+    if a == 0 or b == 0:  # linear in x, or in ln x
+        roots = ([-c / b] if b else []) if a == 0 else [math.exp(min(-c / a, 709.0))]
+    elif (r := -b / a) < 0:
+        roots = [wrightomega(math.log(-r) - c / a) / -r]
+    else:  # a tangent root at t = -1, none above
+        t = math.log(r) - c / a
+        roots = [-wrightomega(complex(t, s)).real / r for s in (math.pi, -math.pi) if t < -1.0]
+    return [x for x in roots if x > 0]  # an e^t below the least double is 0
 
 
 def weight_mass(dist: Distribution, wf: WeightFunction, cfg: IntegrationConfig) -> float:

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .core import IntegrationConfig, integrate
-from .divergence import QUANTITIES, HypothesisProblem, integrals, plan_quantities, quantity
+from .divergence import QUANTITIES, HypothesisProblem, integrals, quantity
 from .errors import (
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -154,13 +154,14 @@ class BoundReport:
 
 
 def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
-    """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), from the one plan of the
-    error-bounds entry; Delta is the table's formula at the two weight masses."""
-    plan_quantities(prob, cfg, [("error-bounds", None)])
-    (ep, _), (eq, _) = integrals(prob, cfg, [("mass", "p"), ("mass", "q")])
+    """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), each quantity its table
+    formula, as ``quantity(...).value`` is, at one ``integrals`` call that
+    reads the integrals in this order, so the first failure met is raised."""
+    names = ("bhattacharyya-coeff", "tv", "hellinger", "kl")
+    (ep, _), (eq, _), *got = integrals(prob, cfg, [("mass", "p"), ("mass", "q"), *(
+        QUANTITIES[name].reads(None)[0] for name in names)])
     return (ep, eq, QUANTITIES["delta"].formula(None, ep, eq),
-            *(quantity(prob, name, cfg).value
-              for name in ("bhattacharyya-coeff", "tv", "hellinger", "kl")))
+            *(QUANTITIES[name].formula(None, v) for name, (v, _) in zip(names, got)))
 
 
 def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,

@@ -121,20 +121,28 @@ def suite_chain(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteRepor
 
 
 def suite_pinsker(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteReport:
-    """tau <= sqrt(K E_phi(p)/2) whenever E_phi(p) >= E_phi(q)."""
+    """tau <= sqrt(K E_phi(p)/2) whenever E_phi(p) >= E_phi(q) and K is finite;
+    else, tau being symmetric, for the swapped pair (q, p).  Instances that
+    neither direction covers are the hypothesis failures."""
     rng = np.random.default_rng(seed)
     rep = SuiteReport(suite="pinsker", instances=instances)
-    min_margin = math.inf
+    margins = {"pinsker": [], "pinsker-swapped": []}
     for prob in _mixed_instances(rng, instances):
         r = error_bound_report(prob, cfg)
-        if not r.pinsker_applicable or not math.isfinite(r.kl):
+        if r.pinsker_applicable and math.isfinite(r.kl):
+            kind, bound = "pinsker", r.pinsker_bound
+        elif r.eq >= r.ep - 1e-9 and math.isfinite(
+                kq := quantity(HypothesisProblem(prob.q, prob.p, prob.wf), "kl", cfg).value):
+            kind, bound = "pinsker-swapped", math.sqrt(max(kq, 0.0) * r.eq / 2.0)
+        else:
             rep.hypothesis_failures += 1
             continue
-        margin = r.pinsker_bound - r.tau
-        min_margin = min(min_margin, margin)
+        margins[kind].append(margin := bound - r.tau)
         if margin < -1e-9 * max(1.0, r.delta):
-            rep.violations.append({"kind": "pinsker", "margin": margin})
-    rep.margins["min_margin"] = min_margin
+            rep.violations.append({"kind": kind, "margin": margin})
+    rep.margins["min_margin"] = min(margins["pinsker"], default=math.inf)
+    rep.margins["min_margin_swapped"] = min(margins["pinsker-swapped"], default=math.inf)
+    rep.margins["swapped_checked"] = len(margins["pinsker-swapped"])
     return rep
 
 

@@ -31,6 +31,7 @@ from winfer.divergence import (
 )
 from winfer.errors import (
     AlphabetTooLargeError,
+    DomainMismatchError,
     IllegalParameterError,
     InfiniteKLError,
     ZeroWeightMassError,
@@ -666,7 +667,160 @@ class TestProblemMemo:
             assert peak <= 2 * kept
 
 
+def _grid_brackets(prob):
+    """The brackets of the sign changes of p - q on the tv window: 1024 equal
+    points, and on a half-line the first step also at lo + step 2^-k, k = 60
+    ... 1 (the scan the closed forms replaced, kept here as their oracle)."""
+    from winfer.core import _window_for
+    lo, hi = _window_for(prob.support, CFG, (prob.p, prob.q), prob.wf)
+    xs = np.linspace(lo, hi, 1024)
+    if prob.support.kind == "half-line":
+        xs = np.concatenate([xs[:1], lo + (xs[1] - lo) * 2.0 ** -np.arange(60, 0, -1), xs[1:]])
+    with np.errstate(invalid="ignore"):
+        sign = np.sign(prob.p.density(xs) - prob.q.density(xs))
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return [(xs[i], xs[i + 1]) for i in idx]
+
+
+def _mp_log_density(dist):
+    """ln of a catalog density at 30 digits, from its parameters."""
+    import mpmath as mp
+    if dist.family == "gaussian-scalar":
+        mu, v = mp.mpf(dist.params["mu"]), mp.mpf(dist.params["sigma2"])
+        return lambda x: -(x - mu) ** 2 / (2 * v) - mp.log(2 * mp.pi * v) / 2
+    lam, beta = ((mp.mpf(dist.params["lam"]), mp.mpf(dist.params["beta"]))
+                 if dist.family == "gamma" else (mp.mpf(1), mp.mpf(dist.params["lam"])))
+    return lambda x: lam * mp.log(beta) - mp.loggamma(lam) + (lam - 1) * mp.log(x) - beta * x
+
+
+def _mp_tv(p, q, roots) -> float:
+    """tau of catalog members p and q under |x| at 30 digits, the quadrature
+    split at the roots of p - q and at the weight's kink 0."""
+    import mpmath as mp
+    half = p.support.kind == "half-line"
+    with mp.workdps(30):
+        lp, lq = _mp_log_density(p), _mp_log_density(q)
+        f = lambda x: abs(x) * abs(mp.exp(lp(x)) - mp.exp(lq(x)))
+        cuts = sorted([mp.mpf(x) for x in roots] + ([] if half else [0]))
+        return float(mp.quad(f, [0 if half else -mp.inf] + cuts + [mp.inf]) / 2)
+
+
+CROSSING_PAIRS = {
+    "gaussian, two roots": (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.4, 2.5)),
+    "gaussian, narrow and wide": (Distribution.gaussian(-1.2, 0.3),
+                                  Distribution.gaussian(0.7, 1.9)),
+    "gaussian, equal variances": (Distribution.gaussian(-0.3, 1.7),
+                                  Distribution.gaussian(1.1, 1.7)),
+    "exponential": (Distribution.exponential(1.3), Distribution.exponential(2.9)),
+    "exponential, near rates": (Distribution.exponential(2.2), Distribution.exponential(2.25)),
+    "gamma, shapes below 1": (Distribution.gamma(0.5, 1.0), Distribution.gamma(0.7, 2.0)),
+    "gamma, equal rates": (Distribution.gamma(0.4, 1.3), Distribution.gamma(0.8, 1.3)),
+    "gamma, equal shapes": (Distribution.gamma(0.6, 1.0), Distribution.gamma(0.6, 2.5)),
+    "gamma, one root": (Distribution.gamma(0.45, 2.0), Distribution.gamma(1.8, 0.7)),
+    "exponential and gamma": (Distribution.exponential(1.5), Distribution.gamma(0.6, 0.9)),
+    "gamma and exponential": (Distribution.gamma(2.5, 1.2), Distribution.exponential(0.8)),
+}
+
+
 class TestCrossingPoints:
+    @pytest.mark.parametrize("name", list(CROSSING_PAIRS))
+    def test_roots_match_mpmath_and_the_grid_scan(self, name):
+        import mpmath as mp
+
+        from winfer.divergence import _crossing_points
+        p, q = CROSSING_PAIRS[name]
+        prob = HypothesisProblem(p, q, WeightFunction.absolute())
+        pts = _crossing_points(prob, CFG)
+        brackets = _grid_brackets(prob)
+        # p - q changes sign across each root, and nowhere else on the scan
+        assert len(pts) == len(brackets) >= 1 and pts == sorted(pts)
+        for x, (a, b) in zip(pts, brackets):
+            assert a <= x <= b
+            assert np.sign(p.density(x * (1 - 1e-7)) - q.density(x * (1 - 1e-7))) \
+                == -np.sign(p.density(x * (1 + 1e-7)) - q.density(x * (1 + 1e-7))) != 0
+        with mp.workdps(30):
+            lp, lq = _mp_log_density(p), _mp_log_density(q)
+            roots = [mp.findroot(lambda x: lp(x) - lq(x), mp.mpf(x)) for x in pts]
+        assert pts == pytest.approx([float(r) for r in roots], rel=1e-13)
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=(
+            "the shape-0.6 endpoint x^0.6 |p - q| is not smooth, and the K15 error estimate "
+            "there is optimistic: tv is 1.5e-13 off, 6x its reported error, with or "
+            "without the closed-form roots (ROADMAP item 2(b))")))
+        if name == "exponential and gamma" else name for name in CROSSING_PAIRS])
+    def test_tv_matches_mpmath_split_at_the_roots(self, name):
+        from winfer.divergence import _crossing_points
+        p, q = CROSSING_PAIRS[name]
+        prob = HypothesisProblem(p, q, WeightFunction.absolute())
+        want = _mp_tv(p, q, _crossing_points(prob, CFG))
+        got = weighted_tv(prob, CFG)
+        assert abs(got.value - want) <= max(got.error, 1e-15 * want)
+
+    def test_quadratic_without_a_sign_change_has_no_root(self):
+        from winfer.divergence import _quadratic_roots
+        assert _quadratic_roots(1.0, -2.0, 1.0) == []  # a tangent: (x - 1)^2
+        assert _quadratic_roots(1.0, 0.0, 1.0) == []  # no real root
+        assert _quadratic_roots(0.0, 0.0, 1.0) == []
+        assert _quadratic_roots(0.0, 2.0, -1.0) == [0.5]
+        assert sorted(_quadratic_roots(1.0, -1e9, 1.0)) == pytest.approx([1e-9, 1e9], rel=1e-15)
+
+    def test_identical_pairs_have_no_root(self):
+        from winfer.divergence import _crossing_points
+        for make in (lambda: Distribution.gaussian(0.2, 1.3), lambda: Distribution.gamma(0.7, 2.0),
+                     lambda: Distribution.exponential(1.1)):
+            prob = HypothesisProblem(make(), make(), WeightFunction.absolute())
+            assert _crossing_points(prob, CFG) == []
+
+    def test_a_root_below_the_panel_floor_is_dropped(self):
+        """gamma(2.6397, 1.437) and gamma(2.6634, 2.278) cross at 5.4e-23 and
+        at 1.458.  The first lies below the engine's finest lower-edge panel,
+        so tv integrates as if 1.458 were the only breakpoint, bit for bit."""
+        from winfer.core import _MAX_ROUNDS, Integrand, _window_for, integrate
+        from winfer.divergence import _crossing_points, _terms
+        p, q = Distribution.gamma(2.6397, 1.437), Distribution.gamma(2.6634, 2.278)
+        prob = HypothesisProblem(p, q, WeightFunction.absolute())
+        tiny, root = _crossing_points(prob, CFG)
+        lo, hi = _window_for(prob.support, CFG, (p, q), prob.wf)
+        assert tiny == pytest.approx(5.4e-23, rel=0.01)
+        assert tiny < (hi - lo) / 16 * 2.0 ** -_MAX_ROUNDS
+        assert root == pytest.approx(1.458, rel=1e-3)
+        tv = lambda points: integrate(lambda x: (p.density(x), q.density(x), prob.wf(x)),
+                                      prob.support, CFG, components=[
+                                          Integrand(_terms("tv")[0], (p, q), prob.wf, points)])
+        assert tv((tiny, root)) == tv((root,)) != tv(())
+        assert weighted_tv(prob, CFG).value == 0.5 * tv((root,))[0][0]
+
+    def test_a_near_equal_shape_pair_does_not_overflow(self):
+        """|c / a| ~ 1e7: e^(-c/a) overflows, the Wright omega form does not."""
+        import warnings
+
+        from winfer.divergence import _crossing_points
+        p, q = Distribution.gamma(2.0, 1.0), Distribution.gamma(2.0 + 1e-7, 1.5)
+        prob = HypothesisProblem(p, q, WeightFunction.absolute())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = _crossing_points(prob, CFG)
+        assert len(pts) == len(_grid_brackets(prob)) == 1
+        assert p.density(pts[0]) == pytest.approx(q.density(pts[0]), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["gaussian, two roots", "gaussian, narrow and wide",
+                                      "gamma, shapes below 1", "gamma, one root"])
+    def test_a_raw_pdf_pair_is_scanned_to_the_roots(self, name):
+        """A density given only as a pdf has no family: p - q is scanned and
+        bisected to the closed-form roots, and tv lies within its reported
+        error of mpmath's value split at them."""
+        import dataclasses
+
+        from winfer.divergence import _crossing_points
+        p, q = CROSSING_PAIRS[name]
+        roots = _crossing_points(HypothesisProblem(p, q, WeightFunction.absolute()), CFG)
+        raw = lambda d: dataclasses.replace(d, family="", params={})
+        prob = HypothesisProblem(raw(p), raw(q), WeightFunction.absolute())
+        assert _crossing_points(prob, CFG) == pytest.approx(roots, rel=1e-13)
+        got = weighted_tv(prob, CFG)
+        assert abs(got.value - _mp_tv(p, q, roots)) <= got.error
+
     def test_infinite_densities_at_the_endpoint_are_silent(self):
         import warnings
 
@@ -717,118 +871,6 @@ class TestCrossingPoints:
         got = weighted_tv(prob, CFG)
         assert abs(got.value - want) <= max(got.error, 1e-13)
 
-
-def scipy_outcome(f, a, b, xtol, rtol, maxiter):
-    """scipy.optimize.brentq's root, or the kind of failure it reports."""
-    from scipy.optimize import brentq
-    try:
-        return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-    except ValueError:
-        return "ValueError"
-    except RuntimeError:
-        return "no convergence"
-
-
-def port_outcome(f, a, b, xtol, rtol, maxiter):
-    """``_brent_root``'s root, or its failure under scipy's name for it."""
-    from winfer.divergence import _brent_root
-    from winfer.errors import NonConvergentIntegralError
-    try:
-        return _brent_root(f, a, b, xtol, rtol, maxiter)
-    except ValueError:
-        return "ValueError"
-    except NonConvergentIntegralError:
-        return "no convergence"
-
-
-def same_outcome(got, want) -> bool:
-    if isinstance(want, str) or isinstance(got, str):
-        return got == want
-    return type(got) is float and got == want \
-        and math.copysign(1.0, got) == math.copysign(1.0, want)
-
-
-class TestBrentRoot:
-    """``_brent_root`` against scipy.optimize.brentq, the oracle it ports."""
-
-    FAMILIES = (
-        lambda c: lambda x: (x - c[0]) * (x - c[1]) * (x + c[2]),
-        lambda c: lambda x: math.exp(c[0] * x) - c[1] - 1.0,
-        lambda c: lambda x: math.tanh(c[0] * (x - c[1])) ** 3,
-        lambda c: lambda x: (x - c[0]) ** 9,
-        lambda c: lambda x: math.exp(-(x - c[0]) ** 2 / 2) / 2.5
-        - math.exp(-(x - c[1]) ** 2 / 3.4) / 3.3,
-        # plateaus: equal f at two iterates
-        lambda c: lambda x: float(np.sign(x - c[0])),
-        lambda c: lambda x: math.floor(4.0 * (x - c[0])) + 0.5,
-        # subnormal values: C's extrapolation divisor underflows to 0
-        lambda c: lambda x: 10.0 ** (-300.0 - 10.0 * abs(c[2])) * math.atan(x - c[0]),
-    )
-
-    def test_bit_identical_to_scipy_on_random_brackets(self):
-        rng = np.random.default_rng(2024)
-        kinds = {}
-        for k in range(12_000):
-            c = rng.normal(size=3)
-            f = self.FAMILIES[k % len(self.FAMILIES)](c)
-            if k % 4:  # a bracket about c[0], else an arbitrary one
-                a, b = c[0] - abs(rng.normal(scale=2.0)), c[0] + abs(rng.normal(scale=2.0))
-            else:
-                a, b = sorted(rng.normal(scale=3.0, size=2))
-            xtol = 1e-14 if k % 3 == 0 else float(10.0 ** rng.uniform(-16, -2))
-            rtol = 1e-15 if k % 2 else float(10.0 ** rng.uniform(-15, -3))
-            maxiter = 100 if k % 5 else int(rng.integers(1, 20))
-            want = scipy_outcome(f, a, b, xtol, rtol, maxiter)
-            got = port_outcome(f, a, b, xtol, rtol, maxiter)
-            assert same_outcome(got, want), (k, a, b, xtol, rtol, maxiter, got, want)
-            kind = want if isinstance(want, str) else "root"
-            kinds[kind] = kinds.get(kind, 0) + 1
-        # every outcome is exercised, most of all the roots
-        assert kinds["root"] > 6_000 and kinds["ValueError"] > 1_000 \
-            and kinds["no convergence"] > 500, kinds
-
-    @pytest.mark.parametrize("f,a,b,kind", [
-        (lambda x: x - 1.0, 1.0, 3.0, "root"),  # root at the left end
-        (lambda x: x - 3.0, 1.0, 3.0, "root"),  # root at the right end
-        (lambda x: -0.0 if x == 1.0 else x - 1.0, 1.0, 2.0, "root"),  # a -0.0 there
-        (lambda x: x * x + 1.0, -1.0, 1.0, "ValueError"),  # one sign at both ends
-        (lambda x: -(x * x) - 1.0, -1.0, 1.0, "ValueError"),
-        (lambda x: math.nan, 0.0, 1.0, "ValueError"),  # NaN at once
-        (lambda x: math.nan if x > 0.4 else x - 0.5, 0.0, 1.0, "ValueError"),  # in a step
-        (lambda x: 0.0 * x if x > 0 else -1.0, -1.0, 1.0, "root"),  # a root on a plateau
-        (lambda x: 1.0 if x > 0.3 else -1.0, -1.0, 1.0, "root"),  # |f| constant: bisects
-        (lambda x: 1.0 if x > 0.3 else (-1.0 if x > -0.5 else -2.0), -1.0, 1.0, "root"),
-        # an extrapolation step divides by a product that underflows to 0
-        (lambda x: 4.937291616315e-311 * math.atan(x + 0.8019314252534474),
-         -1.6428219013844902, 1.4701616397258381, "root"),
-    ])
-    def test_edge_cases_match_scipy(self, f, a, b, kind):
-        want = scipy_outcome(f, a, b, 1e-14, 1e-15, 100)
-        assert (want if isinstance(want, str) else "root") == kind
-        assert same_outcome(port_outcome(f, a, b, 1e-14, 1e-15, 100), want)
-
-    def test_numpy_brackets_give_a_float(self):
-        from winfer.divergence import _brent_root
-        root = _brent_root(lambda x: x * x - 2.0, np.float64(0.0), np.float64(2.0),
-                           1e-14, 1e-15)
-        assert type(root) is float and root == scipy_outcome(
-            lambda x: x * x - 2.0, 0.0, 2.0, 1e-14, 1e-15, 100)
-
-    def test_crossing_points_match_brentq_on_gamma_pairs(self, monkeypatch):
-        import winfer.divergence as div
-        from scipy.optimize import brentq
-        pairs = [(Distribution.gamma(2.0, 1.0), Distribution.gamma(3.0, 1.5)),
-                 (Distribution.gamma(0.5, 1.0), Distribution.gamma(0.7, 2.0)),
-                 (Distribution.gaussian(0.0, 1.0), Distribution.gaussian(0.4, 2.5))]
-        for p, q in pairs:
-            prob = HypothesisProblem(p, q, WeightFunction.absolute())
-            got = div._crossing_points(prob, CFG)
-            with monkeypatch.context() as m:
-                m.setattr(div, "_brent_root", lambda f, a, b, xtol, rtol:
-                          brentq(f, a, b, xtol=xtol, rtol=rtol))
-                want = div._crossing_points(prob, CFG)
-            assert len(got) >= 1 and got == want
-
     def test_tv_of_a_gamma_pair_does_not_import_scipy_optimize(self, tmp_path):
         import json
         import subprocess
@@ -850,6 +892,48 @@ print(code, rec["name"], "value" in rec, "scipy.optimize" in sys.modules)
         r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == ["0", "tv", "True", "False"]
+
+
+MISSHAPED_RATES = {
+    "length-1 rate, scalar gaussian": (WeightFunction.exponential([0.3]), "gaussian-scalar",
+                                       {"mu": 0.0, "sigma2": 1.0}),
+    "length-2 rate, scalar gaussian": (WeightFunction.exponential([0.3, 0.1]), "gaussian-scalar",
+                                       {"mu": 0.0, "sigma2": 1.0}),
+    "length-3 rate, 2-d gaussian": (WeightFunction.exponential([0.3, 0.1, 0.2]),
+                                    "gaussian-multivariate",
+                                    {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}),
+}
+
+
+class TestWeightFits:
+    @pytest.mark.parametrize("name", list(MISSHAPED_RATES))
+    def test_a_misshaped_rate_is_a_domain_mismatch(self, name):
+        from winfer.expfam import AdjointFamily, catalog_family
+        wf, family, params = MISSHAPED_RATES[name]
+        member = catalog_family(family, **params)
+        dist = member.family.distribution(member.theta)
+        with pytest.raises(DomainMismatchError, match="exponential weight needs a real-vector"):
+            weight_mass(dist, wf, CFG)
+        with pytest.raises(DomainMismatchError):
+            kl(HypothesisProblem(dist, dist, wf), CFG)
+        with pytest.raises(DomainMismatchError):  # the numeric fallback
+            AdjointFamily(member.family, wf, CFG).weight_mass(member.theta)
+
+    def test_tables_fit_their_alphabet_only(self):
+        pmf = Distribution.from_pmf([0.5, 0.5])
+        for wf, dist in ((WeightFunction.table([1.0, 2.0, 3.0]), pmf),
+                         (WeightFunction.table([1.0, 2.0]), Distribution.gaussian(0.0, 1.0))):
+            with pytest.raises(DomainMismatchError, match="table weight needs a finite support"):
+                HypothesisProblem(dist, dist, wf)
+
+    def test_fitting_weights_pass(self):
+        """Product weights on vector supports stay allowed in the library."""
+        mv = Distribution.gaussian_mv([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
+        for wf, dist in ((WeightFunction.exponential([0.3, 0.1]), mv),
+                         (WeightFunction.product([WeightFunction.absolute()] * 2), mv),
+                         (WeightFunction.exponential(0.3), Distribution.gaussian(0.0, 1.0)),
+                         (WeightFunction.table([1.0, 2.0]), Distribution.from_pmf([0.5, 0.5]))):
+            HypothesisProblem(dist, dist, wf)
 
 
 class TestQuantityTable:

@@ -10,7 +10,7 @@ from scipy.special import logsumexp
 
 from winfer import testing
 from winfer.core import Distribution, IntegrationConfig, WeightFunction
-from winfer.divergence import HypothesisProblem, kl, weight_mass
+from winfer.divergence import HypothesisProblem, kl, quantity, weight_mass
 from winfer.errors import (
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -275,6 +275,47 @@ class TestBoundReport:
         assert math.isnan(rep.bh_printed_bound) or rep.tau > rep.bh_printed_bound
         assert rep.tau <= rep.bh_corrected_bound
         assert not rep.violations
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_finite_problem(np.random.default_rng(3), 7),
+        lambda: HypothesisProblem(Distribution.poisson(2.5), Distribution.poisson(4.0),
+                                  WeightFunction.exponential(0.2)),
+        lambda: HypothesisProblem(Distribution.gamma(2.0, 1.0), Distribution.gamma(0.7, 1.5),
+                                  WeightFunction.absolute()),
+        lambda: HypothesisProblem(
+            Distribution.gaussian_mv([0.0, 0.3], [[1.0, 0.2], [0.2, 0.8]]),
+            Distribution.gaussian_mv([0.4, -0.1], [[1.3, 0.0], [0.0, 0.6]]),
+            WeightFunction.exponential([0.1, -0.2])),
+    ], ids=["finite", "poisson", "gamma", "vector"])
+    def test_fields_equal_the_quantities_bit_for_bit(self, make):
+        """One integrals call for the report, one fresh problem per quantity."""
+        rep = error_bound_report(make(), CFG)
+        fresh = [quantity(make(), name, CFG).value
+                 for name in ("delta", "bhattacharyya-coeff", "tv", "hellinger", "kl")]
+        assert [rep.delta, rep.rho, rep.tau, rep.eta, rep.kl] == fresh
+        prob = make()
+        assert (rep.ep, rep.eq) == (weight_mass(prob.p, prob.wf, CFG),
+                                    weight_mass(prob.q, prob.wf, CFG))
+
+
+class TestPinskerSuite:
+    def test_the_swapped_pair_covers_what_the_direct_one_skips(self):
+        """Each instance the direct hypothesis skips is checked as (q, p): its
+        margin is the swapped problem's own Pinsker margin, bit for bit."""
+        from winfer.verify import _mixed_instances, run_suite
+        rep = run_suite("pinsker", 200, 0)
+        assert rep.passed and rep.hypothesis_failures == 0
+        swapped = []
+        for prob in _mixed_instances(np.random.default_rng(0), 200):
+            r = error_bound_report(prob, CFG)
+            if r.pinsker_applicable and math.isfinite(r.kl):
+                continue
+            s = error_bound_report(HypothesisProblem(prob.q, prob.p, prob.wf), CFG)
+            assert s.pinsker_applicable and math.isfinite(s.kl) and s.tau == r.tau
+            swapped.append(s.pinsker_bound - s.tau)
+        assert 0 < len(swapped) == rep.margins["swapped_checked"] < 200
+        assert min(swapped) == rep.margins["min_margin_swapped"] > 0
 
 
 class TestNfoldBounds:
