@@ -16,8 +16,10 @@ count is an outcome flip, and every number is a value checked with
 ``close()``.  For a compute report:
 
 * an outcome flip is a record that is a value on one side and an error on the
-  other, a changed exit code or record list, or a bound check whose verdict
-  changed; each is printed, and any makes the exit code 1;
+  other, a changed exit code or record list, a bound check whose verdict
+  changed, or a closed form that agreed with its value in REF_DIR (within
+  ``close()`` and the value's reported error) and no longer does; each is
+  printed, and any makes the exit code 1;
 * a changed method label or error message is printed, but is not a flip;
 * over every number in matching records (values, closed forms, details,
   bound-check sides) the largest move is printed, scaled by max(1, |v|), and
@@ -25,7 +27,10 @@ count is an outcome flip, and every number is a value checked with
   with how many values moved by more than 1, 3 and 10 times that error;
 * the ``closed_form`` numbers get a line of their own: how many moved, and
   the largest move relative to |v|, so that a change to the closed forms
-  alone shows at a glance whether it moved any value;
+  alone shows at a glance whether it moved any value; then, for each side,
+  the median and largest gap |value - closed form|, over all closed forms and
+  over those that moved, and how many moved ones lie further from their value
+  than its reported error;
 * a value that moves further than the benchmark's reference check allows
   (``perfbench.workloads.close``, with the two reported errors summed) is
   printed, and any makes the exit code 1.
@@ -37,8 +42,10 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 import tempfile
+from typing import Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
@@ -140,10 +147,20 @@ def compare_rows(new: dict, ref: dict, name: str) -> tuple:
     return flips, moves, [], beyond
 
 
+def _cross_check(rec: dict) -> Optional[tuple]:
+    """(|value - closed form|, reported error, whether ``close()`` holds) of a
+    record with a value and a closed form, else None."""
+    if "value" not in rec or "closed_form" not in rec:
+        return None
+    value, cf, err = rec["value"], rec["closed_form"]["value"], rec.get("numerical_error", 0.0)
+    return _moved(value, cf), err, close(value, cf, err)
+
+
 def compare(new: dict, ref: dict, name: str, notes: list, closed: list) -> tuple:
     """(flips, [(scaled move, where)], [(move over error, where)], [values
     moved beyond ``close``]) of one output; each closed-form number's
-    (relative move, where) is appended to ``closed``."""
+    (relative move, where) is appended to ``closed``, with the
+    ``_cross_check`` of its record on each side."""
     if "rows" in new:
         return compare_rows(new, ref, name)
     flips, moves, err_moves, beyond = [], [], [], []
@@ -176,10 +193,14 @@ def compare(new: dict, ref: dict, name: str, notes: list, closed: list) -> tuple
                 flips.append(f"{a['name']}: fields changed")
                 break
             moves.append((_moved(va, vb) / max(1.0, abs(vb)), where + pa))
-            if ".closed_form." in pa:
+            if pa == ".closed_form.value":
                 d = _moved(va, vb)
                 rel = 0.0 if d == 0 else (d / abs(vb) if vb else math.inf)
-                closed.append((rel, where + pa))
+                ref_check, new_check = _cross_check(b), _cross_check(a)
+                closed.append((rel, where + pa, ref_check, new_check))
+                if ref_check and ref_check[2] and not new_check[2]:
+                    flips.append(f"{a['name']}: the closed form {vb!r} -> {va!r} no longer "
+                                 f"agrees with its value {a['value']!r}")
     ba, bb = new["report"].get("bound_checks", []), ref["report"].get("bound_checks", [])
     if [(c["check"], c["passed"]) for c in ba] != [(c["check"], c["passed"]) for c in bb]:
         flips.append("bound checks changed")
@@ -235,7 +256,18 @@ def main() -> int:
             print("  largest move / max(1, |v|): %.3g at %s" % max(moved))
     moved = [m for m in closed if m[0] > 0]
     print(f"closed forms compared: {len(closed)}, moved: {len(moved)}"
-          + (", largest move / |v|: %.3g at %s" % max(moved) if moved else ""))
+          + (", largest move / |v|: %.3g at %s" % max(moved)[:2] if moved else ""))
+    for side, i in (("REF", 2), ("new", 3)):
+        gaps = [m[i][0] for m in closed if m[i]]
+        moved_gaps = [m[i] for m in moved if m[i]]
+        if gaps:
+            line = "closed-form gap |value - closed form|, %s: median %.3g, largest %.3g" % (
+                side, statistics.median(gaps), max(gaps))
+            if moved_gaps:
+                line += "; of the moved: median %.3g, above the reported error: %d" % (
+                    statistics.median([g for g, _, _ in moved_gaps]),
+                    sum(g > e for g, e, _ in moved_gaps))
+            print(line)
     finite = [m for m in err_moves if math.isfinite(m[0])]
     if finite:
         print("largest value move / reported error: %.3g at %s" % max(finite))

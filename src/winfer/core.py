@@ -145,9 +145,8 @@ class WeightFunction:
 
     ``gamma`` of the exponential spec may be a scalar (phi(x)=e^{gamma x}) or a
     length-d vector (phi(x)=e^{x.gamma}).  ``coeffs`` are ascending polynomial
-    coefficients.  ``values`` is the table over a finite alphabet.  The
-    Laplace transform (and derivative) is available in closed form for the
-    constant/exponential/polynomial/absolute specs on the half line.
+    coefficients.  ``values`` is the table over a finite alphabet.  Closed
+    forms of the weighted moments live with the families, in ``expfam``.
     """
 
     kind: str  # "constant" | "exponential" | "polynomial" | "absolute" | "table" | "product"
@@ -252,35 +251,6 @@ class WeightFunction:
     def exp_rate_vector(self):
         if self.kind == "exponential" and np.ndim(self.gamma) > 0:
             return np.asarray(self.gamma, dtype=float)
-        return None
-
-    # -- Laplace transform (half-line weights; Appendix-style closed forms) --
-
-    def laplace(self, s: float) -> Optional[float]:
-        """phi_hat(s) = int_0^inf phi(x) e^{-sx} dx, when available in closed form."""
-        if self.kind == "constant":
-            return self.c / s
-        if self.kind == "exponential" and np.ndim(self.gamma) == 0:
-            g = float(self.gamma)
-            return 1.0 / (s - g) if s > g else None
-        if self.kind == "absolute":
-            return 1.0 / s ** 2
-        if self.kind == "polynomial":
-            c = np.asarray(self.coeffs, dtype=float)
-            return float(sum(ck * math.factorial(k) / s ** (k + 1) for k, ck in enumerate(c)))
-        return None
-
-    def laplace_prime(self, s: float) -> Optional[float]:
-        if self.kind == "constant":
-            return -self.c / s ** 2
-        if self.kind == "exponential" and np.ndim(self.gamma) == 0:
-            g = float(self.gamma)
-            return -1.0 / (s - g) ** 2 if s > g else None
-        if self.kind == "absolute":
-            return -2.0 / s ** 3
-        if self.kind == "polynomial":
-            c = np.asarray(self.coeffs, dtype=float)
-            return float(-sum(ck * math.factorial(k + 1) / s ** (k + 2) for k, ck in enumerate(c)))
         return None
 
     # -- constructors --------------------------------------------------------
@@ -725,6 +695,9 @@ def _lockstep_gk(f, support: Support, comps: Sequence[Integrand],
             if key not in windows:
                 windows[key] = _window_for(support, cfg, c.dists, c.wf)
             lo, hi = windows[key]
+            if not lo < hi:  # it would integrate a unit mass to 0
+                raise NonConvergentIntegralError(f"the truncation window [{lo!r}, {hi!r}] "
+                                                 "has no width in floats")
         except NonConvergentIntegralError as exc:
             out[i] = exc
             continue

@@ -57,6 +57,7 @@ from .errors import (
     InfiniteKLError,
     NonConvergentIntegralError,
     ZeroWeightMassError,
+    overflow_refused,
 )
 
 __all__ = [
@@ -300,6 +301,7 @@ def _mv_value(prob: HypothesisProblem, name, g, role, cfg: IntegrationConfig):
     return value, max(gap, roundoff)
 
 
+@overflow_refused
 def _crossing_points(prob: HypothesisProblem, cfg: IntegrationConfig) -> list:
     """The sign changes of p - q, the kinks of the tv integrand.
 

@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared by all winfer modules."""
 
+import functools
+
 
 class WinferError(Exception):
     """Base class for all library errors."""
@@ -47,3 +49,15 @@ class RegularityError(WinferError):
 
 class SchemaError(WinferError):
     """Problem-spec JSON failed validation."""
+
+
+def overflow_refused(fn):
+    """``fn``, with an ``OverflowError`` of its float arithmetic (``math.exp``
+    or ``**`` past the float range) raised as the library's numerical error."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NonConvergentIntegralError(f"float arithmetic overflows: {exc}") from None
+    return wrapper

@@ -8,19 +8,22 @@ parameters (lam, beta, mu, sigma2, Sigma); the natural coordinates stay
 internal.
 
 Weighting by phi produces the adjoint family with carrier ``k + ln phi`` and
-log-normalizer ``F*(theta) = F(theta) + ln E_phi(theta)``; every weighted
-divergence/entropy closed form below is assembled from F, F*, and the mean
-weight E_phi(theta), so a single correct E_phi per (family, weight) pair
-propagates everywhere.
+log-normalizer ``F*(theta) = F(theta) + ln E_phi(theta)``.  As ``grad E_phi =
+E_theta[phi (t - grad F)]``, ``grad F* = M / E_phi`` with ``M(theta) =
+E_theta[phi t]``, the phi-weighted mean of the sufficient statistic.  Every
+weighted divergence/entropy closed form below is assembled from F and the pair
+(E_phi, M), computed in one place:
 
-An exponential weight phi(x) = e^{g.x} shifts the natural parameter (the
-family's moment-generating function): ``phi p_theta = E_phi(theta) p_theta'``
-with ``theta' = theta + g`` on x's statistics, so ``ln E_phi = F(theta') -
-F(theta)``, its gradient is ``grad F(theta') - grad F(theta)`` and the weighted
-moments of t are ``E_phi grad F(theta')``; a theta' outside the domain (gamma's
-g >= beta, the exponential's g >= lam) is refused.  Only the absolute and
-polynomial weights keep per-family forms (raw moments, and the exponential
-family's Laplace-transform pair).
+* a constant or exponential weight phi(x) = e^{g.x} shifts the natural
+  parameter (the family's moment-generating function): ``phi p_theta =
+  E_phi(theta) p_theta'`` with ``theta' = theta + g`` on x's statistics, so
+  ``E_phi = e^{F(theta') - F(theta)}`` and ``M = E_phi grad F(theta')``; a
+  theta' outside the domain (gamma's g >= beta, the exponential's g >= lam) is
+  refused;
+* a polynomial weight sum_k c_k x^k, or |x| = x sign x, gives ``(E_phi, M) =
+  c @ moments``, the family's raw moments E[x^k (1, t(x))];
+* a vector weight that does not tilt (a product weight) has no closed form:
+  E_phi and M are summed on one Gauss-Hermite mesh.
 
 Closed forms for the weighted total variation between unit-variance Gaussians
 N(0,1), N(a,1) are provided for the quadratic / absolute / exponential weight
@@ -46,18 +49,18 @@ from .core import (
     Distribution,
     IntegrationConfig,
     WeightFunction,
-    finite_difference_gradient,
     gauss_hermite_nodes,
     integrate,
     mesh_coords,
     mesh_density,
     mesh_weight,
 )
-from .divergence import weight_mass as _numeric_weight_mass
+from .divergence import _mass
 from .errors import (
     IllegalParameterError,
     NonConvergentIntegralError,
     ParameterOutOfDomainError,
+    overflow_refused,
 )
 
 __all__ = [
@@ -89,6 +92,8 @@ class ExponentialFamily:
     Members are built by ``constructor``, the family's ``Distribution``
     catalog constructor, which owns the density, sampler, support, envelope
     and parameter checks.  ``contains`` also checks the size of theta.
+    ``moments(theta, K, signed)`` are the rows E_theta[x^k (1, t(x))], k <= K,
+    with x^k sign x when ``signed``; the vector Gaussian has none.
     """
 
     name: str
@@ -103,6 +108,7 @@ class ExponentialFamily:
     zero_carrier: bool = True
     x_sign: float = 1.0               # x = x_sign * t(x)[:x.size]
     x_shape: Callable = lambda th: ()  # theta -> the shape of one outcome x
+    moments: Optional[Callable] = None  # (theta, K, signed) -> (K + 1, 1 + dim) raw moments
 
     def check(self, theta) -> np.ndarray:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -148,7 +154,9 @@ def _exponential_family() -> ExponentialFamily:
         grad_F=lambda th: np.array([-1.0 / th[0]]),
         contains=lambda th: th.size == 1 and th[0] > 0,
         to_natural=lambda p: np.array([float(p["lam"])]),
-        from_natural=lambda th: {"lam": float(th[0])}, x_sign=-1.0)
+        from_natural=lambda th: {"lam": float(th[0])}, x_sign=-1.0,
+        # exponential(lam) is gamma(1, lam), and t = -x
+        moments=lambda th, kmax, signed: _gamma_moments(1.0, float(th[0]), kmax)[:, :2] * (1, -1))
 
 
 def _poisson_family() -> ExponentialFamily:
@@ -159,6 +167,13 @@ def _poisson_family() -> ExponentialFamily:
     def k(x):
         return -gammaln(np.atleast_1d(np.asarray(x, dtype=float)) + 1.0)
 
+    def moments(th, kmax, signed):
+        # Touchard: E[L^{k+1}] = lam sum_j C(k, j) E[L^j]; |l| = l
+        lam, m = math.exp(th[0]), [1.0]
+        for k in range(kmax + 1):
+            m.append(lam * sum(math.comb(k, j) * m[j] for j in range(k + 1)))
+        return np.array([m[:-1], m[1:]]).T
+
     return ExponentialFamily(
         name="poisson", constructor=Distribution.poisson,
         t=t, k=k,
@@ -167,7 +182,7 @@ def _poisson_family() -> ExponentialFamily:
         contains=lambda th: th.size == 1 and np.isfinite(th[0]),
         to_natural=lambda p: np.array([math.log(float(p["lam"]))]),
         from_natural=lambda th: {"lam": math.exp(float(th[0]))},
-        zero_carrier=False)
+        zero_carrier=False, moments=moments)
 
 
 def _gaussian_scalar_family() -> ExponentialFamily:
@@ -176,8 +191,8 @@ def _gaussian_scalar_family() -> ExponentialFamily:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.stack([x, x * x], axis=-1)
 
-    def F(th):
-        return -th[0] ** 2 / (4.0 * th[1]) + 0.5 * math.log(math.pi / (-th[1]))
+    def F(th):  # a Python float's ** raises OverflowError past the float range
+        return -float(th[0]) ** 2 / (4.0 * th[1]) + 0.5 * math.log(math.pi / (-th[1]))
 
     def grad_F(th):
         mu = -th[0] / (2.0 * th[1])
@@ -188,6 +203,19 @@ def _gaussian_scalar_family() -> ExponentialFamily:
         s2 = -1.0 / (2.0 * th[1])
         return {"mu": float(-th[0] / (2.0 * th[1])), "sigma2": float(s2)}
 
+    def moments(th, kmax, signed):
+        # m_k = mu m_{k-1} + (k-1) s2 m_{k-2} (Stein's identity); with sign x it
+        # starts from E[sign x] = erf(mu / sqrt(2 s2)) and E|x| = mu m_0 + 2 s2 p(0)
+        p = from_nat(th)
+        mu, s2 = p["mu"], p["sigma2"]
+        m = [1.0, mu]
+        if signed:
+            m[0] = erf(mu / math.sqrt(2.0 * s2))
+            m[1] = mu * m[0] + math.sqrt(2.0 * s2 / math.pi) * math.exp(-mu * mu / (2.0 * s2))
+        for k in range(2, kmax + 3):
+            m.append(mu * m[k - 1] + (k - 1) * s2 * m[k - 2])
+        return np.array([m[:-2], m[1:-1], m[2:]]).T
+
     return ExponentialFamily(
         name="gaussian-scalar", constructor=Distribution.gaussian,
         t=t, k=_zero_carrier,
@@ -195,7 +223,7 @@ def _gaussian_scalar_family() -> ExponentialFamily:
         contains=lambda th: th.size == 2 and th[1] < 0,
         to_natural=lambda p: np.array([float(p["mu"]) / float(p["sigma2"]),
                                        -0.5 / float(p["sigma2"])]),
-        from_natural=from_nat)
+        from_natural=from_nat, moments=moments)
 
 
 def _pack_mv(eta: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -279,7 +307,19 @@ def _gamma_family() -> ExponentialFamily:
         F=F, grad_F=grad_F,
         contains=lambda th: th.size == 2 and th[0] < 0 and th[1] > -1,
         to_natural=lambda p: np.array([-float(p["beta"]), float(p["lam"]) - 1.0]),
-        from_natural=lambda th: {"lam": float(th[1] + 1.0), "beta": float(-th[0])})
+        from_natural=lambda th: {"lam": float(th[1] + 1.0), "beta": float(-th[0])},
+        moments=lambda th, kmax, signed: _gamma_moments(float(th[1]) + 1.0, -float(th[0]), kmax))
+
+
+def _gamma_moments(lam: float, beta: float, kmax: int) -> np.ndarray:
+    """Rows E[x^k (1, x, ln x)], k <= kmax, of gamma(lam, beta), whose |x| is x:
+    E[x^k] = Gamma(lam + k) / (Gamma(lam) beta^k), and x^k p / E[x^k] is
+    gamma(lam + k, beta), so E[x^k ln x] = E[x^k] (psi(lam + k) - ln beta)."""
+    m = [1.0]
+    for k in range(kmax + 1):
+        m.append(m[k] * (lam + k) / beta)
+    return np.array([m[:-1], m[1:], [v * (digamma(lam + k) - math.log(beta))
+                                     for k, v in enumerate(m[:-1])]]).T
 
 
 # The exponential-family catalog: every name a spec may use, and its family.
@@ -311,18 +351,6 @@ def catalog_family(name: str, **params) -> ExpFamilyMember:
 # adjoint family (weight absorbed into the carrier)
 # ---------------------------------------------------------------------------
 
-def _overflow_refused(fn):
-    """``fn``, with an ``OverflowError`` of its float arithmetic (``math.exp``
-    or ``**`` past the float range) raised as the library's numerical error."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except OverflowError as exc:
-            raise NonConvergentIntegralError(f"closed form overflows: {exc}") from None
-    return wrapper
-
-
 def _tilt(fam: ExponentialFamily, wf: WeightFunction, theta: np.ndarray):
     """(c, theta') with ``phi p_theta = c e^{F(theta') - F(theta)} p_theta'``:
     (c, theta) for a constant weight c, (1, theta + x_sign g on x's
@@ -340,116 +368,87 @@ def _tilt(fam: ExponentialFamily, wf: WeightFunction, theta: np.ndarray):
     return 1.0, shifted
 
 
-@_overflow_refused
-def _weight_mass_closed(fam: ExponentialFamily, wf: WeightFunction,
-                        theta: np.ndarray) -> Optional[float]:
-    """Closed-form E_phi(theta) where the catalog provides one, else None."""
+@overflow_refused
+def _weighted_stat(fam: ExponentialFamily, wf: WeightFunction,
+                   theta: np.ndarray) -> Optional[tuple]:
+    """(E_phi(theta), M(theta) = E_theta[phi t]) in closed form, or None.
+
+    A constant or exponential weight tilts theta (``_tilt``): E_phi = c
+    e^{F(theta') - F(theta)} and M = E_phi grad F(theta').  A polynomial sum_k
+    c_k x^k, or |x| = x sign x, reads the family's raw moments: (E_phi, M) =
+    c @ ``fam.moments``.  Any other weight, or a family without moments, has
+    no closed form.  A moment past the float range is refused.
+    """
     tilt = _tilt(fam, wf, theta)
-    if tilt is not None:
-        c, shifted = tilt
-        return c if shifted is theta else c * math.exp(fam.F(shifted) - fam.F(theta))
-    name = fam.name
-    if name == "exponential":
-        lam = theta[0]
-        lt = wf.laplace(lam)
-        return None if lt is None else lam * lt
-    if name == "poisson":
-        lam = math.exp(theta[0])
-        if wf.kind == "absolute":
-            return lam
-        if wf.kind == "polynomial":
-            # factorial-moment expansion of E[poly(L)], L ~ Poisson(lam)
-            c = np.asarray(wf.coeffs, dtype=float)
-            mom = _poisson_raw_moments(lam, len(c) - 1)
-            return float(np.dot(c, mom))
-    if name == "gaussian-scalar":
-        p = fam.from_natural(theta)
-        mu, s2 = p["mu"], p["sigma2"]
-        if wf.kind == "absolute":
-            sd = math.sqrt(s2)
-            return sd * math.sqrt(2.0 / math.pi) * math.exp(-mu * mu / (2 * s2)) \
-                + mu * erf(mu / (sd * _SQRT2))
-        if wf.kind == "polynomial":
-            c = np.asarray(wf.coeffs, dtype=float)
-            mom = _gaussian_raw_moments(mu, s2, len(c) - 1)
-            return float(np.dot(c, mom))
-    if name == "gamma":
-        p = fam.from_natural(theta)
-        lam, beta = p["lam"], p["beta"]
-        if wf.kind == "absolute":
-            return lam / beta
-        if wf.kind == "polynomial":
-            c = np.asarray(wf.coeffs, dtype=float)
-            mom = [math.exp(gammaln(lam + i) - gammaln(lam)) / beta ** i
-                   for i in range(len(c))]
-            return float(np.dot(c, mom))
-    return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if tilt is not None:
+            c, shifted = tilt
+            e = c if shifted is theta else c * math.exp(fam.F(shifted) - fam.F(theta))
+            m = e * fam.grad_F(shifted)
+        elif wf.kind in ("polynomial", "absolute") and fam.moments is not None:
+            c = np.asarray(wf.coeffs if wf.kind == "polynomial" else (0.0, 1.0), dtype=float)
+            em = c @ fam.moments(theta, c.size - 1, wf.kind == "absolute")
+            e, m = em[0], em[1:]
+        else:
+            return None
+    if not (math.isfinite(e) and np.isfinite(m).all()):
+        raise NonConvergentIntegralError("closed form overflows: a weighted moment is not finite")
+    return float(e), m
 
 
-def _poisson_raw_moments(lam: float, kmax: int) -> list:
-    """E[L^k] for k = 0..kmax via the Stirling-number recursion."""
-    mom = [1.0]
-    # touchard recursion: m_{k+1} = lam * sum_j C(k, j) m_j
-    for k in range(kmax):
-        mom.append(lam * sum(math.comb(k, j) * mom[j] for j in range(k + 1)))
-    return mom
-
-
-def _gaussian_raw_moments(mu: float, s2: float, kmax: int) -> list:
-    mom = [1.0, mu]
-    for k in range(2, kmax + 1):
-        mom.append(mu * mom[k - 1] + (k - 1) * s2 * mom[k - 2])
-    return mom[: kmax + 1]
+def _mesh_stat(fam: ExponentialFamily, wf: WeightFunction, theta: np.ndarray) -> tuple:
+    """(E_phi, M) of a Gaussian vector, t = (x, vec(x x^T)), summed on one
+    level-48 Gauss-Hermite rule: a vector weight that does not tilt (a
+    product weight) has no closed form."""
+    dist = fam.distribution(theta)
+    wf.check_fits(dist.support)
+    rule = gauss_hermite_nodes(dist.center, 2.0 * dist.scale, 48)
+    xs = mesh_coords(rule)
+    v = (mesh_weight(rule, wf) * mesh_density(rule, dist)).reshape((48,) * len(xs))
+    return float(np.sum(v)), _pack_mv(np.array([np.sum(v * x) for x in xs]),
+                                      np.array([[np.sum(v * x * y) for y in xs] for x in xs]))
 
 
 @dataclass(frozen=True)
 class AdjointFamily:
     """Exponential family with the weight folded into the carrier.
 
-    ``F_star(theta) = F(theta) + ln E_phi(theta)`` and
-    ``k_star(x) = k(x) + ln phi(x)`` wherever phi > 0.
+    ``F_star(theta) = F(theta) + ln E_phi(theta)``, ``grad F* = M / E_phi`` (the
+    pair of ``weight_stat``) and ``k_star(x) = k(x) + ln phi(x)`` wherever phi > 0.
     """
 
     base: ExponentialFamily
     wf: WeightFunction
     cfg: IntegrationConfig = field(default_factory=IntegrationConfig)
+    # (E_phi, M) by the bytes of theta: a report's closed forms share their thetas
+    _stats: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weight_mass(self, theta) -> float:
+        return self.weight_stat(theta)[0]
+
+    def weight_stat(self, theta) -> tuple:
+        """(E_phi(theta), M(theta)), refused with ``ZeroWeightMassError`` when
+        E_phi <= 0; M is read-only."""
         theta = self.base.check(theta)
-        closed = _weight_mass_closed(self.base, self.wf, theta)
-        if closed is not None:
-            return closed
-        dist = self.base.distribution(theta)
-        return _numeric_weight_mass(dist, self.wf, self.cfg)
+        key = theta.tobytes()
+        if key not in self._stats:
+            e, m = _weighted_stat(self.base, self.wf, theta) or _mesh_stat(self.base, self.wf, theta)
+            m.flags.writeable = False
+            self._stats[key] = _mass(e), m
+        return self._stats[key]
 
     def log_weight_mass(self, theta) -> float:
         return math.log(self.weight_mass(theta))
 
     def grad_log_weight_mass(self, theta) -> np.ndarray:
-        theta = self.base.check(theta)
-        g = self._grad_log_weight_mass_closed(theta)
-        if g is not None:
-            return g
-        return finite_difference_gradient(
-            lambda th: self.log_weight_mass(np.atleast_1d(th)), theta, h=1e-6)
-
-    @_overflow_refused
-    def _grad_log_weight_mass_closed(self, theta) -> Optional[np.ndarray]:
-        wf, fam = self.wf, self.base
-        tilt = _tilt(fam, wf, theta)
-        if tilt is not None:  # zero for a constant weight, which leaves theta be
-            return np.zeros(theta.size) if tilt[1] is theta \
-                else fam.grad_F(tilt[1]) - fam.grad_F(theta)
-        if fam.name == "exponential" and wf.laplace(theta[0]) is not None:
-            lam = theta[0]
-            return np.array([1.0 / lam + wf.laplace_prime(lam) / wf.laplace(lam)])
-        return None
+        return self.grad_F_star(theta) - self.base.grad_F(self.base.check(theta))
 
     def F_star(self, theta) -> float:
         return self.base.F(theta) + self.log_weight_mass(theta)
 
     def grad_F_star(self, theta) -> np.ndarray:
-        return self.base.grad_F(theta) + self.grad_log_weight_mass(theta)
+        e, m = self.weight_stat(theta)
+        return m / e
 
     def k_star(self, x) -> np.ndarray:
         return self.base.k(x) + self.wf.log_value(x)
@@ -467,15 +466,16 @@ def bregman(F: Callable, grad_F: Callable, theta_p, theta) -> float:
 
 
 def weighted_bregman(adj: AdjointFamily, theta_p, theta) -> float:
-    """E_phi(theta) [F(theta') - F(theta) - <theta' - theta, grad F*(theta)>].
+    """E_phi(theta) [F(theta') - F(theta) - <theta' - theta, grad F*(theta)>],
+    that is E_phi (F(theta') - F(theta)) - <theta' - theta, M(theta)>.
 
     Coincides with the weighted KL divergence K_phi(p_theta || p_theta').
     """
     fam = adj.base
     theta_p = fam.check(theta_p)
     theta = fam.check(theta)
-    core = fam.F(theta_p) - fam.F(theta) - (theta_p - theta) @ adj.grad_F_star(theta)
-    return float(adj.weight_mass(theta) * core)
+    e, m = adj.weight_stat(theta)
+    return float(e * (fam.F(theta_p) - fam.F(theta)) - (theta_p - theta) @ m)
 
 
 def expfam_kl(adj: AdjointFamily, theta, theta_p) -> float:
@@ -484,11 +484,13 @@ def expfam_kl(adj: AdjointFamily, theta, theta_p) -> float:
 
 
 def expfam_shannon(adj: AdjointFamily, theta) -> float:
-    """Weighted Shannon entropy E_phi(theta)[F - theta . grad F*] plus the
-    carrier correction -int phi p_theta k (zero for zero-carrier families)."""
+    """Weighted Shannon entropy E_phi(theta)[F - theta . grad F*] = E_phi F -
+    theta . M, plus the carrier correction -int phi p_theta k (zero for
+    zero-carrier families)."""
     fam = adj.base
     theta = fam.check(theta)
-    val = adj.weight_mass(theta) * (fam.F(theta) - theta @ adj.grad_F_star(theta))
+    e, m = adj.weight_stat(theta)
+    val = e * fam.F(theta) - theta @ m
     if not fam.zero_carrier:
         dist = fam.distribution(theta)
         corr, _ = integrate(
@@ -569,56 +571,27 @@ CLOSED_FORMS = {
 
 
 def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
-    """Family-specific weighted moment coefficients.
+    """Family-specific weighted moment coefficients, read off (E_phi, M).
 
     Always contains ``E0`` (= E_phi(theta)); Gaussians add the first and
-    second weighted moments E1, E2; the gamma family adds the linear-log
-    moment ``L``; the exponential family adds the Laplace transform pair.
+    second weighted moments E1, E2 (= M); the gamma family adds the
+    linear-log moment ``L`` = -theta . M; the exponential family adds the
+    Laplace transform pair of phi at lam, ``phi_hat`` = E0 / lam and
+    ``phi_hat_prime`` = M / lam.
     """
     fam = adj.base
     theta = fam.check(theta)
-    out = {"E0": adj.weight_mass(theta)}
+    e, m = adj.weight_stat(theta)
+    out = {"E0": e}
     if fam.name == "exponential":
-        lam = theta[0]
-        out["phi_hat"] = adj.wf.laplace(lam)
-        out["phi_hat_prime"] = adj.wf.laplace_prime(lam)
-        return out
-    dist = fam.distribution(theta)
-
-    def moment(g):
-        val, _ = integrate(lambda x: adj.wf(x) * dist.density(x) * g(x),
-                           dist.support, adj.cfg, dists=(dist,), wf=adj.wf)
-        return val
-
-    tilt = _tilt(fam, adj.wf, theta)
-    # the weighted moments of t, E_phi grad F(theta'), where the weight tilts
-    tilted = None if tilt is None else out["E0"] * fam.grad_F(tilt[1])
-    if fam.name == "gaussian-scalar":
-        if tilted is not None:
-            out["E1"], out["E2"] = tilted
-        else:
-            out["E1"] = moment(lambda x: x)
-            out["E2"] = moment(lambda x: x * x)
+        out["phi_hat"], out["phi_hat_prime"] = e / theta[0], float(m[0] / theta[0])
+    elif fam.name == "gaussian-scalar":
+        out["E1"], out["E2"] = m
     elif fam.name == "gaussian-multivariate":
-        p = fam.from_natural(theta)
-        mean, cov = p["mean"], p["cov"]
-        d = mean.size
-        if tilted is not None:
-            out["E1"], out["E2"] = tilted[:d], tilted[d:].reshape(d, d)
-        else:
-            # every moment on one level-48 rule: E1 = sum v x, E2 = sum v x x^T
-            rule = gauss_hermite_nodes(mean, 2.0 * cov, 48)
-            v = (mesh_weight(rule, adj.wf) * mesh_density(rule, dist)).reshape((48,) * d)
-            xs = mesh_coords(rule)
-            out["E1"] = np.array([np.sum(v * x) for x in xs])
-            out["E2"] = np.array([[np.sum(v * x * y) for y in xs] for x in xs])
+        d = fam.x_shape(theta)[0]
+        out["E1"], out["E2"] = m[:d], m[d:].reshape(d, d)
     elif fam.name == "gamma":
-        p = fam.from_natural(theta)
-        lam, beta = p["lam"], p["beta"]
-        if tilted is not None:
-            out["L"] = beta * tilted[0] + (1.0 - lam) * tilted[1]
-        else:
-            out["L"] = moment(lambda x: beta * x + (1.0 - lam) * np.log(x))
+        out["L"] = float(-theta @ m)
     return out
 
 
@@ -626,11 +599,7 @@ def adjoint_coefficients(adj: AdjointFamily, theta) -> dict:
 # Gaussian weighted-TV closed forms (unit variance, shift a >= 0)
 # ---------------------------------------------------------------------------
 
-def _Phi_std(x: float) -> float:
-    return 0.5 * (1.0 + erf(x / _SQRT2))
-
-
-@_overflow_refused
+@overflow_refused
 def gaussian_tv_closed_form(a: float, wf: WeightFunction,
                             as_printed: bool = False) -> float:
     """Weighted TV between N(0,1) and N(a,1) for the three weight specs.
@@ -656,7 +625,7 @@ def gaussian_tv_closed_form(a: float, wf: WeightFunction,
     if wf.kind == "absolute":
         if as_printed:
             return (a / 2.0) * (1.0 + e_half)
-        return (a * _Phi_std(a / 2.0) - (a / 2.0) * erf(a / _SQRT2)
+        return (a * 0.5 * (1.0 + e_half) - (a / 2.0) * erf(a / _SQRT2)
                 + (1.0 - math.exp(-a * a / 2.0)) / math.sqrt(2.0 * math.pi))
 
     if wf.kind == "exponential" and np.ndim(wf.gamma) == 0:

@@ -36,6 +36,7 @@ from .errors import (
     EnumerationTooLargeError,
     IllegalParameterError,
     InfiniteKLError,
+    overflow_refused,
 )
 
 __all__ = [
@@ -164,6 +165,7 @@ def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
             *(QUANTITIES[name].formula(None, v) for name, (v, _) in zip(names, got)))
 
 
+@overflow_refused
 def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
                        atol: float = 1e-9) -> BoundReport:
     """Evaluate every finite-n bound on inf[alpha+beta] / tau and check order."""

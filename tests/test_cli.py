@@ -375,6 +375,58 @@ class TestRepeatedMain:
         assert json.loads(outs[1])["quantities"][0]["name"] == "tv"
 
 
+def _extreme_spec(dists, weight, quantities):
+    return {"schema": 1, "seed": 0, "weight": weight, "quantities": quantities,
+            "distributions": [{"family": f, "params": p} for f, p in dists]}
+
+
+_GAUSS = "gaussian-scalar"
+# compute specs past the float range: (spec, exit code, the failed records'
+# message or "" for a report with no failed record)
+EXTREME_SPECS = {
+    "a mean of 1e200 leaves a window of no width": (_extreme_spec(
+        [(_GAUSS, {"mu": 1e200, "sigma2": 1.0}), (_GAUSS, {"mu": 1e200, "sigma2": 2.0})],
+        {"kind": "constant", "c": 1.0}, ["kl", "shannon-entropy", "error-bounds"]),
+        2, "has no width"),
+    "a tilt of 1e200 on a variance of 1e-200": (_extreme_spec(
+        [(_GAUSS, {"mu": 0.0, "sigma2": 1e-200}), (_GAUSS, {"mu": 0.0, "sigma2": 2e-200})],
+        {"kind": "exponential", "gamma": 1e200}, ["shannon-entropy", "renyi-entropy"]),
+        2, "has no width"),
+    "a tv pair with mu / sigma2 = 1e155": (_extreme_spec(
+        [(_GAUSS, {"mu": 1.0, "sigma2": 1e-155}), (_GAUSS, {"mu": 1.5, "sigma2": 1e-155})],
+        {"kind": "absolute"}, ["tv"]), 2, "overflows"),
+    "error bounds under a weight of 1e300": (_extreme_spec(
+        [(_GAUSS, {"mu": 0.0, "sigma2": 1.0}), (_GAUSS, {"mu": 1.0, "sigma2": 1.0})],
+        {"kind": "constant", "c": 1e300}, ["error-bounds"]), 2, "overflows"),
+    "exponential rates of 1e200 under |x|": (_extreme_spec(
+        [("exponential", {"lam": 1e200}), ("exponential", {"lam": 2e200})],
+        {"kind": "absolute"}, ["kl", "shannon-entropy", "renyi-entropy", "chernoff-div",
+                               "bhattacharyya-div"]), 0, ""),
+}
+
+
+class TestExtremeInputs:
+    """Inputs past the float range end in a documented exit, never a traceback."""
+
+    @pytest.mark.parametrize("name", list(EXTREME_SPECS))
+    def test_compute(self, name, tmp_path, capsys):
+        spec, code, message = EXTREME_SPECS[name]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["compute", str(path), "--reproducible"]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed = [r["error"] for r in json.loads(out)["quantities"] if "error" in r]
+        assert failed if message else not failed
+        assert all(message in e for e in failed)
+
+    @pytest.mark.parametrize("argv", [["--phi-gamma", "1e300"], ["--theta", "1e300"],
+                                      ["--van-trees", "--prior-var", "1e300"]])
+    def test_cramer_rao(self, argv, capsys):
+        assert main(["cramer-rao", "--trials", "1000", "--reproducible"] + argv) == 2
+        assert "has no width" in capsys.readouterr().err
+
+
 class TestSubprocessContracts:
     def test_compute_exit_codes(self, tmp_path):
         r = run_cli(["compute", "SPEC", "--reproducible"],
@@ -774,17 +826,39 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.stats")))
             [eta for eta in ("0.2", "0.1", "0.05", "0.02") for _ in range(3)]
 
 
-def _compute_pool():
-    """perfbench's compute-mix pool (``compute_spec``), loaded from its file."""
+def _load(name: str, *path: str):
+    """The module at ``path`` (from the repository root), loaded from its file once."""
     import importlib.util
     import pathlib
-    name = "perfbench_workloads"
     if name not in sys.modules:
-        path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
+        spec = importlib.util.spec_from_file_location(
+            name, pathlib.Path(__file__).resolve().parents[1].joinpath(*path))
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].compute_spec
+    return sys.modules[name]
+
+
+def _compute_pool():
+    """perfbench's compute-mix pool (``compute_spec``), loaded from its file."""
+    return _load("perfbench_workloads", "perfbench", "workloads.py").compute_spec
+
+
+def test_pool_compare_flags_a_broken_cross_check():
+    """``scripts/pool_reports.py``: a closed form that agreed with its value in
+    the reference and no longer does is an outcome flip; one that moves but
+    still agrees is only counted."""
+    pool = _load("pool_reports", "scripts", "pool_reports.py")
+
+    def output(closed_form):
+        return {"exit_code": 0, "report": {"quantities": [{
+            "name": "kl", "value": 0.25, "numerical_error": 1e-12, "method": "quadrature",
+            "closed_form": {"value": closed_form, "method": "closed-form"}}]}}
+
+    closed = []
+    flips, *_ = pool.compare(output(0.25 + 1e-15), output(0.25), "x", [], closed)
+    assert flips == [] and len(closed) == 1 and closed[0][0] > 0
+    flips, *_ = pool.compare(output(-0.25), output(0.25), "x", [], [])
+    assert len(flips) == 1 and "no longer agrees with its value" in flips[0]
 
 
 @pytest.mark.parametrize("cell", [

@@ -84,17 +84,30 @@ class TestWeightFunction:
         np.testing.assert_allclose(wf(x), np.exp(0.5) * 2.0)
 
     def test_laplace_transforms(self):
-        # phi_hat(s) = int_0^inf phi e^{-sx} dx against a direct quadrature
+        """phi_hat(s) = int_0^inf phi e^{-sx} dx and phi_hat'(s) = -int_0^inf x
+        phi e^{-sx} dx, the exponential family's coefficients at lam = s,
+        against direct quadratures and the written-out transforms."""
+        from winfer.expfam import AdjointFamily, adjoint_coefficients, catalog_family
         sup = Support.half_line(0.0)
         env = Distribution.exponential(2.0)
-        for wf in (WeightFunction.constant(1.5), WeightFunction.exponential(0.7),
-                   WeightFunction.absolute(), WeightFunction.quadratic(0.3, 1.0)):
+        member = catalog_family("exponential", lam=2.0)
+        # (phi, phi_hat(2), phi_hat'(2)) with phi_hat written out
+        for wf, want, want_prime in (
+                (WeightFunction.constant(1.5), 1.5 / 2.0, -1.5 / 4.0),
+                (WeightFunction.exponential(0.7), 1.0 / 1.3, -1.0 / 1.3 ** 2),
+                (WeightFunction.absolute(), 1.0 / 4.0, -2.0 / 8.0),
+                # 1/s + 0.3/s^2 + 2/s^3 and its derivative
+                (WeightFunction.quadratic(0.3, 1.0), 0.5 + 0.075 + 0.25,
+                 -0.25 - 0.075 - 0.375)):
             direct, _ = integrate(lambda x: wf(x) * np.exp(-2.0 * x), sup, CFG,
                                   dists=(env,))
-            assert wf.laplace(2.0) == pytest.approx(direct, rel=1e-9)
-            h = 1e-6
-            fd = (wf.laplace(2.0 + h) - wf.laplace(2.0 - h)) / (2 * h)
-            assert wf.laplace_prime(2.0) == pytest.approx(fd, rel=1e-6)
+            direct_prime, _ = integrate(lambda x: -x * wf(x) * np.exp(-2.0 * x), sup, CFG,
+                                        dists=(env,))
+            c = adjoint_coefficients(AdjointFamily(member.family, wf, CFG), member.theta)
+            assert c["phi_hat"] == pytest.approx(want, rel=1e-14)
+            assert c["phi_hat_prime"] == pytest.approx(want_prime, rel=1e-14)
+            assert c["phi_hat"] == pytest.approx(direct, rel=1e-9)
+            assert c["phi_hat_prime"] == pytest.approx(direct_prime, rel=1e-9)
 
 
 def _same_bits(got, want) -> bool:

@@ -220,13 +220,15 @@ class TestKL:
         assert kl(prob, CFG).value == math.inf
 
     def test_exponential_family_laplace_form(self):
-        # lam (ln lam - ln lam') phi_hat(lam) - lam (lam' - lam) phi_hat'(lam)
+        # lam (ln lam - ln lam') phi_hat(lam) - lam (lam' - lam) phi_hat'(lam),
+        # with phi_hat(s) = 1 / (s - g) the Laplace transform of e^{gx}
         lam, lam_p, g = 2.0, 3.0, 0.5
         wf = WeightFunction.exponential(g)
         prob = HypothesisProblem(Distribution.exponential(lam),
                                  Distribution.exponential(lam_p), wf)
-        expected = lam * (math.log(lam) - math.log(lam_p)) * wf.laplace(lam) \
-            - lam * (lam_p - lam) * wf.laplace_prime(lam)
+        phi_hat, phi_hat_prime = 1.0 / (lam - g), -1.0 / (lam - g) ** 2
+        expected = lam * (math.log(lam) - math.log(lam_p)) * phi_hat \
+            - lam * (lam_p - lam) * phi_hat_prime
         assert kl(prob, CFG).value == pytest.approx(expected, rel=1e-10)
         assert expected == pytest.approx(0.3482687447446695, rel=1e-12)
 
@@ -916,7 +918,7 @@ class TestWeightFits:
             weight_mass(dist, wf, CFG)
         with pytest.raises(DomainMismatchError):
             kl(HypothesisProblem(dist, dist, wf), CFG)
-        with pytest.raises(DomainMismatchError):  # the numeric fallback
+        with pytest.raises(DomainMismatchError):  # the mesh fallback
             AdjointFamily(member.family, wf, CFG).weight_mass(member.theta)
 
     def test_tables_fit_their_alphabet_only(self):

@@ -22,6 +22,7 @@ from winfer.errors import (
     IllegalParameterError,
     NonConvergentIntegralError,
     ParameterOutOfDomainError,
+    ZeroWeightMassError,
 )
 from winfer.estimation import finite_difference_gradient
 from winfer.expfam import (
@@ -362,7 +363,9 @@ class TestEntropyAndDivergenceForms:
         m = catalog_family("exponential", lam=lam)
         wf = WeightFunction.exponential(0.5)
         adj = AdjointFamily(m.family, wf, CFG)
-        want = -lam * (math.log(lam) * wf.laplace(lam) + lam * wf.laplace_prime(lam))
+        # phi_hat(s) = 1 / (s - 0.5), the Laplace transform of e^{0.5 x}
+        phi_hat, phi_hat_prime = 1.0 / (lam - 0.5), -1.0 / (lam - 0.5) ** 2
+        want = -lam * (math.log(lam) * phi_hat + lam * phi_hat_prime)
         assert expfam_shannon(adj, m.theta) == pytest.approx(want, rel=1e-12)
         assert expfam_shannon(adj, m.theta) == pytest.approx(
             shannon_entropy(m.dist, wf, CFG), rel=1e-9)
@@ -485,8 +488,8 @@ class TestAdjointCoefficients:
 
     def test_mv_moments_share_one_mesh(self, monkeypatch):
         """A product of scalar exponential weights is exp(g . x) but has no
-        closed form here: E0 sums over the distribution's level-60 mesh, and
-        all d + d^2 moments over one level-48 mesh."""
+        closed form here: E0 and all d + d^2 moments sum over one level-48
+        mesh."""
         import winfer.expfam
         mean = np.array([0.2, -0.1])
         cov = np.array([[1.1, 0.3], [0.3, 0.9]])
@@ -614,15 +617,110 @@ class TestTilt:
     def test_mismatched_rate_shape_has_no_closed_form(self, name, params, gamma):
         """A rate not shaped like one outcome is not tilted: the closed forms
         decline, and the numeric fallback raises instead of a silent value."""
-        from winfer.expfam import _tilt, _weight_mass_closed
+        from winfer.expfam import _tilt, _weighted_stat
         m = catalog_family(name, **params)
         wf = WeightFunction.exponential(gamma)
         adj = AdjointFamily(m.family, wf, CFG)
         assert _tilt(m.family, wf, m.theta) is None
-        assert _weight_mass_closed(m.family, wf, m.theta) is None
-        assert adj._grad_log_weight_mass_closed(m.theta) is None
+        assert _weighted_stat(m.family, wf, m.theta) is None
         with pytest.raises(Exception):
             adj.weight_mass(m.theta)
+        with pytest.raises(Exception):
+            adj.weight_stat(m.theta)
+
+
+# (family, params, mpmath density, mpmath t(x), support pieces) of the scalar
+# members whose weighted moments are checked against mpmath at 30 digits
+_STAT_MEMBERS = {
+    "exponential": ("exponential", {"lam": 2.0},
+                    lambda x: 2 * mpmath.exp(-2 * x), lambda x: [-x], [0, 1, mpmath.inf]),
+    "poisson": ("poisson", {"lam": 1.5},
+                lambda k: mpmath.exp(-1.5) * mpmath.mpf(1.5) ** k / mpmath.factorial(k),
+                lambda k: [k], None),
+    "gaussian": ("gaussian-scalar", {"mu": 0.4, "sigma2": 1.2},
+                 lambda x: mpmath.npdf(x, 0.4, mpmath.sqrt(1.2)), lambda x: [x, x * x],
+                 [-mpmath.inf, 0, mpmath.inf]),
+    "gaussian-left": ("gaussian-scalar", {"mu": -2.5, "sigma2": 0.3},
+                      lambda x: mpmath.npdf(x, -2.5, mpmath.sqrt(0.3)), lambda x: [x, x * x],
+                      [-mpmath.inf, -2.5, 0, mpmath.inf]),
+    "gamma": ("gamma", {"lam": 2.5, "beta": 1.5},
+              lambda x: mpmath.mpf(1.5) ** 2.5 * x ** 1.5 * mpmath.exp(-1.5 * x)
+              / mpmath.gamma(2.5), lambda x: [x, mpmath.log(x)], [0, 1, mpmath.inf]),
+    "gamma-shape-below-1": ("gamma", {"lam": 0.6, "beta": 0.9},
+                            lambda x: mpmath.mpf(0.9) ** 0.6 * x ** -0.4 * mpmath.exp(-0.9 * x)
+                            / mpmath.gamma(0.6), lambda x: [x, mpmath.log(x)],
+                            [0, 1, mpmath.inf]),
+}
+_STAT_WEIGHTS = {
+    "quadratic": WeightFunction.quadratic(0.5, 1.0),
+    "quartic": WeightFunction.polynomial([2.0, -1.0, 0.5, 0.3, 0.25]),
+    "absolute": WeightFunction.absolute(),
+}
+
+
+def _mp_weighted_stat(pdf, t, pieces, wf):
+    """(E_phi, E[phi t]) at 30 digits: a quadrature split at the pieces, or
+    the Poisson sum."""
+    with mpmath.workdps(30):
+        phi = (lambda x: abs(x)) if wf.kind == "absolute" else \
+            (lambda x: mpmath.polyval(list(reversed(wf.coeffs)), x))
+        rows = [lambda x: phi(x) * pdf(x)] + [
+            (lambda i: lambda x: phi(x) * pdf(x) * t(x)[i])(i) for i in range(len(t(1)))]
+        if pieces is None:
+            return [float(mpmath.nsum(f, [0, mpmath.inf])) for f in rows]
+        return [float(mpmath.quad(f, pieces)) for f in rows]
+
+
+class TestWeightedStat:
+    """(E_phi, M = E_theta[phi t]) of the polynomial and absolute weights,
+    from the catalog's raw moments, against mpmath."""
+
+    @pytest.mark.parametrize("weight", list(_STAT_WEIGHTS))
+    @pytest.mark.parametrize("member", list(_STAT_MEMBERS))
+    def test_matches_mpmath(self, member, weight):
+        name, params, pdf, t, pieces = _STAT_MEMBERS[member]
+        wf = _STAT_WEIGHTS[weight]
+        m = catalog_family(name, **params)
+        e, mom = AdjointFamily(m.family, wf, CFG).weight_stat(m.theta)
+        want = _mp_weighted_stat(pdf, t, pieces, wf)
+        rel = 1e-12 if params.get("lam", 1.0) < 1.0 and name == "gamma" else 1e-13
+        np.testing.assert_allclose([e, *mom], want, rtol=rel, atol=0)
+
+    @pytest.mark.parametrize("mu,s2", [(-3.0, 0.5), (-0.2, 2.0), (0.0, 1.0), (0.7, 0.1),
+                                       (5.0, 4.0)])
+    def test_gaussian_absolute_weight_matches_mpmath(self, mu, s2):
+        m = catalog_family("gaussian-scalar", mu=mu, sigma2=s2)
+        wf = WeightFunction.absolute()
+        e, mom = AdjointFamily(m.family, wf, CFG).weight_stat(m.theta)
+        want = _mp_weighted_stat(lambda x: mpmath.npdf(x, mu, mpmath.sqrt(s2)),
+                                 lambda x: [x, x * x], [-mpmath.inf, min(mu, 0), max(mu, 0),
+                                                        mpmath.inf], wf)
+        np.testing.assert_allclose([e, *mom], want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("name,params", MEMBERS[:4])
+    def test_grad_F_star_is_the_weighted_mean_of_t(self, name, params):
+        """grad F* = M / E_phi, and grad ln E_phi = M / E_phi - grad F, against
+        central differences of the closed mass."""
+        m = catalog_family(name, **params)
+        adj = AdjointFamily(m.family, WeightFunction.quadratic(0.5, 1.0), CFG)
+        e, mom = adj.weight_stat(m.theta)
+        np.testing.assert_allclose(adj.grad_F_star(m.theta), mom / e, rtol=1e-15)
+        fd = finite_difference_gradient(
+            lambda th: adj.log_weight_mass(np.atleast_1d(th)), m.theta, h=1e-6)
+        np.testing.assert_allclose(adj.grad_log_weight_mass(m.theta), fd, rtol=1e-6, atol=1e-8)
+
+    def test_a_zero_weight_is_refused(self):
+        """E_phi = 0 is refused as ``divergence`` refuses it, by every closed
+        form, not a math domain error or 0 / 0."""
+        m1, m2 = catalog_family("gamma", lam=2.0, beta=1.0), catalog_family("gamma", lam=3.0,
+                                                                             beta=1.5)
+        for wf in (WeightFunction.constant(0.0), WeightFunction.polynomial([0.0])):
+            adj = AdjointFamily(m1.family, wf, CFG)
+            for form in CLOSED_FORMS.values():
+                with pytest.raises(ZeroWeightMassError):
+                    form(adj, m1.theta, m2.theta, 0.5)
+            with pytest.raises(ZeroWeightMassError):
+                adjoint_coefficients(adj, m1.theta)
 
 
 class TestGaussianTvClosedForms:
