@@ -8,8 +8,11 @@
 sorted) to ``DIR/<suite>.json``.  ``--against`` compares each report with the
 one of the same name in REF_DIR, as written by ``--json``: it prints every
 number that moved, the largest relative move per suite, and any change in
-``passed``, ``instances`` or ``hypothesis_failures``.  The comparison only
-prints; the exit code is 1 iff a suite failed.
+``passed``, ``instances``, ``hypothesis_failures`` or the violation count.
+The exit code is 1 if a suite failed, or, with ``--against``, if one of those
+counts changed, a number appeared or went, or a number moved further than the
+benchmark's reference check allows (``perfbench.workloads.close``,
+1e-6 max(1, |ref|)).
 """
 
 import argparse
@@ -34,13 +37,18 @@ SCALES = {
 _COUNTS = ("passed", "instances", "hypothesis_failures")
 
 
-def compare(name: str, got: dict, ref: dict) -> None:
-    """Print what moved from the reference report ``ref`` to ``got``."""
-    from pool_reports import _moved, _numbers  # flattens JSON as the pool comparison does
+def compare(name: str, got: dict, ref: dict) -> int:
+    """Print what moved from the reference report ``ref`` to ``got``; return
+    how many changes fail the guard (see the module docstring)."""
+    from pool_reports import _moved, _numbers, close  # flattens JSON as the pool comparison does
 
-    for key in _COUNTS:
-        if got.get(key) != ref.get(key):
-            print(f"    {name}: {key} {ref.get(key)!r} -> {got.get(key)!r}")
+    changes = 0
+    counts = {key: (ref.get(key), got.get(key)) for key in _COUNTS}
+    counts["violations"] = (len(ref.get("violations", ())), len(got.get("violations", ())))
+    for key, (a, b) in counts.items():
+        if a != b:
+            changes += 1
+            print(f"    {name}: {key} {a!r} -> {b!r}")
     new, old = dict(_numbers(got)), dict(_numbers(ref))
     worst = 0.0
     for path in sorted(new.keys() | old.keys()):
@@ -48,12 +56,17 @@ def compare(name: str, got: dict, ref: dict) -> None:
             continue
         a, b = old.get(path), new.get(path)
         if a is None or b is None:
+            changes += 1
             print(f"    {name}: {path} {'removed' if b is None else 'added'}: {a if b is None else b!r}")
         elif move := _moved(a, b):
             rel = move / max(abs(a), abs(b)) if math.isfinite(move) else math.inf
             worst = max(worst, rel)
-            print(f"    {name}: {path} {a!r} -> {b!r} (relative {rel:.3g})")
+            beyond = not close(b, a)
+            changes += beyond
+            print(f"    {name}: {path} {a!r} -> {b!r} (relative {rel:.3g})"
+                  + (" beyond close()" if beyond else ""))
     print(f"    {name}: largest relative move {worst:.3g}")
+    return changes
 
 
 def main() -> int:
@@ -63,12 +76,12 @@ def main() -> int:
                     help="multiplier on the per-suite instance counts")
     ap.add_argument("--json", metavar="DIR", help="write each suite's report to DIR/<suite>.json")
     ap.add_argument("--against", metavar="REF_DIR",
-                    help="print what moved from the reports in REF_DIR (print only)")
+                    help="print what moved from the reports in REF_DIR; exit 1 on a change")
     args = ap.parse_args()
     if args.json:
         os.makedirs(args.json, exist_ok=True)
 
-    failures = 0
+    failures = changes = 0
     for name in SUITES:
         n = int(SCALES[name] * args.scale)
         t0 = time.time()
@@ -90,10 +103,12 @@ def main() -> int:
             path = os.path.join(args.against, f"{name}.json")
             if os.path.exists(path):
                 with open(path) as fh:
-                    compare(name, report, json.load(fh))
+                    changes += compare(name, report, json.load(fh))
             else:
                 print(f"    {name}: no reference report in {args.against}")
-    return 1 if failures else 0
+    if args.against:
+        print(f"changes against {args.against}: {changes}")
+    return 1 if failures or changes else 0
 
 
 if __name__ == "__main__":

@@ -41,6 +41,7 @@ from .errors import (
 __all__ = [
     "Support",
     "WeightFunction",
+    "check_finite_tables",
     "Distribution",
     "FiniteDistribution",
     "IntegrationConfig",
@@ -71,6 +72,22 @@ def _finite(name: str, value, ndim: int = 0):
         what = "a finite number" if ndim == 0 else f"a {ndim}-d array of finite numbers"
         raise IllegalParameterError(f"{name} must be {what}, got {value!r}")
     return float(arr) if ndim == 0 else arr.astype(float)
+
+
+def check_finite_tables(pmfs, weights=None) -> None:
+    """``IllegalParameterError`` unless finite tables of one shape (..., m >= 1)
+    are valid per row: pmf entries >= -1e-15 summing to 1 within 1e-12 (a row
+    holding an inf or a NaN does not), weights finite and >= 0."""
+    tables = (*pmfs, *(() if weights is None else (weights,)))
+    if tables[0].shape[-1] < 1 or any(t.shape != tables[0].shape for t in tables):
+        raise IllegalParameterError("finite tables must be nonempty and of one length")
+    for p in pmfs:
+        if (p < -1e-15).any():
+            raise IllegalParameterError("pmf entries must be nonnegative")
+        if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():
+            raise IllegalParameterError("pmf must sum to 1 within 1e-12")
+    if weights is not None and not ((weights >= 0.0) & (weights < math.inf)).all():
+        raise IllegalParameterError("table weights must be finite and nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +180,7 @@ class WeightFunction:
             raise IllegalParameterError("constant weight must be >= 0")
         if self.kind == "table":
             v = np.asarray(self.values, dtype=float)
-            if v.size == 0 or (v < 0).any():
-                raise IllegalParameterError("table weights must be nonnegative")
+            check_finite_tables((), v)
             v.flags.writeable = False
             object.__setattr__(self, "_table", v)
         if self.kind == "polynomial":
@@ -326,10 +342,7 @@ class FiniteDistribution:
         object.__setattr__(self, "pmf", p)
         if p.ndim != 1 or p.size < 1:
             raise IllegalParameterError("pmf must be a 1-d vector")
-        if (p < -1e-15).any():
-            raise IllegalParameterError("pmf entries must be nonnegative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
-            raise IllegalParameterError("pmf must sum to 1 within 1e-12")
+        check_finite_tables((p,))
 
     @property
     def m(self) -> int:

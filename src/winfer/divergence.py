@@ -68,6 +68,7 @@ __all__ = [
     "quantity",
     "plan_quantities",
     "integrals",
+    "finite_sums",
     "weight_mass",
     "weighted_tv",
     "weighted_tv_sup_oracle",
@@ -148,11 +149,13 @@ _METHODS = {"finite": "exact-sum", "counting": "series"}
 # ("shannon", role) or ("renyi-mass", role, exponent), the role "p" or "q".
 
 def _kl_terms(p, q, w):
-    """phi p 1(p>0) ln(p/q), with a floor on q where p > 0 = q."""
+    """phi p 1(p>0) ln(p/q), with a floor on q where p > 0 = q; NaN (0 phi)
+    where phi is +inf and p is 0, so that the integral is refused as non-finite."""
+    live = (p > 0) & (w > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where((p > 0) & (w > 0), np.log(np.where(p > 0, p, 1.0))
+        r = np.where(live, np.log(np.where(p > 0, p, 1.0))
                      - np.log(np.where(q > 0, q, np.finfo(float).tiny)), 0.0)
-    return np.where((p > 0) & (w > 0), w * p * r, 0.0)
+        return np.where(live, w * p * r, 0.0 * w)
 
 
 def _kl_exact_terms(p, q, w):
@@ -225,15 +228,20 @@ def _plan_integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) ->
         memo.update(zip(keys, integrate(evaluate, sup, cfg, components=comps)))
 
 
+def finite_sums(p, q, w, names) -> list:
+    """The exact sums of the named integrals of unchecked finite tables p, q, w
+    of one shape (..., m), per row, each bit for bit that row's own sum."""
+    return [(_kl_exact_terms(p, q, w) if name == "kl" else _terms(name)[0](p, q, w)).sum(axis=-1)
+            for name in names]
+
+
 def integrals(prob: "HypothesisProblem", cfg: IntegrationConfig, names) -> list:
     """(value, error) of each named integral of ``prob``.  On a finite
     alphabet it is the exact sum of its terms, with error 0, and nothing is
     stored; else the missing ones are planned together and the stored failure
     of the first one that failed is raised."""
     if prob.support.kind == "finite":
-        tables = prob.tables()
-        return [(float((_kl_exact_terms(*tables) if name == "kl"
-                        else _terms(name)[0](*tables)).sum()), 0.0) for name in names]
+        return [(float(v), 0.0) for v in finite_sums(*prob.tables(), names)]
     _plan_integrals(prob, cfg, names)
     out = [prob.memo[(name, cfg)] for name in names]
     for got in out:

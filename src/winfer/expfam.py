@@ -172,6 +172,7 @@ def _poisson_family() -> ExponentialFamily:
         lam, m = math.exp(th[0]), [1.0]
         for k in range(kmax + 1):
             m.append(lam * sum(math.comb(k, j) * m[j] for j in range(k + 1)))
+        _positive(m, range(len(m)))
         return np.array([m[:-1], m[1:]]).T
 
     return ExponentialFamily(
@@ -214,6 +215,7 @@ def _gaussian_scalar_family() -> ExponentialFamily:
             m[1] = mu * m[0] + math.sqrt(2.0 * s2 / math.pi) * math.exp(-mu * mu / (2.0 * s2))
         for k in range(2, kmax + 3):
             m.append(mu * m[k - 1] + (k - 1) * s2 * m[k - 2])
+        _positive(m, range(1 if signed else 0, len(m), 2))  # E[x^2j], or E|x|^(2j+1)
         return np.array([m[:-2], m[1:-1], m[2:]]).T
 
     return ExponentialFamily(
@@ -318,8 +320,16 @@ def _gamma_moments(lam: float, beta: float, kmax: int) -> np.ndarray:
     m = [1.0]
     for k in range(kmax + 1):
         m.append(m[k] * (lam + k) / beta)
+    _positive(m, range(len(m)))
     return np.array([m[:-1], m[1:], [v * (digamma(lam + k) - math.log(beta))
                                      for k, v in enumerate(m[:-1])]]).T
+
+
+def _positive(m: list, ks) -> None:
+    """Refuse raw moments ``m`` whose m[k], k in ``ks``, > 0 in exact arithmetic,
+    underflowed to 0 or a subnormal (2 / lam^2 at lam = 1e200)."""
+    if any(abs(m[k]) < np.finfo(float).tiny for k in ks):
+        raise NonConvergentIntegralError("closed form underflows: a raw moment is 0 or subnormal")
 
 
 # The exponential-family catalog: every name a spec may use, and its family.

@@ -2,6 +2,8 @@
 
 Discrete instances: pmfs from a symmetric Dirichlet(1) (optionally floored
 away from the simplex boundary), weight tables log-uniform on [e^-2, e^2].
+``random_finite_tables`` draws them as raw (p, q, w) arrays, which the
+bound-chain suites stack; ``random_finite_problem`` builds the problem of them.
 Continuous instances: catalog pairs (gaussian / exponential / gamma) with
 parameters log-uniform in ranges keeping every weighted integral convergent,
 weights drawn from the constant / exponential / quadratic / absolute specs.
@@ -16,18 +18,25 @@ from .core import Distribution, WeightFunction
 from .divergence import HypothesisProblem
 
 __all__ = [
+    "random_finite_tables",
     "random_finite_problem",
     "random_interior_finite_problem",
     "random_continuous_problem",
 ]
 
 
-def random_finite_problem(rng: np.random.Generator, m: int,
-                          weight_span: float = 2.0) -> HypothesisProblem:
-    """Dirichlet(1) pmfs with a log-uniform weight table on [e^-span, e^span]."""
+def random_finite_tables(rng: np.random.Generator, m: int,
+                         weight_span: float = 2.0) -> tuple:
+    """(p, q, w) in draw order: Dirichlet(1) pmfs, weights log-uniform on [e^-span, e^span]."""
     p = rng.dirichlet(np.ones(m))
     q = rng.dirichlet(np.ones(m))
-    w = np.exp(rng.uniform(-weight_span, weight_span, size=m))
+    return p, q, np.exp(rng.uniform(-weight_span, weight_span, size=m))
+
+
+def random_finite_problem(rng: np.random.Generator, m: int,
+                          weight_span: float = 2.0) -> HypothesisProblem:
+    """The problem of ``random_finite_tables``, from the same draws."""
+    p, q, w = random_finite_tables(rng, m, weight_span)
     return HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
                              WeightFunction.table(w))
 
@@ -37,10 +46,9 @@ def random_interior_finite_problem(rng: np.random.Generator, m: int,
                                    weight_span: float = 0.5) -> HypothesisProblem:
     """Interior pmfs (entries bounded away from 0) with mild weights; keeps
     the tilted log-likelihood statistic well conditioned."""
-    p = (1.0 - floor) * rng.dirichlet(np.ones(m)) + floor / m
-    q = (1.0 - floor) * rng.dirichlet(np.ones(m)) + floor / m
-    w = np.exp(rng.uniform(-weight_span, weight_span, size=m))
-    return HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
+    p, q, w = random_finite_tables(rng, m, weight_span)
+    return HypothesisProblem(Distribution.from_pmf((1.0 - floor) * p + floor / m),
+                             Distribution.from_pmf((1.0 - floor) * q + floor / m),
                              WeightFunction.table(w))
 
 

@@ -29,8 +29,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import gammaln
 
-from .core import IntegrationConfig, integrate
-from .divergence import QUANTITIES, HypothesisProblem, integrals, quantity
+from .core import IntegrationConfig, check_finite_tables, integrate
+from .divergence import QUANTITIES, HypothesisProblem, finite_sums, integrals, quantity
 from .errors import (
     DomainMismatchError,
     EnumerationTooLargeError,
@@ -48,6 +48,7 @@ __all__ = [
     "min_total_error",
     "BoundReport",
     "error_bound_report",
+    "finite_bound_reports",
     "NfoldBounds",
     "nfold_error_bounds",
     "stein_sanov_limit",
@@ -154,23 +155,42 @@ class BoundReport:
     violations: tuple = ()
 
 
-def _bound_values(prob: HypothesisProblem, cfg: IntegrationConfig) -> tuple:
-    """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K), each quantity its table
-    formula, as ``quantity(...).value`` is, at one ``integrals`` call that
-    reads the integrals in this order, so the first failure met is raised."""
-    names = ("bhattacharyya-coeff", "tv", "hellinger", "kl")
-    (ep, _), (eq, _), *got = integrals(prob, cfg, [("mass", "p"), ("mass", "q"), *(
-        QUANTITIES[name].reads(None)[0] for name in names)])
+_BOUND_NAMES = ("bhattacharyya-coeff", "tv", "hellinger", "kl")
+# E_phi(p), E_phi(q), then one integral per _BOUND_NAMES entry; integrals()
+# reads them in this order, so the first failure met is raised
+_BOUND_READS = (("mass", "p"), ("mass", "q"),
+                *(QUANTITIES[name].reads(None)[0] for name in _BOUND_NAMES))
+
+
+def _bound_values(values) -> tuple:
+    """(E_phi(p), E_phi(q), Delta, rho, tau, eta, K) from the values of
+    ``_BOUND_READS``, each quantity its table formula, as ``quantity(...).value`` is."""
+    ep, eq, *got = values
     return (ep, eq, QUANTITIES["delta"].formula(None, ep, eq),
-            *(QUANTITIES[name].formula(None, v) for name, (v, _) in zip(names, got)))
+            *(QUANTITIES[name].formula(None, v) for name, v in zip(_BOUND_NAMES, got)))
 
 
-@overflow_refused
 def error_bound_report(prob: HypothesisProblem, cfg: IntegrationConfig,
                        atol: float = 1e-9) -> BoundReport:
     """Evaluate every finite-n bound on inf[alpha+beta] / tau and check order."""
-    ep, eq, dl, rho, tau, eta, kv = _bound_values(prob, cfg)
+    return _bound_report(*_bound_values(v for v, _ in integrals(prob, cfg, _BOUND_READS)),
+                         atol=atol)
 
+
+def finite_bound_reports(p: np.ndarray, q: np.ndarray, w: np.ndarray):
+    """An iterator of the ``error_bound_report`` of each finite problem (p[i],
+    q[i], w[i]) of stacked (N, m) tables, checked as the constructors check
+    them, summed in one ``finite_sums`` pass up front."""
+    check_finite_tables((p, q), w)
+    sums = np.stack(finite_sums(p, q, w, _BOUND_READS), axis=-1)
+    return (_bound_report(*_bound_values(row.tolist())) for row in sums)
+
+
+@overflow_refused
+def _bound_report(ep: float, eq: float, dl: float, rho: float, tau: float, eta: float,
+                 kv: float, atol: float = 1e-9) -> BoundReport:
+    """The finite-n bounds on inf[alpha+beta] / tau from (E_phi(p), E_phi(q),
+    Delta, rho, tau, eta, K), and the checks of their order."""
     lower_aff = rho ** 2 / (2.0 * dl) if dl > 0 else 0.0
     lower_sqrt = dl - math.sqrt(max(dl * dl - rho * rho, 0.0))
     inf_total = dl - tau
@@ -277,7 +297,8 @@ def nfold_error_bounds(pp: ProductProblem, cfg: IntegrationConfig,
     n = pp.n
     if base.support.kind != "finite":
         raise DomainMismatchError("n-fold bounds need a finite base alphabet")
-    ep, eq, dl, rho, tau, eta, kv = _bound_values(base, cfg)
+    ep, eq, dl, rho, tau, eta, kv = _bound_values(
+        v for v, _ in integrals(base, cfg, _BOUND_READS))
 
     lower = rho ** (2 * n) / (ep ** n + eq ** n)
     upper = rho ** n

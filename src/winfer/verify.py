@@ -4,6 +4,10 @@ Every suite runs seeded randomized instances (or a fixed golden grid), records
 per-instance margins, and reports violations explicitly.  Conditional
 inequalities are only asserted when their hypotheses hold; hypothesis failures
 are counted separately rather than skipped silently.
+
+chain, pinsker and bretagnolle-huber read the finite instances of one alphabet
+size in one stacked pass (``testing.finite_bound_reports``), bit for bit equal
+to ``error_bound_report`` per problem; tv-oracle and nfold build every problem.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .core import Distribution, IntegrationConfig, WeightFunction
 from .divergence import (
     HypothesisProblem,
+    finite_sums,
     kl,
     plan_quantities,
     quantity,
@@ -37,11 +42,12 @@ from .expfam import (
     gaussian_tv_closed_form,
     weighted_bregman,
 )
-from .randinst import random_continuous_problem, random_finite_problem
+from .randinst import random_continuous_problem, random_finite_problem, random_finite_tables
 from .testing import (
     NfoldBounds,
     ProductProblem,
     error_bound_report,
+    finite_bound_reports,
     nfold_error_bounds,
 )
 
@@ -73,13 +79,32 @@ class SuiteReport:
         }
 
 
-def _mixed_instances(rng: np.random.Generator, count: int, continuous_share: float = 0.1):
+def _mixed_reports(rng: np.random.Generator, count: int, cfg: IntegrationConfig,
+                   continuous_share: float = 0.1):
+    """(BoundReport, thunk of K(q||p)) of ``count`` random instances in draw
+    order: catalog pairs first, each drawn and read by ``error_bound_report``
+    in turn, then finite alphabets of size 2 to 8, all drawn as tables first,
+    and read by one ``finite_bound_reports`` and one swapped ``finite_sums``
+    pass per size."""
     n_cont = int(round(count * continuous_share))
-    for i in range(count):
-        if i < n_cont:
-            yield random_continuous_problem(rng)
-        else:
-            yield random_finite_problem(rng, int(rng.integers(2, 9)))
+    for _ in range(n_cont):
+        prob = random_continuous_problem(rng)
+        yield error_bound_report(prob, cfg), (lambda prob=prob: quantity(
+            HypothesisProblem(prob.q, prob.p, prob.wf), "kl", cfg).value)
+    sizes, drawn = [], {}
+    for _ in range(n_cont, count):
+        tables = random_finite_tables(rng, int(rng.integers(2, 9)))
+        sizes.append(m := tables[0].size)
+        for buf, t in zip(drawn.setdefault(m, (bytearray(), bytearray(), bytearray())), tables):
+            buf.extend(t.tobytes())  # packed: no array object is kept per draw
+    reports = {}
+    while drawn:  # each size's buffers go once its sums are taken
+        m, bufs = drawn.popitem()
+        p, q, w = (np.frombuffer(buf).reshape(-1, m) for buf in bufs)
+        reports[m] = zip(finite_bound_reports(p, q, w), finite_sums(q, p, w, ["kl"])[0].tolist())
+    for m in sizes:  # each size's rows in draw order
+        r, kq = next(reports[m])
+        yield r, (lambda kq=kq: kq)
 
 
 def suite_tv_oracle(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteReport:
@@ -110,8 +135,7 @@ def suite_chain(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteRepor
                    "Delta - rho > tau",
                    "tau > sqrt(Delta^2 - rho^2)")
     min_margin = math.inf
-    for prob in _mixed_instances(rng, instances):
-        r = error_bound_report(prob, cfg)
+    for r, _ in _mixed_reports(rng, instances, cfg):
         bad = [v for v in r.violations if v in chain_kinds]
         if bad:
             rep.violations.append({"kind": "chain", "violations": bad})
@@ -127,12 +151,10 @@ def suite_pinsker(instances: int, seed: int, cfg: IntegrationConfig) -> SuiteRep
     rng = np.random.default_rng(seed)
     rep = SuiteReport(suite="pinsker", instances=instances)
     margins = {"pinsker": [], "pinsker-swapped": []}
-    for prob in _mixed_instances(rng, instances):
-        r = error_bound_report(prob, cfg)
+    for r, swapped_kl in _mixed_reports(rng, instances, cfg):
         if r.pinsker_applicable and math.isfinite(r.kl):
             kind, bound = "pinsker", r.pinsker_bound
-        elif r.eq >= r.ep - 1e-9 and math.isfinite(
-                kq := quantity(HypothesisProblem(prob.q, prob.p, prob.wf), "kl", cfg).value):
+        elif r.eq >= r.ep - 1e-9 and math.isfinite(kq := swapped_kl()):
             kind, bound = "pinsker-swapped", math.sqrt(max(kq, 0.0) * r.eq / 2.0)
         else:
             rep.hypothesis_failures += 1
@@ -153,8 +175,7 @@ def suite_bretagnolle_huber(instances: int, seed: int, cfg: IntegrationConfig) -
     rep = SuiteReport(suite="bretagnolle-huber", instances=instances)
     min_corr = math.inf
     min_printed = math.inf
-    for prob in _mixed_instances(rng, instances):
-        r = error_bound_report(prob, cfg)
+    for r, _ in _mixed_reports(rng, instances, cfg):
         if not math.isfinite(r.kl):
             rep.hypothesis_failures += 1
             continue

@@ -402,6 +402,9 @@ EXTREME_SPECS = {
         [("exponential", {"lam": 1e200}), ("exponential", {"lam": 2e200})],
         {"kind": "absolute"}, ["kl", "shannon-entropy", "renyi-entropy", "chernoff-div",
                                "bhattacharyya-div"]), 0, ""),
+    "a weight of exp(1e6 x) past the float range where p is 0": (_extreme_spec(
+        [(_GAUSS, {"mu": 0.0, "sigma2": 1e-6}), (_GAUSS, {"mu": 0.0, "sigma2": 2e-6})],
+        {"kind": "exponential", "gamma": 1e6}, ["kl"]), 2, "non-finite"),
 }
 
 
@@ -419,6 +422,31 @@ class TestExtremeInputs:
         failed = [r["error"] for r in json.loads(out)["quantities"] if "error" in r]
         assert failed if message else not failed
         assert all(message in e for e in failed)
+
+    @pytest.mark.parametrize("dists,weight", [
+        ([("exponential", {"lam": 1e200}), ("exponential", {"lam": 2e200})],
+         {"kind": "absolute"}),
+        ([("gamma", {"lam": 2.0, "beta": 1e200}), ("gamma", {"lam": 3.0, "beta": 2e200})],
+         {"kind": "absolute"}),
+        ([(_GAUSS, {"mu": 0.0, "sigma2": 1e-240}), (_GAUSS, {"mu": 0.0, "sigma2": 2e-240})],
+         {"kind": "absolute"}),
+        ([(_GAUSS, {"mu": 0.0, "sigma2": 1e-160}), (_GAUSS, {"mu": 0.0, "sigma2": 2e-160})],
+         {"kind": "polynomial", "coeffs": [0.0, 0.0, 1.0]}),
+    ], ids=["exponential-absolute", "gamma-absolute", "gaussian-absolute", "gaussian-x2"])
+    def test_underflowed_moments_give_no_closed_form(self, dists, weight, tmp_path, capsys):
+        """A closed form built on a raw moment that underflowed (E[x^2] = 2 /
+        lam^2 at lam = 1e200 is 0, E[x^4] = 3 sigma^4 at sigma2 = 1e-160 is
+        subnormal) read kl with the wrong sign, or 2e-5 off; it is left out of
+        the record, and the values are reported as they are without it."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_extreme_spec(dists, weight, ["kl", "shannon-entropy"])))
+        code = main(["compute", str(path), "--reproducible"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        records = json.loads(out)["quantities"]
+        assert code == (2 if any("error" in r for r in records) else 0)
+        assert [r["name"] for r in records] == ["kl", "shannon-entropy"]
+        assert not any("closed_form" in r for r in records)
 
     @pytest.mark.parametrize("argv", [["--phi-gamma", "1e300"], ["--theta", "1e300"],
                                       ["--van-trees", "--prior-var", "1e300"]])
@@ -859,6 +887,26 @@ def test_pool_compare_flags_a_broken_cross_check():
     assert flips == [] and len(closed) == 1 and closed[0][0] > 0
     flips, *_ = pool.compare(output(-0.25), output(0.25), "x", [], [])
     assert len(flips) == 1 and "no longer agrees with its value" in flips[0]
+
+
+def test_verify_compare_flags_changed_reports(capsys):
+    """``scripts/run_verify_all.py --against``: a changed count or violation
+    count, or a number moved beyond ``close()``, fails the guard; a move
+    within ``close()`` is only printed."""
+    _load("pool_reports", "scripts", "pool_reports.py")  # compare imports it by name
+    verify_all = _load("run_verify_all", "scripts", "run_verify_all.py")
+    ref = {"suite": "chain", "instances": 10, "passed": True, "violations": [],
+           "hypothesis_failures": 2, "margins": {"min_chain_margin": 0.5}, "notes": []}
+
+    def changes(**edit):
+        return verify_all.compare("chain", {**ref, **edit}, ref)
+
+    assert changes() == 0
+    assert changes(margins={"min_chain_margin": 0.5 + 1e-9}) == 0
+    assert changes(margins={"min_chain_margin": 0.5 + 1e-3}) == 1
+    assert changes(hypothesis_failures=3) == 1
+    assert changes(passed=False, violations=[{"kind": "chain"}]) == 2
+    assert "beyond close()" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("cell", [

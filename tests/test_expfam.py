@@ -723,6 +723,28 @@ class TestWeightedStat:
                 adjoint_coefficients(adj, m1.theta)
 
 
+    @pytest.mark.parametrize("name,params,wf", [
+        ("exponential", {"lam": 1e200}, WeightFunction.absolute()),
+        ("gamma", {"lam": 2.0, "beta": 1e200}, WeightFunction.quadratic(0.0, 1.0)),
+        ("poisson", {"lam": 1e-310}, WeightFunction.absolute()),
+        ("gaussian-scalar", {"mu": 0.0, "sigma2": 1e-160},
+         WeightFunction.polynomial([0.0, 0.0, 1.0])),
+        ("gaussian-scalar", {"mu": 0.0, "sigma2": 1e-240}, WeightFunction.absolute()),
+    ], ids=["exponential", "gamma", "poisson", "gaussian", "gaussian-signed"])
+    def test_an_underflowed_raw_moment_is_refused(self, name, params, wf):
+        """A raw moment that is > 0 but comes out 0 or subnormal refuses the
+        weighted statistic, and with it every closed form."""
+        m = catalog_family(name, **params)
+        with pytest.raises(NonConvergentIntegralError, match="underflows"):
+            AdjointFamily(m.family, wf, CFG).weight_stat(m.theta)
+
+    def test_a_zero_signed_moment_is_not_refused(self):
+        """E[sign x] = 0 of a centred Gaussian is exact, not an underflow."""
+        m = catalog_family("gaussian-scalar", mu=0.0, sigma2=1.0)
+        e, mom = AdjointFamily(m.family, WeightFunction.absolute(), CFG).weight_stat(m.theta)
+        assert e == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15) and mom[0] == 0.0
+
+
 class TestGaussianTvClosedForms:
     def test_zero_shift_vanishes(self):
         for wf in (WeightFunction.quadratic(0.5, 1.0), WeightFunction.absolute(),

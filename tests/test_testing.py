@@ -17,7 +17,12 @@ from winfer.errors import (
     IllegalParameterError,
     InfiniteKLError,
 )
-from winfer.randinst import random_finite_problem, random_interior_finite_problem
+from winfer.randinst import (
+    random_continuous_problem,
+    random_finite_problem,
+    random_finite_tables,
+    random_interior_finite_problem,
+)
 from winfer.testing import (
     DecisionRule,
     ProductProblem,
@@ -299,11 +304,107 @@ class TestBoundReport:
                                     weight_mass(prob.q, prob.wf, CFG))
 
 
+def _mixed_instances(rng, count, continuous_share=0.1):
+    """The bound-chain suites' instances as one problem each, in their draw
+    order: catalog pairs, then finite alphabets of size 2 <= m <= 8."""
+    n_cont = int(round(count * continuous_share))
+    for i in range(count):
+        if i < n_cont:
+            yield random_continuous_problem(rng)
+        else:
+            yield random_finite_problem(rng, int(rng.integers(2, 9)))
+
+
+def _per_instance_reports(rng, count, cfg):
+    """The oracle of ``verify._mixed_reports``: ``error_bound_report`` on each
+    problem, and its swapped kl from a problem built on (q, p)."""
+    for prob in _mixed_instances(rng, count):
+        yield error_bound_report(prob, cfg), (lambda prob=prob: quantity(
+            HypothesisProblem(prob.q, prob.p, prob.wf), "kl", cfg).value)
+
+
+def _stacked(tables):
+    return tuple(np.stack([t[k] for t in tables]) for k in range(3))
+
+
+class TestStackedBoundReports:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("suite,count", [("chain", 1000), ("pinsker", 500),
+                                             ("bretagnolle-huber", 500)])
+    def test_suites_equal_the_per_instance_oracle(self, suite, count, seed, monkeypatch):
+        """At the benchmark's scales, each suite's report from stacked tables
+        equals, byte for byte, the one built on a problem per instance."""
+        from winfer import verify
+        stacked = verify.run_suite(suite, count, seed).to_dict()
+        monkeypatch.setattr(verify, "_mixed_reports", _per_instance_reports)
+        assert repr(stacked) == repr(verify.run_suite(suite, count, seed).to_dict())
+
+    def test_reports_come_in_draw_order(self):
+        """Instance by instance, the stacked generator yields the oracle's
+        report and swapped kl, bit for bit."""
+        from winfer.verify import _mixed_reports
+        got = _mixed_reports(np.random.default_rng(3), 300, CFG)
+        want = _per_instance_reports(np.random.default_rng(3), 300, CFG)
+        for (r, kq), (r0, kq0) in itertools.zip_longest(got, want, fillvalue=(None, None)):
+            assert repr(r) == repr(r0) and repr(kq()) == repr(kq0())
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_kernel_rows_equal_the_lone_problems(self, m):
+        """Each row of one ``finite_sums`` call is ``integrals`` on that row's
+        problem, bit for bit, zero entries and support violations included."""
+        from winfer.divergence import finite_sums, integrals
+        rng = np.random.default_rng(m)
+        tables = [random_finite_tables(rng, m) for _ in range(12)]
+        for p, q, _ in tables[:4]:  # p = 0 on a letter, then q = 0 on another
+            p[0], q[-1] = 0.0, 0.0
+            p /= p.sum()
+            q /= q.sum()
+        names = [("mass", "p"), ("mass", "q"), "tv", "hellinger", "kl", ("chernoff", 0.5),
+                 ("chernoff", 0.3), ("shannon", "q"), ("renyi-mass", "p", 0.7)]
+        rows = np.array(finite_sums(*_stacked(tables), names)).T.tolist()
+        for row, (p, q, w) in zip(rows, tables):
+            prob = HypothesisProblem(Distribution.from_pmf(p), Distribution.from_pmf(q),
+                                     WeightFunction.table(w))
+            assert row == [v for v, _ in integrals(prob, CFG, names)]
+        assert any(math.isinf(row[4]) for row in rows)
+
+    def test_reports_equal_the_lone_problems(self):
+        rng = np.random.default_rng(5)
+        tables = [random_finite_tables(rng, 4) for _ in range(40)]
+        got = list(testing.finite_bound_reports(*_stacked(tables)))
+        assert [repr(r) for r in got] == [repr(error_bound_report(HypothesisProblem(
+            Distribution.from_pmf(p), Distribution.from_pmf(q), WeightFunction.table(w)), CFG))
+            for p, q, w in tables]
+
+    @pytest.mark.parametrize("defect", ["negative entry", "sum off by 1e-11", "inf weight",
+                                        "length mismatch"])
+    def test_invalid_tables_are_refused_as_the_constructors_refuse_them(self, defect):
+        p = np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3]])
+        q, w = p[::-1].copy(), np.ones((2, 3))
+        if defect == "negative entry":
+            p[1] = [0.6, 0.6, -0.2]
+            build = lambda: Distribution.from_pmf(p[1])
+        elif defect == "sum off by 1e-11":
+            q[0, 0] += 1e-11
+            build = lambda: Distribution.from_pmf(q[0])
+        elif defect == "inf weight":
+            w[1, 2] = math.inf
+            build = lambda: WeightFunction(kind="table", values=tuple(w[1]))
+        else:
+            w = w[:, :2]
+            build = None
+        with pytest.raises(IllegalParameterError):
+            testing.finite_bound_reports(p, q, w)
+        if build is not None:
+            with pytest.raises(IllegalParameterError):
+                build()
+
+
 class TestPinskerSuite:
     def test_the_swapped_pair_covers_what_the_direct_one_skips(self):
         """Each instance the direct hypothesis skips is checked as (q, p): its
         margin is the swapped problem's own Pinsker margin, bit for bit."""
-        from winfer.verify import _mixed_instances, run_suite
+        from winfer.verify import run_suite
         rep = run_suite("pinsker", 200, 0)
         assert rep.passed and rep.hypothesis_failures == 0
         swapped = []
