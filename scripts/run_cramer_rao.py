@@ -7,9 +7,11 @@ the mean's equality value.  Also runs the van Trees versions A and C, and the
 version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1.
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
-(``passed_3sigma`` false) or if a row that carries the closed-form
-``lhs_exact`` has its Monte Carlo ``lhs`` more than 3 ``lhs_stderr`` away from
-it, and with the CLI's code if a run fails.
+(``passed_3sigma`` false), if a row that carries the closed-form ``lhs_exact``
+has its Monte Carlo ``lhs`` more than 3 ``lhs_stderr`` away from it, or if its
+deterministic ``rhs`` exceeds ``lhs_exact`` by more than 1e-9 relative (the
+mean's version A row is the equality case), and with the CLI's code if a run
+fails.
 """
 
 import contextlib
@@ -45,6 +47,11 @@ def main() -> int:
                     abs(row["lhs"] - row["lhs_exact"]) > 3 * row["lhs_stderr"]:
                 print(f"FAIL: {est} {row['version']} lhs is more than 3 sigma from "
                       f"lhs_exact", file=sys.stderr)
+                failed = 1
+            if "lhs_exact" in row and \
+                    row["rhs"] - row["lhs_exact"] > 1e-9 * abs(row["lhs_exact"]):
+                print(f"FAIL: {est} {row['version']} rhs exceeds lhs_exact",
+                      file=sys.stderr)
                 failed = 1
     return failed
 

@@ -426,7 +426,7 @@ def cmd_steinsanov(args) -> int:
 
 def _bound_row(version: str, r) -> dict:
     """A bound's report row: the fields it carries, lhs_exact where it is known."""
-    fields = ("lhs", "lhs_stderr", "lhs_exact", "rhs", "rhs_stderr", "details")
+    fields = ("lhs", "lhs_stderr", "lhs_exact", "rhs", "details")
     return {"version": version, "passed_3sigma": r.holds_3sigma,
             **{k: getattr(r, k) for k in fields if getattr(r, k, None) is not None}}
 
@@ -447,7 +447,7 @@ def cmd_cramer_rao(args) -> int:
     rows = []
     code = 0
     try:
-        bounds = (cramer_rao_A, cramer_rao_B) if est.c_prime is not None else (cramer_rao_A,)
+        bounds = (cramer_rao_A, cramer_rao_B) if args.family == "gaussian-shift" else (cramer_rao_A,)
         for k, bound in enumerate(bounds):
             r = bound(model, wf, args.theta, args.n, est, cfg,
                       trials=args.trials, seed=args.seed + k)

@@ -10,8 +10,10 @@ every bound assertion in the test-suites is made at 3 standard errors.
 The Monte Carlo has one path (``_mc_sums``): each chunk of draws is reduced
 once to row statistics, S = sum_i x_i and A = sum_i |x_i|, that every theta
 reads.  It runs the Gaussian shift and scale families with the weight
-e^{gamma x} or a constant, and refuses anything else before any work; every
-bound also reports its lhs in closed form (``lhs_exact``).
+e^{gamma x} or a constant, and refuses anything else before any work.  Every
+bound also reports its lhs in closed form (``lhs_exact``), and reads the
+estimator's weighted bias derivatives b' and c' in closed form (``_bias``),
+from the same tilted moments (``_tilted``); so every rhs is deterministic.
 
 Regularity is not assumed silently: ``check_regularity`` verifies the two
 interchange identities (grad E = int phi grad p and int grad p = 0), and every
@@ -152,50 +154,23 @@ def poisson_log_mean_model() -> ParametricModel:
 @dataclass(frozen=True)
 class EstimatorSpec:
     """Estimator over n-tuples, coef * T / n + offset, of the one row statistic
-    T it reads (``statistic``): S = sum_i x_i or A = sum_i |x_i|; with optional
-    analytic weighted-bias data.
+    T it reads (``statistic``): S = sum_i x_i or A = sum_i |x_i|.
 
-    ``bias``/``bias_prime`` refer to the plain-weight decomposition
-    W = E(theta)^n theta + b(theta); ``c``/``c_prime`` to the square-root
-    weight decomposition Z = s(theta)^n theta + c(theta).  Each callable takes
-    (theta, n).  When absent, the bounds fall back to Monte Carlo estimation
-    of the bias derivative with propagated uncertainty.
+    The bounds read nothing else of it.  Its weighted biases, b in the
+    plain-weight decomposition W = E(theta)^n theta + b(theta) and c in the
+    square-root-weight decomposition Z = s(theta)^n theta + c(theta), and their
+    derivatives b' and c' follow in closed form (``_bias``).
     """
 
     name: str
     statistic: str = "S"                    # "S" = sum_i x_i, "A" = sum_i |x_i|
     coef: float = 1.0
     offset: float = 0.0
-    bias: Optional[Callable] = None
-    bias_prime: Optional[Callable] = None
-    c: Optional[Callable] = None
-    c_prime: Optional[Callable] = None
 
 
 def mean_estimator(model: ParametricModel, wf: WeightFunction) -> EstimatorSpec:
-    """Sample mean; analytic weighted bias under the Gaussian shift family
-    with an exponential weight (the equality case of version A) or a constant
-    one (unbiased: every bias term is 0)."""
-    if model.name == "gaussian-shift" and wf.kind == "constant":
-        zero = lambda th, n: 0.0
-        return EstimatorSpec(name="mean", bias=zero, bias_prime=zero, c=zero, c_prime=zero)
-    if model.name == "gaussian-shift" and _is_scalar_exponential(wf):
-        g = float(wf.gamma)
-        # sigma^2 backed out of the model's distribution at theta = 0
-        s2 = model.make_distribution(0.0).params["sigma2"]
-
-        def _mass(th, n):
-            return math.exp(n * (th * g + s2 * g * g / 2.0))
-
-        def _smass(th, n):
-            return math.exp(n * (th * g / 2.0 + s2 * g * g / 8.0))
-
-        return EstimatorSpec(
-            name="mean",
-            bias=lambda th, n: g * s2 * _mass(th, n),
-            bias_prime=lambda th, n: n * g * g * s2 * _mass(th, n),
-            c=lambda th, n: 0.5 * s2 * g * _smass(th, n),
-            c_prime=lambda th, n: 0.25 * n * s2 * g * g * _smass(th, n))
+    """Sample mean; under the Gaussian shift family with an exponential weight
+    it is the equality case of version A, with a constant one it is unbiased."""
     return EstimatorSpec(name="mean")
 
 
@@ -205,23 +180,13 @@ def shifted_mean_estimator(model: ParametricModel, wf: WeightFunction) -> Estima
     if model.name != "gaussian-shift" or not _is_scalar_exponential(wf):
         raise IllegalParameterError(
             "shifted mean is specific to the Gaussian shift family with e^{gamma x}")
-    g = float(wf.gamma)
     s2 = model.make_distribution(0.0).params["sigma2"]
-
-    def _smass(th, n):
-        return math.exp(n * (th * g / 2.0 + s2 * g * g / 8.0))
-
-    return EstimatorSpec(
-        name="shifted-mean", offset=-s2 * g,
-        bias=lambda th, n: 0.0,
-        bias_prime=lambda th, n: 0.0,
-        c=lambda th, n: -0.5 * s2 * g * _smass(th, n),
-        c_prime=lambda th, n: -0.25 * n * s2 * g * g * _smass(th, n))
+    return EstimatorSpec(name="shifted-mean", offset=-s2 * float(wf.gamma))
 
 
 def scale_abs_mean_estimator() -> EstimatorSpec:
     """sqrt(pi/2) mean |X_i|: unbiased for the Gaussian scale parameter when
-    phi == 1; weighted bias handled by Monte Carlo differencing."""
+    phi == 1."""
     return EstimatorSpec(name="scale-abs-mean", statistic="A", coef=math.sqrt(math.pi / 2.0))
 
 
@@ -444,125 +409,137 @@ def _check_mc_inputs(model, wf, est, n: int, trials: int) -> None:
     _weight_rate(model, wf, est)
 
 
-def _sum_moments(model, est, g, n, t, rng, deviation: bool = True) -> np.ndarray:
-    """[sum F | sum F F^T], an (m, 1 + m) array, over one draw of t values of
-    D = sigma sqrt(n) Z on the shift family.  There S = n theta + D, phi^{(n)} =
-    c^n e^{gamma n theta} e^{gamma D} and theta* - theta = r = D/n + offset at
-    every theta, so the value at theta is c^n e^{gamma n theta} F with
-    F = e^{gamma D} r^2, or with ``deviation=False`` c^n e^{gamma n theta}
-    (theta, 1) . F with F = (e^{gamma D}, e^{gamma D} r) (``_mc_sums`` applies
-    the c^n); the arithmetic runs in place on three t-long buffers."""
+def _sum_moments(model, est, g, n, t, rng) -> np.ndarray:
+    """(sum F, sum F^2) over one draw of t values of D = sigma sqrt(n) Z on the
+    shift family.  There S = n theta + D, phi^{(n)} = c^n e^{gamma n theta}
+    e^{gamma D} and theta* - theta = r = D/n + offset at every theta, so the value
+    at theta is c^n e^{gamma n theta} F with F = e^{gamma D} r^2 (``_mc_sums``
+    applies the c^n); the arithmetic runs in place on two t-long buffers."""
     r = rng.standard_normal(t)  # D, until r = D/n + offset is formed
     r *= math.sqrt(n * model.make_distribution(0.0).params["sigma2"])
     tilt = np.exp(g * r)
     r /= n
     r += est.offset
-    if deviation:
-        r *= r
+    r *= r
     r *= tilt
-    feats, prod = ([r] if deviation else [tilt, r]), np.empty(t)
-    return np.array([[float(f.sum())] + [float(np.multiply(f, h, out=prod).sum())
-                                          for h in feats] for f in feats])
+    return np.array([float(r.sum()), float(np.multiply(r, r, out=tilt).sum())])
 
 
-def _scale_sums(est, g, n, t, thetas, rng, deviation: bool = True) -> np.ndarray:
-    """(len(thetas), 3): the sums of v, v^2 and (v - v_0)^2 of ``_mc_sums``, without
-    its c^n, over one chunk of t draws on the scale family.  The standard-normal
-    (t, n) block is reduced to sum z and q = coef T / n (T = sum z or sum |z|) and
+def _scale_sums(est, g, n, t, thetas, rng) -> np.ndarray:
+    """(len(thetas), 2): the sums of v and v^2 of ``_mc_sums``, without its c^n,
+    over one chunk of t draws on the scale family.  The standard-normal (t, n)
+    block is reduced to sum z and q = coef T / n (T = sum z or sum |z|) and
     freed; at theta x the estimate is x q + offset and phi^{(n)} = c^n e^{g x sum z}."""
     z = rng.standard_normal((t, n))
     sz = np.einsum("ij->i", z)  # ~3x faster than z.sum(axis=1) for short rows
     q = est.coef / n * (np.einsum("ij->i", np.abs(z, out=z)) if est.statistic == "A" else sz)
     del z
-    sums = np.zeros((len(thetas), 3))
+    sums = np.empty((len(thetas), 2))
     for k, x in enumerate(thetas):
         estimate = x * q + est.offset
         v = np.exp(g * x * sz)
-        v *= (estimate - x) ** 2 if deviation else estimate
-        first = v if k == 0 else first
-        sums[k] = float(v.sum()), float((v * v).sum()), \
-            float(((v - first) ** 2).sum()) if k else 0.0
+        v *= (estimate - x) ** 2
+        sums[k] = float(v.sum()), float((v * v).sum())
     return sums
 
 
-def _exact_lhs(model, wf, est, n, thetas, weights) -> float:
-    """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] in closed form.
+def _tilted(model, est, r, th) -> tuple:
+    """(L, L', M1, M1') at theta (a number or an array), ' the theta-derivative:
+    L = log M0 with M0 = E_theta e^{r x} the tilted mass of one coordinate, and
+    on the scale family M1 = E e^{g z} t(z), with x = theta z, g = r theta and the
+    estimator's t(z) = z (S) or |z| (A).
 
-    Shift family: E e^{gamma D} = e^{n gamma^2 sigma^2 / 2}, and under that tilt
-    r ~ N(gamma sigma^2 + offset, sigma^2 / n).  Scale family: with g = gamma
-    theta, a coordinate's tilted moments are M0 = E e^{g z} = e^{g^2/2},
-    M2 = E e^{g z} z^2 = M0 (1 + g^2) and M1 = E e^{g z} z = g M0, or for A,
-    E e^{g z} |z| = M0 g erf(g / sqrt 2) + sqrt(2 / pi); with
-    theta* - theta = theta q + b, q = coef T / n, b = offset - theta, the lhs is
-    theta^2 E e q^2 + 2 theta b E e q + b^2 M0^n over e = e^{g sum z}."""
-    g, c = _weight_rate(model, wf, est)
-    th = np.asarray(thetas, dtype=float)
+    Shift family: L = r theta + sigma^2 r^2 / 2 (its estimators read S only, and
+    M1 is None).  Scale family: L = g^2 / 2 and M1 = g M0 e + k, with (e, k) =
+    (1, 0) for z and (erf(g / sqrt 2), sqrt(2 / pi)) for |z|; dM1/dg =
+    (1 + g^2) M0 e + g k."""
     if model.name == "gaussian-shift":
         s2 = model.make_distribution(0.0).params["sigma2"]
-        mass = np.exp(g * n * th + n * g * g * s2 / 2.0)
-        return float(np.dot(weights, c ** n * mass * ((g * s2 + est.offset) ** 2 + s2 / n)))
-    gt = g * th
-    m0 = np.exp(gt * gt / 2.0)
-    m1 = gt * m0 if est.statistic == "S" else \
-        gt * m0 * erf(gt / math.sqrt(2.0)) + math.sqrt(2.0 / math.pi)
-    eq2 = (est.coef / n) ** 2 * (n * m0 * (1.0 + gt * gt) * m0 ** (n - 1)
-                                 + n * (n - 1) * m1 * m1 * m0 ** (n - 2))
-    eq1, b = est.coef * m1 * m0 ** (n - 1), est.offset - th
-    return float(np.dot(weights, c ** n * (th * th * eq2 + 2.0 * th * b * eq1 + b * b * m0 ** n)))
+        return r * th + s2 * r * r / 2.0, r, None, None
+    g = r * th
+    m0 = np.exp(g * g / 2.0)
+    e, k = (1.0, 0.0) if est.statistic == "S" else \
+        (erf(g / math.sqrt(2.0)), math.sqrt(2.0 / math.pi))
+    return g * g / 2.0, r * g, g * m0 * e + k, r * ((1.0 + g * g) * m0 * e + g * k)
 
 
-def _mc_sums(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> np.ndarray:
-    """(len(thetas), 3): the sums over ``trials`` draws of v, v^2 and (v - v_0)^2,
-    with v = phi^{(n)}(X) |theta*(X) - theta|^2 at each theta of ``thetas``, or with
-    ``deviation=False`` v = phi^{(n)}(X) theta*(X), i.e. W(theta), and v_0 its
-    value at the first theta.  The draws come in chunks of ``_MC_CHUNK`` shared by
-    every theta, each reduced once to row statistics: on the shift family to one
-    ``_sum_moments``, of which each theta's sums are forms in its coefficients u;
-    on the scale family to (sum z, sum |z|) in ``_scale_sums``.
+def _bias(model, wf, est, n, theta, root: bool = False) -> tuple:
+    """(E^n, b, b') at theta in closed form: E = E_theta phi, b = W - E^n theta
+    with W = E_theta[phi^{(n)} theta*], and b' = db/dtheta.  With ``root`` the
+    weight is phi^{1/2} = c^{1/2} e^{gamma x / 2}, and they are version B's
+    (s^n, c, c').
+
+    With P_k = c^n M0^k (``_tilted``): on the shift family, where the tilt moves
+    the mean of x by r sigma^2, b = P_n (r sigma^2 + offset) and b' = n r b; on
+    the scale family W = coef theta M1 P_{n-1} + offset P_n."""
+    r, c = _weight_rate(model, wf, est)
+    if root:
+        r, c = r / 2.0, math.sqrt(c)
+    l0, dl0, m1, dm1 = _tilted(model, est, r, theta)
+    p_n = c ** n * np.exp(n * l0)
+    if model.name == "gaussian-shift":
+        b = p_n * (r * model.make_distribution(0.0).params["sigma2"] + est.offset)
+        return p_n, b, n * r * b
+    p_n1 = c ** n * np.exp((n - 1) * l0)
+    b = est.coef * theta * m1 * p_n1 + (est.offset - theta) * p_n
+    db = est.coef * (m1 + theta * dm1 + (n - 1) * theta * m1 * dl0) * p_n1 \
+        + ((est.offset - theta) * n * dl0 - 1.0) * p_n
+    return p_n, b, db
+
+
+def _exact_lhs(model, wf, est, n, thetas, weights) -> float:
+    """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] in closed form, from
+    the tilted moments of ``_tilted``.
+
+    Shift family: under the tilt e^{gamma D}, r ~ N(gamma sigma^2 + offset,
+    sigma^2 / n).  Scale family: with g = gamma theta, a coordinate's tilted
+    second moment is E e^{g z} z^2 = M0 (1 + g^2) = M0 (1 + 2 L), the same for
+    |z|; with theta* - theta = theta q + b, q = coef T / n, b = offset - theta,
+    the lhs is theta^2 E e q^2 + 2 theta b E e q + b^2 M0^n over e = e^{g sum z}."""
+    g, c = _weight_rate(model, wf, est)
+    th = np.asarray(thetas, dtype=float)
+    l0, _, m1, _ = _tilted(model, est, g, th)
+    m0_pow = lambda k: np.exp(k * l0)  # M0^k
+    if model.name == "gaussian-shift":
+        s2 = model.make_distribution(0.0).params["sigma2"]
+        return float(np.dot(weights, c ** n * m0_pow(n) * ((g * s2 + est.offset) ** 2 + s2 / n)))
+    eq2 = (est.coef / n) ** 2 * (n * (1.0 + 2.0 * l0) * m0_pow(n)
+                                 + n * (n - 1) * m1 * m1 * m0_pow(n - 2))
+    eq1, b = est.coef * m1 * m0_pow(n - 1), est.offset - th
+    return float(np.dot(weights, c ** n * (th * th * eq2 + 2.0 * th * b * eq1 + b * b * m0_pow(n))))
+
+
+def _mc_sums(model, wf, thetas, n, est, trials, rng) -> np.ndarray:
+    """(len(thetas), 2): the sums over ``trials`` draws of v and v^2, with
+    v = phi^{(n)}(X) |theta*(X) - theta|^2 at each theta of ``thetas``.  The draws
+    come in chunks of ``_MC_CHUNK`` shared by every theta, each reduced once to
+    row statistics: on the shift family to one ``_sum_moments``, which each theta
+    scales by its e^{gamma n theta}; on the scale family to (sum z, sum |z|) in
+    ``_scale_sums``.
     """
     g, c = _weight_rate(model, wf, est)
     th = np.asarray(thetas, dtype=float)
     location = model.name == "gaussian-shift"
-    sums, moments, done = np.zeros((th.size, 3)), 0.0, 0
+    sums, moments, done = np.zeros((th.size, 2)), 0.0, 0
     while done < trials:
         t = min(_MC_CHUNK, trials - done)
         if location:
-            moments = moments + _sum_moments(model, est, g, n, t, rng, deviation)
+            moments = moments + _sum_moments(model, est, g, n, t, rng)
         else:
-            sums += _scale_sums(est, g, n, t, th, rng, deviation)
+            sums += _scale_sums(est, g, n, t, th, rng)
         done += t
     if location:
-        u = np.exp(g * n * th)[:, None]
-        u = u if deviation else u * np.column_stack([th, np.ones_like(th)])
-        gram, du = moments[:, 1:], u - u[0]
-        sums = np.column_stack([u @ moments[:, 0], ((u @ gram) * u).sum(axis=1),
-                                ((du @ gram) * du).sum(axis=1)])
-    return sums * [c ** n, c ** (2 * n), c ** (2 * n)]
+        u = np.exp(g * n * th)
+        sums = np.column_stack([u * moments[0], u * moments[1] * u])
+    return sums * [c ** n, c ** (2 * n)]
 
 
-def _mc_weighted(model, wf, thetas, n, est, trials, rng, deviation: bool = True) -> list:
-    """(mean, stderr, diff_stderr) of ``_mc_sums``'s v at each theta;
-    ``diff_stderr`` is the stderr of v - v_0, which the shared draws make far
-    smaller than the two stderrs."""
-    sums = _mc_sums(model, wf, thetas, n, est, trials, rng, deviation)
+def _mc_weighted(model, wf, thetas, n, est, trials, rng) -> list:
+    """(mean, stderr) of ``_mc_sums``'s v at each theta."""
+    sums = _mc_sums(model, wf, thetas, n, est, trials, rng)
     mean = sums[:, 0] / trials
     var = np.maximum(sums[:, 1] / trials - mean * mean, 0.0)
-    diff_var = np.maximum(sums[:, 2] / trials - (mean - mean[0]) ** 2, 0.0)
-    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist(),
-                    np.sqrt(diff_var / trials).tolist()))
-
-
-def _bias_prime_mc(model, wf, theta, n, est, cfg, trials, seed) -> tuple:
-    """Central-difference d/dtheta of b(theta) = W(theta) - E(theta)^n theta and
-    its stderr; both points read one draw of ``_mc_weighted`` (common random
-    numbers), so the stderr is that of the per-draw difference."""
-    h = 1e-3 * max(1.0, abs(theta))
-    pts = (theta + h, theta - h)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    mc = _mc_weighted(model, wf, pts, n, est, trials, rng, deviation=False)
-    up, dn = (w - weight_mass(model.make_distribution(th), wf, cfg) ** n * th
-              for th, (w, _, _) in zip(pts, mc))
-    return (up - dn) / (2 * h), mc[1][2] / (2 * h)
+    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -577,56 +554,42 @@ class CramerRaoResult:
     lhs: float
     lhs_stderr: float
     rhs: float
-    rhs_stderr: float = 0.0
     lhs_exact: Optional[float] = None   # the closed form of lhs (``_exact_lhs``)
     details: dict = field(default_factory=dict)
 
     @property
     def holds_3sigma(self) -> bool:
-        slack = 3.0 * math.hypot(self.lhs_stderr, self.rhs_stderr)
-        return self.lhs >= self.rhs - slack
+        return self.lhs >= self.rhs - 3.0 * self.lhs_stderr
 
 
 # what each version reads at theta (see ``_at_theta``): R of version A and the
-# T of version C share theirs
-_READS = {"A": ["E", "E'", "I"], "B": ["s", "I1"], "C": ["E", "E'", "I"]}
-# the estimator's analytic bias derivative each rhs reads, and its description
-_BIAS = {"A": ("bias_prime", "weighted-bias derivative"),
-         "B": ("c_prime", "square-root-weight bias derivative")}
+# T of version C share theirs, and read V for grad E
+_READS = {"A": ["E", "V", "I"], "B": ["s", "I1"], "C": ["E", "V", "I"]}
 
 
-def _rhs(version: str, at: dict, n: int, bias: tuple) -> tuple:
-    """(rhs, rhs_stderr, details) at one theta: R(theta, n) of version A from
-    E, E' and I_phi, or S(theta, n) of version B from s and the unweighted
-    information; ``bias`` is the (value, stderr) of b' (A) or c' (B)."""
-    bp, bp_se = bias
+def _rhs(version: str, at: dict, n: int, bp: float) -> tuple:
+    """(rhs, details) at one theta: R(theta, n) of version A from E, grad E = V
+    and I_phi, or S(theta, n) of version B from s and the unweighted
+    information; ``bp`` is b' (A) or c' (B) (``_bias``)."""
     if version == "B":
         s, info = at["s"], at["I1"]
-        return (s ** n + bp) ** 2 / (n * info), bp_se, {"s": s, "I": info, "c_prime": bp}
-    e, ep, info = at["E"], float(at["E'"][0]), at["I"]
+        return (s ** n + bp) ** 2 / (n * info), {"s": s, "I": info, "c_prime": bp}
+    e, ep, info = at["E"], float(at["V"][0]), at["I"]
     denom = n * info * e ** (n - 1) + n * (n - 1) * ep * ep * e ** (n - 2)
-    return ((e ** n + bp) ** 2 / denom, 2.0 * abs(e ** n + bp) * bp_se / denom,
-            {"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp})
+    return (e ** n + bp) ** 2 / denom, {"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp}
 
 
 def _cramer_rao(version, model, wf, theta, n, est, cfg, trials, seed) -> CramerRaoResult:
     """lhs = E[phi^{(n)} |theta* - theta|^2] against ``_rhs`` of ``version``, whose
-    integrals are read in the regularity check's call.  Without the analytic
-    b', version A estimates it by Monte Carlo and propagates its stderr."""
+    integrals are read in the regularity check's call."""
     _check_mc_inputs(model, wf, est, n, trials)
-    attr, what = _BIAS[version]
-    derivative = getattr(est, attr)
-    if derivative is None and version == "B":
-        raise IllegalParameterError(f"version B needs the analytic {what}")
     at = _at_theta(model, wf, theta, cfg, _REGULARITY + _READS[version])
     _regular(at)
-    bias = (derivative(theta, n), 0.0) if derivative is not None else _bias_prime_mc(
-        model, wf, theta, n, est, cfg, max(trials // 4, 50_000), seed + 1)
-    rhs, rhs_se, details = _rhs(version, at, n, bias)
+    rhs, details = _rhs(version, at, n, _bias(model, wf, est, n, theta, version == "B")[2])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ((lhs, lhs_se, _),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
+    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
     return CramerRaoResult(version=version, theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
-                           rhs=rhs, rhs_stderr=rhs_se, details=details,
+                           rhs=rhs, details=details,
                            lhs_exact=_exact_lhs(model, wf, est, n, (theta,), (1.0,)))
 
 
@@ -723,17 +686,16 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
     pointwise rhs of ``cramer_rao_A`` and ``cramer_rao_B`` over the prior, and
     version C uses the weighted Fisher information density of the prior.
     Each node reads the integrals of every version asked for in one call,
-    the middle node with the regularity check's as well.
+    the middle node with the regularity check's as well; a node outside the
+    model's domain is refused before any integral or draw.
     """
     versions = tuple(versions)
     if not versions or any(v not in ("A", "B", "C") for v in versions):
         raise IllegalParameterError("version must be A, B, or C")
-    for version in versions:
-        if version != "C" and getattr(est, _BIAS[version][0]) is None:
-            raise IllegalParameterError(
-                f"van Trees version {version} needs the analytic {_BIAS[version][1]}")
     _check_mc_inputs(model, wf, est, n, trials)
     nodes, weights = prior.quadrature(level)
+    for t in nodes:
+        model.check(float(t))
     mid = len(nodes) // 2
     reads = [name for version in versions for name in _READS[version]]
     mid_at = _at_theta(model, wf, float(nodes[mid]), cfg, _REGULARITY + reads)
@@ -756,16 +718,14 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
             numer = float(np.sum(weights * e_pow)) ** 2
             j_term = float(np.sum(weights * e_pow * prior.grad_log_pdf(nodes) ** 2))
             tr_iw = np.array([at["I"] for at in ats])
-            grad_e = np.array([float(at["E'"][0]) for at in ats])
+            grad_e = np.array([float(at["V"][0]) for at in ats])
             t_val = j_term + n * float(np.sum(weights * tr_iw)) \
                 + n * (n - 1) * float(np.sum(weights * grad_e ** 2))
             rhs = numer / t_val
             details = {"T": t_val, "prior_information": j_term}
         else:
-            derivative = getattr(est, _BIAS[version][0])
-            rhs = 0.0
-            for th, w, at in zip(nodes, weights, ats):
-                rhs += w * _rhs(version, at, n, (derivative(float(th), n), 0.0))[0]
+            rhs = sum(w * _rhs(version, at, n, _bias(model, wf, est, n, th, version == "B")[2])[0]
+                      for th, w, at in zip(nodes.tolist(), weights, ats))
         results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
                                       rhs=rhs, lhs_exact=lhs_exact, details=details))
     return tuple(results)

@@ -583,19 +583,21 @@ class TestSubprocessContracts:
                      "--reproducible"])
         assert r.returncode == 0
         rep = json.loads(r.stdout)
-        (row,) = rep["bounds"]  # no analytic sqrt-weight bias: version A only
+        (row,) = rep["bounds"]  # version A only on the scale family
         assert row["version"] == "A"
         assert row["lhs"] > 0 and row["rhs"] > 0
         # the scale row carries its closed-form lhs too
         assert abs(row["lhs"] - row["lhs_exact"]) <= 3 * row["lhs_stderr"]
 
-    def test_van_trees_without_bias_derivative_exits_2(self):
+    def test_scale_van_trees_out_of_domain_prior_exits_2(self):
+        # the Gaussian prior (mean 1, var 1) has nodes at theta <= 0, outside the
+        # scale family: van Trees refuses before any integral or draw
         r = run_cli(["cramer-rao", "--family", "gaussian-scale", "--phi-gamma",
                      "0.4", "--estimator", "scale-abs-mean", "--theta", "1.0",
                      "--n", "4", "--trials", "20000", "--van-trees",
                      "--reproducible"])
         assert r.returncode == 2
-        assert "bias derivative" in r.stderr
+        assert r.stderr == "error: gaussian-scale: theta outside the domain\n"
         assert "Traceback" not in r.stderr
         # the rows computed before the refusal are still reported
         assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
@@ -755,11 +757,11 @@ class TestEvaluationCost:
         assert _levels_by_center(calls) == [[32, 40], [32, 40], [32, 40, 48, 60]]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
-        """A shift-family run with van Trees makes 102 integrations, 3 per theta:
-        one lockstep call of the integrals it reads and the 2 weight masses of
-        E'.  Rows A (E, V, U, I_phi) and B (E, V, U, s, I1) take 3 each, and
-        each of the 32 prior nodes 3 (E and I_phi; the middle node also V and
-        U for the regularity check): 3 + 3 + 32 * 3."""
+        """A shift-family run with van Trees makes 40 integrations.  Rows A
+        (E, V, U, I_phi) and B (E, V, U, s, I1) take 3 each: one lockstep call
+        of the integrals they read and the 2 weight masses of the regularity
+        check's E'.  Each of the 32 prior nodes takes 1 (E, V and I_phi), the
+        middle node 3 (also U and E' for the regularity check): 3 + 3 + 31 + 3."""
         import winfer.cli
         calls = _count_calls(monkeypatch, "winfer.core", "integrate")
         out = tmp_path / "report.json"
@@ -769,7 +771,7 @@ class TestEvaluationCost:
         rows = json.loads(out.read_text())["bounds"]
         assert [row["version"] for row in rows] == ["A", "B", "van-trees-A", "van-trees-C"]
         assert rows[2]["lhs"] == rows[3]["lhs"]
-        assert len(calls) == 102
+        assert len(calls) == 40
 
     def test_bound_reads_its_integrals_in_the_regularity_call(self, monkeypatch):
         """cramer_rao_A and cramer_rao_B read their integrals at theta in the

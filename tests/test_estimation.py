@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from winfer.core import IntegrationConfig, WeightFunction
-from winfer.errors import IllegalParameterError, RegularityError
+from winfer.errors import (
+    IllegalParameterError,
+    ParameterOutOfDomainError,
+    RegularityError,
+)
 from winfer.estimation import (
     EstimatorSpec,
     ParametricModel,
@@ -388,24 +392,105 @@ class TestCramerRao:
             slack = 3 * max(ra.lhs_stderr, rb.lhs_stderr)
             assert ra.lhs >= max(ra.rhs, rb.rhs) - slack
 
-    def test_mc_bias_derivative_fallback(self):
-        # strip the analytic bias data; the bound must still verify at 3 sigma
+    def test_bare_estimator_reads_the_closed_form_bias(self):
+        # an EstimatorSpec carries no bias data: the mean's b' = n g^2 s2 E^n
+        # is read in closed form
         th, g, n = 0.0, 0.3, 3
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
         bare = EstimatorSpec(name="mean")
         r = cramer_rao_A(m, wf, th, n, bare, CFG, trials=300_000, seed=47)
         closed = (1.0 / n) * b1_mass(th, g, 1.0, n) * (1 + n * g * g)
+        assert r.details["bias_prime"] == pytest.approx(n * g * g * b1_mass(th, g, 1.0, n),
+                                                        rel=1e-15)
         assert abs(r.lhs - closed) <= 3 * r.lhs_stderr
-        assert r.lhs >= r.rhs - 3 * math.hypot(r.lhs_stderr, r.rhs_stderr)
+        assert r.holds_3sigma
 
-    def test_scale_family_bound_via_mc_bias(self):
+    def test_scale_family_bound_via_closed_form_bias(self):
+        # the rhs is deterministic: it holds against lhs_exact, and the Monte
+        # Carlo lhs holds against it at 3 of its own stderrs
         m = gaussian_scale_model()
         th, g, n = 1.0, 0.4, 10
         wf = WeightFunction.exponential(g / th)
         r = cramer_rao_A(m, wf, th, n, scale_abs_mean_estimator(), CFG,
                          trials=200_000, seed=48)
-        assert r.lhs >= r.rhs - 3 * math.hypot(r.lhs_stderr, r.rhs_stderr)
+        assert r.rhs <= r.lhs_exact
+        assert r.holds_3sigma
+
+
+def shift_bias_terms(g, s2, offset, theta, n):
+    """(b, b', c, c') of the Gaussian shift family with the weight e^{g x} for the
+    estimator mean + offset (offset 0 or -s2 g), as written out by hand."""
+    mass = math.exp(n * (theta * g + s2 * g * g / 2.0))
+    smass = math.exp(n * (theta * g / 2.0 + s2 * g * g / 8.0))
+    sign = 1.0 if offset == 0.0 else -1.0
+    return ((g * s2 * mass, n * g * g * s2 * mass) if offset == 0.0 else (0.0, 0.0)) + (
+        sign * 0.5 * s2 * g * smass, sign * 0.25 * n * s2 * g * g * smass)
+
+
+class TestClosedFormBias:
+    """``_bias``: the weighted biases b (plain weight) and c (square-root
+    weight) and their derivatives, in closed form."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.8])
+    def test_shift_family_matches_the_written_out_formulas(self, theta):
+        from winfer.estimation import _bias
+        g, s2, n = 0.5, 1.3 * 1.3, 5
+        m = gaussian_shift_model(1.3)
+        wf = WeightFunction.exponential(g)
+        for est in (mean_estimator(m, wf), shifted_mean_estimator(m, wf)):
+            want = shift_bias_terms(g, s2, est.offset, theta, n)
+            got = _bias(m, wf, est, n, theta)[1:] + _bias(m, wf, est, n, theta, root=True)[1:]
+            for x, y in zip(got, want):
+                assert abs(x - y) <= 2 * math.ulp(y), (est.name, got, want)
+            assert _bias(m, wf, est, n, theta)[0] == pytest.approx(
+                math.exp(n * (theta * g + s2 * g * g / 2.0)), rel=1e-15)
+
+    @pytest.mark.parametrize("family,weight", [
+        ("shift", "exponential"), ("shift", "constant"), ("shift", "negative-rate"),
+        ("scale", "exponential"), ("scale", "constant"), ("scale", "negative-rate")])
+    def test_derivatives_match_a_central_difference(self, family, weight):
+        from winfer.estimation import _bias
+        wf = {"exponential": WeightFunction.exponential(0.4),
+              "constant": WeightFunction.constant(2.0),
+              "negative-rate": WeightFunction.exponential(-0.7)}[weight]
+        if family == "shift":
+            m = gaussian_shift_model(1.3)
+            ests = [mean_estimator(m, wf)] + (
+                [shifted_mean_estimator(m, wf)] if weight != "constant" else [])
+        else:
+            m = gaussian_scale_model()
+            ests = [mean_estimator(m, wf), scale_abs_mean_estimator(),
+                    EstimatorSpec("mean-minus", offset=-0.3)]
+        h = 1e-5
+        for est in ests:
+            for n, theta, root in ((1, 0.7, False), (5, 1.3, False), (1, 0.7, True),
+                                   (5, 1.3, True)):
+                bp = _bias(m, wf, est, n, theta, root)[2]
+                fd = (_bias(m, wf, est, n, theta + h, root)[1]
+                      - _bias(m, wf, est, n, theta - h, root)[1]) / (2 * h)
+                assert abs(bp - fd) <= 1e-8 * max(1.0, abs(bp)), (est.name, n, root, bp, fd)
+
+    @pytest.mark.parametrize("weight", ["exponential", "constant"])
+    def test_scale_weighted_mean_matches_monte_carlo(self, weight):
+        # W = E^n theta + b (plain weight) and Z = s^n theta + c (square-root
+        # weight) against the block oracle's Monte Carlo mean of phi^{(n)} theta*
+        from winfer.estimation import _bias
+        m, n, thetas = gaussian_scale_model(), 4, (0.7, 1.3)
+        wf, root_wf = (WeightFunction.exponential(0.4), WeightFunction.exponential(0.2)) \
+            if weight == "exponential" else \
+            (WeightFunction.constant(2.0), WeightFunction.constant(math.sqrt(2.0)))
+        offset = EstimatorSpec("abs-mean-plus", statistic="A", coef=math.sqrt(math.pi / 2.0),
+                               offset=0.25)
+        for est, fn in ((mean_estimator(m, wf), lambda xs: xs.mean(axis=1)),
+                        (scale_abs_mean_estimator(), abs_mean),
+                        (offset, lambda xs: abs_mean(xs) + 0.25)):
+            for root, w in ((False, wf), (True, root_wf)):
+                mc = oracle_mc(m, w, fn, thetas, n, (100_000,), np.random.default_rng(5),
+                               deviation=False)
+                for th, (mean, se, _) in zip(thetas, mc):
+                    mass, b, _ = _bias(m, wf, est, n, th, root)
+                    assert abs(mass * th + b - mean) <= 3 * se, (est.name, root, th)
 
 
 class TestVanTrees:
@@ -462,21 +547,37 @@ class TestVanTrees:
         mass = np.trapezoid(prior.pdf(grid), grid)
         assert mass == pytest.approx(1.0, abs=1e-6)
 
-    def test_missing_bias_derivative_is_refused_before_sampling(self, monkeypatch):
+    def test_out_of_domain_prior_nodes_are_refused_before_work(self, monkeypatch):
+        # the scale family needs theta > 0; these priors put nodes at or below 0
         no_work(monkeypatch)
         m = gaussian_scale_model()
         wf = WeightFunction.exponential(0.4)
-        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
-        for version in ("A", "B"):
-            with pytest.raises(IllegalParameterError, match="bias derivative"):
-                van_trees(m, wf, 4, scale_abs_mean_estimator(), prior, (version,), CFG,
-                          trials=20_000, seed=3)
+        for prior in (PriorSpec(kind="gaussian", mean=1.0, var=1.0),
+                      PriorSpec(kind="bump", center=0.5, width=1.0)):
+            for version in ("A", "B", "C"):
+                with pytest.raises(ParameterOutOfDomainError):
+                    van_trees(m, wf, 4, scale_abs_mean_estimator(), prior, (version,), CFG,
+                              trials=20_000, seed=3)
+
+    def test_scale_family_versions_hold(self):
+        # b' and c' in closed form: versions A and B run on the scale family too
+        m = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.005)
+        for est in (scale_abs_mean_estimator(), mean_estimator(m, wf)):
+            rows = van_trees(m, wf, 4, est, prior, ("A", "B", "C"), CFG,
+                             trials=100_000, seed=12)
+            for vt in rows:
+                assert vt.rhs <= vt.lhs_exact, (est.name, vt.version)
+                assert vt.holds_3sigma, (est.name, vt.version)
 
     def test_unweighted_mean_has_zero_bias_terms(self):
+        from winfer.estimation import _bias
         m = gaussian_shift_model(sigma=1.5)
-        est = mean_estimator(m, WeightFunction.constant(2.0))
-        for term in (est.bias, est.bias_prime, est.c, est.c_prime):
-            assert term(0.7, 5) == 0.0
+        wf = WeightFunction.constant(2.0)
+        for root in (False, True):
+            _, b, bp = _bias(m, wf, mean_estimator(m, wf), 5, 0.7, root)
+            assert b == bp == 0.0
 
     def test_version_validation(self):
         m = gaussian_shift_model()
@@ -525,17 +626,15 @@ class TestSumStatistic:
         thetas, n = (0.3, 0.9, 1.4), 5
         for wf in (WeightFunction.exponential(0.4), ONE, WeightFunction.constant(2.0)):
             for model, est, fn in cases:
-                for deviation in (True, False):
-                    got = _mc_weighted(model, wf, thetas, n, est, 7_000,
-                                       np.random.default_rng(4), deviation)
-                    want = oracle_mc(model, wf, fn, thetas, n, (3_000, 3_000, 1_000),
-                                     np.random.default_rng(4), deviation)
-                    # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
-                    # sqrt(eps) |mean| / sqrt(T)
-                    want = np.array(want)
-                    np.testing.assert_allclose(
-                        got, want, rtol=1e-9,
-                        atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(7_000))
+                got = _mc_weighted(model, wf, thetas, n, est, 7_000, np.random.default_rng(4))
+                want = oracle_mc(model, wf, fn, thetas, n, (3_000, 3_000, 1_000),
+                                 np.random.default_rng(4))
+                # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
+                # sqrt(eps) |mean| / sqrt(T)
+                want = np.array(want)[:, :2]
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-9,
+                    atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(7_000))
 
     def test_statistic_path_never_builds_samples(self, monkeypatch):
         # the shift family draws one t-long D per chunk; the scale family one
@@ -616,27 +715,6 @@ class TestSumPath:
                 assert vt.holds_3sigma
         assert shapes and all(np.ndim(size) == 0 for size in shapes)  # t-long draws
 
-    def test_bias_derivative_on_the_sum(self):
-        # no analytic bias data: the central difference draws S as well
-        m = self.no_blocks()
-        th, g, n = 0.0, 0.3, 3
-        wf = WeightFunction.exponential(g)
-        est = EstimatorSpec(name="mean")
-        r = cramer_rao_A(m, wf, th, n, est, CFG, trials=300_000, seed=47)
-        # the mean's b'(theta) = n g^2 s2 E^n
-        s2 = 1.44
-        exact = n * g * g * s2 * b1_mass(th, g, s2, n)
-        assert r.details["bias_prime"] == pytest.approx(exact, rel=0.05)
-        assert abs(r.lhs - tilted_deviation(g, n, th, s2, False)) <= 3 * r.lhs_stderr
-        # seeds 0..39, none left out: the reported stderr is that of the
-        # per-draw difference of the two points, which share their draws, so
-        # it matches the seed-to-seed spread, and b' sits within 3 of them
-        from winfer.estimation import _bias_prime_mc
-        bps, ses = np.array([_bias_prime_mc(m, wf, th, n, est, CFG, 50_000, seed)
-                             for seed in range(40)]).T
-        assert np.sum(np.abs(bps - exact) <= 3 * ses) >= 37
-        assert 0.5 <= ses.mean() / bps.std(ddof=1) <= 2.0
-
     def test_three_sigma_rate_over_consecutive_seeds(self):
         # seeds 0..39, none left out: each lhs sits within 3 sigma of its
         # closed form on at least 37 of them, and the z-scores centre on 0
@@ -662,14 +740,14 @@ class TestSumPath:
             assert abs(zs.mean()) <= 0.5, (key, zs.mean())
 
 
-def per_theta_values(g, n, s2, offset, thetas, d, deviation=True):
-    """phi^{(n)} (theta* - theta)^2, or phi^{(n)} theta*, at each theta over the
-    draws D = S - n theta, one array per theta, as the sum path read them
-    before its sums were factored."""
+def per_theta_values(g, n, s2, offset, thetas, d):
+    """phi^{(n)} (theta* - theta)^2 at each theta over the draws D = S - n theta,
+    one array per theta, as the sum path read them before its sums were
+    factored."""
     tilt = np.exp(g * d)
     for th in thetas:
         estimate = (n * th + d) / n + offset
-        yield np.exp(g * n * th) * tilt * ((estimate - th) ** 2 if deviation else estimate)
+        yield np.exp(g * n * th) * tilt * (estimate - th) ** 2
 
 
 class TestFactoredSumPath:
@@ -689,37 +767,27 @@ class TestFactoredSumPath:
         m, wf, ests = self.setting(g, sigma)
         thetas, chunks = (-0.3, 0.0, 0.5, 1.1), (_MC_CHUNK, 30_000)
         for est in ests:
-            for deviation in (True, False):
-                got = _mc_weighted(m, wf, thetas, n, est, sum(chunks),
-                                   np.random.default_rng(9), deviation)
-                rng = np.random.default_rng(9)
-                d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
-                                    for t in chunks])
-                vs = list(per_theta_values(g, n, sigma * sigma, est.offset, thetas, d,
-                                           deviation))
-                root = math.sqrt(d.size)
-                for (mean, se, diff_se), v in zip(got, vs):
-                    want = (v.mean(), v.std() / root, (v - vs[0]).std() / root)
-                    np.testing.assert_allclose((mean, se, diff_se), want, rtol=1e-12, atol=0)
+            got = _mc_weighted(m, wf, thetas, n, est, sum(chunks), np.random.default_rng(9))
+            rng = np.random.default_rng(9)
+            d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
+                                for t in chunks])
+            root = math.sqrt(d.size)
+            for (mean, se), v in zip(got, per_theta_values(g, n, sigma * sigma, est.offset,
+                                                           thetas, d)):
+                np.testing.assert_allclose((mean, se), (v.mean(), v.std() / root),
+                                           rtol=1e-12, atol=0)
 
     def test_sum_moments_in_place_matches_the_expression_bit_for_bit(self):
         from winfer.estimation import _MC_CHUNK, _sum_moments
         g, n, sigma = 0.4, 5, 1.3
         m, wf, ests = self.setting(g, sigma)
         for est in ests:
-            for deviation in (True, False):
-                got = _sum_moments(m, est, g, n, _MC_CHUNK, np.random.default_rng(21),
-                                   deviation)
-                # the allocating expression the in-place arithmetic replaced
-                d = math.sqrt(n * sigma * sigma) * np.random.default_rng(21).standard_normal(
-                    _MC_CHUNK)
-                tilt = np.exp(g * d)
-                r = d / n + est.offset
-                feats = [tilt * r ** 2] if deviation else [tilt, tilt * r]
-                want = np.array([[float(f.sum())] + [float((f * h).sum()) for h in feats]
-                                 for f in feats])
-                assert got.shape == (len(feats), 1 + len(feats))
-                assert got.tobytes() == want.tobytes()
+            got = _sum_moments(m, est, g, n, _MC_CHUNK, np.random.default_rng(21))
+            # the allocating expression the in-place arithmetic replaced
+            d = math.sqrt(n * sigma * sigma) * np.random.default_rng(21).standard_normal(
+                _MC_CHUNK)
+            f = np.exp(g * d) * (d / n + est.offset) ** 2
+            assert got.tobytes() == np.array([float(f.sum()), float((f * f).sum())]).tobytes()
 
     def test_van_trees_matches_a_per_node_loop(self):
         g, n, sigma, seed, trials = 0.4, 5, 1.3, 11, 60_000
