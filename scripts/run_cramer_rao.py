@@ -10,8 +10,9 @@ Prints each report; exits 1 if any bound row fails its 3-sigma check
 (``passed_3sigma`` false), if a row that carries the closed-form ``lhs_exact``
 has its Monte Carlo ``lhs`` more than 3 ``lhs_stderr`` away from it, or if its
 deterministic ``rhs`` exceeds ``lhs_exact`` by more than 1e-9 relative (the
-mean's version A row is the equality case), and with the CLI's code if a run
-fails.
+mean's version A row is the equality case), if rows A and B of one run report
+different ``lhs`` or ``lhs_stderr`` (they bound the same quantity on one draw),
+and with the CLI's code if a run fails.
 """
 
 import contextlib
@@ -39,7 +40,12 @@ def main() -> int:
         sys.stdout.write(text.getvalue())
         if code:
             return code
-        for row in json.loads(text.getvalue())["bounds"]:
+        rows = json.loads(text.getvalue())["bounds"]
+        if len({(row["lhs"], row["lhs_stderr"]) for row in rows
+                if row["version"] in ("A", "B")}) > 1:
+            print(f"FAIL: {est} rows A and B report different lhs", file=sys.stderr)
+            failed = 1
+        for row in rows:
             if not row["passed_3sigma"]:
                 print(f"FAIL: {est} {row['version']} fails at 3 sigma", file=sys.stderr)
                 failed = 1

@@ -67,11 +67,10 @@ import numpy as np
 from . import __version__
 from .core import _GH_MAX_D, Distribution, IntegrationConfig, WeightFunction, _finite
 from .divergence import QUANTITIES, DivergenceValue, HypothesisProblem, plan_quantities, quantity
-from .errors import DomainMismatchError, SchemaError, WinferError
+from .errors import DomainMismatchError, ParameterOutOfDomainError, SchemaError, WinferError
 from .estimation import (
     PriorSpec,
-    cramer_rao_A,
-    cramer_rao_B,
+    cramer_rao,
     gaussian_scale_model,
     gaussian_shift_model,
     mean_estimator,
@@ -447,16 +446,20 @@ def cmd_cramer_rao(args) -> int:
     rows = []
     code = 0
     try:
-        bounds = (cramer_rao_A, cramer_rao_B) if args.family == "gaussian-shift" else (cramer_rao_A,)
-        for k, bound in enumerate(bounds):
-            r = bound(model, wf, args.theta, args.n, est, cfg,
-                      trials=args.trials, seed=args.seed + k)
-            rows.append(_bound_row(r.version, r))
+        versions = ("A", "B") if args.family == "gaussian-shift" else ("A",)
+        rows = [_bound_row(r.version, r) for r in cramer_rao(
+            model, wf, args.theta, args.n, est, versions, cfg, trials=args.trials, seed=args.seed)]
         if args.van_trees:
             prior = PriorSpec(kind="gaussian", mean=args.theta, var=args.prior_var)
-            for vt in van_trees(model, wf, args.n, est, prior, ("A", "C"), cfg,
-                                trials=max(args.trials // 5, 20_000), seed=args.seed + 2):
-                rows.append(_bound_row(f"van-trees-{vt.version}", vt))
+            try:
+                vts = van_trees(model, wf, args.n, est, prior, ("A", "C"), cfg,
+                                trials=max(args.trials // 5, 20_000), seed=args.seed + 2)
+            except ParameterOutOfDomainError as exc:  # the scale family's theta > 0
+                x = PriorSpec(kind="gaussian").quadrature()[0]  # the nodes at unit variance
+                raise ParameterOutOfDomainError(
+                    f"{exc} at a prior node; the prior's {x.size} nodes stay in theta > 0 "
+                    f"only for --prior-var < {(args.theta / x.min()) ** 2:.4g}") from exc
+            rows += [_bound_row(f"van-trees-{vt.version}", vt) for vt in vts]
     except WinferError as exc:
         sys.stderr.write(f"error: {exc}\n")
         code = 2

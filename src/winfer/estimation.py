@@ -13,7 +13,10 @@ reads.  It runs the Gaussian shift and scale families with the weight
 e^{gamma x} or a constant, and refuses anything else before any work.  Every
 bound also reports its lhs in closed form (``lhs_exact``), and reads the
 estimator's weighted bias derivatives b' and c' in closed form (``_bias``),
-from the same tilted moments (``_tilted``); so every rhs is deterministic.
+from the same tilted moments (``_tilted``); so every rhs is deterministic.  The
+van Trees prior nodes read their integrals from them too (``_closed_at``),
+checked against quadrature at the middle node, and versions A and B at one
+theta share one draw and one integration call (``cramer_rao``).
 
 Regularity is not assumed silently: ``check_regularity`` verifies the two
 interchange identities (grad E = int phi grad p and int grad p = 0), and every
@@ -70,6 +73,7 @@ __all__ = [
     "KlExpansionReport",
     "kl_expansion_check",
     "CramerRaoResult",
+    "cramer_rao",
     "cramer_rao_A",
     "cramer_rao_B",
     "VanTreesResult",
@@ -102,7 +106,7 @@ class ParametricModel:
 
     def check(self, theta) -> float:
         if not self.theta_domain(theta):
-            raise ParameterOutOfDomainError(f"{self.name}: theta outside the domain")
+            raise ParameterOutOfDomainError(f"{self.name}: theta = {theta:.6g} outside the domain")
         return theta
 
 
@@ -487,6 +491,25 @@ def _bias(model, wf, est, n, theta, root: bool = False) -> tuple:
     return p_n, b, db
 
 
+def _closed_at(model, wf, est, th) -> dict:
+    """E, V, I, s and I1 of ``_at_theta`` at theta (a number or an array) in
+    closed form from ``_tilted``, with phi = c e^{r x}: E = c e^L, V = L' E and
+    s = sqrt(c) e^{L(r/2)}.  Shift family: I = E (1/sigma^2 + r^2), I1 =
+    1/sigma^2.  Scale family, g = r theta: I = E (g^4 + 4 g^2 + 2) / theta^2
+    (E_w (w^2 - 1)^2 with w ~ N(g, 1)), I1 = 2 / theta^2."""
+    r, c = _weight_rate(model, wf, est)
+    l0, dl0 = _tilted(model, est, r, th)[:2]
+    e = c * np.exp(l0)
+    if model.name == "gaussian-shift":
+        i1 = np.full(np.shape(th), 1.0 / model.make_distribution(0.0).params["sigma2"])
+        per_mass = i1 + r * r
+    else:
+        g2, i1 = (r * th) ** 2, 2.0 / (th * th)
+        per_mass = (g2 * g2 + 4.0 * g2 + 2.0) / (th * th)
+    return {"E": e, "V": dl0 * e, "I": e * per_mass, "I1": i1,
+            "s": math.sqrt(c) * np.exp(_tilted(model, est, r / 2.0, th)[0])}
+
+
 def _exact_lhs(model, wf, est, n, thetas, weights) -> float:
     """sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] in closed form, from
     the tilted moments of ``_tilted``.
@@ -567,37 +590,44 @@ class CramerRaoResult:
 _READS = {"A": ["E", "V", "I"], "B": ["s", "I1"], "C": ["E", "V", "I"]}
 
 
-def _rhs(version: str, at: dict, n: int, bp: float) -> tuple:
-    """(rhs, details) at one theta: R(theta, n) of version A from E, grad E = V
-    and I_phi, or S(theta, n) of version B from s and the unweighted
-    information; ``bp`` is b' (A) or c' (B) (``_bias``)."""
+def _rhs(version: str, at: dict, n: int, bp) -> tuple:
+    """(rhs, details) at one theta, or elementwise at many: R(theta, n) of version
+    A from E, grad E = V (a number) and I_phi, or S(theta, n) of version B from s
+    and the unweighted information; ``bp`` is b' (A) or c' (B) (``_bias``)."""
     if version == "B":
         s, info = at["s"], at["I1"]
         return (s ** n + bp) ** 2 / (n * info), {"s": s, "I": info, "c_prime": bp}
-    e, ep, info = at["E"], float(at["V"][0]), at["I"]
+    e, ep, info = at["E"], at["V"], at["I"]
     denom = n * info * e ** (n - 1) + n * (n - 1) * ep * ep * e ** (n - 2)
     return (e ** n + bp) ** 2 / denom, {"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp}
 
 
-def _cramer_rao(version, model, wf, theta, n, est, cfg, trials, seed) -> CramerRaoResult:
-    """lhs = E[phi^{(n)} |theta* - theta|^2] against ``_rhs`` of ``version``, whose
-    integrals are read in the regularity check's call."""
+def cramer_rao(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
+               est: EstimatorSpec, versions: Sequence[str], cfg: IntegrationConfig,
+               trials: int = 1_000_000, seed: int = 0) -> tuple:
+    """lhs = E[phi^{(n)} |theta* - theta|^2] against R(theta, n) (version A) and
+    S(theta, n) (B): one ``CramerRaoResult`` per entry of ``versions``.  They
+    share one Monte Carlo draw at ``seed``, and one integration call at theta
+    of every version's integrals with the regularity check's."""
+    if not versions or not set(versions) <= {"A", "B"}:
+        raise IllegalParameterError("version must be A or B")
     _check_mc_inputs(model, wf, est, n, trials)
-    at = _at_theta(model, wf, theta, cfg, _REGULARITY + _READS[version])
+    at = _at_theta(model, wf, theta, cfg, _REGULARITY + [k for v in versions for k in _READS[v]])
     _regular(at)
-    rhs, details = _rhs(version, at, n, _bias(model, wf, est, n, theta, version == "B")[2])
+    at["V"] = float(at["V"][0])  # grad E, one number at one theta
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
-    return CramerRaoResult(version=version, theta=theta, n=n, lhs=lhs, lhs_stderr=lhs_se,
-                           rhs=rhs, details=details,
-                           lhs_exact=_exact_lhs(model, wf, est, n, (theta,), (1.0,)))
+    lhs_exact = _exact_lhs(model, wf, est, n, (theta,), (1.0,))
+    rows = {v: _rhs(v, at, n, _bias(model, wf, est, n, theta, v == "B")[2]) for v in versions}
+    return tuple(CramerRaoResult(v, theta, n, lhs, lhs_se, rhs, lhs_exact, details)
+                 for v, (rhs, details) in rows.items())
 
 
 def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
                  est: EstimatorSpec, cfg: IntegrationConfig,
                  trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
     """Version A: lhs = E[phi^{(n)} |theta*-theta|^2] against R(theta, n)."""
-    return _cramer_rao("A", model, wf, theta, n, est, cfg, trials, seed)
+    return cramer_rao(model, wf, theta, n, est, ("A",), cfg, trials, seed)[0]
 
 
 def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
@@ -605,7 +635,7 @@ def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: in
                  trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
     """Version B: same lhs against S(theta, n) built from s(theta) and the
     unweighted Fisher information."""
-    return _cramer_rao("B", model, wf, theta, n, est, cfg, trials, seed)
+    return cramer_rao(model, wf, theta, n, est, ("B",), cfg, trials, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +713,13 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
 
     lhs integrates the per-theta Monte Carlo deviation over the prior with
     common random numbers across prior nodes; versions A and B average the
-    pointwise rhs of ``cramer_rao_A`` and ``cramer_rao_B`` over the prior, and
-    version C uses the weighted Fisher information density of the prior.
-    Each node reads the integrals of every version asked for in one call,
-    the middle node with the regularity check's as well; a node outside the
-    model's domain is refused before any integral or draw.
+    pointwise rhs of ``cramer_rao`` over the prior, and version C uses the
+    weighted Fisher information density of the prior.  The nodes read their
+    integrals in closed form (``_closed_at``).  A run integrates at the middle
+    node only, in 3 calls: them with the regularity check's, and the check's
+    E'; a closed form more than 1e-9 relative off there is a RegularityError
+    before any draw.  A node outside the model's domain is refused before any
+    integral or draw.
     """
     versions = tuple(versions)
     if not versions or any(v not in ("A", "B", "C") for v in versions):
@@ -700,6 +732,11 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
     reads = [name for version in versions for name in _READS[version]]
     mid_at = _at_theta(model, wf, float(nodes[mid]), cfg, _REGULARITY + reads)
     _regular(mid_at)
+    at = _closed_at(model, wf, est, nodes)
+    for kind in (k for k in at if k in mid_at):  # V = 0 under a constant weight
+        gap = float(np.max(np.abs(at[kind][mid] - mid_at[kind])))
+        if gap > 1e-9 * max(1.0, abs(mid_at["E" if kind == "V" else kind])):
+            raise RegularityError(f"closed-form {kind} misses quadrature by {gap:.2e}")
     # lhs = sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] on one draw; the
     # sum of the node stderrs (ddof = 1) bounds its stderr, and is it exactly on the
     # shift family, where node k's values are c^n e^{gamma n theta_k} times one array
@@ -708,24 +745,18 @@ def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
     var = np.maximum(sums[:, 1] - sums[:, 0] ** 2 / trials, 0.0) / (trials - 1)
     lhs, lhs_se = float(weights @ sums[:, 0]) / trials, float(weights @ np.sqrt(var / trials))
     lhs_exact = _exact_lhs(model, wf, est, n, nodes, weights)
-    ats = [mid_at if k == mid else _at_theta(model, wf, float(t), cfg, reads)
-           for k, t in enumerate(nodes)]
     results = []
     for version in versions:
         details: dict = {}
         if version == "C":
-            e_pow = np.array([at["E"] ** n for at in ats])
-            numer = float(np.sum(weights * e_pow)) ** 2
-            j_term = float(np.sum(weights * e_pow * prior.grad_log_pdf(nodes) ** 2))
-            tr_iw = np.array([at["I"] for at in ats])
-            grad_e = np.array([float(at["V"][0]) for at in ats])
-            t_val = j_term + n * float(np.sum(weights * tr_iw)) \
-                + n * (n - 1) * float(np.sum(weights * grad_e ** 2))
-            rhs = numer / t_val
+            e_pow = at["E"] ** n
+            j_term = float(weights @ (e_pow * prior.grad_log_pdf(nodes) ** 2))
+            t_val = j_term + n * float(weights @ (at["I"] + (n - 1) * at["V"] ** 2))
+            rhs = float(weights @ e_pow) ** 2 / t_val
             details = {"T": t_val, "prior_information": j_term}
         else:
-            rhs = sum(w * _rhs(version, at, n, _bias(model, wf, est, n, th, version == "B")[2])[0]
-                      for th, w, at in zip(nodes.tolist(), weights, ats))
+            bp = _bias(model, wf, est, n, nodes, version == "B")[2]
+            rhs = float(weights @ _rhs(version, at, n, bp)[0])
         results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
                                       rhs=rhs, lhs_exact=lhs_exact, details=details))
     return tuple(results)

@@ -597,10 +597,26 @@ class TestSubprocessContracts:
                      "--n", "4", "--trials", "20000", "--van-trees",
                      "--reproducible"])
         assert r.returncode == 2
-        assert r.stderr == "error: gaussian-scale: theta outside the domain\n"
+        assert r.stderr == (
+            "error: gaussian-scale: theta = -9.07742 outside the domain at a prior node; "
+            "the prior's 32 nodes stay in theta > 0 only for --prior-var < 0.009847\n")
         assert "Traceback" not in r.stderr
         # the rows computed before the refusal are still reported
         assert [row["version"] for row in json.loads(r.stdout)["bounds"]] == ["A"]
+
+    def test_scale_van_trees_refusal_names_the_largest_prior_var(self, capsys):
+        # the bound the refusal names is where the prior's lowest node reaches 0
+        import winfer.cli
+        argv = ["cramer-rao", "--family", "gaussian-scale", "--phi-gamma", "0.4",
+                "--estimator", "scale-abs-mean", "--theta", "2.5", "--n", "4",
+                "--trials", "20000", "--van-trees", "--reproducible"]
+        assert winfer.cli.main(argv + ["--prior-var", "1"]) == 2
+        limit = float(capsys.readouterr().err.rsplit("< ", 1)[1])
+        assert limit == pytest.approx((2.5 / 10.08) ** 2, rel=1e-3)
+        assert winfer.cli.main(argv + ["--prior-var", str(limit * 0.999)]) == 0
+        assert [row["version"] for row in json.loads(capsys.readouterr().out)["bounds"]] \
+            == ["A", "van-trees-A", "van-trees-C"]
+        assert winfer.cli.main(argv + ["--prior-var", str(limit * 1.001)]) == 2
 
     def test_mismatched_family_and_estimator_exit_1(self, capsys):
         """The shift family's draw carries S only, and the shifted mean is the
@@ -757,11 +773,11 @@ class TestEvaluationCost:
         assert _levels_by_center(calls) == [[32, 40], [32, 40], [32, 40, 48, 60]]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
-        """A shift-family run with van Trees makes 40 integrations.  Rows A
-        (E, V, U, I_phi) and B (E, V, U, s, I1) take 3 each: one lockstep call
-        of the integrals they read and the 2 weight masses of the regularity
-        check's E'.  Each of the 32 prior nodes takes 1 (E, V and I_phi), the
-        middle node 3 (also U and E' for the regularity check): 3 + 3 + 31 + 3."""
+        """A shift-family run with van Trees makes 6 integrations.  Rows A and
+        B share 3 at theta: one lockstep call of E, V, U, I_phi, s and I1, and
+        the 2 weight masses of the regularity check's E'.  The prior nodes read
+        their integrals in closed form; only the middle node integrates, 3 calls
+        again (E, V, U and I_phi, then E'), to check them: 3 + 3."""
         import winfer.cli
         calls = _count_calls(monkeypatch, "winfer.core", "integrate")
         out = tmp_path / "report.json"
@@ -771,7 +787,7 @@ class TestEvaluationCost:
         rows = json.loads(out.read_text())["bounds"]
         assert [row["version"] for row in rows] == ["A", "B", "van-trees-A", "van-trees-C"]
         assert rows[2]["lhs"] == rows[3]["lhs"]
-        assert len(calls) == 40
+        assert len(calls) == 6
 
     def test_bound_reads_its_integrals_in_the_regularity_call(self, monkeypatch):
         """cramer_rao_A and cramer_rao_B read their integrals at theta in the

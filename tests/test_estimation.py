@@ -16,6 +16,7 @@ from winfer.estimation import (
     ParametricModel,
     PriorSpec,
     check_regularity,
+    cramer_rao,
     cramer_rao_A,
     cramer_rao_B,
     gaussian_scale_model,
@@ -418,6 +419,33 @@ class TestCramerRao:
         assert r.holds_3sigma
 
 
+class TestSharedDraw:
+    """``cramer_rao``: versions A and B at one theta bound one lhs, read on one
+    draw, with every integral from one call at theta."""
+
+    @pytest.mark.parametrize("model,wf,est", [
+        (gaussian_shift_model(1.3), WeightFunction.exponential(0.5), EstimatorSpec(name="mean")),
+        (gaussian_shift_model(), WeightFunction.exponential(0.5),
+         shifted_mean_estimator(gaussian_shift_model(), WeightFunction.exponential(0.5))),
+        (gaussian_scale_model(), WeightFunction.exponential(0.4), scale_abs_mean_estimator()),
+        (gaussian_scale_model(), WeightFunction.constant(2.0), EstimatorSpec(name="mean")),
+    ], ids=["shift-mean", "shift-shifted-mean", "scale-abs-mean", "scale-constant-weight"])
+    def test_rows_share_one_draw_and_equal_the_lone_calls(self, model, wf, est, monkeypatch):
+        shapes = recorded_draws(monkeypatch)
+        a, b = cramer_rao(model, wf, 1.1, 4, est, ("A", "B"), CFG, trials=30_000, seed=21)
+        assert len(shapes) == 1  # one draw for both rows
+        assert (a.version, b.version) == ("A", "B")
+        assert (a.lhs, a.lhs_stderr, a.lhs_exact) == (b.lhs, b.lhs_stderr, b.lhs_exact)
+        assert cramer_rao_A(model, wf, 1.1, 4, est, CFG, trials=30_000, seed=21) == a
+        assert cramer_rao_B(model, wf, 1.1, 4, est, CFG, trials=30_000, seed=21) == b
+
+    def test_version_validation(self):
+        m = gaussian_shift_model()
+        for versions in ((), ("C",), ("A", "D")):
+            with pytest.raises(IllegalParameterError):
+                cramer_rao(m, ONE, 0.0, 3, mean_estimator(m, ONE), versions, CFG, trials=10)
+
+
 def shift_bias_terms(g, s2, offset, theta, n):
     """(b, b', c, c') of the Gaussian shift family with the weight e^{g x} for the
     estimator mean + offset (offset 0 or -s2 g), as written out by hand."""
@@ -584,6 +612,50 @@ class TestVanTrees:
         with pytest.raises(IllegalParameterError):
             van_trees(m, ONE, 3, mean_estimator(m, ONE),
                       PriorSpec(kind="gaussian"), ("D",), CFG, trials=10)
+
+
+class TestClosedFormNodes:
+    """``_closed_at``: E, V, I_phi, s and I1 in closed form, the integrals the
+    van Trees prior nodes read."""
+
+    @pytest.mark.parametrize("model", [gaussian_shift_model(1.3), gaussian_scale_model()],
+                             ids=["shift", "scale"])
+    @pytest.mark.parametrize("wf", [WeightFunction.exponential(0.5),
+                                    WeightFunction.exponential(-0.3),
+                                    WeightFunction.constant(2.0)],
+                             ids=["exp(0.5x)", "exp(-0.3x)", "constant-2"])
+    def test_matches_quadrature(self, model, wf):
+        from winfer.estimation import _at_theta, _closed_at
+        thetas = np.array([0.2, 0.5, 1.0, 1.7, 3.0])
+        closed = _closed_at(model, wf, mean_estimator(model, wf), thetas)
+        for k, th in enumerate(thetas):
+            quad = _at_theta(model, wf, float(th), CFG, ["E", "V", "I", "s", "I1"])
+            for kind in ("E", "V", "I", "s", "I1"):
+                # V is 0 under a constant weight: E sets its scale
+                scale = abs(quad["E" if kind == "V" else kind])
+                assert abs(closed[kind][k] - float(np.ravel(quad[kind])[0])) \
+                    <= 1e-13 * scale, (kind, th)
+
+    @pytest.mark.parametrize("model,prior", [
+        (gaussian_shift_model(), PriorSpec(kind="gaussian", mean=0.2, var=1.0)),
+        (gaussian_scale_model(), PriorSpec(kind="gaussian", mean=1.0, var=0.005))],
+        ids=["shift", "scale"])
+    def test_a_wrong_closed_form_is_refused_before_any_draw(self, model, prior, monkeypatch):
+        import winfer.estimation as estimation
+        real = estimation._closed_at
+
+        def mutated(*args):
+            at = real(*args)
+            return {**at, "I": at["I"] * (1.0 + 1e-6)}
+        monkeypatch.setattr(estimation, "_closed_at", mutated)
+
+        def raising(*args, **kwargs):
+            raise AssertionError("draw started")
+        monkeypatch.setattr(np.random, "default_rng", raising)
+        wf = WeightFunction.exponential(0.4)
+        with pytest.raises(RegularityError, match="closed-form I misses quadrature"):
+            van_trees(model, wf, 4, mean_estimator(model, wf), prior, ("A", "C"), CFG,
+                      trials=20_000, seed=3)
 
 
 def tilted_deviation(g, n, theta, s2, shifted):
