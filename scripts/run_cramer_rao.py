@@ -3,8 +3,10 @@
 
 The sample mean attains the version-A bound exactly under the exponential
 weight; the bias-corrected mean sits strictly between the version-A bound and
-the mean's equality value.  Also runs the van Trees versions A and C, and the
-version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1.
+the mean's equality value.  Also runs the van Trees versions A and C, the
+version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1,
+and the scale family's mean there with its van Trees rows (prior variance
+0.005, which keeps every prior node in theta > 0).
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
 (``passed_3sigma`` false), if a row that carries the closed-form ``lhs_exact``
@@ -28,15 +30,17 @@ def main() -> int:
               "--reproducible"]
     shift = ["cramer-rao", "--family", "gaussian-shift", "--theta", "0.0", "--sigma", "1.0",
              "--van-trees", "--prior-var", "1.0"] + shared
-    runs = {"mean": shift, "shifted-mean": shift,
-            "scale-abs-mean": ["cramer-rao", "--family", "gaussian-scale", "--theta", "1"]
-            + shared}
+    scale = ["cramer-rao", "--family", "gaussian-scale", "--theta", "1"] + shared
+    runs = {"mean": shift + ["--estimator", "mean"],
+            "shifted-mean": shift + ["--estimator", "shifted-mean"],
+            "scale-abs-mean": scale + ["--estimator", "scale-abs-mean"],
+            "scale-mean": scale + ["--estimator", "mean", "--van-trees", "--prior-var", "0.005"]}
     failed = 0
     for est, args in runs.items():
         print(f"# estimator = {est}")
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
-            code = winfer_main(args + ["--estimator", est])
+            code = winfer_main(args)
         sys.stdout.write(text.getvalue())
         if code:
             return code

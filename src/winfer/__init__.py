@@ -68,8 +68,7 @@ from .estimation import (  # noqa: F401
     EstimatorSpec,
     ParametricModel,
     PriorSpec,
-    cramer_rao_A,
-    cramer_rao_B,
+    cramer_rao,
     gaussian_scale_model,
     gaussian_shift_model,
     kl_expansion_check,

@@ -10,18 +10,22 @@ every bound assertion in the test-suites is made at 3 standard errors.
 The Monte Carlo has one path (``_mc_sums``): each chunk of draws is reduced
 once to row statistics, S = sum_i x_i and A = sum_i |x_i|, that every theta
 reads.  It runs the Gaussian shift and scale families with the weight
-e^{gamma x} or a constant, and refuses anything else before any work.  Every
-bound also reports its lhs in closed form (``lhs_exact``), and reads the
-estimator's weighted bias derivatives b' and c' in closed form (``_bias``),
-from the same tilted moments (``_tilted``); so every rhs is deterministic.  The
-van Trees prior nodes read their integrals from them too (``_closed_at``),
-checked against quadrature at the middle node, and versions A and B at one
-theta share one draw and one integration call (``cramer_rao``).
+e^{gamma x} or a constant, and refuses anything else before any work.
+
+The bounds have one path (``_bounds``).  Versions A and B of van Trees average
+the pointwise weighted Cramer-Rao bound over a prior, so ``cramer_rao`` is that
+path at the one node theta with weight 1.  The nodes share one draw, and every
+row reports its lhs in closed form (``lhs_exact``).  The nodes read E, V, I_phi,
+s and I1 in closed form (``_closed_at``), and the estimator's weighted bias
+derivatives b' and c' (``_bias``), from the same tilted moments (``_tilted``);
+so every rhs is deterministic.
 
 Regularity is not assumed silently: ``check_regularity`` verifies the two
-interchange identities (grad E = int phi grad p and int grad p = 0), and every
-bound checks them at its theta first, aborting with a diagnostic rather than
-reporting an unsound bound.
+interchange identities (grad E = int phi grad p and int grad p = 0), with a
+finite-difference grad E.  Every bound checks them at its middle node before
+any draw, with the closed-form grad E, in the one integration call that also
+checks its closed forms; it aborts with a diagnostic rather than reporting an
+unsound bound.
 
 Version-A bounds follow the single-entry derivation, which carries a
 Kronecker delta between the parameter component and the differentiation
@@ -74,9 +78,6 @@ __all__ = [
     "kl_expansion_check",
     "CramerRaoResult",
     "cramer_rao",
-    "cramer_rao_A",
-    "cramer_rao_B",
-    "VanTreesResult",
     "van_trees",
 ]
 
@@ -557,22 +558,14 @@ def _mc_sums(model, wf, thetas, n, est, trials, rng) -> np.ndarray:
     return sums * [c ** n, c ** (2 * n)]
 
 
-def _mc_weighted(model, wf, thetas, n, est, trials, rng) -> list:
-    """(mean, stderr) of ``_mc_sums``'s v at each theta."""
-    sums = _mc_sums(model, wf, thetas, n, est, trials, rng)
-    mean = sums[:, 0] / trials
-    var = np.maximum(sums[:, 1] / trials - mean * mean, 0.0)
-    return list(zip(mean.tolist(), np.sqrt(var / trials).tolist()))
-
-
 # ---------------------------------------------------------------------------
-# Cramer-Rao bounds
+# Cramer-Rao and van Trees bounds
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CramerRaoResult:
     version: str
-    theta: float
+    theta: Optional[float]              # None for a van Trees row
     n: int
     lhs: float
     lhs_stderr: float
@@ -585,15 +578,15 @@ class CramerRaoResult:
         return self.lhs >= self.rhs - 3.0 * self.lhs_stderr
 
 
-# what each version reads at theta (see ``_at_theta``): R of version A and the
-# T of version C share theirs, and read V for grad E
+# what each version reads (see ``_at_theta``): R of version A and the T of
+# version C share theirs, and read V for grad E
 _READS = {"A": ["E", "V", "I"], "B": ["s", "I1"], "C": ["E", "V", "I"]}
 
 
 def _rhs(version: str, at: dict, n: int, bp) -> tuple:
-    """(rhs, details) at one theta, or elementwise at many: R(theta, n) of version
-    A from E, grad E = V (a number) and I_phi, or S(theta, n) of version B from s
-    and the unweighted information; ``bp`` is b' (A) or c' (B) (``_bias``)."""
+    """(rhs, details) elementwise over the nodes: R(theta, n) of version A from
+    E, grad E = V and I_phi, or S(theta, n) of version B from s and the
+    unweighted information; ``bp`` is b' (A) or c' (B) (``_bias``)."""
     if version == "B":
         s, info = at["s"], at["I1"]
         return (s ** n + bp) ** 2 / (n * info), {"s": s, "I": info, "c_prime": bp}
@@ -602,44 +595,72 @@ def _rhs(version: str, at: dict, n: int, bp) -> tuple:
     return (e ** n + bp) ** 2 / denom, {"E": e, "E_prime": ep, "I_w": info, "bias_prime": bp}
 
 
+def _bounds(model, wf, n, est, nodes, weights, prior, versions, cfg, trials, seed) -> tuple:
+    """One ``CramerRaoResult`` per entry of ``versions``, all sharing one lhs,
+    sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] over the nodes theta_k
+    and weights w_k: versions A and B average the pointwise rhs over them, and
+    version C needs the ``prior``.  With no prior the one node is theta, and
+    rows A and B report their rhs terms (``details``).
+
+    The nodes read E, V, I_phi, s and I1 in closed form (``_closed_at``).  One
+    integration call at the middle node checks them: the interchange identities
+    with grad E the closed-form V (``_regular``), then each closed form to 1e-9
+    max(1, |value|), with E as the scale for V (exactly 0 under a constant
+    weight).  Any failure is a RegularityError before the draw, and a node
+    outside the model's domain is refused before any integral.  The lhs comes
+    from one ``_mc_sums`` draw at ``seed``; the sum of the node stderrs
+    (ddof = 1) bounds its stderr, and is it exactly on the shift family, where
+    node k's values are c^n e^{gamma n theta_k} times one array."""
+    _check_mc_inputs(model, wf, est, n, trials)
+    for t in nodes:
+        model.check(float(t))
+    mid = len(nodes) // 2
+    quad = _at_theta(model, wf, float(nodes[mid]), cfg,
+                     ["E", "V", "U"] + [k for v in versions for k in _READS[v]])
+    at = _closed_at(model, wf, est, nodes)
+    _regular({**quad, "E'": at["V"][mid]})
+    for kind in (k for k in at if k in quad):
+        gap = float(np.max(np.abs(at[kind][mid] - quad[kind])))
+        if gap > 1e-9 * max(1.0, abs(quad["E" if kind == "V" else kind])):
+            raise RegularityError(f"closed-form {kind} misses quadrature by {gap:.2e}")
+    sums = _mc_sums(model, wf, nodes.tolist(), n, est, trials,
+                    np.random.default_rng(np.random.SeedSequence(seed)))
+    var = np.maximum(sums[:, 1] - sums[:, 0] ** 2 / trials, 0.0) / (trials - 1)
+    lhs, lhs_se = float(weights @ sums[:, 0]) / trials, float(weights @ np.sqrt(var / trials))
+    lhs_exact = _exact_lhs(model, wf, est, n, nodes, weights)
+    theta = float(nodes[0]) if prior is None else None
+    results = []
+    for version in versions:
+        if version == "C":
+            e_pow = at["E"] ** n
+            j_term = float(weights @ (e_pow * prior.grad_log_pdf(nodes) ** 2))
+            t_val = j_term + n * float(weights @ (at["I"] + (n - 1) * at["V"] ** 2))
+            rhs = float(weights @ e_pow) ** 2 / t_val
+            details = {"T": t_val, "prior_information": j_term}
+        else:
+            rhs, details = _rhs(version, at, n, _bias(model, wf, est, n, nodes, version == "B")[2])
+            rhs = float(weights @ rhs)
+            details = {k: x.item() for k, x in details.items()} if prior is None else {}
+        results.append(CramerRaoResult(version, theta, n, lhs, lhs_se, rhs, lhs_exact, details))
+    return tuple(results)
+
+
 def cramer_rao(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
                est: EstimatorSpec, versions: Sequence[str], cfg: IntegrationConfig,
                trials: int = 1_000_000, seed: int = 0) -> tuple:
     """lhs = E[phi^{(n)} |theta* - theta|^2] against R(theta, n) (version A) and
-    S(theta, n) (B): one ``CramerRaoResult`` per entry of ``versions``.  They
-    share one Monte Carlo draw at ``seed``, and one integration call at theta
-    of every version's integrals with the regularity check's."""
+    S(theta, n) (B): one ``CramerRaoResult`` per entry of ``versions``.  It is
+    the van Trees path (``_bounds``) at the one node theta, with weight 1 and no
+    prior: the versions share one Monte Carlo draw at ``seed``, and read their
+    integrals in closed form, checked against one integration call at theta."""
     if not versions or not set(versions) <= {"A", "B"}:
         raise IllegalParameterError("version must be A or B")
-    _check_mc_inputs(model, wf, est, n, trials)
-    at = _at_theta(model, wf, theta, cfg, _REGULARITY + [k for v in versions for k in _READS[v]])
-    _regular(at)
-    at["V"] = float(at["V"][0])  # grad E, one number at one theta
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ((lhs, lhs_se),) = _mc_weighted(model, wf, (theta,), n, est, trials, rng)
-    lhs_exact = _exact_lhs(model, wf, est, n, (theta,), (1.0,))
-    rows = {v: _rhs(v, at, n, _bias(model, wf, est, n, theta, v == "B")[2]) for v in versions}
-    return tuple(CramerRaoResult(v, theta, n, lhs, lhs_se, rhs, lhs_exact, details)
-                 for v, (rhs, details) in rows.items())
-
-
-def cramer_rao_A(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
-                 est: EstimatorSpec, cfg: IntegrationConfig,
-                 trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
-    """Version A: lhs = E[phi^{(n)} |theta*-theta|^2] against R(theta, n)."""
-    return cramer_rao(model, wf, theta, n, est, ("A",), cfg, trials, seed)[0]
-
-
-def cramer_rao_B(model: ParametricModel, wf: WeightFunction, theta: float, n: int,
-                 est: EstimatorSpec, cfg: IntegrationConfig,
-                 trials: int = 1_000_000, seed: int = 0) -> CramerRaoResult:
-    """Version B: same lhs against S(theta, n) built from s(theta) and the
-    unweighted Fisher information."""
-    return cramer_rao(model, wf, theta, n, est, ("B",), cfg, trials, seed)[0]
+    return _bounds(model, wf, n, est, np.array([theta], dtype=float), np.ones(1), None,
+                   tuple(versions), cfg, trials, seed)
 
 
 # ---------------------------------------------------------------------------
-# van Trees bounds
+# van Trees priors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -689,74 +710,19 @@ class PriorSpec:
 _BUMP_NORM = 0.443993816168450  # int_{-1}^{1} exp(-1/(1-u^2)) du
 
 
-@dataclass(frozen=True)
-class VanTreesResult:
-    version: str
-    n: int
-    lhs: float
-    lhs_stderr: float
-    rhs: float
-    lhs_exact: Optional[float] = None   # the closed form of lhs (``_exact_lhs``)
-    details: dict = field(default_factory=dict)
-
-    @property
-    def holds_3sigma(self) -> bool:
-        return self.lhs >= self.rhs - 3.0 * self.lhs_stderr
-
-
 def van_trees(model: ParametricModel, wf: WeightFunction, n: int,
               est: EstimatorSpec, prior: PriorSpec, versions: Sequence[str],
-              cfg: IntegrationConfig, trials: int = 200_000, seed: int = 0,
-              level: int = 32) -> tuple:
+              cfg: IntegrationConfig, trials: int = 200_000, seed: int = 0) -> tuple:
     """Prior-averaged weighted quadratic deviation against versions A/B/C:
-    one ``VanTreesResult`` per entry of ``versions``, all sharing one lhs.
+    one ``CramerRaoResult`` per entry of ``versions`` (``theta`` None), all
+    sharing one lhs.
 
-    lhs integrates the per-theta Monte Carlo deviation over the prior with
-    common random numbers across prior nodes; versions A and B average the
-    pointwise rhs of ``cramer_rao`` over the prior, and version C uses the
-    weighted Fisher information density of the prior.  The nodes read their
-    integrals in closed form (``_closed_at``).  A run integrates at the middle
-    node only, in 3 calls: them with the regularity check's, and the check's
-    E'; a closed form more than 1e-9 relative off there is a RegularityError
-    before any draw.  A node outside the model's domain is refused before any
-    integral or draw.
+    lhs integrates the per-theta Monte Carlo deviation over the prior's
+    quadrature nodes with common random numbers across them; versions A and B
+    average the pointwise rhs of ``cramer_rao`` over the prior, and version C
+    uses the weighted Fisher information density of the prior (``_bounds``).
     """
     versions = tuple(versions)
     if not versions or any(v not in ("A", "B", "C") for v in versions):
         raise IllegalParameterError("version must be A, B, or C")
-    _check_mc_inputs(model, wf, est, n, trials)
-    nodes, weights = prior.quadrature(level)
-    for t in nodes:
-        model.check(float(t))
-    mid = len(nodes) // 2
-    reads = [name for version in versions for name in _READS[version]]
-    mid_at = _at_theta(model, wf, float(nodes[mid]), cfg, _REGULARITY + reads)
-    _regular(mid_at)
-    at = _closed_at(model, wf, est, nodes)
-    for kind in (k for k in at if k in mid_at):  # V = 0 under a constant weight
-        gap = float(np.max(np.abs(at[kind][mid] - mid_at[kind])))
-        if gap > 1e-9 * max(1.0, abs(mid_at["E" if kind == "V" else kind])):
-            raise RegularityError(f"closed-form {kind} misses quadrature by {gap:.2e}")
-    # lhs = sum_k w_k E_{theta_k}[phi^{(n)} (theta* - theta_k)^2] on one draw; the
-    # sum of the node stderrs (ddof = 1) bounds its stderr, and is it exactly on the
-    # shift family, where node k's values are c^n e^{gamma n theta_k} times one array
-    sums = _mc_sums(model, wf, nodes.tolist(), n, est, trials,
-                    np.random.default_rng(np.random.SeedSequence(seed)))
-    var = np.maximum(sums[:, 1] - sums[:, 0] ** 2 / trials, 0.0) / (trials - 1)
-    lhs, lhs_se = float(weights @ sums[:, 0]) / trials, float(weights @ np.sqrt(var / trials))
-    lhs_exact = _exact_lhs(model, wf, est, n, nodes, weights)
-    results = []
-    for version in versions:
-        details: dict = {}
-        if version == "C":
-            e_pow = at["E"] ** n
-            j_term = float(weights @ (e_pow * prior.grad_log_pdf(nodes) ** 2))
-            t_val = j_term + n * float(weights @ (at["I"] + (n - 1) * at["V"] ** 2))
-            rhs = float(weights @ e_pow) ** 2 / t_val
-            details = {"T": t_val, "prior_information": j_term}
-        else:
-            bp = _bias(model, wf, est, n, nodes, version == "B")[2]
-            rhs = float(weights @ _rhs(version, at, n, bp)[0])
-        results.append(VanTreesResult(version=version, n=n, lhs=lhs, lhs_stderr=lhs_se,
-                                      rhs=rhs, lhs_exact=lhs_exact, details=details))
-    return tuple(results)
+    return _bounds(model, wf, n, est, *prior.quadrature(), prior, versions, cfg, trials, seed)

@@ -23,7 +23,7 @@ from winfer.divergence import (
 )
 from winfer.estimation import (
     PriorSpec,
-    cramer_rao_A,
+    cramer_rao,
     gaussian_scale_model,
     gaussian_shift_model,
     kl_expansion_check,
@@ -234,19 +234,19 @@ def test_criterion_08_cramer_rao_equality():
     equality = (s2 / n) * math.exp(n * (theta * g + s2 * g * g / 2)) \
         * (1 + n * g * g * s2)
 
-    r1 = cramer_rao_A(model, wf, theta, n, mean_estimator(model, wf), CFG,
-                      trials=trials, seed=801)
+    r1 = cramer_rao(model, wf, theta, n, mean_estimator(model, wf), ("A",), CFG,
+                    trials=trials, seed=801)[0]
     assert r1.rhs == pytest.approx(equality, rel=1e-10)
     assert abs(r1.lhs - equality) <= 3 * r1.lhs_stderr
 
-    r2 = cramer_rao_A(model, wf, theta, n, shifted_mean_estimator(model, wf), CFG,
-                      trials=trials, seed=802)
+    r2 = cramer_rao(model, wf, theta, n, shifted_mean_estimator(model, wf), ("A",), CFG,
+                    trials=trials, seed=802)[0]
     assert r2.lhs - 3 * r2.lhs_stderr > r2.rhs
     assert r2.lhs + 3 * r2.lhs_stderr < equality
 
     one = WeightFunction.constant(1.0)
-    r3 = cramer_rao_A(model, one, theta, n, mean_estimator(model, one), CFG,
-                      trials=trials, seed=803)
+    r3 = cramer_rao(model, one, theta, n, mean_estimator(model, one), ("A",), CFG,
+                    trials=trials, seed=803)[0]
     assert r3.rhs == pytest.approx(s2 / n, rel=1e-9)
     assert abs(r3.lhs - s2 / n) <= 3 * r3.lhs_stderr
 

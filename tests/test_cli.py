@@ -773,11 +773,10 @@ class TestEvaluationCost:
         assert _levels_by_center(calls) == [[32, 40], [32, 40], [32, 40, 48, 60]]
 
     def test_van_trees_cramer_rao_integrations(self, tmp_path, monkeypatch):
-        """A shift-family run with van Trees makes 6 integrations.  Rows A and
-        B share 3 at theta: one lockstep call of E, V, U, I_phi, s and I1, and
-        the 2 weight masses of the regularity check's E'.  The prior nodes read
-        their integrals in closed form; only the middle node integrates, 3 calls
-        again (E, V, U and I_phi, then E'), to check them: 3 + 3."""
+        """A shift-family run with van Trees makes 2 integrations.  Every row
+        reads its integrals in closed form, and one lockstep call checks them
+        with the interchange identities: of E, V, U, I_phi, s and I1 at theta
+        for rows A and B, and of E, V, U and I_phi at the middle prior node."""
         import winfer.cli
         calls = _count_calls(monkeypatch, "winfer.core", "integrate")
         out = tmp_path / "report.json"
@@ -787,21 +786,21 @@ class TestEvaluationCost:
         rows = json.loads(out.read_text())["bounds"]
         assert [row["version"] for row in rows] == ["A", "B", "van-trees-A", "van-trees-C"]
         assert rows[2]["lhs"] == rows[3]["lhs"]
-        assert len(calls) == 6
+        assert len(calls) == 2
 
     def test_bound_reads_its_integrals_in_the_regularity_call(self, monkeypatch):
-        """cramer_rao_A and cramer_rao_B read their integrals at theta in the
-        regularity check's call (E, V, U, then I_phi for A, s and I1 for B),
-        besides the 2 weight masses of the finite-difference E'."""
+        """Versions A and B check their closed forms at theta in the regularity
+        check's call (E, V, U, then I_phi for A, s and I1 for B), and make no
+        other."""
         from winfer.core import IntegrationConfig, WeightFunction
-        from winfer.estimation import (cramer_rao_A, cramer_rao_B, gaussian_shift_model,
-                                       mean_estimator)
+        from winfer.estimation import cramer_rao, gaussian_shift_model, mean_estimator
         calls = _count_calls(monkeypatch, "winfer.core", "integrate", with_kwargs=True)
         m, wf = gaussian_shift_model(), WeightFunction.exponential(0.5)
-        for bound, width in ((cramer_rao_A, 4), (cramer_rao_B, 5)):
+        for version, width in (("A", 4), ("B", 5)):
             calls.clear()
-            bound(m, wf, 0.2, 5, mean_estimator(m, wf), IntegrationConfig(), trials=1000)
-            assert sorted(len(kw["components"]) for _, kw in calls) == [1, 1, width]
+            cramer_rao(m, wf, 0.2, 5, mean_estimator(m, wf), (version,), IntegrationConfig(),
+                       trials=1000)
+            assert sorted(len(kw["components"]) for _, kw in calls) == [width]
 
     def test_kl_expansion_integrations(self, monkeypatch):
         """A 4-step kl_expansion_check makes 7 integrations: E and I_phi at theta

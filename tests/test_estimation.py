@@ -17,8 +17,6 @@ from winfer.estimation import (
     PriorSpec,
     check_regularity,
     cramer_rao,
-    cramer_rao_A,
-    cramer_rao_B,
     gaussian_scale_model,
     gaussian_shift_model,
     kl_expansion_check,
@@ -96,6 +94,14 @@ def oracle_mc(model, wf, fn, thetas, n, chunks, rng, deviation=True):
     vs = [np.concatenate(v) for v in vs]
     root = math.sqrt(vs[0].size)
     return [(v.mean(), v.std() / root, (v - vs[0]).std() / root) for v in vs]
+
+
+def mean_stderr(sums, trials) -> np.ndarray:
+    """(mean, ddof-0 stderr) of v at each theta, from ``_mc_sums``'s sums of v and
+    v^2 over ``trials`` draws."""
+    mean = sums[:, 0] / trials
+    var = np.maximum(sums[:, 1] / trials - mean * mean, 0.0)
+    return np.column_stack([mean, np.sqrt(var / trials)])
 
 
 def abs_mean(xs):
@@ -258,8 +264,8 @@ class TestMatrixFisher:
     def test_bounds_guarded_to_scalar_models(self):
         model = two_parameter_gaussian_model()
         with pytest.raises(IllegalParameterError):
-            cramer_rao_A(model, ONE, np.array([0.0, 0.0]), 3,
-                         scale_abs_mean_estimator(), CFG, trials=10)
+            cramer_rao(model, ONE, np.array([0.0, 0.0]), 3,
+                       scale_abs_mean_estimator(), ("A",), CFG, trials=10)[0]
 
 
 class TestNfoldFisher:
@@ -313,6 +319,25 @@ class TestRegularity:
         with pytest.raises(RegularityError):
             check_regularity(broken, WeightFunction.exponential(0.4), 0.3, CFG)
 
+    def test_broken_gradient_aborts_the_bounds_before_any_draw(self, monkeypatch):
+        # the bounds read grad E in closed form: the quadrature of int phi grad p
+        # at their middle node, 1.1x the true one, misses it
+        import dataclasses
+        base = gaussian_shift_model()
+        broken = dataclasses.replace(
+            base, grad_density=lambda x, th, p: 1.1 * base.grad_density(x, th, p))
+
+        def raising(*args, **kwargs):
+            raise AssertionError("draw started")
+        monkeypatch.setattr(np.random, "default_rng", raising)
+        wf = WeightFunction.exponential(0.4)
+        est = mean_estimator(broken, wf)
+        prior = PriorSpec(kind="gaussian", mean=0.3, var=1.0)
+        for call in (lambda: cramer_rao(broken, wf, 0.3, 4, est, ("A", "B"), CFG),
+                     lambda: van_trees(broken, wf, 4, est, prior, ("A", "B", "C"), CFG)):
+            with pytest.raises(RegularityError, match="grad E vs int phi grad p"):
+                call()
+
 
 class TestKlExpansion:
     def test_gaussian_quotients(self):
@@ -346,8 +371,8 @@ class TestCramerRao:
         th, g, n = 0.0, 0.5, 5
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
-        r = cramer_rao_A(m, wf, th, n, mean_estimator(m, wf), CFG,
-                         trials=400_000, seed=42)
+        r = cramer_rao(m, wf, th, n, mean_estimator(m, wf), ("A",), CFG,
+                       trials=400_000, seed=42)[0]
         closed = (1.0 / n) * b1_mass(th, g, 1.0, n) * (1 + n * g * g)
         assert r.rhs == pytest.approx(closed, rel=1e-8)
         assert abs(r.lhs - closed) <= 3 * r.lhs_stderr
@@ -357,8 +382,8 @@ class TestCramerRao:
         th, g, n = 0.0, 0.5, 5
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
-        r = cramer_rao_A(m, wf, th, n, shifted_mean_estimator(m, wf), CFG,
-                         trials=400_000, seed=43)
+        r = cramer_rao(m, wf, th, n, shifted_mean_estimator(m, wf), ("A",), CFG,
+                       trials=400_000, seed=43)[0]
         expected_lhs = (1.0 / n) * b1_mass(th, g, 1.0, n)
         assert r.rhs == pytest.approx(expected_lhs / (1 + n * g * g), rel=1e-8)
         assert abs(r.lhs - expected_lhs) <= 3 * r.lhs_stderr
@@ -366,8 +391,8 @@ class TestCramerRao:
 
     def test_unweighted_classical_equality(self):
         m = gaussian_shift_model(sigma=1.0)
-        r = cramer_rao_A(m, ONE, 0.3, 4, mean_estimator(m, ONE), CFG,
-                         trials=200_000, seed=44)
+        r = cramer_rao(m, ONE, 0.3, 4, mean_estimator(m, ONE), ("A",), CFG,
+                       trials=200_000, seed=44)[0]
         assert r.rhs == pytest.approx(0.25, rel=1e-8)
         assert abs(r.lhs - 0.25) <= 3 * r.lhs_stderr
 
@@ -375,8 +400,8 @@ class TestCramerRao:
         th, g, n = 0.0, 0.5, 5
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
-        r = cramer_rao_B(m, wf, th, n, mean_estimator(m, wf), CFG,
-                         trials=200_000, seed=45)
+        r = cramer_rao(m, wf, th, n, mean_estimator(m, wf), ("B",), CFG,
+                       trials=200_000, seed=45)[0]
         want = (1.0 / n) * math.exp(n * (g * th + g * g / 4.0)) \
             * (1 + n * g * g / 4.0) ** 2
         assert r.rhs == pytest.approx(want, rel=1e-8)
@@ -388,8 +413,8 @@ class TestCramerRao:
         for g in (0.1, 0.5, 1.0):
             wf = WeightFunction.exponential(g)
             est = mean_estimator(m, wf)
-            ra = cramer_rao_A(m, wf, th, n, est, CFG, trials=150_000, seed=46)
-            rb = cramer_rao_B(m, wf, th, n, est, CFG, trials=150_000, seed=46)
+            ra = cramer_rao(m, wf, th, n, est, ("A",), CFG, trials=150_000, seed=46)[0]
+            rb = cramer_rao(m, wf, th, n, est, ("B",), CFG, trials=150_000, seed=46)[0]
             slack = 3 * max(ra.lhs_stderr, rb.lhs_stderr)
             assert ra.lhs >= max(ra.rhs, rb.rhs) - slack
 
@@ -400,7 +425,7 @@ class TestCramerRao:
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(g)
         bare = EstimatorSpec(name="mean")
-        r = cramer_rao_A(m, wf, th, n, bare, CFG, trials=300_000, seed=47)
+        r = cramer_rao(m, wf, th, n, bare, ("A",), CFG, trials=300_000, seed=47)[0]
         closed = (1.0 / n) * b1_mass(th, g, 1.0, n) * (1 + n * g * g)
         assert r.details["bias_prime"] == pytest.approx(n * g * g * b1_mass(th, g, 1.0, n),
                                                         rel=1e-15)
@@ -413,8 +438,8 @@ class TestCramerRao:
         m = gaussian_scale_model()
         th, g, n = 1.0, 0.4, 10
         wf = WeightFunction.exponential(g / th)
-        r = cramer_rao_A(m, wf, th, n, scale_abs_mean_estimator(), CFG,
-                         trials=200_000, seed=48)
+        r = cramer_rao(m, wf, th, n, scale_abs_mean_estimator(), ("A",), CFG,
+                       trials=200_000, seed=48)[0]
         assert r.rhs <= r.lhs_exact
         assert r.holds_3sigma
 
@@ -436,8 +461,8 @@ class TestSharedDraw:
         assert len(shapes) == 1  # one draw for both rows
         assert (a.version, b.version) == ("A", "B")
         assert (a.lhs, a.lhs_stderr, a.lhs_exact) == (b.lhs, b.lhs_stderr, b.lhs_exact)
-        assert cramer_rao_A(model, wf, 1.1, 4, est, CFG, trials=30_000, seed=21) == a
-        assert cramer_rao_B(model, wf, 1.1, 4, est, CFG, trials=30_000, seed=21) == b
+        assert cramer_rao(model, wf, 1.1, 4, est, ("A",), CFG, trials=30_000, seed=21)[0] == a
+        assert cramer_rao(model, wf, 1.1, 4, est, ("B",), CFG, trials=30_000, seed=21)[0] == b
 
     def test_version_validation(self):
         m = gaussian_shift_model()
@@ -689,7 +714,7 @@ class TestSumStatistic:
         # against the block oracle on the same draws: equal to rounding, which the
         # cancelling (theta* - theta)^2 amplifies row by row
         import winfer.estimation as estimation
-        from winfer.estimation import _mc_weighted
+        from winfer.estimation import _mc_sums
         monkeypatch.setattr(estimation, "_MC_CHUNK", 3_000)
         shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
         cases = [(shift, est, fn) for est, fn in self.estimators()[::3]] + [
@@ -698,7 +723,8 @@ class TestSumStatistic:
         thetas, n = (0.3, 0.9, 1.4), 5
         for wf in (WeightFunction.exponential(0.4), ONE, WeightFunction.constant(2.0)):
             for model, est, fn in cases:
-                got = _mc_weighted(model, wf, thetas, n, est, 7_000, np.random.default_rng(4))
+                got = mean_stderr(
+                    _mc_sums(model, wf, thetas, n, est, 7_000, np.random.default_rng(4)), 7_000)
                 want = oracle_mc(model, wf, fn, thetas, n, (3_000, 3_000, 1_000),
                                  np.random.default_rng(4))
                 # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
@@ -750,7 +776,7 @@ class TestSumStatistic:
         nodes, weights = prior.quadrature(32)
         for shifted, est in ((False, mean_estimator(m, wf)),
                              (True, shifted_mean_estimator(m, wf))):
-            ra = cramer_rao_A(m, wf, theta, n, est, CFG, trials=200_000, seed=seed)
+            ra = cramer_rao(m, wf, theta, n, est, ("A",), CFG, trials=200_000, seed=seed)[0]
             exact = tilted_deviation(g, n, theta, s2, shifted)
             assert abs(ra.lhs - exact) <= 3 * ra.lhs_stderr
             (vt,) = van_trees(m, wf, n, est, prior, ("C",), CFG, trials=100_000, seed=seed)
@@ -780,8 +806,9 @@ class TestSumPath:
         wf = WeightFunction.exponential(0.5)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
         for est in (mean_estimator(m, wf), shifted_mean_estimator(m, wf)):
-            for bound in (cramer_rao_A, cramer_rao_B):
-                assert bound(m, wf, 0.2, 5, est, CFG, trials=300_000, seed=1).holds_3sigma
+            for version in ("A", "B"):
+                assert cramer_rao(m, wf, 0.2, 5, est, (version,), CFG, trials=300_000,
+                                  seed=1)[0].holds_3sigma
             for vt in van_trees(m, wf, 5, est, prior, ("A", "C"), CFG,
                                 trials=20_000, seed=1):
                 assert vt.holds_3sigma
@@ -801,7 +828,7 @@ class TestSumPath:
         for seed in range(40):
             for key, est, shifted_ in (("A mean", mean, False),
                                        ("A shifted-mean", shifted, True)):
-                r = cramer_rao_A(m, wf, th, n, est, CFG, trials=50_000, seed=seed)
+                r = cramer_rao(m, wf, th, n, est, ("A",), CFG, trials=50_000, seed=seed)[0]
                 z[key].append((r.lhs - tilted_deviation(g, n, th, 1.0, shifted_))
                               / r.lhs_stderr)
             (vt,) = van_trees(m, wf, n, mean, prior, ("C",), CFG, trials=50_000, seed=seed)
@@ -833,13 +860,14 @@ class TestFactoredSumPath:
         wf = WeightFunction.exponential(g)
         return m, wf, (mean_estimator(m, wf), shifted_mean_estimator(m, wf))
 
-    def test_mc_weighted_matches_a_per_theta_loop(self):
-        from winfer.estimation import _MC_CHUNK, _mc_weighted
+    def test_mc_sums_matches_a_per_theta_loop(self):
+        from winfer.estimation import _MC_CHUNK, _mc_sums
         g, n, sigma = 0.4, 4, 1.3
         m, wf, ests = self.setting(g, sigma)
         thetas, chunks = (-0.3, 0.0, 0.5, 1.1), (_MC_CHUNK, 30_000)
         for est in ests:
-            got = _mc_weighted(m, wf, thetas, n, est, sum(chunks), np.random.default_rng(9))
+            got = mean_stderr(_mc_sums(m, wf, thetas, n, est, sum(chunks),
+                                       np.random.default_rng(9)), sum(chunks))
             rng = np.random.default_rng(9)
             d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
                                 for t in chunks])
@@ -886,8 +914,8 @@ class TestFactoredSumPath:
         prior = PriorSpec(kind="gaussian", mean=theta, var=1.0)
         nodes, weights = prior.quadrature(32)
         for shifted, est in zip((False, True), ests):
-            for bound in (cramer_rao_A, cramer_rao_B):
-                r = bound(m, wf, theta, n, est, CFG, trials=2_000, seed=0)
+            for version in ("A", "B"):
+                r = cramer_rao(m, wf, theta, n, est, (version,), CFG, trials=2_000, seed=0)[0]
                 assert r.lhs_exact == pytest.approx(
                     tilted_deviation(g, n, theta, s2, shifted), rel=1e-13)
             for vt in van_trees(m, wf, n, est, prior, ("A", "C"), CFG, trials=2_000):
@@ -904,8 +932,8 @@ class TestFactoredSumPath:
         hits = {}
         for seed in range(20):
             for est in ests:
-                rows = [cramer_rao_A(m, wf, th, n, est, CFG, trials=50_000, seed=seed),
-                        cramer_rao_B(m, wf, th, n, est, CFG, trials=50_000, seed=seed),
+                rows = [cramer_rao(m, wf, th, n, est, ("A",), CFG, trials=50_000, seed=seed)[0],
+                        cramer_rao(m, wf, th, n, est, ("B",), CFG, trials=50_000, seed=seed)[0],
                         van_trees(m, wf, n, est, prior, ("C",), CFG, trials=20_000,
                                   seed=seed)[0]]
                 for key, r in zip(("A", "B", "van Trees"), rows):
@@ -955,7 +983,7 @@ class TestScaleLhsExact:
         wf = WeightFunction.exponential(0.4)
         est = scale_abs_mean_estimator()
         from winfer.estimation import _exact_lhs
-        r = cramer_rao_A(scale, wf, 1.2, 4, est, CFG, trials=2_000)
+        r = cramer_rao(scale, wf, 1.2, 4, est, ("A",), CFG, trials=2_000)[0]
         assert r.lhs_exact == _exact_lhs(scale, wf, est, 4, (1.2,), (1.0,))
         prior = PriorSpec(kind="gaussian", mean=1.0, var=0.005)
         nodes, weights = prior.quadrature(32)
@@ -973,7 +1001,7 @@ class TestScaleLhsExact:
         prior = PriorSpec(kind="gaussian", mean=th, var=0.01)
         hits = {"A": 0, "van Trees": 0}
         for seed in range(20):
-            rows = (cramer_rao_A(scale, wf, th, n, est, CFG, trials=50_000, seed=seed),
+            rows = (cramer_rao(scale, wf, th, n, est, ("A",), CFG, trials=50_000, seed=seed)[0],
                     van_trees(scale, wf, n, est, prior, ("C",), CFG, trials=20_000,
                               seed=seed)[0])
             for key, r in zip(hits, rows):
@@ -997,8 +1025,8 @@ class TestRefusals:
     def test_refused_before_any_sampling(self, model, wf, est, monkeypatch):
         no_work(monkeypatch)
         prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
-        for call in (lambda: cramer_rao_A(model, wf, 1.0, 3, est, CFG, trials=1_000),
-                     lambda: cramer_rao_B(model, wf, 1.0, 3, est, CFG, trials=1_000),
+        for call in (lambda: cramer_rao(model, wf, 1.0, 3, est, ("A",), CFG, trials=1_000)[0],
+                     lambda: cramer_rao(model, wf, 1.0, 3, est, ("B",), CFG, trials=1_000)[0],
                      lambda: van_trees(model, wf, 3, est, prior, ("C",), CFG, trials=1_000)):
             with pytest.raises(IllegalParameterError, match="no Monte Carlo path"):
                 call()
@@ -1018,8 +1046,8 @@ class TestSampleSizes:
         wf = WeightFunction.exponential(0.5)
         est = mean_estimator(gaussian_shift_model(), wf)
         prior = PriorSpec(kind="gaussian", mean=0.0, var=1.0)
-        for call in (lambda: cramer_rao_A(m, wf, 0.0, n, est, CFG, trials=trials),
-                     lambda: cramer_rao_B(m, wf, 0.0, n, est, CFG, trials=trials),
+        for call in (lambda: cramer_rao(m, wf, 0.0, n, est, ("A",), CFG, trials=trials)[0],
+                     lambda: cramer_rao(m, wf, 0.0, n, est, ("B",), CFG, trials=trials)[0],
                      lambda: van_trees(m, wf, n, est, prior, ("A", "C"), CFG,
                                        trials=trials)):
             with pytest.raises(IllegalParameterError, match="must be >="):
