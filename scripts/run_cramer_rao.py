@@ -5,8 +5,10 @@ The sample mean attains the version-A bound exactly under the exponential
 weight; the bias-corrected mean sits strictly between the version-A bound and
 the mean's equality value.  Also runs the van Trees versions A and C, the
 version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1,
-and the scale family's mean there with its van Trees rows (prior variance
-0.005, which keeps every prior node in theta > 0).
+and both scale-family estimators there with their van Trees rows (prior
+variance 0.005, which keeps every prior node in theta > 0): the mean reads
+sum x, and sqrt(pi/2) mean |x| reads sum |x| of one sample block per chunk at
+each of the 32 prior nodes.
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
 (``passed_3sigma`` false), if a row that carries the closed-form ``lhs_exact``
@@ -34,7 +36,9 @@ def main() -> int:
     runs = {"mean": shift + ["--estimator", "mean"],
             "shifted-mean": shift + ["--estimator", "shifted-mean"],
             "scale-abs-mean": scale + ["--estimator", "scale-abs-mean"],
-            "scale-mean": scale + ["--estimator", "mean", "--van-trees", "--prior-var", "0.005"]}
+            "scale-mean": scale + ["--estimator", "mean", "--van-trees", "--prior-var", "0.005"],
+            "scale-abs-mean-van-trees": scale + ["--estimator", "scale-abs-mean", "--van-trees",
+                                                 "--prior-var", "0.005"]}
     failed = 0
     for est, args in runs.items():
         print(f"# estimator = {est}")

@@ -74,23 +74,22 @@ def block_values(wf, fn, xs, theta, deviation=True):
     return weight * ((estimate - theta) ** 2 if deviation else estimate)
 
 
-def oracle_mc(model, wf, fn, thetas, n, chunks, rng, deviation=True):
+def oracle_mc(model, wf, est, fn, thetas, n, chunks, rng, deviation=True):
     """(mean, stderr, diff_stderr) of ``block_values`` at each theta, on the
-    draws the statistics path makes: a chunk of the shift family is
-    D = sigma sqrt(n) Z, spread evenly over a row so that it sums to
-    n theta + D; a chunk of the scale family is one standard-normal block,
-    which theta scales."""
+    draws the statistics path makes for the estimator's statistic, with
+    x = mu + s z from the model's location-scale description: a chunk for S is
+    sum z = sqrt(n) Z, spread evenly over a row so that x sums to
+    n mu + s sum z; a chunk for A is one standard-normal block of z."""
+    (mu1, mu0), (s1, s0) = model.location_scale
     vs = [[] for _ in thetas]
     for t in chunks:
-        if model.name == "gaussian-shift":
-            d = math.sqrt(n * model.make_distribution(0.0).params["sigma2"]) \
-                * rng.standard_normal(t)
-            rows = lambda th: np.repeat((th + d / n)[:, None], n, axis=1)
+        if est.statistic == "S":
+            z = np.repeat((math.sqrt(n) * rng.standard_normal(t) / n)[:, None], n, axis=1)
         else:
             z = rng.standard_normal((t, n))
-            rows = lambda th: th * z
         for k, th in enumerate(thetas):
-            vs[k].append(block_values(wf, fn, rows(th), th, deviation))
+            xs = (mu1 * th + mu0) + (s1 * th + s0) * z
+            vs[k].append(block_values(wf, fn, xs, th, deviation))
     vs = [np.concatenate(v) for v in vs]
     root = math.sqrt(vs[0].size)
     return [(v.mean(), v.std() / root, (v - vs[0]).std() / root) for v in vs]
@@ -509,7 +508,7 @@ class TestClosedFormBias:
               "negative-rate": WeightFunction.exponential(-0.7)}[weight]
         if family == "shift":
             m = gaussian_shift_model(1.3)
-            ests = [mean_estimator(m, wf)] + (
+            ests = [mean_estimator(m, wf), EstimatorSpec("twice-mean", coef=2.0)] + (
                 [shifted_mean_estimator(m, wf)] if weight != "constant" else [])
         else:
             m = gaussian_scale_model()
@@ -539,7 +538,7 @@ class TestClosedFormBias:
                         (scale_abs_mean_estimator(), abs_mean),
                         (offset, lambda xs: abs_mean(xs) + 0.25)):
             for root, w in ((False, wf), (True, root_wf)):
-                mc = oracle_mc(m, w, fn, thetas, n, (100_000,), np.random.default_rng(5),
+                mc = oracle_mc(m, w, est, fn, thetas, n, (100_000,), np.random.default_rng(5),
                                deviation=False)
                 for th, (mean, se, _) in zip(thetas, mc):
                     mass, b, _ = _bias(m, wf, est, n, th, root)
@@ -623,6 +622,22 @@ class TestVanTrees:
             for vt in rows:
                 assert vt.rhs <= vt.lhs_exact, (est.name, vt.version)
                 assert vt.holds_3sigma, (est.name, vt.version)
+
+    def test_rows_a_and_b_report_prior_averaged_details(self):
+        # each term of a van Trees A or B row's details is the prior average of
+        # the same term on the row at theta, node by node
+        m = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        est = scale_abs_mean_estimator()
+        prior = PriorSpec(kind="gaussian", mean=1.0, var=0.005)
+        nodes, weights = prior.quadrature()
+        for vt in van_trees(m, wf, 4, est, prior, ("A", "B"), CFG, trials=2_000):
+            per_node = [cramer_rao(m, wf, float(th), 4, est, (vt.version,), CFG,
+                                   trials=2_000)[0].details for th in nodes]
+            assert vt.details.keys() == per_node[0].keys()
+            for key, value in vt.details.items():
+                want = sum(w * d[key] for w, d in zip(weights, per_node))
+                assert value == pytest.approx(want, rel=1e-13), (vt.version, key)
 
     def test_unweighted_mean_has_zero_bias_terms(self):
         from winfer.estimation import _bias
@@ -725,7 +740,7 @@ class TestSumStatistic:
             for model, est, fn in cases:
                 got = mean_stderr(
                     _mc_sums(model, wf, thetas, n, est, 7_000, np.random.default_rng(4)), 7_000)
-                want = oracle_mc(model, wf, fn, thetas, n, (3_000, 3_000, 1_000),
+                want = oracle_mc(model, wf, est, fn, thetas, n, (3_000, 3_000, 1_000),
                                  np.random.default_rng(4))
                 # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
                 # sqrt(eps) |mean| / sqrt(T)
@@ -735,8 +750,8 @@ class TestSumStatistic:
                     atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(7_000))
 
     def test_statistic_path_never_builds_samples(self, monkeypatch):
-        # the shift family draws one t-long D per chunk; the scale family one
-        # (t, n) block per chunk, which all 32 prior nodes read
+        # an estimator of S draws one t-long sum z per chunk, on either family;
+        # one of A one (t, n) block per chunk, which all 32 prior nodes read
         shapes = recorded_draws(monkeypatch)
         m = gaussian_shift_model()
         wf = WeightFunction.exponential(0.5)
@@ -745,11 +760,11 @@ class TestSumStatistic:
             van_trees(m, wf, 5, est, prior, ("A", "C"), CFG, trials=5_000, seed=1)
         assert shapes == [5_000, 5_000]
         shapes.clear()
-        scale = gaussian_scale_model()
-        van_trees(scale, WeightFunction.exponential(0.4), 4, scale_abs_mean_estimator(),
-                  PriorSpec(kind="gaussian", mean=1.0, var=0.005), ("C",), CFG,
-                  trials=5_000, seed=1)
-        assert shapes == [(5_000, 4)]
+        scale, wf = gaussian_scale_model(), WeightFunction.exponential(0.4)
+        for est in (mean_estimator(scale, wf), scale_abs_mean_estimator()):
+            van_trees(scale, wf, 4, est, PriorSpec(kind="gaussian", mean=1.0, var=0.005),
+                      ("C",), CFG, trials=5_000, seed=1)
+        assert shapes == [5_000, (5_000, 4)]
 
     def test_versions_share_one_lhs(self):
         m = gaussian_shift_model(0.8)
@@ -877,17 +892,43 @@ class TestFactoredSumPath:
                 np.testing.assert_allclose((mean, se), (v.mean(), v.std() / root),
                                            rtol=1e-12, atol=0)
 
-    def test_sum_moments_in_place_matches_the_expression_bit_for_bit(self):
-        from winfer.estimation import _MC_CHUNK, _sum_moments
+    def test_chunk_sums_in_place_matches_the_expression_bit_for_bit(self):
+        from winfer.estimation import _MC_CHUNK, _chunk_sums
         g, n, sigma = 0.4, 5, 1.3
         m, wf, ests = self.setting(g, sigma)
-        for est in ests:
-            got = _sum_moments(m, est, g, n, _MC_CHUNK, np.random.default_rng(21))
+        abs_mean_est = scale_abs_mean_estimator()
+        for est, keys in [(est, [(g * sigma, sigma, est.offset)]) for est in ests] + [
+                (abs_mean_est, [(0.3, 0.8, -0.8), (0.5, 1.3, -1.3)])]:
+            got = _chunk_sums(est, n, _MC_CHUNK, keys, np.random.default_rng(21))
             # the allocating expression the in-place arithmetic replaced
-            d = math.sqrt(n * sigma * sigma) * np.random.default_rng(21).standard_normal(
-                _MC_CHUNK)
-            f = np.exp(g * d) * (d / n + est.offset) ** 2
-            assert got.tobytes() == np.array([float(f.sum()), float((f * f).sum())]).tobytes()
+            rng = np.random.default_rng(21)
+            if est.statistic == "S":
+                sz = st = math.sqrt(n) * rng.standard_normal(_MC_CHUNK)
+            else:
+                z = rng.standard_normal((_MC_CHUNK, n))
+                sz, st = np.einsum("ij->i", z), np.einsum("ij->i", np.abs(z))
+            for row, (gs, s, b) in zip(got, keys):
+                f = np.exp(gs * sz) * (est.coef * s / n * st + b) ** 2
+                assert row.tobytes() == np.array([float(f.sum()), float((f * f).sum())]).tobytes()
+
+    def test_shift_nodes_make_one_exp_pass_per_chunk(self, monkeypatch):
+        # the 32 prior nodes of a coef-1 estimator share (g, s, B), so each chunk
+        # evaluates one array; at coef 2, B = theta + offset tells them apart
+        import winfer.estimation as estimation
+        monkeypatch.setattr(estimation, "_MC_CHUNK", 4_999)
+        sizes, real = [], np.exp
+
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+        monkeypatch.setattr(np, "exp", counting)
+        m, wf, ests = self.setting()
+        prior = PriorSpec(kind="gaussian", mean=0.2, var=1.0)
+        for est, passes in ((ests[0], 1), (ests[1], 1), (EstimatorSpec("twice-mean", coef=2.0), 32)):
+            sizes.clear()
+            van_trees(m, wf, 5, est, prior, ("A", "C"), CFG, trials=12_345, seed=1)
+            assert [k for k in sizes if k in (4_999, 2_347)] == \
+                [4_999] * passes + [4_999] * passes + [2_347] * passes, est.name
 
     def test_van_trees_matches_a_per_node_loop(self):
         g, n, sigma, seed, trials = 0.4, 5, 1.3, 11, 60_000
@@ -1018,10 +1059,7 @@ class TestRefusals:
         (gaussian_shift_model(), WeightFunction.absolute(), EstimatorSpec("mean")),
         (gaussian_scale_model(), WeightFunction.quadratic(0.0, 1.0), scale_abs_mean_estimator()),
         (gaussian_shift_model(), WeightFunction.exponential(0.3), scale_abs_mean_estimator()),
-        (gaussian_shift_model(), WeightFunction.exponential(0.3),
-         EstimatorSpec("twice-mean", coef=2.0)),
-    ], ids=["poisson", "absolute-weight", "quadratic-weight", "abs-statistic-on-shift",
-            "scaled-sum-on-shift"])
+    ], ids=["poisson", "absolute-weight", "quadratic-weight", "abs-statistic-on-shift"])
     def test_refused_before_any_sampling(self, model, wf, est, monkeypatch):
         no_work(monkeypatch)
         prior = PriorSpec(kind="gaussian", mean=1.0, var=0.1)
@@ -1030,6 +1068,30 @@ class TestRefusals:
                      lambda: van_trees(model, wf, 3, est, prior, ("C",), CFG, trials=1_000)):
             with pytest.raises(IllegalParameterError, match="no Monte Carlo path"):
                 call()
+
+
+class TestScaledSumOnShift:
+    """An estimator 2 S / n on the shift family, which the one Monte Carlo kernel
+    runs like any other: theta* - theta = 2 xbar - theta, and under the tilt e^{g S}
+    xbar ~ N(theta + g sigma^2, sigma^2 / n)."""
+
+    def test_lhs_within_three_sigma_of_lhs_exact_and_rhs_below(self):
+        g, n, sigma = 0.4, 4, 1.3
+        s2 = sigma * sigma
+        m, wf = gaussian_shift_model(sigma), WeightFunction.exponential(g)
+        est = EstimatorSpec("twice-mean", coef=2.0)
+        prior = PriorSpec(kind="gaussian", mean=0.3, var=0.5)
+        rows = [r for th in (-0.5, 0.2, 1.0)
+                for r in cramer_rao(m, wf, th, n, est, ("A", "B"), CFG, trials=200_000, seed=3)]
+        rows += van_trees(m, wf, n, est, prior, ("A", "B", "C"), CFG, trials=100_000, seed=4)
+        exact = lambda th: np.exp(n * (th * g + s2 * g * g / 2.0)) \
+            * ((th + 2 * g * s2) ** 2 + 4 * s2 / n)
+        nodes, weights = prior.quadrature()
+        for r in rows:
+            want = exact(r.theta) if r.theta is not None else float(weights @ exact(nodes))
+            assert r.lhs_exact == pytest.approx(want, rel=1e-12), r
+            assert abs(r.lhs - r.lhs_exact) <= 3 * r.lhs_stderr, r
+            assert r.rhs <= r.lhs_exact, r
 
 
 class TestSampleSizes:
