@@ -7,8 +7,12 @@ the mean's equality value.  Also runs the van Trees versions A and C, the
 version-A row of sqrt(pi/2) mean |x| on the Gaussian scale family at theta = 1,
 and both scale-family estimators there with their van Trees rows (prior
 variance 0.005, which keeps every prior node in theta > 0): the mean reads
-sum x, and sqrt(pi/2) mean |x| reads sum |x| of one sample block per chunk at
-each of the 32 prior nodes.
+sum x, and sqrt(pi/2) mean |x| reads sum |x| on each block of draws, at each
+of the 32 prior nodes.  Every run above is at --phi-gamma 0.5;
+the shift-family mean (with its van Trees rows) and the scale-family
+sqrt(pi/2) mean |x| run again at the strong tilt --phi-gamma 2, where the
+weight's relative variance e^{g^2 n} - 1 is about e^20: there only draws made
+under the tilt report an lhs_stderr that holds.
 
 Prints each report; exits 1 if any bound row fails its 3-sigma check
 (``passed_3sigma`` false), if a row that carries the closed-form ``lhs_exact``
@@ -19,6 +23,7 @@ different ``lhs`` or ``lhs_stderr`` (they bound the same quantity on one draw),
 and with the CLI's code if a run fails.
 """
 
+
 import contextlib
 import io
 import json
@@ -28,17 +33,20 @@ from winfer.cli import main as winfer_main
 
 
 def main() -> int:
-    shared = ["--phi-gamma", "0.5", "--n", "5", "--trials", "1000000", "--seed", "42",
-              "--reproducible"]
+    shared = ["--n", "5", "--trials", "1000000", "--seed", "42", "--reproducible"]
     shift = ["cramer-rao", "--family", "gaussian-shift", "--theta", "0.0", "--sigma", "1.0",
              "--van-trees", "--prior-var", "1.0"] + shared
     scale = ["cramer-rao", "--family", "gaussian-scale", "--theta", "1"] + shared
-    runs = {"mean": shift + ["--estimator", "mean"],
-            "shifted-mean": shift + ["--estimator", "shifted-mean"],
-            "scale-abs-mean": scale + ["--estimator", "scale-abs-mean"],
-            "scale-mean": scale + ["--estimator", "mean", "--van-trees", "--prior-var", "0.005"],
-            "scale-abs-mean-van-trees": scale + ["--estimator", "scale-abs-mean", "--van-trees",
-                                                 "--prior-var", "0.005"]}
+    mild, strong = ["--phi-gamma", "0.5"], ["--phi-gamma", "2"]
+    runs = {"mean": shift + mild + ["--estimator", "mean"],
+            "shifted-mean": shift + mild + ["--estimator", "shifted-mean"],
+            "scale-abs-mean": scale + mild + ["--estimator", "scale-abs-mean"],
+            "scale-mean": scale + mild + ["--estimator", "mean", "--van-trees",
+                                          "--prior-var", "0.005"],
+            "scale-abs-mean-van-trees": scale + mild + ["--estimator", "scale-abs-mean",
+                                                        "--van-trees", "--prior-var", "0.005"],
+            "mean-gamma-2": shift + strong + ["--estimator", "mean"],
+            "scale-abs-mean-gamma-2": scale + strong + ["--estimator", "scale-abs-mean"]}
     failed = 0
     for est, args in runs.items():
         print(f"# estimator = {est}")

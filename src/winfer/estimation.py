@@ -12,8 +12,9 @@ its location-scale form x = mu + s z with mu and s affine in theta
 (``ParametricModel.location_scale``): the Gaussian shift and scale families.
 They run with the weight c e^{gamma x}, which tilts z to N(gamma s, 1), and
 refuse any other model or weight before any work.  The Monte Carlo has one
-path (``_mc_sums``): each chunk of draws is reduced once to row statistics,
-sum_i z_i and sum_i |z_i|, that every theta reads.
+path (``_mc_sums``): it draws z under that tilt, scaled by the closed-form E^n,
+in blocks addressed by (seed, block index) that run on every core and are
+summed in block order, so a seed gives the same rows on any number of cores.
 
 The bounds have one path (``_bounds``).  Versions A and B of van Trees average
 the pointwise weighted Cramer-Rao bound over a prior, so ``cramer_rao`` is that
@@ -37,8 +38,10 @@ direction (for d = 1 the distinction is invisible).
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -84,7 +87,8 @@ __all__ = [
     "van_trees",
 ]
 
-_MC_CHUNK = 250_000
+_MC_BLOCK = 1 << 17   # standard normals per seed-addressed block
+_MC_WINDOW = 64       # blocks submitted at once; a pending future holds ~2 kB
 
 
 def _is_scalar_exponential(wf: WeightFunction) -> bool:
@@ -408,24 +412,13 @@ def _weight_rate(model, wf, est) -> tuple:
     raise IllegalParameterError(f"no Monte Carlo path for the {wf.kind} weight")
 
 
-def _check_mc_inputs(model, wf, est, n: int, trials: int) -> None:
-    """Refuse, before any integral or draw, what the Monte Carlo cannot run."""
-    if model.d != 1:
-        raise IllegalParameterError("deviation bounds implemented for scalar theta")
-    if n < 1:
-        raise IllegalParameterError("n must be >= 1")
-    if trials < 2:
-        raise IllegalParameterError("trials must be >= 2")
-    _weight_rate(model, wf, est)
-
-
 def _tilt(model, wf, est, th, root: bool = False) -> dict:
     """The tilt at theta (a number or an array), ' the theta-derivative.  The
     weight (with ``root``, phi^{1/2} = c^{1/2} e^{r x / 2}) moves each z of
     x = mu + s z to N(g, 1), g = r s, and theta* - theta = B + coef s t, with t
     the mean of z (statistic S) or of |z| (A, where mu = 0).
 
-    "c", "r", "mu", "s", "g"; "B" = (coef mu' - 1) theta + coef mu(0) + offset,
+    "c", "s", "g"; "B" = (coef mu' - 1) theta + coef mu(0) + offset,
     exactly the offset on the shift family at coef 1; "L" = log E_theta e^{r x}
     = r mu + g^2 / 2 and "L'" = r (mu' + g s'); "m" = B + coef s rho, the tilted
     mean of theta* - theta, with rho = g e + k e^{-g^2/2} the tilted mean of z
@@ -442,7 +435,7 @@ def _tilt(model, wf, est, th, root: bool = False) -> dict:
         (erf(g / math.sqrt(2.0)), math.sqrt(2.0 / math.pi))
     rho = g * e + k * np.exp(-g * g / 2.0)
     b = (est.coef * mu1 - 1.0) * th + est.coef * mu0 + est.offset
-    return {"c": c, "r": r, "mu": mu, "s": s, "g": g, "B": b, "m": b + cs * rho,
+    return {"c": c, "s": s, "g": g, "B": b, "m": b + cs * rho,
             "L": r * mu + g * g / 2.0, "L'": r * (mu1 + g * s1),
             "m'": est.coef * mu1 - 1.0 + est.coef * s1 * (rho + g * e),
             "var": cs * cs * (1.0 + g * g - rho * rho)}
@@ -482,48 +475,48 @@ def _exact_lhs(model, wf, est, n, thetas, weights) -> float:
     return float(np.dot(weights, t["c"] ** n * np.exp(n * t["L"]) * (t["m"] ** 2 + t["var"] / n)))
 
 
-def _chunk_sums(est, n, t, keys, rng) -> np.ndarray:
-    """(len(keys), 2): the sums of F and F^2 over one chunk of t draws for each
-    (g, s, B) of ``keys``, with F = e^{g sum z} (B + coef s T / n)^2 and T = sum z
-    (statistic S) or sum |z| (A) over n standard-normal z.  S draws sum z =
-    sqrt(n) Z alone; A draws one (t, n) block, reduced to sum z and sum |z| and
-    freed.  The arithmetic runs in place, and every array dies with the call."""
-    if est.statistic == "S":
-        sz = st = rng.standard_normal(t)
-        sz *= math.sqrt(n)
-    else:
-        z = rng.standard_normal((t, n))
-        sz = np.einsum("ij->i", z)  # ~3x faster than z.sum(axis=1) for short rows
-        st = np.einsum("ij->i", np.abs(z, out=z))
-        del z
+def _block_sums(est, n, rows, keys, seed, k) -> np.ndarray:
+    """(len(keys), 2): the sums of F and F^2 over the ``rows`` draws of block k
+    (the generator of spawn key (k,)) for each (g, s, B) of ``keys``, with
+    F = (B + coef s T / n)^2 and T = sum z (statistic S) or sum |z| (A) over n
+    tilted z ~ N(g, 1).  S draws T / n = g + Z / sqrt(n); A draws one (rows, n)
+    standard-normal block w and sums |w + g| per row for each distinct g (in
+    place for one).  Only numpy runs here, so blocks run in threads."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    z = rng.standard_normal(rows if est.statistic == "S" else (rows, n))
+    reads = {g: (z, est.coef / math.sqrt(n), est.coef * g) for g, _, _ in keys}
+    if est.statistic == "A":
+        y = z if len(reads) == 1 else np.empty_like(z)
+        for g in reads:  # einsum: ~3x faster than y.sum(axis=1) for short rows
+            reads[g] = np.einsum("ij->i", np.abs(np.add(z, g, out=y), out=y)), est.coef / n, 0.0
     out = np.empty((len(keys), 2))
-    for k, (g, s, b) in enumerate(keys):
-        f = np.multiply(g, sz)
-        np.exp(f, out=f)
-        m = np.multiply(est.coef * s / n, st)
-        m += b
-        m *= m
-        f *= m
-        out[k] = float(f.sum()), float(np.multiply(f, f, out=m).sum())
+    for j, (g, s, b) in enumerate(keys):
+        t, scale, shift = reads[g]
+        f = np.multiply(scale * s, t)
+        f += b + shift * s
+        f *= f
+        out[j] = float(f.sum()), float(np.multiply(f, f, out=f).sum())
     return out
 
 
-def _mc_sums(model, wf, thetas, n, est, trials, rng) -> np.ndarray:
-    """(len(thetas), 2): the sums over ``trials`` draws of v and v^2, with
-    v = phi^{(n)}(X) |theta*(X) - theta|^2 at each theta of ``thetas``.  There
-    phi^{(n)} = (c e^{r mu})^n e^{g sum z}, so v is (c e^{r mu})^n F with the F of
-    ``_chunk_sums``; the thetas that share (g, s, B) share one F, which every
-    chunk of ``_MC_CHUNK`` draws evaluates once (all of the shift family's)."""
+def _mc_sums(model, wf, thetas, n, est, trials, seed) -> np.ndarray:
+    """(len(thetas), 2): the sums over ``trials`` draws of v and v^2, with v =
+    phi^{(n)}(X) |theta*(X) - theta|^2 at each theta of ``thetas``, read under the
+    tilt as E^n F (``_tilt``: E^n = c^n e^{n L}; F of ``_block_sums``); thetas that
+    share (g, s, B) share one F (all of the shift family's, at coef 1).  Blocks of
+    ``_MC_BLOCK`` normals run on a thread per core, ``_MC_WINDOW`` at a time, and
+    are summed in block order, so the sums do not depend on the core count."""
     t = _tilt(model, wf, est, np.asarray(thetas, dtype=float))
     keys = {}
     group = [keys.setdefault(key, len(keys))
              for key in zip(t["g"].tolist(), t["s"].tolist(), t["B"].tolist())]
-    sums, done = np.zeros((len(keys), 2)), 0
-    while done < trials:
-        chunk = min(_MC_CHUNK, trials - done)
-        sums += _chunk_sums(est, n, chunk, list(keys), rng)
-        done += chunk
-    u = t["c"] ** n * np.exp(n * t["r"] * t["mu"])
+    rows = _MC_BLOCK if est.statistic == "S" else max(1, _MC_BLOCK // n)
+    blocks = -(-trials // rows)
+    block = lambda k: _block_sums(est, n, min(rows, trials - k * rows), keys, seed, k)
+    with concurrent.futures.ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), blocks)) as pool:
+        sums = sum(part for lo in range(0, blocks, _MC_WINDOW)
+                   for part in pool.map(block, range(lo, min(lo + _MC_WINDOW, blocks))))
+    u = t["c"] ** n * np.exp(n * t["L"])
     return sums[group] * np.column_stack([u, u * u])
 
 
@@ -580,7 +573,13 @@ def _bounds(model, wf, n, est, nodes, weights, prior, versions, cfg, trials, see
     from one ``_mc_sums`` draw at ``seed``; the sum of the node stderrs
     (ddof = 1) bounds its stderr, and is it exactly when the nodes share one
     array of values up to a factor (all of the shift family's, at coef 1)."""
-    _check_mc_inputs(model, wf, est, n, trials)
+    if model.d != 1:
+        raise IllegalParameterError("deviation bounds implemented for scalar theta")
+    if n < 1:
+        raise IllegalParameterError("n must be >= 1")
+    if trials < 2:
+        raise IllegalParameterError("trials must be >= 2")
+    _weight_rate(model, wf, est)  # refuses what the Monte Carlo cannot draw
     for t in nodes:
         model.check(float(t))
     mid = len(nodes) // 2
@@ -592,8 +591,7 @@ def _bounds(model, wf, n, est, nodes, weights, prior, versions, cfg, trials, see
         gap = float(np.max(np.abs(at[kind][mid] - quad[kind])))
         if gap > 1e-9 * max(1.0, abs(quad["E" if kind == "V" else kind])):
             raise RegularityError(f"closed-form {kind} misses quadrature by {gap:.2e}")
-    sums = _mc_sums(model, wf, nodes.tolist(), n, est, trials,
-                    np.random.default_rng(np.random.SeedSequence(seed)))
+    sums = _mc_sums(model, wf, nodes.tolist(), n, est, trials, seed)
     var = np.maximum(sums[:, 1] - sums[:, 0] ** 2 / trials, 0.0) / (trials - 1)
     lhs, lhs_se = float(weights @ sums[:, 0]) / trials, float(weights @ np.sqrt(var / trials))
     lhs_exact = _exact_lhs(model, wf, est, n, nodes, weights)

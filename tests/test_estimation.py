@@ -95,6 +95,40 @@ def oracle_mc(model, wf, est, fn, thetas, n, chunks, rng, deviation=True):
     return [(v.mean(), v.std() / root, (v - vs[0]).std() / root) for v in vs]
 
 
+def block_draws(est, n, trials, seed):
+    """The standard-normal draws of each seed-addressed block of the Monte Carlo,
+    rebuilt from its spawn key: ``_MC_BLOCK`` of them for S, rows of n for A, and
+    a short last block."""
+    import winfer.estimation as estimation
+    rows = estimation._MC_BLOCK if est.statistic == "S" else max(1, estimation._MC_BLOCK // n)
+    for k, lo in enumerate(range(0, trials, rows)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        t = min(rows, trials - lo)
+        yield rng.standard_normal(t if est.statistic == "S" else (t, n))
+
+
+def tilted_oracle(model, wf, est, fn, thetas, n, trials, seed):
+    """(mean, ddof-0 stderr) of E^n (fn(x) - theta)^2 at each theta, with E the
+    weight's mean written out and x = mu + s z the tilted rows rebuilt from the
+    blocks: z ~ N(g, 1) with g = gamma s, spread evenly over a row for S (its
+    mean g + Z / sqrt(n)), the block plus g for A."""
+    (mu1, mu0), (s1, s0) = model.location_scale
+    r, c = (float(wf.gamma), 1.0) if wf.kind == "exponential" else (0.0, float(wf.c))
+    out = []
+    for th in thetas:
+        mu, s = mu1 * th + mu0, s1 * th + s0
+        g = r * s
+        mass = (c * math.exp(r * mu + g * g / 2.0)) ** n
+        vs = []
+        for w in block_draws(est, n, trials, seed):
+            z = np.repeat((g + w / math.sqrt(n))[:, None], n, axis=1) \
+                if est.statistic == "S" else w + g
+            vs.append(mass * (fn(mu + s * z) - th) ** 2)
+        v = np.concatenate(vs)
+        out.append((v.mean(), v.std() / math.sqrt(v.size)))
+    return np.array(out)
+
+
 def mean_stderr(sums, trials) -> np.ndarray:
     """(mean, ddof-0 stderr) of v at each theta, from ``_mc_sums``'s sums of v and
     v^2 over ``trials`` draws."""
@@ -725,29 +759,33 @@ class TestSumStatistic:
                 assert np.array_equal(xs.sum(axis=1) / shape[1] + est.offset, fn(xs))
 
     def test_monte_carlo_values_equal_the_generic_path(self, monkeypatch):
-        # every model, weight and estimator the path takes, over three chunks,
-        # against the block oracle on the same draws: equal to rounding, which the
-        # cancelling (theta* - theta)^2 amplifies row by row
+        # every model, weight and estimator the path takes, over several blocks
+        # (3 for S, 12 for A, a short last one), against the tilted block
+        # oracle on the same draws: equal to rounding, which the cancelling
+        # (theta* - theta)^2 amplifies row by row; and, at tilts |g| <= 0.5,
+        # against the untilted block oracle on its own draws within 3 combined
+        # stderrs, the check of the tilt that does not share it
         import winfer.estimation as estimation
         from winfer.estimation import _mc_sums
-        monkeypatch.setattr(estimation, "_MC_CHUNK", 3_000)
+        monkeypatch.setattr(estimation, "_MC_BLOCK", 15_000)
         shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
         cases = [(shift, est, fn) for est, fn in self.estimators()[::3]] + [
             (scale, mean_estimator(scale, ONE), lambda xs: xs.mean(axis=1)),
             (scale, scale_abs_mean_estimator(), abs_mean)]
-        thetas, n = (0.3, 0.9, 1.4), 5
-        for wf in (WeightFunction.exponential(0.4), ONE, WeightFunction.constant(2.0)):
+        thetas, n, trials = (0.3, 0.9, 1.4), 5, 35_000
+        for wf in (WeightFunction.exponential(0.3), ONE, WeightFunction.constant(2.0)):
             for model, est, fn in cases:
-                got = mean_stderr(
-                    _mc_sums(model, wf, thetas, n, est, 7_000, np.random.default_rng(4)), 7_000)
-                want = oracle_mc(model, wf, est, fn, thetas, n, (3_000, 3_000, 1_000),
-                                 np.random.default_rng(4))
+                got = mean_stderr(_mc_sums(model, wf, thetas, n, est, trials, 4), trials)
+                want = tilted_oracle(model, wf, est, fn, thetas, n, trials, 4)
                 # a stderr of ~0 reads the roundoff of sum v^2 / T - mean^2,
                 # sqrt(eps) |mean| / sqrt(T)
-                want = np.array(want)[:, :2]
                 np.testing.assert_allclose(
                     got, want, rtol=1e-9,
-                    atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(7_000))
+                    atol=1e-7 * np.abs(want[:, 0]).max() / math.sqrt(trials))
+                plain = np.array(oracle_mc(model, wf, est, fn, thetas, n, (trials,),
+                                           np.random.default_rng(4)))[:, :2]
+                assert np.all(np.abs(got[:, 0] - plain[:, 0])
+                              <= 3 * np.hypot(got[:, 1], plain[:, 1])), (est.name, got, plain)
 
     def test_statistic_path_never_builds_samples(self, monkeypatch):
         # an estimator of S draws one t-long sum z per chunk, on either family;
@@ -855,19 +893,19 @@ class TestSumPath:
 
 
 def per_theta_values(g, n, s2, offset, thetas, d):
-    """phi^{(n)} (theta* - theta)^2 at each theta over the draws D = S - n theta,
-    one array per theta, as the sum path read them before its sums were
-    factored."""
-    tilt = np.exp(g * d)
+    """E^n (theta* - theta)^2 at each theta over the draws D = S - n (theta + g s2)
+    of the row sum S under the tilt, S ~ N(n (theta + g s2), n s2), one array per
+    theta, with E^n = e^{n (g theta + g^2 s2 / 2)} written out."""
     for th in thetas:
-        estimate = (n * th + d) / n + offset
-        yield np.exp(g * n * th) * tilt * (estimate - th) ** 2
+        estimate = (n * (th + g * s2) + d) / n + offset
+        yield np.exp(n * (g * th + g * g * s2 / 2.0)) * (estimate - th) ** 2
 
 
 class TestFactoredSumPath:
     """On the sum path every theta's sums are closed forms over one set of
-    per-draw sums; they match a loop over one array per theta, on the same
-    draws, to rounding."""
+    per-draw sums, drawn under the tilt in seed-addressed blocks; they match a
+    loop over one array per theta, on the draws rebuilt from the blocks' spawn
+    keys, to rounding."""
 
     @staticmethod
     def setting(g=0.4, sigma=1.3):
@@ -876,69 +914,77 @@ class TestFactoredSumPath:
         return m, wf, (mean_estimator(m, wf), shifted_mean_estimator(m, wf))
 
     def test_mc_sums_matches_a_per_theta_loop(self):
-        from winfer.estimation import _MC_CHUNK, _mc_sums
+        from winfer.estimation import _MC_BLOCK, _mc_sums
         g, n, sigma = 0.4, 4, 1.3
         m, wf, ests = self.setting(g, sigma)
-        thetas, chunks = (-0.3, 0.0, 0.5, 1.1), (_MC_CHUNK, 30_000)
+        thetas, trials = (-0.3, 0.0, 0.5, 1.1), _MC_BLOCK + 30_000
         for est in ests:
-            got = mean_stderr(_mc_sums(m, wf, thetas, n, est, sum(chunks),
-                                       np.random.default_rng(9)), sum(chunks))
-            rng = np.random.default_rng(9)
-            d = np.concatenate([math.sqrt(n * sigma * sigma) * rng.standard_normal(t)
-                                for t in chunks])
+            got = mean_stderr(_mc_sums(m, wf, thetas, n, est, trials, 9), trials)
+            d = math.sqrt(n * sigma * sigma) * np.concatenate(list(block_draws(est, n, trials, 9)))
             root = math.sqrt(d.size)
             for (mean, se), v in zip(got, per_theta_values(g, n, sigma * sigma, est.offset,
                                                            thetas, d)):
                 np.testing.assert_allclose((mean, se), (v.mean(), v.std() / root),
                                            rtol=1e-12, atol=0)
 
-    def test_chunk_sums_in_place_matches_the_expression_bit_for_bit(self):
-        from winfer.estimation import _MC_CHUNK, _chunk_sums
-        g, n, sigma = 0.4, 5, 1.3
+    def test_block_sums_in_place_matches_the_expression_bit_for_bit(self):
+        from winfer.estimation import _block_sums
+        g, n, sigma, rows = 0.4, 5, 1.3, 20_000
         m, wf, ests = self.setting(g, sigma)
         abs_mean_est = scale_abs_mean_estimator()
         for est, keys in [(est, [(g * sigma, sigma, est.offset)]) for est in ests] + [
-                (abs_mean_est, [(0.3, 0.8, -0.8), (0.5, 1.3, -1.3)])]:
-            got = _chunk_sums(est, n, _MC_CHUNK, keys, np.random.default_rng(21))
-            # the allocating expression the in-place arithmetic replaced
-            rng = np.random.default_rng(21)
-            if est.statistic == "S":
-                sz = st = math.sqrt(n) * rng.standard_normal(_MC_CHUNK)
-            else:
-                z = rng.standard_normal((_MC_CHUNK, n))
-                sz, st = np.einsum("ij->i", z), np.einsum("ij->i", np.abs(z))
+                (abs_mean_est, [(0.3, 0.8, -0.8), (0.5, 1.3, -1.3), (0.3, 1.1, -1.1)]),
+                (abs_mean_est, [(0.4, 1.1, -1.1)])]:
+            got = _block_sums(est, n, rows, keys, 21, 3)
+            # the allocating expression the in-place arithmetic replaced, on
+            # block 3's draws
+            w = np.random.default_rng(np.random.SeedSequence(21, spawn_key=(3,))).standard_normal(
+                rows if est.statistic == "S" else (rows, n))
             for row, (gs, s, b) in zip(got, keys):
-                f = np.exp(gs * sz) * (est.coef * s / n * st + b) ** 2
+                if est.statistic == "S":
+                    f = (est.coef / math.sqrt(n) * s * w + (b + est.coef * gs * s)) ** 2
+                else:
+                    f = (est.coef / n * s * np.einsum("ij->i", np.abs(w + gs)) + b) ** 2
                 assert row.tobytes() == np.array([float(f.sum()), float((f * f).sum())]).tobytes()
 
-    def test_shift_nodes_make_one_exp_pass_per_chunk(self, monkeypatch):
-        # the 32 prior nodes of a coef-1 estimator share (g, s, B), so each chunk
+    def test_shift_nodes_make_one_pass_per_block(self, monkeypatch):
+        # the 32 prior nodes of a coef-1 estimator share (g, s, B), so each block
         # evaluates one array; at coef 2, B = theta + offset tells them apart
         import winfer.estimation as estimation
-        monkeypatch.setattr(estimation, "_MC_CHUNK", 4_999)
-        sizes, real = [], np.exp
+        monkeypatch.setattr(estimation, "_MC_BLOCK", 4_999)
+        sizes = []
 
-        def counting(x, *args, **kwargs):
-            sizes.append(np.size(x))
-            return real(x, *args, **kwargs)
-        monkeypatch.setattr(np, "exp", counting)
+        class Counting:
+            """numpy, as ``estimation`` sees it, counting the products that open a
+            pass (those with no ``out``)."""
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def multiply(x, y, **kwargs):
+                if "out" not in kwargs:
+                    sizes.append(np.size(y))
+                return np.multiply(x, y, **kwargs)
+        monkeypatch.setattr(estimation, "np", Counting())
         m, wf, ests = self.setting()
         prior = PriorSpec(kind="gaussian", mean=0.2, var=1.0)
         for est, passes in ((ests[0], 1), (ests[1], 1), (EstimatorSpec("twice-mean", coef=2.0), 32)):
             sizes.clear()
             van_trees(m, wf, 5, est, prior, ("A", "C"), CFG, trials=12_345, seed=1)
-            assert [k for k in sizes if k in (4_999, 2_347)] == \
-                [4_999] * passes + [4_999] * passes + [2_347] * passes, est.name
+            assert sorted(k for k in sizes if k in (4_999, 2_347)) == \
+                [2_347] * passes + [4_999] * (2 * passes), est.name
 
-    def test_van_trees_matches_a_per_node_loop(self):
+    def test_van_trees_matches_a_per_node_loop(self, monkeypatch):
+        import winfer.estimation as estimation
+        monkeypatch.setattr(estimation, "_MC_BLOCK", 25_000)
         g, n, sigma, seed, trials = 0.4, 5, 1.3, 11, 60_000
         m, wf, ests = self.setting(g, sigma)
         prior = PriorSpec(kind="gaussian", mean=0.2, var=1.0)
         nodes, weights = prior.quadrature(32)
         for est in ests:
             (vt,) = van_trees(m, wf, n, est, prior, ("C",), CFG, trials=trials, seed=seed)
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            d = math.sqrt(n * sigma * sigma) * rng.standard_normal(trials)
+            d = math.sqrt(n * sigma * sigma) * np.concatenate(
+                list(block_draws(est, n, trials, seed)))
             lhs = se = 0.0
             for w, v in zip(weights, per_theta_values(g, n, sigma * sigma, est.offset,
                                                       nodes, d)):
@@ -981,6 +1027,95 @@ class TestFactoredSumPath:
                     ok = abs(r.lhs - r.lhs_exact) <= 3 * r.lhs_stderr
                     hits[key, est.name] = hits.get((key, est.name), 0) + ok
         assert all(count >= 18 for count in hits.values()), hits
+
+
+class TestSeedAddressedBlocks:
+    """The Monte Carlo draws blocks addressed by (seed, block index), maps them
+    over a thread per core and sums them in block order."""
+
+    @staticmethod
+    def rows_at(workers, monkeypatch) -> list:
+        """Every cramer_rao and van_trees row of both families, statistics S and
+        A, with more blocks than workers and a short last block, run on a pool
+        of ``workers`` threads."""
+        import concurrent.futures
+
+        import winfer.estimation as estimation
+        monkeypatch.setattr(estimation, "_MC_BLOCK", 2_000)
+        monkeypatch.setattr(estimation.os, "sched_getaffinity", lambda pid: set(range(workers)))
+        pools, real = [], concurrent.futures.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return real(max_workers)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        shift, scale = gaussian_shift_model(1.3), gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4)
+        rows = []
+        for model, est, prior in (
+                (shift, mean_estimator(shift, wf), PriorSpec(kind="gaussian", mean=0.2, var=1.0)),
+                (shift, EstimatorSpec("twice-mean", coef=2.0),
+                 PriorSpec(kind="gaussian", mean=0.2, var=1.0)),
+                (scale, mean_estimator(scale, wf), PriorSpec(kind="gaussian", mean=1.0, var=0.005)),
+                (scale, scale_abs_mean_estimator(),
+                 PriorSpec(kind="gaussian", mean=1.0, var=0.005))):
+            rows += cramer_rao(model, wf, 1.1, 4, est, ("A", "B"), CFG, trials=9_700, seed=5)
+            rows += van_trees(model, wf, 4, est, prior, ("A", "B", "C"), CFG, trials=9_700,
+                              seed=6)
+        assert set(pools) == {workers}
+        return rows
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        # S: 4 blocks of 2,000 and one of 1,700; A: 19 blocks of 500 rows and
+        # one of 200; the threads switch as often as the interpreter allows
+        import sys
+        one = self.rows_at(1, monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (2, 3):
+                assert self.rows_at(workers, monkeypatch) == one, workers
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [5_000, 1_000, 300])
+    def test_no_draw_exceeds_the_block_budget(self, n, monkeypatch):
+        # a block holds max(1, budget // n) rows of A, so at n above the budget
+        # one row of n normals; every draw holds at most max(budget, n) of them,
+        # and the blocks hold exactly trials x n (trials for S)
+        import winfer.estimation as estimation
+        budget = 1_000
+        monkeypatch.setattr(estimation, "_MC_BLOCK", budget)
+        shapes = recorded_draws(monkeypatch)
+        scale = gaussian_scale_model()
+        wf = WeightFunction.exponential(0.4 / n)
+        for est, per_row in ((scale_abs_mean_estimator(), n), (mean_estimator(scale, wf), 1)):
+            shapes.clear()
+            (r,) = cramer_rao(scale, wf, 1.0, n, est, ("A",), CFG, trials=7, seed=2)
+            assert math.isfinite(r.lhs) and r.lhs_stderr > 0
+            assert max(np.prod(shape) for shape in shapes) <= max(budget, n)
+            assert sum(np.prod(shape) for shape in shapes) == 7 * per_row
+
+    def test_lhs_within_three_sigma_of_lhs_exact_at_strong_tilts(self):
+        # seeds 0..19, none left out, at gamma 0.5, 2 and 3 on the shift mean
+        # (version A's equality case), the scale mean and scale-abs-mean at
+        # n = 5: at least 97% of rows lie within 3 lhs_stderr of lhs_exact, and
+        # the gamma-2 shift-mean row never reports version A violated
+        shift, scale, n = gaussian_shift_model(), gaussian_scale_model(), 5
+        hits, rows = 0, 0
+        for gamma in (0.5, 2.0, 3.0):
+            wf = WeightFunction.exponential(gamma)
+            for model, est in ((shift, mean_estimator(shift, wf)),
+                               (scale, mean_estimator(scale, wf)),
+                               (scale, scale_abs_mean_estimator())):
+                for seed in range(20):
+                    (r,) = cramer_rao(model, wf, 1.0, n, est, ("A",), CFG, trials=20_000,
+                                      seed=seed)
+                    rows += 1
+                    hits += abs(r.lhs - r.lhs_exact) <= 3 * r.lhs_stderr
+                    if gamma == 2.0 and model is shift:
+                        assert r.holds_3sigma, seed
+        assert hits >= 0.97 * rows, (hits, rows)
 
 
 def quad_lhs(gamma, theta, n, fn, c=1.0):
